@@ -125,7 +125,7 @@ def _rule_buffer_full(
         ))
     else:
         words = design.input_words_per_image()
-        held = len(sources[0].values)
+        held = sources[0].n_values
         if held % words:
             report.add(make(
                 "BUFFER.FULL", Severity.ERROR, f"channel:{sources[0].name}",

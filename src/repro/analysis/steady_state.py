@@ -159,7 +159,7 @@ def _actor_rates(actor, in_beats: Dict[str, int]):
             )
 
     if type(actor) is ArraySource:
-        n = len(actor.values)
+        n = actor.n_values
         return {actor.port: n}, [n]
     if type(actor) is ListSink:
         n = in_beats.get(actor.port, 0)
@@ -285,7 +285,7 @@ def extract_schedule(
 
     in_words = design.input_words_per_image()
     out_words = design.output_words_per_image()
-    n_values = len(source.values)
+    n_values = source.n_values
     if in_words <= 0 or n_values % in_words:
         raise CompilationError(
             f"DMA stream of {n_values} beats is not a whole number of "

@@ -92,15 +92,15 @@ class CompiledEngine:
                 "cannot be compiled; build via repro.core.builder)"
             )
         self.design = design
-        plan = self._lower(sim, design)
+        sources = [a for a in sim.actors if type(a) is ArraySource]
+        plan = self._lower(sim, design, sources)
         self.schedule: SteadySchedule = plan.schedule
         self._in_ports, self._out_ports = plan.in_ports, plan.out_ports
-        sources = [a for a in sim.actors if type(a) is ArraySource]
         sinks = [a for a in sim.actors if type(a) is ListSink]
         self._source, self._sink = sources[0], sinks[0]
 
     @staticmethod
-    def _lower(sim, design) -> CompiledPlan:
+    def _lower(sim, design, sources) -> CompiledPlan:
         """Verify and lower ``design``, through the per-process plan cache.
 
         The verification verdict is cached per design digest; the solved
@@ -121,7 +121,6 @@ class CompiledEngine:
                 f"(error rule(s) [{', '.join(verdict)}]); only designs "
                 f"that pass `repro check` compile"
             )
-        sources = [a for a in sim.actors if type(a) is ArraySource]
         overhead = max(
             (a.coord_overhead for a in sim.actors
              if type(a) is ConvCoreActor),
@@ -130,7 +129,7 @@ class CompiledEngine:
         multi_plan = getattr(sim, "multi_plan", None)
         key = plan_key(
             digest,
-            len(sources[0].values) if sources else -1,
+            sources[0].n_values if sources else -1,
             sources[0].interval if sources else -1,
             int(overhead),
             _structure_crc(sim.actors, sim.channels),

@@ -8,11 +8,21 @@ and produces its entire output streams in one pass, batching over the
 Bit-exactness with the interpreted engines is a hard contract, kept by
 reproducing the per-beat association order exactly:
 
-* the conv kernel runs the same batched product tree
+* the conv kernel runs the same product tree
   (``tree_reduce(w_all * wins)``) and the same sequential per-group
   accumulation chain the actor runs per coordinate — only the
   coordinate axis is batched, and float32 elementwise ops are
-  bit-identical across broadcast shapes;
+  bit-identical across broadcast shapes. Its product slab is
+  ``(K, o, c)``: the ``K = P*kh*kw`` tree inputs lead, ``c``
+  coordinates ("lanes") are minor, so the multiply is one weight times
+  a long contiguous lane row and every tree level adds whole rows.
+  The tree is *not* padded to a power of two: an odd level's last row
+  is carried as ``row + 0.0``, which is what the padded tree computes
+  for it (``-0.0`` becomes ``+0.0`` on the first carry; further pad
+  zeros change nothing), so 24 row-adds do the work of 31 for
+  ``K = 25`` and no level allocates. ``np.dot``/BLAS stays out: it
+  accumulates in an order of its own choosing (blocked, FMA-fused),
+  which is not the hardware tree's;
 * the FC kernel replays the interleaved-lane MAC recurrence input by
   input (lane ``i % acc_lanes``), rounding to float32 after each step
   exactly like the actor, then tree-combines the lanes;
@@ -54,10 +64,11 @@ from repro.sst.line_buffer import SlidingWindowActor
 
 from repro.compiled.numba_support import HAVE_NUMBA, maybe_njit
 
-#: Target size of one conv product slab (bytes): coordinates are blocked
-#: so the slab stays cache-resident. Blocking is bit-neutral (the
-#: product tree is elementwise per coordinate) — it only sets how many
-#: coordinates one vectorized pass carries.
+#: Target size of one conv product slab (bytes): coordinates and output
+#: maps are blocked so the slab, its half-size tree scratch and one
+#: group's windows stay cache-resident. Blocking is bit-neutral (the
+#: product tree is elementwise per coordinate and output map) — it only
+#: sets how much one vectorized pass carries.
 _CONV_BLOCK_BYTES = 1 << 19
 
 Streams = Dict[str, np.ndarray]
@@ -75,7 +86,10 @@ def _expect(actor_name: str, what: str, got: int, want: int) -> None:
 
 
 def k_source(actor: ArraySource, ins: Streams) -> Streams:
-    return {actor.port: np.asarray(actor.values)}
+    # No kernel writes into its input streams, so the caller's array can
+    # be streamed as is instead of being rebuilt from the per-beat list.
+    arr = actor.array
+    return {actor.port: np.asarray(actor.values) if arr is None else arr}
 
 
 def k_sink(actor: ListSink, ins: Streams) -> Streams:
@@ -225,71 +239,97 @@ def k_block_merge(actor: BlockMergeActor, ins: Streams) -> Streams:
 # -- computation cores ---------------------------------------------------
 
 
-def _tree_reduce_leading(arr: np.ndarray) -> np.ndarray:
+def _aligned_empty(n: int) -> np.ndarray:
+    """``n`` uninitialized float32 starting on a 64-byte cache line.
+
+    numpy only promises 16-byte alignment, and where a buffer happens to
+    land decides whether every SIMD load/store of its rows straddles two
+    lines: the same tree level measured 28 or 45 us on identical data.
+    """
+    buf = np.empty(n + 15, dtype=DTYPE)
+    skip = -buf.ctypes.data % 64 // buf.itemsize
+    return buf[skip : skip + n]
+
+
+def _tree_reduce_pingpong(slab: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """:func:`~repro.hls.tree_adder.tree_reduce` over the *leading* axis.
 
-    Same association tree — pad to a power of two with zeros, then pair
-    adjacent elements level by level (``t_i = a_{2i} + a_{2i+1}``) — so
-    every output bit matches the trailing-axis reduction of the
-    transposed array. With the reduced axis leading, each level's views
-    carry a large contiguous inner block and the adds run at memory
-    bandwidth instead of as stride-2 element loops.
+    Same association tree (``t_i = a_{2i} + a_{2i+1}`` level by level),
+    without the pad to a power of two and without allocating: levels
+    alternate between ``slab`` (destroyed) and ``scratch`` (at least
+    ``ceil(n / 2)`` rows). An odd level's last row is carried as
+    ``row + 0.0`` — precisely what pairing it with a pad zero computes,
+    ``-0.0 -> +0.0`` included; the zeros ``tree_reduce`` adds to an
+    already-carried value afterwards change no bit, and all-pad pairs
+    never reach the result. Returns a view into one of the two buffers.
     """
-    n = arr.shape[0]
-    if n & (n - 1):
-        m = 1 << n.bit_length()
-        padded = np.zeros((m,) + arr.shape[1:], dtype=arr.dtype)
-        padded[:n] = arr
-        arr, n = padded, m
+    n = slab.shape[0]
+    src, dst = slab, scratch
     while n > 1:
-        arr = arr[0::2] + arr[1::2]
-        n >>= 1
-    return arr[0]
+        half = n >> 1
+        np.add(src[0 : 2 * half : 2], src[1 : 2 * half : 2], out=dst[:half])
+        if n & 1:
+            np.add(src[n - 1], DTYPE(0.0), out=dst[half])
+        n -= half
+        src, dst = dst, src
+    return src[0]
 
 
 def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     n_lanes = actor.images * actor.n_coords
     groups = actor.in_groups
+    out_fm = actor.out_fm
     kk = actor.kh * actor.kw
-    per_port = []
+    ports = []
     for p in range(actor.in_ports):
         arr = np.asarray(ins[f"in{p}"], dtype=DTYPE)
         _expect(actor.name, f"in{p}", len(arr), n_lanes * groups)
-        per_port.append(arr.reshape(n_lanes, groups, kk))
-    # Per coordinate and group: the raveled windows of every port,
-    # concatenated in port order — the actor's `wins[g, 0]` row.
-    if actor.in_ports == 1:
-        wins = per_port[0]
-    else:
-        wins = np.concatenate(per_port, axis=-1)
-    w_all = actor._w_all  # (G, OUT_FM, P*kh*kw)
-    w_t = np.ascontiguousarray(w_all.transpose(2, 0, 1))  # (K, G, OUT_FM)
-    wins_t = np.ascontiguousarray(wins.transpose(2, 0, 1))  # (K, N, G)
-    bias = actor.bias
-    kk_all = w_all.shape[2]
-    m = 1 << max(0, kk_all - 1).bit_length()  # tree width (power of two)
-    out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
-    # Block coordinates so one product slab stays cache-resident; the
-    # chunking is bit-neutral (per-coordinate ops are independent).
-    per_coord = m * groups * actor.out_fm * DTYPE(0).nbytes
-    chunk = min(n_lanes, max(1, _CONV_BLOCK_BYTES // max(1, per_coord)))
-    # One scratch slab per call; rows kk_all..m are the tree's zero pad
-    # and are never written again.
-    prod = np.zeros((m, chunk, groups, actor.out_fm), dtype=DTYPE)
+        ports.append(arr.reshape(n_lanes, groups, kk))
+    w_t = np.ascontiguousarray(actor._w_all.transpose(0, 2, 1))  # (G, K, OUT_FM)
+    kk_all = w_t.shape[1]  # K = P*kh*kw, the tree width
+    scratch_rows = (kk_all + 1) // 2  # the tree's widest second level
+    bias = actor.bias[:, None]
+    # One product slab is (K, o, c): c lanes (coordinates) minor, o output
+    # maps. `row` = o*c is what _CONV_BLOCK_BYTES allows; lanes take it
+    # first (the multiply's inner loop is one weight times c lanes), in
+    # whole cache lines, and output maps fill what a short chunk leaves.
+    # Blocking is bit-neutral: every op is elementwise per (lane, map).
+    row = _CONV_BLOCK_BYTES // (kk_all * DTYPE(0).nbytes)
+    chunk = min(n_lanes, max(16, row - row % 16))
+    row = max(row, chunk)
+    wins_buf = _aligned_empty(groups * kk_all * chunk)
+    slab_buf = _aligned_empty(kk_all * row)
+    scratch_buf = _aligned_empty(scratch_rows * row)
+    out_t = np.empty((out_fm, n_lanes), dtype=DTYPE)
     for s in range(0, n_lanes, chunk):
         c = min(chunk, n_lanes - s)
-        p = prod[:, :c]
-        # Same product tree + accumulation chain as the actor, with the
-        # coordinate axis batched and the tree axis leading.
-        np.multiply(
-            wins_t[:, s : s + c, :, None], w_t[:, None, :, :], out=p[:kk_all]
-        )
-        trees = _tree_reduce_leading(p)  # (c, G, OUT_FM)
-        acc = bias[None, :] + trees[:, 0]
-        for g in range(1, groups):
-            acc = acc + trees[:, g]
-        out[s : s + c] = acc
-    out = actor._act(out)
+        # The chunk's windows, lanes minor; per group the K rows are the
+        # raveled windows of every port in port order (the actor's
+        # `wins[g, 0]`).
+        wins = wins_buf[: groups * kk_all * c].reshape(groups, kk_all, c)
+        for p, port in enumerate(ports):
+            wins[:, p * kk : (p + 1) * kk] = port[s : s + c].transpose(1, 2, 0)
+        o_block = max(1, min(out_fm, row // c))
+        # Same product tree + sequential group chain as the actor (bias +
+        # tree[0] + tree[1] + ...); groups outermost so one group's
+        # windows stay cache-resident across the output blocks.
+        for g in range(groups):
+            for o0 in range(0, out_fm, o_block):
+                o = min(o_block, out_fm - o0)
+                slab = slab_buf[: kk_all * o * c].reshape(kk_all, o, c)
+                scratch = scratch_buf[: scratch_rows * o * c].reshape(
+                    scratch_rows, o, c
+                )
+                np.multiply(
+                    wins[g, :, None, :], w_t[g, :, o0 : o0 + o, None], out=slab
+                )
+                acc = out_t[o0 : o0 + o, s : s + c]
+                np.add(
+                    acc if g else bias[o0 : o0 + o],
+                    _tree_reduce_pingpong(slab, scratch),
+                    out=acc,
+                )
+    out = actor._act(np.ascontiguousarray(out_t.T))  # (lanes, OUT_FM)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
     return {

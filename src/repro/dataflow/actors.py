@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.dataflow.actor import Actor
 from repro.dataflow.events import CHARGE_NONE, POP, PUSH, ChannelWait
 from repro.errors import ConfigurationError
@@ -35,9 +37,26 @@ class ArraySource(Actor):
         super().__init__(name)
         if interval < 1:
             raise ConfigurationError(f"source {name!r}: interval must be >= 1")
-        self.values = list(values)
+        #: The ndarray the caller handed over (``None`` for any other
+        #: iterable). The compiled engine's source kernel streams it as
+        #: is; only the interpreted engines, which send beat by beat,
+        #: need the per-beat list, so :attr:`values` builds that lazily.
+        self.array = values if isinstance(values, np.ndarray) else None
+        self._values = None if self.array is not None else list(values)
         self.interval = int(interval)
         self.port = port
+
+    @property
+    def values(self) -> List[Any]:
+        """The beats as a list of per-beat values (numpy scalars/rows)."""
+        if self._values is None:
+            self._values = list(self.array)
+        return self._values
+
+    @property
+    def n_values(self) -> int:
+        """Number of beats, without materializing :attr:`values`."""
+        return len(self._values if self.array is None else self.array)
 
     def run(self) -> Generator:
         for v in self.values:

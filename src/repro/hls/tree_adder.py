@@ -38,9 +38,11 @@ def tree_reduce(values: np.ndarray) -> np.ndarray:
         raise ConfigurationError("tree_reduce over an empty axis")
     if n & (n - 1):
         # Pad to the next power of two. At every level the carried odd
-        # element then simply pairs with 0.0, and x + 0.0 == x, so the
-        # values of the odd-carry tree are reproduced exactly while the
-        # loop below stays branch-free.
+        # element then simply pairs with 0.0, which keeps the loop below
+        # branch-free. x + 0.0 == x by value but not always by bit: the
+        # first carry turns -0.0 into +0.0 (later ones change nothing).
+        # That is part of this tree's definition — the compiled conv
+        # kernel's unpadded carry step (`row + 0.0`) reproduces it.
         m = 1 << n.bit_length()
         pad = np.zeros(arr.shape[:-1] + (m - n,), dtype=arr.dtype)
         arr = np.concatenate([arr, pad], axis=-1)

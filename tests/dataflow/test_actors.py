@@ -1,7 +1,9 @@
 """Unit tests for the standard actor library (sources, sinks, routing)."""
 
+import numpy as np
 import pytest
 
+from repro.compiled.kernels import k_source
 from repro.dataflow import (
     ArraySource,
     DataflowGraph,
@@ -42,6 +44,23 @@ class TestArraySource:
         snk = g.add_actor(ListSink("snk", count=0))
         g.connect(src, "out", snk, "in")
         assert g.build_simulator().run().finished
+
+    def test_keeps_the_array_it_was_given(self):
+        data = np.arange(6, dtype=np.float32)
+        src = ArraySource("src", data)
+        assert src.array is data and src.n_values == 6
+        # The compiled source kernel streams the array itself ...
+        assert k_source(src, {})["out"] is data
+        # ... the interpreted engines still get per-beat numpy scalars.
+        assert isinstance(src.values, list)
+        assert [type(v) for v in src.values] == [np.float32] * 6
+        assert src.values == list(data)
+
+    def test_other_iterables_have_no_array(self):
+        src = ArraySource("src", (v for v in [1.5, 2.5]))
+        assert src.array is None and src.n_values == 2
+        assert src.values == [1.5, 2.5]
+        assert k_source(src, {})["out"].tolist() == [1.5, 2.5]
 
 
 class TestListSink:
