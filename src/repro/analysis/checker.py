@@ -6,7 +6,7 @@ the graph-level rules (:mod:`.graph_rules`):
 * :func:`analyze_chain` — tolerant analysis of a raw, possibly broken
   spec chain (never raises on a bad design; emits diagnostics instead);
 * :func:`analyze_design` — full design-level analysis of a valid
-  :class:`NetworkDesign`, including the perf-model cross-check;
+  :class:`NetworkDesign`, including the perf-model bottleneck report;
 * :func:`analyze_graph` — graph-level analysis of any elaborated
   :class:`DataflowGraph` (design optional);
 * :func:`check_network` — the whole pipeline: design rules, then
@@ -72,7 +72,7 @@ def analyze_chain(chain: SpecChain) -> AnalysisReport:
 
 
 def analyze_design(design: NetworkDesign) -> AnalysisReport:
-    """Design-level rules plus the perf-model cross-check."""
+    """Design-level rules plus the perf-model bottleneck report."""
     report = analyze_chain(SpecChain.from_design(design))
     run_bottleneck_rule(design, report)
     return report

@@ -10,7 +10,7 @@ The walk mirrors :class:`NetworkDesign`'s propagation: shapes flow
 forward, every layer boundary is classified into the Section IV-A adapter
 cases, and each layer's Eq. 4 initiation interval is recomputed from
 first principles. A valid design additionally gets the steady-state
-bottleneck cross-check against :mod:`repro.core.perf_model`.
+bottleneck of :mod:`repro.core.perf_model` reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, LayerSpec, PoolLayerSpec
 from repro.core.network_design import NetworkDesign, PortAdapter, classify_adapter
 from repro.errors import PortMismatchError, ReproError
-from repro.fpga.board import VC707
 from repro.hls.pipeline import ii_bounds
 
 #: Layer kinds the rate/II rules know how to model.
@@ -58,7 +57,7 @@ class ResolvedLayer:
 
 
 def run_chain_rules(chain: SpecChain, report: AnalysisReport) -> List[ResolvedLayer]:
-    """Run all design-level rules except the perf-model cross-check."""
+    """Run all design-level rules except the bottleneck report."""
     for rule in ("SPEC.VALID", "RATE.BALANCE", "RATE.GEOMETRY",
                  "ADAPTER.LEGAL", "II.EQ4"):
         report.note_rule(rule)
@@ -239,108 +238,30 @@ def run_chain_rules(chain: SpecChain, report: AnalysisReport) -> List[ResolvedLa
     return resolved
 
 
-# -- II.BOTTLENECK: analyzer vs. performance model ---------------------------
-
-
-def _stage_intervals(design: NetworkDesign) -> List[Tuple[str, int]]:
-    """The verifier's own per-stage steady-state intervals (cycles/image).
-
-    Derived independently of :mod:`repro.core.perf_model` from the stream
-    rates and Eq. 4: a stage needs ``max(input beats, core cycles, output
-    beats)`` cycles per image; DMA endpoints stream one word per beat
-    interval. Cross-checking this against the performance model guarantees
-    the two can never diverge silently.
-    """
-    beat = VC707.dma.beat_interval(32)
-    stages: List[Tuple[str, int]] = [
-        ("dma_in", design.input_words_per_image() * beat)
-    ]
-    for p in design.placements:
-        spec = p.spec
-        _, h, w = p.in_shape
-        _, oh, ow = p.out_shape
-        in_beats = h * w * spec.in_group
-        out_beats = oh * ow * spec.out_group
-        if isinstance(spec, ConvLayerSpec):
-            plan = spec.block_plan(h, w)
-            if plan is not None:
-                # Block convolution: the split re-reads halo rows/columns
-                # (in_beats amplified to n_tiles*ih*iw words per FM) and
-                # the core computes the uniform tile grid including
-                # overhang — the blocked Eq. 4 accounting, derived here
-                # independently of the perf model.
-                in_beats = plan.in_words * spec.in_group
-                out_beats = plan.coords * spec.out_group
-                core = plan.coords * max(
-                    spec.in_fm // spec.in_ports, spec.out_fm // spec.out_ports, 1
-                )
-            else:
-                core = oh * ow * max(
-                    spec.in_fm // spec.in_ports, spec.out_fm // spec.out_ports, 1
-                )
-        elif isinstance(spec, PoolLayerSpec):
-            core = out_beats
-        elif isinstance(spec, FCLayerSpec):
-            core = (spec.in_fm * spec.out_fm if spec.weight_streaming
-                    else spec.in_fm)
-        else:  # unknown kinds were already flagged by SPEC.VALID
-            core = 0
-        stages.append((spec.name, max(in_beats, core, out_beats)))
-    stages.append(("dma_out", design.output_words_per_image() * beat))
-    return stages
-
-
-def _pick_bottleneck(stages: List[Tuple[str, int]]) -> Tuple[str, int]:
-    """Replicates :class:`NetworkPerf`'s tie-breaking: DMA endpoints first,
-    then layers in pipeline order, each winning only on a strictly larger
-    interval."""
-    order = [stages[0], stages[-1]] + stages[1:-1]
-    best_name, best = order[0]
-    for name, interval in order[1:]:
-        if interval > best:
-            best_name, best = name, interval
-    return best_name, best
+# -- II.BOTTLENECK: the performance model's pacing stage ---------------------
 
 
 def run_bottleneck_rule(design: NetworkDesign, report: AnalysisReport) -> None:
-    """Cross-check interval math and bottleneck against the perf model."""
+    """Report the stage that paces the pipeline, as the perf model has it.
+
+    The analyzer keeps no interval arithmetic of its own: the stage list
+    of :mod:`repro.core.perf_model` is the one definition, and it is held
+    to *measurement* by ``repro profile`` (``PROFILE.II_MISMATCH``) and
+    the exact-interval gates of ``repro shard`` / ``repro loadtest``.
+    """
     report.note_rule("II.BOTTLENECK")
     if any(d.rule == "II.EQ4" and d.severity is Severity.ERROR
            for d in report.diagnostics):
         report.add(make(
             "II.BOTTLENECK", Severity.INFO, "design",
-            "perf-model cross-check skipped: Eq. 4 violations present",
+            "bottleneck report skipped: Eq. 4 violations present",
         ))
         return
-    from repro.core.perf_model import network_perf  # heavy; import on use
+    from repro.core.perf_model import network_perf, pacing_stage  # heavy; import on use
 
-    stages = _stage_intervals(design)
-    name, interval = _pick_bottleneck(stages)
-    perf = network_perf(design)
-    model_layers = {l.name: l.interval for l in perf.layers}
-    analyzer_layers = dict(stages[1:-1])
-    for lname, a_int in analyzer_layers.items():
-        m_int = model_layers.get(lname)
-        if m_int != a_int:
-            report.add(make(
-                "II.BOTTLENECK", Severity.ERROR, f"layer:{lname}",
-                f"analyzer computes a {a_int}-cycle steady-state interval "
-                f"but core/perf_model.py reports {m_int}",
-                hint="the analyzer and the performance model must agree; "
-                     "one of the two rate derivations regressed",
-            ))
-    if (interval, name) != (perf.interval, perf.bottleneck):
-        report.add(make(
-            "II.BOTTLENECK", Severity.ERROR, "design",
-            f"analyzer bottleneck {name!r} @ {interval} cycles/image "
-            f"disagrees with perf model {perf.bottleneck!r} @ "
-            f"{perf.interval}",
-            hint="the analyzer and the performance model must agree; "
-                 "one of the two rate derivations regressed",
-        ))
-    else:
-        report.add(make(
-            "II.BOTTLENECK", Severity.INFO, f"stage:{name}",
-            f"steady-state bottleneck: {name!r} paces the pipeline at "
-            f"{interval} cycles/image (perf model agrees)",
-        ))
+    pacing = pacing_stage(network_perf(design).stages)
+    report.add(make(
+        "II.BOTTLENECK", Severity.INFO, f"stage:{pacing.name}",
+        f"steady-state bottleneck: {pacing.name!r} paces the pipeline "
+        f"at {pacing.cycles} cycles/image",
+    ))

@@ -29,7 +29,7 @@ from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
 from repro.core.network_design import NetworkDesign
 from repro.core.norm_core import NormalizationActor
-from repro.core.perf_model import NetworkPerf, layer_perf
+from repro.core.perf_model import network_perf
 from repro.core.pool_core import PoolCoreActor
 from repro.dataflow.actors import (
     ArraySource,
@@ -268,8 +268,7 @@ def extract_schedule(
     by the :class:`~repro.dataflow.simulator.Simulator`), ``design`` the
     :class:`NetworkDesign` they were built from. For a sharded graph,
     ``multi_plan`` is the :class:`~repro.core.multi_fpga.MultiFpgaPlan`
-    whose link stages join the interval race and extend the fill by the
-    links' first-word traversal latency.
+    whose link stages join the performance model's stage list.
     """
     by_name = {a.name: a for a in actors}
     order = topological_order(actors, channels)
@@ -331,25 +330,14 @@ def extract_schedule(
         default=0,
     )
     beat = source.interval
-    perf = NetworkPerf(
-        design_name=design.name,
-        layers=[layer_perf(p, float(overhead)) for p in design.placements],
-        dma_in_cycles=in_words * beat,
-        dma_out_cycles=out_words * beat,
+    perf = network_perf(
+        design,
+        loop_overhead=float(overhead),
+        dma_beat=beat,
+        links=multi_plan.link_perfs() if multi_plan is not None else (),
     )
     fill = perf.fill_latency
     interval = perf.interval
-    bottleneck = perf.bottleneck
-    if multi_plan is not None:
-        link_beat = multi_plan.link.beat_interval()
-        for d in range(multi_plan.n_devices - 1):
-            cycles = multi_plan.link_cycles(d)
-            if cycles > interval:
-                interval, bottleneck = cycles, f"link{d}"
-            # First-word traversal latency of one link pair: the
-            # serializing interleave, the paced tx beat, the wire
-            # register, the rx relay and the deal-out demux.
-            fill += 4 + link_beat
     completions = tuple(fill + i * interval for i in range(images))
     return SteadySchedule(
         order=order,
@@ -358,7 +346,7 @@ def extract_schedule(
         images=images,
         interval=interval,
         fill_latency=fill,
-        bottleneck=bottleneck,
+        bottleneck=perf.bottleneck,
         completions=completions,
         cycles=completions[-1] + 1,
         per_image_out=out_words,

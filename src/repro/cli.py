@@ -90,18 +90,12 @@ def _load_design(arg: str):
 def _common_options() -> argparse.ArgumentParser:
     """Parent parser shared by ``check``/``faultsim``/``flow``/``profile``.
 
-    ``--design`` is the canonical spelling; the bare positional form is
-    kept as a deprecated alias (resolved by :func:`_resolve_design`,
-    which notes the deprecation on stderr). ``--json`` and ``--seed``
-    are spelled identically across the four commands.
+    ``--design``, ``--json`` and ``--seed`` are spelled identically
+    across the commands.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "design_pos", nargs="?", default=None, metavar="DESIGN",
-        help="deprecated positional form of --design",
-    )
-    parent.add_argument(
-        "--design", dest="design_opt", default=None, metavar="DESIGN",
+        "--design", default=None, metavar="DESIGN",
         help="preset (usps|cifar10|tiny|alexnet|vgg16|alexnet-pilot|"
              "vgg16-pilot) or design JSON path",
     )
@@ -113,44 +107,25 @@ def _common_options() -> argparse.ArgumentParser:
 
 
 def _resolve_design(args, required: bool = True) -> Optional[str]:
-    """The design argument from ``--design`` or the deprecated positional."""
-    if args.design_pos is not None and args.design_opt is not None:
-        if args.design_pos != args.design_opt:
-            raise ReproError(
-                f"{args.command}: positional design {args.design_pos!r} "
-                f"conflicts with --design {args.design_opt!r}"
-            )
-        return args.design_opt
-    if args.design_pos is not None:
-        print(
-            f"note: '{args.command} DESIGN' is deprecated; "
-            f"use '{args.command} --design DESIGN'",
-            file=sys.stderr,
-        )
-        return args.design_pos
-    if args.design_opt is not None:
-        return args.design_opt
-    if required:
+    """The ``--design`` argument; an error when ``required`` and absent."""
+    if args.design is None and required:
         raise ReproError(f"{args.command}: a design is required (--design)")
-    return None
+    return args.design
 
 
 def _pilot_override(args, design) -> Optional[bool]:
     """Tri-state pilot override from ``--pilot``/``--no-pilot``.
 
-    Promoted (blocked) designs simulate full-size by default, so
-    ``--pilot`` on one is kept only as a deprecated alias for the
-    explicit ``<name>-pilot`` preset; it still forces the downscale but
-    notes the preferred spelling on stderr.
+    Promoted (blocked) designs simulate full-size; their downscale is
+    the explicit ``<name>-pilot`` preset, not a flag.
     """
     from repro.core.block_transform import design_is_blocked
 
     if args.pilot:
         if design_is_blocked(design):
-            print(
-                f"note: '--pilot' on promoted design {design.name!r} is "
-                f"deprecated; use the '{design.name}-pilot' preset",
-                file=sys.stderr,
+            raise ReproError(
+                f"{args.command}: '--pilot' does not apply to promoted "
+                f"design {design.name!r}; use '--design {design.name}-pilot'"
             )
         return True
     if args.no_pilot:

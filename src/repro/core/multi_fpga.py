@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ClockDomain
 from repro.core.layer_spec import ConvLayerSpec
 from repro.core.network_design import LayerPlacement, NetworkDesign
-from repro.core.perf_model import layer_perf
+from repro.core.perf_model import LinkPerf, Stage, network_perf, pacing_stage
 from repro.core.resource_model import BASE_DESIGN, layer_resources
 from repro.errors import ConfigurationError, ResourceError
 from repro.fpga.device import Device, XC7VX485T
@@ -122,8 +122,6 @@ class Segment:
     device_index: int
     layer_names: Tuple[str, ...]
     resources: ResourceVector
-    #: Slowest layer interval within this segment (cycles/image).
-    interval: int
     #: Words streamed out of this segment per image (to the next board).
     egress_words: int
 
@@ -132,7 +130,6 @@ class Segment:
         return {
             "device": self.device_index,
             "layers": list(self.layer_names),
-            "interval": self.interval,
             "egress_words": self.egress_words,
             "resources": {"ff": r.ff, "lut": r.lut, "bram": r.bram, "dsp": r.dsp},
         }
@@ -143,18 +140,33 @@ class Segment:
             device_index=int(d["device"]),
             layer_names=tuple(str(n) for n in d["layers"]),
             resources=ResourceVector(**d["resources"]),
-            interval=int(d["interval"]),
             egress_words=int(d["egress_words"]),
         )
+
+
+def _link_perfs(segments: Sequence[Segment], link: LinkModel) -> Tuple[LinkPerf, ...]:
+    """One link stage per cut: the upstream segment's egress on the wire."""
+    beat = link.beat_interval()
+    return tuple(
+        LinkPerf(
+            after=s.layer_names[-1],
+            cycles=link.stream_cycles(s.egress_words),
+            beat=beat,
+        )
+        for s in segments[:-1]
+    )
 
 
 class MultiFpgaPlan(Report):
     """A full partitioning with its end-to-end performance.
 
-    The interval accounting mirrors :class:`~repro.core.perf_model
-    .NetworkPerf` exactly — every layer stage, every link stage, and both
-    DMA endpoints — so a co-simulated shard run at modeled bandwidth
-    settles on this interval with 0.00% Eq. 4 error.
+    The plan carries the stage list of the linked
+    :class:`~repro.core.perf_model.NetworkPerf` — every layer, a
+    ``link{d}`` after each cut, both DMA endpoints — and answers
+    ``interval``/``bottleneck`` with the model's own
+    :func:`~repro.core.perf_model.pacing_stage`, so a co-simulated shard
+    run at modeled bandwidth settles on this interval with 0.00% Eq. 4
+    error and every report names the same pacing stage.
     """
 
     kind: ClassVar[str] = "multi-fpga-plan"
@@ -164,46 +176,33 @@ class MultiFpgaPlan(Report):
         design_name: str,
         segments: List[Segment],
         link: LinkModel,
-        dma_in_cycles: int = 0,
-        dma_out_cycles: int = 0,
+        stages: Sequence[Stage],
     ):
         if not segments:
             raise ConfigurationError("a plan needs at least one segment")
         self.design_name = design_name
         self.segments = list(segments)
         self.link = link
-        self.dma_in_cycles = int(dma_in_cycles)
-        self.dma_out_cycles = int(dma_out_cycles)
+        self.stages = tuple(stages)
+        self._stage = {s.name: s for s in self.stages}
 
     @property
     def n_devices(self) -> int:
         return len(self.segments)
 
-    def link_cycles(self, cut: int) -> int:
-        """Per-image cycles of the link stage after segment ``cut``."""
-        return self.link.stream_cycles(self.segments[cut].egress_words)
+    def link_perfs(self) -> Tuple[LinkPerf, ...]:
+        """The link stages in the form ``network_perf(links=)`` takes."""
+        return _link_perfs(self.segments, self.link)
 
     @property
     def interval(self) -> int:
         """Pipeline steady-state interval including link and DMA stages."""
-        worst = max(s.interval for s in self.segments)
-        for d in range(self.n_devices - 1):
-            worst = max(worst, self.link_cycles(d))
-        return max(worst, self.dma_in_cycles, self.dma_out_cycles)
+        return pacing_stage(self.stages).cycles
 
     @property
     def bottleneck(self) -> str:
         """Name of the pacing stage (a layer, ``link{d}``, or a DMA end)."""
-        best_name, best = "dma_in", self.dma_in_cycles
-        if self.dma_out_cycles > best:
-            best_name, best = "dma_out", self.dma_out_cycles
-        for d in range(self.n_devices - 1):
-            if self.link_cycles(d) > best:
-                best_name, best = f"link{d}", self.link_cycles(d)
-        for s in self.segments:
-            if s.interval > best:
-                best_name, best = f"segment{s.device_index}", s.interval
-        return best_name
+        return pacing_stage(self.stages).name
 
     def cut_layers(self) -> Tuple[str, ...]:
         """Last layer of each non-final segment (the planned cut points)."""
@@ -220,11 +219,23 @@ class MultiFpgaPlan(Report):
             "n_devices": self.n_devices,
             "interval": self.interval,
             "bottleneck": self.bottleneck,
-            "dma_in_cycles": self.dma_in_cycles,
-            "dma_out_cycles": self.dma_out_cycles,
+            "dma_in_cycles": self._stage["dma_in"].cycles,
+            "dma_out_cycles": self._stage["dma_out"].cycles,
             "link": self.link.to_dict(),
             "cut_layers": list(self.cut_layers()),
-            "segments": [s.to_dict() for s in self.segments],
+            "stages": [
+                {"name": s.name, "kind": s.kind, "cycles": s.cycles}
+                for s in self.stages
+            ],
+            "segments": [
+                {
+                    **seg.to_dict(),
+                    "interval": pacing_stage(
+                        [self._stage[n] for n in seg.layer_names]
+                    ).cycles,
+                }
+                for seg in self.segments
+            ],
         }
 
     @classmethod
@@ -233,8 +244,10 @@ class MultiFpgaPlan(Report):
             design_name=str(d["design"]),
             segments=[Segment.from_dict(s) for s in d["segments"]],
             link=LinkModel.from_dict(d["link"]),
-            dma_in_cycles=int(d.get("dma_in_cycles", 0)),
-            dma_out_cycles=int(d.get("dma_out_cycles", 0)),
+            stages=[
+                Stage(str(s["name"]), str(s["kind"]), int(s["cycles"]))
+                for s in d["stages"]
+            ],
         )
 
     def summary(self) -> str:
@@ -284,39 +297,33 @@ def plan_split(
     if link is None:
         link = LinkModel()
     placements = design.placements
-    perfs = [layer_perf(p, loop_overhead) for p in placements]
+    perf = network_perf(
+        design, loop_overhead=loop_overhead, dma_beat=dma.beat_interval(32)
+    )
     resources = [layer_resources(p) for p in placements]
     egress = [segment_egress_words(p) for p in placements]
-    beat = dma.beat_interval(32)
-    dma_in = design.input_words_per_image() * beat
-    dma_out = design.output_words_per_image() * beat
 
     best: Optional[Tuple[float, float, MultiFpgaPlan]] = None
     for cuts in itertools.combinations(range(1, n), n_devices - 1):
         bounds = [0, *cuts, n]
         segments: List[Segment] = []
-        ok = True
         for d in range(n_devices):
             lo, hi = bounds[d], bounds[d + 1]
             seg_res = BASE_DESIGN
             for r in resources[lo:hi]:
                 seg_res = seg_res + r
-            if fit and not seg_res.fits_in(device.resources):
-                ok = False
-                break
-            seg_interval = max(p.interval for p in perfs[lo:hi])
             segments.append(
                 Segment(
                     device_index=d,
                     layer_names=tuple(p.spec.name for p in placements[lo:hi]),
                     resources=seg_res,
-                    interval=seg_interval,
                     egress_words=egress[hi - 1],
                 )
             )
-        if not ok:
+        linked = replace(perf, links=_link_perfs(segments, link))
+        plan = MultiFpgaPlan(design.name, segments, link, linked.stages)
+        if fit and not plan.fits(device):
             continue
-        plan = MultiFpgaPlan(design.name, segments, link, dma_in, dma_out)
         peak = max(s.resources.dsp for s in segments)
         key = (plan.interval, peak)
         if best is None or key < (best[0], best[1]):

@@ -15,9 +15,9 @@ ground truth, the model its fast closed form for full-scale sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, LayerSpec, PoolLayerSpec
+from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, PoolLayerSpec
 from repro.core.network_design import LayerPlacement, NetworkDesign
 from repro.errors import ConfigurationError
 from repro.fpga.board import Board, VC707
@@ -136,6 +136,56 @@ def layer_perf(placement: LayerPlacement, loop_overhead: float = 0.0) -> LayerPe
 
 
 @dataclass(frozen=True)
+class LinkPerf:
+    """A board-to-board link stage of a sharded design (Section VI)."""
+
+    #: Name of the cut layer whose output crosses the wire.
+    after: str
+    #: Wire stream cycles per image.
+    cycles: int
+    #: Cycles per word on the wire (paces the first word's traversal).
+    beat: int
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One entry of the pipeline's stage list: a name and what it costs."""
+
+    name: str
+    #: ``"dma"``, ``"link"``, or the layer kind (``"conv"``/``"pool"``/``"fc"``).
+    kind: str
+    #: Cycles per image; fractional only where a throttle re-priced the stage.
+    cycles: float
+
+
+def pacing_stage(stages: Sequence[Stage]) -> Stage:
+    """The stage that paces the pipeline: the slowest one.
+
+    The one tie-break of the timing model: DMA endpoints first, then
+    layers in pipeline order, then links; a later stage wins only on
+    strictly more cycles.
+    """
+    rank = {"dma": 0, "link": 2}
+    # max() keeps the first of equal keys, i.e. pipeline order within a rank.
+    return max(stages, key=lambda s: (s.cycles, -rank.get(s.kind, 1)))
+
+
+def repriced(stages: Sequence[Stage], name: str, cycles: float) -> Tuple[Stage, ...]:
+    """The same stage list with stage ``name`` costing ``cycles``.
+
+    A throttle is exactly this: every other stage keeps its price and
+    :func:`pacing_stage` decides whether the degraded one now paces.
+    """
+    if all(s.name != name for s in stages):
+        raise ConfigurationError(
+            f"no stage {name!r} to re-price among {[s.name for s in stages]}"
+        )
+    return tuple(
+        Stage(s.name, s.kind, cycles) if s.name == name else s for s in stages
+    )
+
+
+@dataclass(frozen=True)
 class NetworkPerf:
     """Whole-network performance figures (cycles, per image)."""
 
@@ -145,27 +195,42 @@ class NetworkPerf:
     dma_in_cycles: int
     #: DMA-out stream cycles per image.
     dma_out_cycles: int
+    #: Link stages of a sharded design, one per cut, in pipeline order.
+    links: Tuple[LinkPerf, ...] = ()
+
+    @property
+    def stages(self) -> Tuple[Stage, ...]:
+        """The pipeline in stream order: ``dma_in``, every layer, a
+        ``link{d}`` after each cut layer, ``dma_out``.
+
+        Everything below — interval, bottleneck, breakdown — is a query
+        on this list, and so is every other module's timing answer.
+        """
+        cuts = {link.after: d for d, link in enumerate(self.links)}
+        out = [Stage("dma_in", "dma", self.dma_in_cycles)]
+        for l in self.layers:
+            out.append(Stage(l.name, l.kind, l.interval))
+            if l.name in cuts:
+                d = cuts.pop(l.name)
+                out.append(Stage(f"link{d}", "link", self.links[d].cycles))
+        if cuts:
+            raise ConfigurationError(
+                f"link(s) cut after unknown layer(s) {sorted(cuts)} of "
+                f"{self.design_name!r}"
+            )
+        out.append(Stage("dma_out", "dma", self.dma_out_cycles))
+        return tuple(out)
 
     @property
     def interval(self) -> int:
-        """Steady-state cycles between consecutive image completions.
-
-        The slowest stage of the pipeline — including the DMA endpoints —
-        paces everyone else.
-        """
-        stages = [l.interval for l in self.layers]
-        return max(stages + [self.dma_in_cycles, self.dma_out_cycles])
+        """Steady-state cycles between consecutive image completions:
+        the slowest stage paces everyone else."""
+        return int(pacing_stage(self.stages).cycles)
 
     @property
     def bottleneck(self) -> str:
         """Name of the pacing stage."""
-        best_name, best = "dma_in", self.dma_in_cycles
-        if self.dma_out_cycles > best:
-            best_name, best = "dma_out", self.dma_out_cycles
-        for l in self.layers:
-            if l.interval > best:
-                best_name, best = l.name, l.interval
-        return best_name
+        return pacing_stage(self.stages).name
 
     @property
     def fill_latency(self) -> int:
@@ -202,7 +267,11 @@ class NetworkPerf:
         # The output DMA drains the final stream at its own beat rate; a
         # wide output volume can outlast the last layer's compute.
         last_out = max(last_out + 1, first_out + self.dma_out_cycles)
-        return int(round(last_out))
+        # Each link hop delays the first word by its traversal of the
+        # serializing interleave, the paced tx beat, the wire register,
+        # the rx relay and the deal-out demux.
+        hops = sum(4 + link.beat for link in self.links)
+        return int(round(last_out)) + hops
 
     def batch_cycles(self, batch: int) -> int:
         """Total cycles to process a batch of ``batch`` images."""
@@ -228,25 +297,31 @@ def network_perf(
     board: Board = VC707,
     loop_overhead: float = 0.0,
     dma_setup_cycles: int = 0,
+    dma_beat: Optional[int] = None,
+    links: Sequence[LinkPerf] = (),
 ) -> NetworkPerf:
     """Build the analytical model of ``design`` on ``board``.
 
     ``dma_setup_cycles`` models a fixed per-image DMA descriptor-setup
     cost on both stream directions (the alternative calibration
     hypothesis examined — and rejected — by
-    ``benchmarks/bench_calibration.py``).
+    ``benchmarks/bench_calibration.py``). ``dma_beat`` overrides the
+    board's cycles per DMA word (an elaborated graph carries its own);
+    ``links`` are the link stages of a sharded design
+    (:meth:`~repro.core.multi_fpga.MultiFpgaPlan.link_perfs`).
     """
     if dma_setup_cycles < 0:
         raise ConfigurationError(
             f"dma_setup_cycles must be >= 0, got {dma_setup_cycles}"
         )
     layers = [layer_perf(p, loop_overhead) for p in design.placements]
-    beat = board.dma.beat_interval(32)
+    beat = board.dma.beat_interval(32) if dma_beat is None else dma_beat
     return NetworkPerf(
         design_name=design.name,
         layers=layers,
         dma_in_cycles=design.input_words_per_image() * beat + dma_setup_cycles,
         dma_out_cycles=design.output_words_per_image() * beat + dma_setup_cycles,
+        links=tuple(links),
     )
 
 
@@ -317,48 +392,30 @@ def fit_loop_overhead(
     return best_oh
 
 
-def interval_breakdown(perf: NetworkPerf) -> List[dict]:
+def interval_breakdown(perf: NetworkPerf) -> List[Dict[str, object]]:
     """Per-stage interval table (the bottleneck analysis a designer reads).
 
-    One row per stage — DMA endpoints included — with the stage's
-    per-image cycle budget split into its input, core and output demands,
-    and whether it paces the pipeline.
+    One row per stage — DMA endpoints and links included — with the
+    stage's per-image cycle budget split into its input, core and output
+    demands, and whether it paces the pipeline.
     """
     bottleneck = perf.bottleneck
-    rows = [
-        {
-            "stage": "dma_in",
-            "kind": "dma",
-            "in_beats": perf.dma_in_cycles,
-            "core_cycles": 0,
-            "out_beats": perf.dma_in_cycles,
-            "interval": perf.dma_in_cycles,
-            "bottleneck": bottleneck == "dma_in",
-        }
-    ]
-    for l in perf.layers:
+    layers = {l.name: l for l in perf.layers}
+    rows: List[Dict[str, object]] = []
+    for stage in perf.stages:
+        # A stream stage (DMA, link) is all transfer: no core, in == out.
+        l = layers.get(stage.name)
         rows.append(
             {
-                "stage": l.name,
-                "kind": l.kind,
-                "in_beats": l.in_beats,
-                "core_cycles": l.core_cycles,
-                "out_beats": l.out_beats,
-                "interval": l.interval,
-                "bottleneck": l.name == bottleneck,
+                "stage": stage.name,
+                "kind": stage.kind,
+                "in_beats": l.in_beats if l else stage.cycles,
+                "core_cycles": l.core_cycles if l else 0,
+                "out_beats": l.out_beats if l else stage.cycles,
+                "interval": stage.cycles,
+                "bottleneck": stage.name == bottleneck,
             }
         )
-    rows.append(
-        {
-            "stage": "dma_out",
-            "kind": "dma",
-            "in_beats": perf.dma_out_cycles,
-            "core_cycles": 0,
-            "out_beats": perf.dma_out_cycles,
-            "interval": perf.dma_out_cycles,
-            "bottleneck": bottleneck == "dma_out",
-        }
-    )
     return rows
 
 
@@ -366,7 +423,7 @@ def batch_sweep(
     design: NetworkDesign,
     batches: List[int],
     board: Board = VC707,
-) -> List[dict]:
+) -> List[Dict[str, float]]:
     """Figure 6 series: mean time per image (µs) versus batch size."""
     perf = network_perf(design, board)
     rows = []

@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.builder import BuiltNetwork, build_network, random_weights
 from repro.core.multi_fpga import LinkModel, MultiFpgaPlan, plan_split
 from repro.core.network_design import NetworkDesign
+from repro.core.perf_model import Stage, pacing_stage, repriced
 from repro.errors import ConfigurationError
 from repro.fpga.device import Device, XC7VX485T
 from repro.report.base import Report
@@ -261,20 +262,14 @@ def _run_engine(built: BuiltNetwork, engine: str) -> bool:
 def _throttled_prediction(
     built: BuiltNetwork, plan: MultiFpgaPlan, period: int, burst: int, seed: int
 ) -> float:
-    """Analytical faulted interval: the throttled wires re-priced by the
-    exact commit replay, phased with the same seeded RNG the injector
-    draws from, against the plan's unthrottled stages."""
+    """Analytical faulted interval: the plan's stage list with every
+    throttled wire re-priced by the exact commit replay, phased with the
+    same seeded RNG the injector draws from."""
     from repro.faults.analytical import throttled_link_rate
     from repro.faults.injectors import target_rng
 
     beat = plan.link.beat_interval()
-    worst = float(
-        max(
-            max(s.interval for s in plan.segments),
-            plan.dma_in_cycles,
-            plan.dma_out_cycles,
-        )
-    )
+    stages = plan.stages
     for d in range(plan.n_devices - 1):
         name = f"link{d}.wire"
         capacity = built.graph.channels[name].capacity
@@ -282,8 +277,10 @@ def _throttled_prediction(
         rate = throttled_link_rate(
             period, burst, beat=beat, capacity=capacity, phase=phase
         )
-        worst = max(worst, plan.segments[d].egress_words * rate)
-    return worst
+        stages = repriced(
+            stages, f"link{d}", plan.segments[d].egress_words * rate
+        )
+    return float(pacing_stage(stages).cycles)
 
 
 def run_shard(
@@ -342,7 +339,7 @@ def run_shard(
     for n in devices:
         plan = plan_split(design, n, device=device, link=link, fit=fit)
         plans[n] = plan
-        link_stages = [plan.link_cycles(d) for d in range(n - 1)]
+        link_stages = [s for s in plan.stages if s.kind == "link"]
         engine_runs: List[EngineRun] = []
         for engine in engines:
             built = build(plan if n > 1 else None)
@@ -352,9 +349,15 @@ def run_shard(
             if engine == "compiled" and not fell_back:
                 expected: Optional[int] = plan.interval
             else:
+                # The measured monolithic pipeline is one stage; the cut
+                # adds the planned link stages next to it.
                 base = baseline_ivs[engine]
                 expected = (
-                    None if base is None else max([base, *link_stages])
+                    None
+                    if base is None
+                    else pacing_stage(
+                        [Stage("single-device", "measured", base), *link_stages]
+                    ).cycles
                 )
             err = (
                 None

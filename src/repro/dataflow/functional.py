@@ -10,11 +10,8 @@ asserting timed/untimed output equivalence.
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional
-
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.simulator import SimulationResult, Simulator
+from repro.dataflow.simulator import SimulationResult
 
 
 class FunctionalExecutor:
@@ -41,27 +38,3 @@ class FunctionalExecutor:
             for name, cap in saved.items():
                 self.graph.channels[name].capacity = cap
 
-
-def run(
-    graph: DataflowGraph,
-    max_cycles: int = 50_000_000,
-    simulator: Optional[Simulator] = None,
-) -> SimulationResult:
-    """Deprecated duplicate entry point; use ``Simulator.run`` instead.
-
-    Historically this module exposed its own ``run()`` shortcut next to
-    :meth:`Simulator.run`, leaving two subtly different ways to execute a
-    graph. It now forwards — to the passed ``simulator`` if given, else
-    to an untimed :class:`FunctionalExecutor` pass — and will be removed
-    one release after the deprecation.
-    """
-    warnings.warn(
-        "repro.dataflow.functional.run() is deprecated; call "
-        "Simulator.run() (timed) or FunctionalExecutor(graph).run() "
-        "(untimed) directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if simulator is not None:
-        return simulator.run(max_cycles=max_cycles)
-    return FunctionalExecutor(graph).run(max_cycles=max_cycles)

@@ -4,10 +4,10 @@ A multi-FPGA placement (:func:`repro.core.multi_fpga.plan_split`) cuts the
 layer pipeline at channel boundaries. Each cut becomes a
 :class:`LinkTxActor` / :class:`LinkRxActor` pair joined by a *wire*
 channel — the serial board-to-board stream (Aurora / PCIe peer-to-peer /
-10GbE, the paper's Section VI scaling path). Both ends speak the same
-:class:`~repro.dataflow.endpoint.Sink` / :class:`~repro.dataflow.endpoint.Source`
-stream-endpoint protocol as every intra-board FIFO, so nothing downstream
-can tell a link from a local channel except by its timing.
+10GbE, the paper's Section VI scaling path). Both ends are ordinary
+actors bound to ordinary :class:`~repro.dataflow.channel.Channel` FIFOs,
+so nothing downstream can tell a link from a local channel except by its
+timing.
 
 Timing model: the transmitter is the pacing end. Its beat interval comes
 from the same :class:`~repro.fpga.dma.DmaModel` arithmetic as the ingress

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.network_design import NetworkDesign
-from repro.core.perf_model import network_perf
+from repro.core.perf_model import network_perf, pacing_stage
 from repro.core.resource_model import design_resources
 from repro.core.scaling import port_options, with_layer_ports
 from repro.dse.space import apply_configuration, iter_configurations
@@ -50,16 +50,12 @@ def evaluate(design: NetworkDesign, device: Device = XC7VX485T) -> Candidate:
     """Score one design: interval + resource fit + stage profile."""
     perf = network_perf(design)
     res = design_resources(design)
-    stages = [l.interval for l in perf.layers] + [
-        perf.dma_in_cycles,
-        perf.dma_out_cycles,
-    ]
     return Candidate(
         design=design,
         interval=perf.interval,
         dsp=res.total.dsp,
         fits=res.fits(device),
-        profile=tuple(sorted(stages, reverse=True)),
+        profile=tuple(sorted((s.cycles for s in perf.stages), reverse=True)),
     )
 
 
@@ -156,10 +152,10 @@ def greedy_optimize(
     evaluated = 1
     for _ in range(max_steps):
         perf = network_perf(current.design)
-        worst_layer = max(l.interval for l in perf.layers)
-        if worst_layer <= max(perf.dma_in_cycles, perf.dma_out_cycles):
+        pacing = pacing_stage(perf.stages)
+        if pacing.kind == "dma":
             break  # the off-chip stream paces everything; no layer move helps
-        targets = [l.name for l in perf.layers if l.interval == worst_layer]
+        targets = [l.name for l in perf.layers if l.interval == pacing.cycles]
         best_move: Optional[Candidate] = None
         for name in targets:
             spec = next(s for s in current.design.specs if s.name == name)

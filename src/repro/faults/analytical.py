@@ -5,7 +5,7 @@ DmaThrottle` on one replica mid-load and must predict how far tail
 latency degrades. The clean pipeline's steady state is Eq. 4 (the
 busiest stage paces everyone); a throttled DMA input changes exactly one
 stage interval — the input stream's cycles per image — so the throttled
-II is ``max(clean interval, throttled dma_in cycles)``.
+II is the clean model's stage list with ``dma_in`` re-priced.
 
 The subtlety is the throttled link's effective rate. A held commit does
 *not* simply add ``burst`` cycles every ``period`` beats: while the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.network_design import NetworkDesign
-from repro.core.perf_model import NetworkPerf, network_perf
+from repro.core.perf_model import NetworkPerf, network_perf, pacing_stage, repriced
 from repro.errors import ConfigurationError
 from repro.faults.injectors import ThrottleFault
 from repro.faults.scenario import DmaThrottle, FaultScenario
@@ -123,7 +123,7 @@ class ThrottledPerf:
     clean_interval: int
     #: Modeled cycles per image of the throttled DMA input stream.
     throttled_dma_in_cycles: int
-    #: Predicted faulted interval: max(clean stages, throttled input).
+    #: Predicted faulted interval: the stage list with ``dma_in`` re-priced.
     interval: int
     #: Effective cycles per input word on the throttled link.
     cycles_per_word: float
@@ -188,6 +188,8 @@ def throttled_perf(
         design_name=design.name,
         clean_interval=perf.interval,
         throttled_dma_in_cycles=throttled_in,
-        interval=max(perf.interval, throttled_in),
+        interval=pacing_stage(
+            repriced(perf.stages, "dma_in", throttled_in)
+        ).cycles,
         cycles_per_word=rate,
     )

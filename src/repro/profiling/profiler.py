@@ -89,12 +89,12 @@ def profile_design(
     engine's bulk cycle-skipping; counters are unaffected).
 
     ``multi_plan`` profiles the *sharded* co-simulation of a
-    :class:`~repro.core.multi_fpga.MultiFpgaPlan`: the link stages enter
-    the Eq. 4 interval cross-check (``interval_predicted`` becomes the
-    plan interval, which races the link streams against the layer
-    stages) and the link actors show up in the per-stage bottleneck
-    attribution as ``link{d}``. The per-core II identity is untouched —
-    cutting the pipeline never changes productive fire counts.
+    :class:`~repro.core.multi_fpga.MultiFpgaPlan`: the link stages join
+    the performance model's stage list, so the predicted interval, fill
+    and bottleneck are the linked model's, and the link actors show up in
+    the per-stage bottleneck attribution as ``link{d}``. The per-core II
+    identity is untouched — cutting the pipeline never changes
+    productive fire counts.
     """
     if pilot or (
         pilot is None
@@ -122,7 +122,11 @@ def profile_design(
     result = built.run(
         max_cycles=max_cycles, tracer=tracer, scheduler=scheduler
     )
-    perf = network_perf(sim_design, loop_overhead=float(loop_overhead))
+    perf = network_perf(
+        sim_design,
+        loop_overhead=float(loop_overhead),
+        links=multi_plan.link_perfs() if multi_plan is not None else (),
+    )
 
     analysis = AnalysisReport(design_name=sim_design.name)
     analysis.note_rule("PROFILE.II_MISMATCH")
@@ -195,10 +199,7 @@ def profile_design(
                 b - a for a, b in zip(completions, completions[1:])
             ]
             measured_iv = intervals[-1]
-            predicted_iv = (
-                multi_plan.interval if multi_plan is not None
-                else perf.interval
-            )
+            predicted_iv = perf.interval
             iv_err = abs(measured_iv - predicted_iv) / max(predicted_iv, 1)
             throughput = {
                 "interval_measured": measured_iv,

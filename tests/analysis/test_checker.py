@@ -16,7 +16,6 @@ from repro.analysis import (
     check_network,
     make,
 )
-from repro.analysis.design_rules import _pick_bottleneck, _stage_intervals
 from repro.core import random_weights, usps_design
 from repro.core.builder import build_network
 from repro.core.models import cifar10_design, tiny_design
@@ -55,19 +54,32 @@ class TestZooClean:
 
 
 class TestPerfAgreement:
+    @staticmethod
+    def bottleneck_infos(report):
+        return [d for d in report.infos if d.rule == "II.BOTTLENECK"]
+
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_analyzer_matches_perf_model(self, name):
         design = ZOO[name]()
         perf = network_perf(design)
-        bname, interval = _pick_bottleneck(_stage_intervals(design))
-        assert (bname, interval) == (perf.bottleneck, perf.interval)
+        (info,) = self.bottleneck_infos(analyze_design(design))
+        assert info.location == f"stage:{perf.bottleneck}"
+        assert f"{perf.bottleneck!r} paces the pipeline" in info.message
+        assert f"{perf.interval} cycles/image" in info.message
 
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_bottleneck_reported_as_info(self, name):
         report = analyze_design(ZOO[name]())
-        infos = [d for d in report.infos if d.rule == "II.BOTTLENECK"]
-        assert len(infos) == 1
-        assert "perf model agrees" in infos[0].message
+        assert len(self.bottleneck_infos(report)) == 1
+        assert not [d for d in report.errors if d.rule == "II.BOTTLENECK"]
+
+    def test_bottleneck_skipped_under_eq4_error(self):
+        from tests.analysis.bad_designs import ii_inconsistent_design
+
+        report = analyze_design(ii_inconsistent_design())
+        assert "II.EQ4" in report.error_rules()
+        (info,) = self.bottleneck_infos(report)
+        assert info.location == "design" and "skipped" in info.message
 
 
 class TestReportPlumbing:

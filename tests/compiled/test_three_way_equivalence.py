@@ -31,6 +31,10 @@ DESIGNS = {
     "tiny": tiny_design,
     "usps": usps_design,
     "cifar10": cifar10_design,
+    # Split/merge actors and halo re-reads on every engine.
+    "cifar10-blocked": lambda: cifar10_design(
+        name="cifar10-blocked"
+    ).with_blocking({"conv1": 14, "conv2": 5}),
 }
 
 

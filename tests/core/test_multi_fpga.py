@@ -13,6 +13,7 @@ from repro.core import (
     usps_design,
 )
 from repro.core.multi_fpga import load_multi_fpga_plan, segment_egress_words
+from repro.core.zoo import alexnet_blocked_design, vgg16_blocked_design
 from repro.errors import ConfigurationError, ResourceError
 from repro.fpga import Device, XC7VX485T
 from repro.fpga.dma import DmaModel
@@ -109,12 +110,35 @@ class TestPlanSplit:
     def test_dma_endpoints_priced_like_network_perf(self):
         design = usps_design()
         plan = plan_split(design, 2)
-        assert plan.dma_in_cycles == design.input_words_per_image()
-        assert plan.dma_out_cycles == design.output_words_per_image()
+        perf = network_perf(design)
+        assert plan.stages[0] == perf.stages[0]
+        assert plan.stages[0].cycles == design.input_words_per_image()
+        assert plan.stages[-1] == perf.stages[-1]
 
     def test_cut_layers_name_segment_boundaries(self):
         plan = plan_split(cifar10_design(), 2)
         assert plan.cut_layers() == (plan.segments[0].layer_names[-1],)
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "factory, pacing",
+        [
+            (cifar10_design, "conv1"),
+            (alexnet_blocked_design, "conv1"),
+            (vgg16_blocked_design, "b1_conv2"),
+        ],
+    )
+    def test_bottleneck_names_the_pacing_layer(self, factory, pacing, n_devices):
+        # Regression: the plan used to answer "segment0" (and "link0" on
+        # the cifar10 conv1/link0 tie) where the model names the layer.
+        design = factory()
+        plan = plan_split(design, n_devices, fit=False)
+        assert plan.bottleneck == pacing
+        linked = network_perf(design, links=plan.link_perfs())
+        assert (plan.interval, plan.bottleneck) == (
+            linked.interval, linked.bottleneck
+        )
+        assert plan.stages == linked.stages
 
 
 class TestBlockedEgress:
@@ -160,4 +184,4 @@ class TestPlanEnvelope:
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ConfigurationError):
-            MultiFpgaPlan("empty", [], LinkModel())
+            MultiFpgaPlan("empty", [], LinkModel(), stages=())

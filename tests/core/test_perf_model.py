@@ -7,8 +7,11 @@ from repro.core import (
     cifar10_design,
     layer_perf,
     network_perf,
+    plan_split,
     usps_design,
 )
+from repro.core.perf_model import LinkPerf, Stage, pacing_stage, repriced
+from repro.core.zoo import alexnet_design, vgg16_blocked_design
 from repro.errors import ConfigurationError
 from repro.fpga import VC707
 
@@ -193,3 +196,114 @@ class TestIntervalBreakdown:
         best = max(r["interval"] for r in rows)
         marked = next(r for r in rows if r["bottleneck"])
         assert marked["interval"] == best
+
+
+def _linked(factory, n_devices):
+    """The model of ``factory()`` sharded over ``n_devices`` (1 = whole)."""
+    design = factory()
+    plan = plan_split(design, n_devices, fit=False)
+    return network_perf(design, links=plan.link_perfs())
+
+
+USPS_X4 = [
+    ("dma_in", 256), ("conv1", 256), ("link0", 864), ("pool1", 144),
+    ("link1", 216), ("conv2", 64), ("link2", 64), ("fc1", 64),
+    ("dma_out", 10),
+]
+USPS_X2 = [
+    ("dma_in", 256), ("conv1", 256), ("pool1", 144), ("link0", 216),
+    ("conv2", 64), ("fc1", 64), ("dma_out", 10),
+]
+
+#: One case per kind of pacing stage; every number is the parent
+#: commit's (PR 12), where several modules each computed their own.
+#: (id, model, throttle (stage, cycles) or None,
+#:  stages, interval, bottleneck, fill latency)
+STAGE_CASES = [
+    ("dma-bound usps", lambda: _linked(usps_design, 1), None,
+     [("dma_in", 256), ("conv1", 256), ("pool1", 144), ("conv2", 64),
+      ("fc1", 64), ("dma_out", 10)],
+     256, "dma_in", 568),
+    ("core-bound cifar10", lambda: _linked(cifar10_design, 1), None,
+     [("dma_in", 3072), ("conv1", 9408), ("pool1", 9408), ("conv2", 3600),
+      ("pool2", 3600), ("fc1", 900), ("fc2", 64), ("dma_out", 10)],
+     9408, "conv1", 10254),
+    ("halo-bound blocked vgg16", lambda: _linked(vgg16_blocked_design, 1), None,
+     [("dma_in", 150528), ("b1_conv1", 3211264), ("b1_conv2", 3686400),
+      ("b1_pool", 3211264), ("b2_conv1", 1605632), ("b2_conv2", 1843200),
+      ("b2_pool", 1605632), ("b3_conv1", 802816), ("b3_conv2", 1048576),
+      ("b3_conv3", 1048576), ("b3_pool", 802816), ("b4_conv1", 401408),
+      ("b4_conv2", 524288), ("b4_conv3", 524288), ("b4_pool", 401408),
+      ("b5_conv1", 165888), ("b5_conv2", 165888), ("b5_conv3", 165888),
+      ("b5_pool", 100352), ("fc6", 25088), ("fc7", 4096), ("fc8", 4096),
+      ("dma_out", 1000)],
+     3686400, "b1_conv2", 14521622),
+    ("weight-streaming fc",
+     lambda: network_perf(alexnet_design(weight_streaming=True)), None,
+     [("dma_in", 154587), ("conv1", 290400), ("pool1", 290400),
+      ("conv2", 186624), ("pool2", 186624), ("conv3", 64896),
+      ("conv4", 64896), ("conv5", 64896), ("pool5", 43264),
+      ("fc6", 37748736), ("fc7", 16777216), ("fc8", 4096000),
+      ("dma_out", 1000)],
+     37748736, "fc6", 58822316),
+    ("link-bound usps x4", lambda: _linked(usps_design, 4), None,
+     USPS_X4, 864, "link0", 583),
+    # link0 == conv1 == 9408: the layer wins the tie (links rank last).
+    ("cifar10 x2 link/layer tie", lambda: _linked(cifar10_design, 2), None,
+     [("dma_in", 3072), ("conv1", 9408), ("link0", 9408), ("pool1", 9408),
+      ("conv2", 3600), ("pool2", 3600), ("fc1", 900), ("fc2", 64),
+      ("dma_out", 10)],
+     9408, "conv1", 10259),
+    # The `dma-throttle` preset: 4.5 cycles/word on the 256-word input.
+    ("throttled dma_in", lambda: _linked(usps_design, 1), ("dma_in", 1152),
+     [("dma_in", 1152), ("conv1", 256), ("pool1", 144), ("conv2", 64),
+      ("fc1", 64), ("dma_out", 10)],
+     1152, "dma_in", 568),
+    # `repro shard --throttle 7:5` on usps x2, seed 0.
+    ("throttled wire", lambda: _linked(usps_design, 2), ("link0", 280.86328125),
+     [s if s[0] != "link0" else ("link0", 280.86328125) for s in USPS_X2],
+     280.86328125, "link0", 573),
+]
+
+
+class TestStageList:
+    @pytest.mark.parametrize(
+        "model, throttle, stages, interval, bottleneck, fill",
+        [c[1:] for c in STAGE_CASES], ids=[c[0] for c in STAGE_CASES],
+    )
+    def test_one_list_answers_everything(
+        self, model, throttle, stages, interval, bottleneck, fill
+    ):
+        perf = model()
+        got = perf.stages if throttle is None else repriced(perf.stages, *throttle)
+        assert [(s.name, s.cycles) for s in got] == stages
+        pacing = pacing_stage(got)
+        assert (pacing.cycles, pacing.name) == (interval, bottleneck)
+        # A throttle re-prices a stage of the steady state, not the fill.
+        assert perf.fill_latency == fill
+        if throttle is None:
+            assert (perf.interval, perf.bottleneck) == (interval, bottleneck)
+
+    def test_stage_kinds(self):
+        kinds = [s.kind for s in _linked(usps_design, 2).stages]
+        assert kinds == ["dma", "conv", "pool", "link", "conv", "fc", "dma"]
+
+    def test_tie_break_order(self):
+        # DMA ends, then layers in pipeline order, then links; a later
+        # stage needs strictly more cycles to win.
+        stages = [
+            Stage("dma_in", "dma", 5), Stage("a", "conv", 5),
+            Stage("link0", "link", 7), Stage("b", "fc", 7),
+            Stage("dma_out", "dma", 5),
+        ]
+        assert pacing_stage(stages).name == "b"
+        assert pacing_stage(stages[:2] + stages[4:]).name == "dma_in"
+
+    def test_repricing_an_unknown_stage_rejected(self):
+        with pytest.raises(ConfigurationError):
+            repriced(network_perf(usps_design()).stages, "link0", 1)
+
+    def test_link_after_unknown_layer_rejected(self):
+        wire = LinkPerf(after="pool9", cycles=1, beat=1)
+        with pytest.raises(ConfigurationError):
+            network_perf(usps_design(), links=[wire]).stages

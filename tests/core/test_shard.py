@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.depths import METHOD_LINK, apply_depth_plan, infer_depth_plan
+from repro.analysis.steady_state import extract_schedule
 from repro.core import (
     cifar10_design,
     random_weights,
@@ -35,7 +36,7 @@ from repro.core.multi_fpga import (
     plan_split,
     segment_egress_words,
 )
-from repro.core.perf_model import layer_perf
+from repro.core.perf_model import LinkPerf, network_perf
 from repro.core.resource_model import BASE_DESIGN, layer_resources
 from repro.core.zoo import alexnet_blocked_design
 from repro.errors import ConfigurationError
@@ -67,17 +68,16 @@ def forced_two_way_plan(design, cut_layer, link=None):
                 device_index=d,
                 layer_names=tuple(names[lo:hi]),
                 resources=res,
-                interval=max(layer_perf(p).interval for p in placements[lo:hi]),
                 egress_words=segment_egress_words(placements[hi - 1]),
             )
         )
-    return MultiFpgaPlan(
-        design.name,
-        segments,
-        link,
-        dma_in_cycles=design.input_words_per_image(),
-        dma_out_cycles=design.output_words_per_image(),
+    wire = LinkPerf(
+        after=cut_layer,
+        cycles=link.stream_cycles(segments[0].egress_words),
+        beat=link.beat_interval(),
     )
+    stages = network_perf(design, links=[wire]).stages
+    return MultiFpgaPlan(design.name, segments, link, stages)
 
 
 def seeded_build(design, images=3, seed=0, multi_plan=None):
@@ -277,6 +277,31 @@ class TestShardedProfile:
         # The link stages enter the interval cross-check.
         assert report.throughput["interval_predicted"] == plan.interval
         assert report.throughput["interval_measured"] == plan.interval
+
+    @pytest.mark.parametrize("name", sorted(SMALL_ZOO))
+    def test_plan_schedule_and_profile_name_one_bottleneck(self, name):
+        # One stage list answers all three; they used to disagree on
+        # cifar10 (plan "segment0"/"link0" vs schedule/profile "conv1").
+        factory, _ = SMALL_ZOO[name]
+        design = factory()
+        for n in range(1, min(4, design.n_layers) + 1):
+            plan = plan_split(design, n)
+            mp = plan if n > 1 else None
+            g = seeded_build(design, multi_plan=mp).graph
+            schedule = extract_schedule(
+                list(g.actors.values()), list(g.channels.values()), design,
+                multi_plan=mp,
+            )
+            report = profile_design(
+                design, images=2, scheduler="compiled", multi_plan=mp
+            )
+            assert (
+                plan.bottleneck
+                == schedule.bottleneck
+                == report.bottleneck["predicted"]
+            ), (name, n)
+            assert plan.interval == schedule.interval
+            assert report.latency["fill_predicted"] == schedule.fill_latency
 
     def test_profile_multi_plan_refuses_pilot(self):
         design = usps_design()

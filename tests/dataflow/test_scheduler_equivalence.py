@@ -310,6 +310,19 @@ class TestFaultedEquivalence:
         assert got == ref
         assert ref["holds"] > 0  # the fault actually fired
 
+    def test_null_armed_hooks_change_nothing(self):
+        # Hooks on every channel that never hold a commit: the run must
+        # be the unfaulted run, cycle for cycle.
+        from repro.faults import ChannelJitter, FaultScenario
+
+        sc = FaultScenario(
+            "null", (ChannelJitter(channels="*", probability=0.0, max_delay=1),)
+        )
+        clean_ref, clean_got = run_both(self.diamond_factory())
+        ref, got = self.run_both_faulted(self.diamond_factory(), sc)
+        assert ref.pop("holds") == got.pop("holds") == 0
+        assert ref == clean_ref and got == clean_got
+
     def test_throttle_full_identity(self):
         from repro.faults import DmaThrottle, FaultScenario
 

@@ -69,14 +69,14 @@ class TestCommands:
 
     def test_flow_command(self, capsys, tmp_path):
         code, out, _ = run_cli(
-            capsys, "flow", "tiny", "--epochs", "2", "--out", str(tmp_path / "f")
+            capsys, "flow", "--design", "tiny", "--epochs", "2", "--out", str(tmp_path / "f")
         )
         assert code == 0
         assert "flow verdict" in out and "PASSED" in out
         assert (tmp_path / "f" / "design.json").exists()
 
     def test_flow_unknown_preset(self, capsys):
-        code, _, err = run_cli(capsys, "flow", "vgg")
+        code, _, err = run_cli(capsys, "flow", "--design", "vgg")
         assert code == 1 and "unknown flow preset" in err
 
     def test_perf_breakdown(self, capsys):
@@ -93,16 +93,17 @@ class TestCommands:
 
 
 class TestPilotAlias:
-    def test_pilot_flag_on_promoted_design_notes_deprecation(self, capsys):
-        # `--pilot` on a promoted (blocked, full-size) preset still works
-        # but is a deprecated alias for the explicit -pilot preset: it
-        # must say so on stderr and visibly profile the downscale.
-        code, out, err = run_cli(
+    """`--pilot` on a promoted design is gone; the `-pilot` presets remain."""
+
+    def test_pilot_flag_on_promoted_design_rejected(self, capsys):
+        # A promoted (blocked, full-size) preset simulates full-size; its
+        # downscale is the explicit -pilot preset, and the error says so.
+        code, _, err = run_cli(
             capsys, "profile", "--design", "alexnet", "--pilot",
             "--scheduler", "compiled",
         )
-        assert code == 0
-        assert "deprecated" in err and "alexnet-pilot" in err
+        assert code == 1
+        assert "--design alexnet-pilot" in err
 
     def test_pilot_preset_spelling_is_quiet(self, capsys):
         code, _, err = run_cli(
@@ -113,14 +114,14 @@ class TestPilotAlias:
         assert "deprecated" not in err
 
     def test_alias_and_full_size_reports_are_distinct(self, capsys, tmp_path):
-        # The aliased run is the downscale, not a silent duplicate of
+        # The -pilot preset is the downscale, not a silent duplicate of
         # the full-size report: the two JSON artifacts must disagree on
         # the design's full-buffering footprint.
-        alias_json = tmp_path / "alias.json"
+        pilot_json = tmp_path / "pilot.json"
         full_json = tmp_path / "full.json"
         code, _, _ = run_cli(
-            capsys, "shrink", "--design", "alexnet", "--pilot",
-            "--no-validate", "--json", str(alias_json),
+            capsys, "shrink", "--design", "alexnet-pilot",
+            "--no-validate", "--json", str(pilot_json),
         )
         assert code == 0
         code, _, _ = run_cli(
@@ -128,15 +129,15 @@ class TestPilotAlias:
             "--no-validate", "--json", str(full_json),
         )
         assert code == 0
-        alias = json.loads(alias_json.read_text())
+        pilot = json.loads(pilot_json.read_text())
         full = json.loads(full_json.read_text())
-        assert alias["pilot"] and not full["pilot"]
-        assert alias["words"]["full"] != full["words"]["full"]
+        assert pilot["simulated_design"] != full["simulated_design"]
+        assert pilot["words"]["full"] != full["words"]["full"]
 
 
 class TestCheck:
     def test_check_preset_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "usps")
+        code, out, _ = run_cli(capsys, "check", "--design", "usps")
         assert code == 0
         assert "PASS:" in out and "0 error(s)" in out
 
@@ -145,13 +146,15 @@ class TestCheck:
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(mismatched_ports_dict()))
-        code, out, _ = run_cli(capsys, "check", str(path))
+        code, out, _ = run_cli(capsys, "check", "--design", str(path))
         assert code == 1
         assert "ADAPTER.LEGAL" in out and "FAIL:" in out
 
     def test_check_json_artifact(self, capsys, tmp_path):
         artifact = tmp_path / "report.json"
-        code, _, _ = run_cli(capsys, "check", "tiny", "--json", str(artifact))
+        code, _, _ = run_cli(
+            capsys, "check", "--design", "tiny", "--json", str(artifact)
+        )
         assert code == 0
         d = json.loads(artifact.read_text())
         assert d["design"] == "tiny" and d["ok"] is True
@@ -168,7 +171,7 @@ class TestCheck:
 
     def test_check_no_elaborate_skips_graph_rules(self, capsys, tmp_path):
         artifact = tmp_path / "r.json"
-        code, _, _ = run_cli(capsys, "check", "usps", "--no-elaborate",
+        code, _, _ = run_cli(capsys, "check", "--design", "usps", "--no-elaborate",
                              "--json", str(artifact))
         assert code == 0
         d = json.loads(artifact.read_text())
@@ -177,5 +180,5 @@ class TestCheck:
     def test_check_not_json_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{not json")
-        code, _, err = run_cli(capsys, "check", str(path))
+        code, _, err = run_cli(capsys, "check", "--design", str(path))
         assert code == 1 and "not valid JSON" in err

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -18,16 +20,16 @@ class TestUnifiedFlags:
         assert "repro check: tiny" in out
         assert "deprecated" not in err
 
-    def test_positional_design_deprecated_but_works(self, capsys):
-        code, out, err = run_cli(capsys, "check", "tiny")
-        assert code == 0
-        assert "repro check: tiny" in out
-        assert "deprecated" in err
+    def test_positional_design_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "tiny"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: tiny" in capsys.readouterr().err
 
     def test_conflicting_spellings_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "check", "tiny", "--design", "usps")
-        assert code == 1
-        assert "conflicts" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "tiny", "--design", "usps"])
+        assert exc.value.code == 2
 
     def test_flow_requires_design(self, capsys):
         code, _, err = run_cli(capsys, "flow")
@@ -181,12 +183,10 @@ class TestShardCommand:
         assert "digest match" in out
         assert "deprecated" not in err
 
-    def test_shard_positional_design_deprecated(self, capsys):
-        code, out, err = run_cli(
-            capsys, "shard", "tiny", "--devices", "1", "--images", "1",
-        )
-        assert code == 0
-        assert "deprecated" in err
+    def test_shard_positional_design_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "tiny", "--devices", "1", "--images", "1"])
+        assert exc.value.code == 2
 
     def test_shard_json_envelope(self, capsys, tmp_path):
         path = tmp_path / "shard.json"
