@@ -77,16 +77,15 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
-import numpy as np
 
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkTxActor
-from repro.errors import ConfigurationError, DeadlockError
+from repro.errors import ConfigurationError
 from repro.fpga.dma import PAPER_DMA, DmaModel
-from repro.report.base import Report
+from repro.report.base import MappingReport
 from repro.sst.filter_chain import TapFilter, WindowAssembler
 
 #: Certificate methods, strongest structural claim first.
@@ -763,27 +762,6 @@ class PlanValidation:
         }
 
 
-def _seeded_build(
-    design: Any,
-    plan: Optional[DepthPlan],
-    seed: int,
-    images: int,
-    memory_system: str,
-) -> Any:
-    """Fresh seeded literal build, optionally with the plan applied."""
-    from repro.core.builder import build_network, random_weights
-
-    weights = random_weights(design, seed=seed)
-    rng = np.random.default_rng(seed)
-    batch = rng.uniform(0, 1, (images,) + design.input_shape).astype(
-        np.float32
-    )
-    return build_network(
-        design, weights, batch, memory_system=memory_system,
-        depth_plan=plan,
-    )
-
-
 def probe_tight_certificate(
     design: Any,
     plan: DepthPlan,
@@ -802,7 +780,7 @@ def probe_tight_certificate(
     """
     from repro.analysis.checker import analyze_graph
     from repro.dataflow.deadlock import match_deadlock_diagnostics
-    from repro.faults import FaultScenario, FifoShrink, arm_faults
+    from repro.faults import FaultScenario, FifoShrink, run_design
 
     cert = plan.certificates[channel]
     if not cert.tight:
@@ -810,20 +788,20 @@ def probe_tight_certificate(
             f"{channel!r} is not a tight certificate (depth {cert.depth}, "
             f"method {cert.method})"
         )
-    built = _seeded_build(design, plan, seed, images, plan.memory_system)
     scenario = FaultScenario(
         "depth-probe",
         (FifoShrink(channels=channel, capacity=cert.depth - 1),),
     )
-    armed = arm_faults(built.graph, scenario, seed)
-    sim = built.graph.build_simulator(
-        stall_limit=stall_limit, scheduler="event"
+    run = run_design(
+        design, seed=seed, images=images, scenario=scenario,
+        memory_system=plan.memory_system, depth_plan=plan,
+        stall_limit=stall_limit, max_cycles=max_cycles,
     )
-    sim.faults = armed
-    try:
-        result = sim.run(max_cycles=max_cycles)
-    except DeadlockError as err:
-        report = analyze_graph(built.graph, design)
+    err = run.deadlock
+    blocked: List[str] = []
+    flagged = matched = False
+    if err is not None:
+        report = analyze_graph(run.built.graph, design)
         blocked = err.blocked_channel_names()
         flagged = any(
             d.rule == "BUFFER.DEPTH_UNDERSIZED"
@@ -832,25 +810,15 @@ def probe_tight_certificate(
         )
         matches = match_deadlock_diagnostics(err, report)
         matched = channel in {name for name, _ in matches}
-        return ProbeOutcome(
-            channel=channel,
-            probe_depth=cert.depth - 1,
-            deadlocked=True,
-            blocked=blocked,
-            blamed=channel in blocked,
-            flagged=flagged,
-            matched=matched,
-            cycles=err.cycle,
-        )
     return ProbeOutcome(
         channel=channel,
         probe_depth=cert.depth - 1,
-        deadlocked=False,
-        blocked=[],
-        blamed=False,
-        flagged=False,
-        matched=False,
-        cycles=result.cycles,
+        deadlocked=err is not None,
+        blocked=blocked,
+        blamed=channel in blocked,
+        flagged=flagged,
+        matched=matched,
+        cycles=run.cycles,
     )
 
 
@@ -873,41 +841,35 @@ def validate_plan(
     channel.  ``probe_channels`` restricts the probe set (default: all
     tight certificates).
     """
-    from repro.faults import output_digest
+    from repro.faults import run_design
 
-    baseline = _seeded_build(design, None, seed, images, plan.memory_system)
-    base_res = baseline.run(
-        max_cycles=max_cycles, stall_limit=stall_limit, scheduler="event"
-    )
-    base_digest = output_digest(baseline.outputs())
+    def run(scheduler: str, depth_plan: Optional[DepthPlan]) -> Any:
+        return run_design(
+            design, seed=seed, images=images, scheduler=scheduler,
+            memory_system=plan.memory_system, depth_plan=depth_plan,
+            stall_limit=stall_limit, max_cycles=max_cycles,
+        )
+
+    baseline = run("event", None)
+    if baseline.deadlock is not None:  # pragma: no cover - full buffering
+        raise baseline.deadlock
     val = PlanValidation(
         design=design.name,
         seed=seed,
         images=images,
-        baseline_cycles=base_res.cycles,
-        baseline_digest=base_digest,
+        baseline_cycles=baseline.cycles,
+        baseline_digest=baseline.digest,
     )
     for scheduler in schedulers:
-        built = _seeded_build(design, plan, seed, images, plan.memory_system)
+        certified = run(scheduler, plan)
         entry: Dict[str, Any] = {
-            "cycles": 0, "digest": None, "finished": False, "ok": False,
+            "cycles": certified.cycles,
+            "digest": certified.digest,
+            "finished": certified.finished,
+            "ok": certified.finished and certified.digest == baseline.digest,
         }
-        try:
-            res = built.run(
-                max_cycles=max_cycles, stall_limit=stall_limit,
-                scheduler=scheduler,
-            )
-        except DeadlockError as err:
-            entry["cycles"] = err.cycle
-            entry["deadlock"] = err.blocked_channel_names()
-        else:
-            digest = output_digest(built.outputs())
-            entry.update(
-                cycles=res.cycles,
-                digest=digest,
-                finished=res.finished,
-                ok=bool(res.finished and digest == base_digest),
-            )
+        if certified.deadlock is not None:
+            entry["deadlock"] = certified.deadlock.blocked_channel_names()
         val.runs[scheduler] = entry
     targets = (
         list(probe_channels)
@@ -927,39 +889,6 @@ def validate_plan(
 # -- empirical bisect shrinker ------------------------------------------------
 
 
-def _shrink_trial(
-    design: Any,
-    plan: DepthPlan,
-    channel: str,
-    capacity: int,
-    seed: int,
-    images: int,
-    stall_limit: int,
-    max_cycles: int,
-) -> bool:
-    """True when the plan with one channel shrunk to ``capacity`` finishes."""
-    from repro.faults import FaultScenario, FifoShrink, arm_faults
-
-    built = _seeded_build(design, plan, seed, images, plan.memory_system)
-    armed = arm_faults(
-        built.graph,
-        FaultScenario(
-            "depth-bisect",
-            (FifoShrink(channels=channel, capacity=capacity),),
-        ),
-        seed,
-    )
-    sim = built.graph.build_simulator(
-        stall_limit=stall_limit, scheduler="event"
-    )
-    sim.faults = armed
-    try:
-        result = sim.run(max_cycles=max_cycles)
-    except DeadlockError:
-        return False
-    return bool(result.finished)
-
-
 def bisect_channel_floor(
     design: Any,
     plan: DepthPlan,
@@ -976,23 +905,31 @@ def bisect_channel_floor(
     the probed capacity, so binary search is exact.  Returns the
     smallest capacity that simulates clean.
     """
+    from repro.faults import FaultScenario, FifoShrink, run_design
+
+    def finishes(capacity: int) -> bool:
+        """The plan with ``channel`` shrunk to ``capacity`` runs clean."""
+        scenario = FaultScenario(
+            "depth-bisect", (FifoShrink(channels=channel, capacity=capacity),)
+        )
+        return run_design(
+            design, seed=seed, images=images, scenario=scenario,
+            memory_system=plan.memory_system, depth_plan=plan,
+            stall_limit=stall_limit, max_cycles=max_cycles,
+        ).finished
+
     cert = plan.certificates[channel]
     if cert.depth == 1:
         return 1
     lo, hi = 1, cert.depth
-    if not _shrink_trial(
-        design, plan, channel, hi, seed, images, stall_limit, max_cycles
-    ):  # pragma: no cover - the certified depth is feasible by validation
+    if not finishes(hi):  # pragma: no cover - feasible by validation
         raise ConfigurationError(
             f"{channel!r} deadlocks at its certified depth {hi}: the "
             f"certificate is violated"
         )
     while lo < hi:
         mid = (lo + hi) // 2
-        if _shrink_trial(
-            design, plan, channel, mid, seed, images, stall_limit,
-            max_cycles,
-        ):
+        if finishes(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -1043,28 +980,10 @@ def bisect_plan(
 # -- the `repro shrink` experiment --------------------------------------------
 
 
-class ShrinkReport(Report):
+class ShrinkReport(MappingReport):
     """One ``repro shrink`` run behind the unified Report envelope."""
 
     kind = "shrink"
-
-    def __init__(self, data: Dict[str, Any]):
-        self._data = data
-
-    def __getitem__(self, key: str) -> Any:
-        return self._data[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self._data)
 
     def summary(self) -> str:
         d = self._data
@@ -1157,19 +1076,17 @@ def run_shrink(
     unprobed — no silent truncation).  ``ok`` is False on any
     certificate violation (the CLI exits nonzero on it).
     """
-    from repro.core.block_transform import design_is_blocked
+    from repro.core.builder import build_network, random_weights, seeded_batch
     from repro.core.resource_model import buffering_savings
-    from repro.faults import PILOT_WEIGHT_LIMIT, pilot_design
+    from repro.faults import simulable_design
 
-    if pilot or (
-        pilot is None
-        and design.weight_count() > PILOT_WEIGHT_LIMIT
-        and not design_is_blocked(design)
-    ):
-        sim_design, piloted = pilot_design(design), True
-    else:
-        sim_design, piloted = design, False
-    built = _seeded_build(sim_design, None, seed, 1, "literal")
+    sim_design, piloted = simulable_design(design, pilot)
+    built = build_network(
+        sim_design,
+        random_weights(sim_design, seed=seed),
+        seeded_batch(sim_design, seed, 1),
+        memory_system="literal",
+    )
     t0 = time.perf_counter()
     plan = infer_depth_plan(built.graph, design_name=sim_design.name, dma=dma)
     runtime = time.perf_counter() - t0

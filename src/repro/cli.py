@@ -6,12 +6,24 @@ JSON produced by :mod:`repro.core.serialize`):
 * ``block-design`` — render the Figure 4/5-style block diagram;
 * ``report``       — the HLS-style synthesis report;
 * ``perf``         — interval / fill / throughput summary;
+* ``resources``    — Table-I-style device utilization;
 * ``sweep``        — the Figure-6 batch curve (analytical model);
 * ``dse``          — greedy design-space exploration;
-* ``simulate``     — cycle-accurate run on random/synthetic data with
-  verification against the NumPy reference;
+* ``simulate``     — cycle-accurate run verified against the NumPy reference;
 * ``check``        — static dataflow verification: rate balance, port
-  adapters, FIFO buffering, Eq. 4 II consistency (nonzero exit on errors).
+  adapters, FIFO buffering, Eq. 4 II consistency;
+* ``faultsim``     — fault injection, single runs or ``--campaign`` sweeps;
+* ``flow``         — the automated train / verify / report design flow;
+* ``profile``      — measured II, interval and bottleneck vs Eq. 4;
+* ``shrink``       — certified FIFO depth inference and its validation;
+* ``shard``        — multi-FPGA sharded co-simulation vs the split plan;
+* ``loadtest``     — seeded open-loop serving run with digest checks;
+* ``serve``        — the live JSON-lines TCP inference server.
+
+The first seven take the design as a positional argument; the rest share
+``--design``/``--json``/``--seed``. ``simulate``, ``check``, ``faultsim``,
+``profile``, ``shrink``, ``shard`` and ``loadtest`` are gates: they exit
+nonzero when their verdict fails.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from repro.core import (
     usps_design,
     batch_sweep,
 )
+from repro.core.builder import seeded_batch
 from repro.core.reference import design_reference_forward
 from repro.dse import greedy_optimize
 from repro.errors import ReproError
@@ -72,6 +85,15 @@ def _register_zoo() -> None:
 
 _register_zoo()
 
+_DESIGN_HELP = (
+    "preset (usps|cifar10|tiny|alexnet|vgg16|alexnet-pilot|vgg16-pilot) "
+    "or design JSON path"
+)
+
+#: `faultsim --campaign` default: one spelling per design, AlexNet/VGG-16 as
+#: pilots (full-size x scenarios x seeds on an interpreted engine is hours).
+_CAMPAIGN_DESIGNS = ("usps", "cifar10", "tiny", "alexnet-pilot", "vgg16-pilot")
+
 
 def _load_design(arg: str):
     """A preset name or a path to a design JSON file."""
@@ -88,16 +110,15 @@ def _load_design(arg: str):
 
 
 def _common_options() -> argparse.ArgumentParser:
-    """Parent parser shared by ``check``/``faultsim``/``flow``/``profile``.
+    """Parent parser shared by ``check``/``faultsim``/``flow``/``profile``/
+    ``shrink``/``shard``/``loadtest``/``serve``.
 
     ``--design``, ``--json`` and ``--seed`` are spelled identically
     across the commands.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "--design", default=None, metavar="DESIGN",
-        help="preset (usps|cifar10|tiny|alexnet|vgg16|alexnet-pilot|"
-             "vgg16-pilot) or design JSON path",
+        "--design", default=None, metavar="DESIGN", help=_DESIGN_HELP
     )
     parent.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable report to PATH")
@@ -111,6 +132,15 @@ def _resolve_design(args, required: bool = True) -> Optional[str]:
     if args.design is None and required:
         raise ReproError(f"{args.command}: a design is required (--design)")
     return args.design
+
+
+def _add_pilot_flags(sp: argparse.ArgumentParser) -> None:
+    """``--pilot/--no-pilot``, read back by :func:`_pilot_override`."""
+    sp.add_argument("--pilot", action="store_true",
+                    help="force the pilot downscale even for small designs")
+    sp.add_argument("--no-pilot", action="store_true",
+                    help="forbid the pilot downscale (huge designs will "
+                         "simulate at full size)")
 
 
 def _pilot_override(args, design) -> Optional[bool]:
@@ -168,8 +198,7 @@ def _cmd_check(args):
             raise ReproError(f"{design_arg}: design JSON must be an object")
         report = check_design_dict(d, elaborate=elaborate)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     failed = not report.ok or (args.warnings_as_errors and report.warnings)
     return report.format_text(), 1 if failed else 0
 
@@ -179,16 +208,14 @@ def _cmd_faultsim(args):
     from repro.faults import faultsim, load_scenario, run_campaign
 
     if args.campaign:
-        names = args.designs or sorted(_PRESETS)
-        designs = [(n, _load_design(n)) for n in names]
+        designs = [(n, _load_design(n)) for n in args.designs]
         scenarios = [load_scenario(s) for s in args.scenarios]
         summary = run_campaign(
             designs, scenarios, args.seeds, images=args.images,
             scheduler=args.scheduler,
         )
         if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(summary.to_json() + "\n")
+            summary.write_json(args.json)
         rows = [
             [r["design"], r["scenario"]["name"], r["seed"],
              "pilot" if r["pilot"] else "full", r["verdict"],
@@ -214,8 +241,7 @@ def _cmd_faultsim(args):
         pilot=pilot,
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     pairs = [
         ("scenario", scenario.name),
         ("seed", report["seed"]),
@@ -316,18 +342,19 @@ def _cmd_dse(args) -> str:
     )
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
+    """Cycle simulation vs the NumPy reference; returns ``(text, exit_code)``."""
     design = _load_design(args.design)
     weights = random_weights(design, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    batch = rng.uniform(0, 1, (args.images,) + design.input_shape).astype(np.float32)
+    batch = seeded_batch(design, args.seed, args.images)
     report = run_batch(design, weights, batch)
     ref = design_reference_forward(design, weights, batch)[-1]
     got = report.outputs
     if ref.shape != got.shape:
         ref = ref.reshape(got.shape)
     err = float(np.max(np.abs(got - ref)))
-    return format_kv(
+    verified = err < args.tolerance
+    text = format_kv(
         f"cycle simulation: {design.name}",
         [
             ("images", report.images),
@@ -335,9 +362,10 @@ def _cmd_simulate(args) -> str:
             ("measured interval", f"{report.measured_interval:.1f} cycles"),
             ("model interval", network_perf(design).interval),
             ("max |sim - reference|", f"{err:.3e}"),
-            ("verified", err < args.tolerance),
+            ("verified", verified),
         ],
     )
+    return text, 0 if verified else 1
 
 
 def _cmd_resources(args) -> str:
@@ -415,8 +443,7 @@ def _cmd_profile(args):
         pilot=pilot, **kwargs,
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     if args.chrome_trace:
         write_chrome_trace(report, args.chrome_trace)
     return report.format_text(), 0 if report.ok else 1
@@ -434,8 +461,7 @@ def _cmd_shrink(args):
         probe_limit=args.probe_limit,
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     if args.apply:
         import json
 
@@ -479,8 +505,7 @@ def _cmd_shard(args):
         throttles=tuple(throttles),
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     return report.summary(), 0 if report.ok else 1
 
 
@@ -504,8 +529,7 @@ def _cmd_loadtest(args):
         verify_digests=not args.no_verify,
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        report.write_json(args.json)
     return report.format_text(), 0 if report.ok else 1
 
 
@@ -556,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
-        sp.add_argument("design", help="preset (usps|cifar10|tiny) or design JSON path")
+        sp.add_argument("design", help=_DESIGN_HELP)
         sp.set_defaults(fn=fn)
         return sp
 
@@ -609,16 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
     fault.add_argument("--memory-system", choices=["behavioral", "literal"],
                        default="behavioral",
                        help="shrink scenarios force 'literal'")
-    fault.add_argument("--pilot", action="store_true",
-                       help="force the pilot downscale even for small designs")
-    fault.add_argument("--no-pilot", action="store_true",
-                       help="forbid the pilot downscale (huge designs will "
-                            "simulate at full size)")
+    _add_pilot_flags(fault)
     fault.add_argument("--campaign", action="store_true",
                        help="sweep designs x scenarios x seeds instead of "
                             "one run")
-    fault.add_argument("--designs", nargs="+", default=None,
-                       help="campaign designs (default: every preset)")
+    fault.add_argument("--designs", nargs="+",
+                       default=list(_CAMPAIGN_DESIGNS),
+                       help="campaign designs (default: "
+                            + " ".join(_CAMPAIGN_DESIGNS) + ")")
     fault.add_argument("--scenarios", nargs="+",
                        default=["jitter", "dma", "slowdown", "storm",
                                 "corrupt", "shrink"],
@@ -659,12 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--chrome-trace", metavar="PATH", default=None,
                          help="write a chrome://tracing / Perfetto JSON "
                               "trace to PATH")
-    profile.add_argument("--pilot", action="store_true",
-                         help="force the pilot downscale even for small "
-                              "designs")
-    profile.add_argument("--no-pilot", action="store_true",
-                         help="forbid the pilot downscale (huge designs "
-                              "will simulate at full size)")
+    _add_pilot_flags(profile)
     profile.add_argument("--tolerance", type=float, default=None,
                          help="relative II error treated as a mismatch "
                               "(default 0.05)")
@@ -691,12 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     shrink.add_argument("--no-validate", action="store_true",
                         help="skip the dual-engine runs and depth-1 probes "
                              "(prover + savings only)")
-    shrink.add_argument("--pilot", action="store_true",
-                        help="force the pilot downscale even for small "
-                             "designs")
-    shrink.add_argument("--no-pilot", action="store_true",
-                        help="forbid the pilot downscale (huge designs "
-                             "will simulate at full size)")
+    _add_pilot_flags(shrink)
     shrink.set_defaults(fn=_cmd_shrink)
     shard = sub.add_parser(
         "shard", parents=[common],

@@ -1,18 +1,13 @@
 """Compiled steady-state simulation engine (``scheduler="compiled"``).
 
 Lowers a design graph that passed the static verifier to fused,
-vectorized numpy kernels (optionally numba-specialized) and executes the
+vectorized numpy kernels and executes the
 whole run in one pass — bit-exact with the interpreted engines on output
 values, per-process fires, measured II, and bottleneck attribution,
 while running orders of magnitude faster. See DESIGN.md section 12.
 """
 
 from repro.compiled.engine import CompiledEngine, CompiledFallbackWarning
-from repro.compiled.numba_support import (
-    HAVE_NUMBA,
-    backend_name,
-    numba_version,
-)
 from repro.compiled.plan_cache import (
     CompiledPlan,
     PlanCache,
@@ -27,11 +22,8 @@ __all__ = [
     "CompiledFallbackWarning",
     "CompilationError",
     "CompiledPlan",
-    "HAVE_NUMBA",
     "PlanCache",
-    "backend_name",
     "clear_plan_cache",
     "design_digest",
-    "numba_version",
     "plan_cache_stats",
 ]

@@ -40,7 +40,6 @@ from repro.analysis.steady_state import (
     port_maps,
 )
 from repro.compiled.kernels import run_kernels
-from repro.compiled.numba_support import backend_name
 from repro.compiled.plan_cache import (
     GLOBAL_PLAN_CACHE,
     CompiledPlan,
@@ -190,7 +189,7 @@ class CompiledEngine:
     def scheduler_stats(self) -> Dict[str, object]:
         return {
             "scheduler": "compiled",
-            "backend": backend_name(),
+            "backend": "numpy",
             "executed_cycles": 0,
             "skipped_cycles": self.cycle,
             "parks": 0,

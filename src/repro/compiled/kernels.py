@@ -62,8 +62,6 @@ from repro.hls.tree_adder import tree_reduce
 from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
 
-from repro.compiled.numba_support import HAVE_NUMBA, maybe_njit
-
 #: Target size of one conv product slab (bytes): coordinates and output
 #: maps are blocked so the slab, its half-size tree scratch and one
 #: group's windows stay cache-resident. Blocking is bit-neutral (the
@@ -348,7 +346,7 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
     return {"out": out}
 
 
-def _fc_partial_numpy(x: np.ndarray, weight: np.ndarray, lanes: int) -> np.ndarray:
+def fc_partial_sums(x: np.ndarray, weight: np.ndarray, lanes: int) -> np.ndarray:
     """The interleaved-lane MAC recurrence, batched over images.
 
     The actor feeds input ``i`` into accumulator lane ``i % lanes``:
@@ -387,31 +385,6 @@ def _fc_partial_numpy(x: np.ndarray, weight: np.ndarray, lanes: int) -> np.ndarr
         tail = weight[None, :, steps * lanes :] * x[:, None, steps * lanes :]
         np.add(partial[:, :, :rem], tail, out=partial[:, :, :rem])
     return partial
-
-
-def _fc_partial_jit_impl(x, weight, lanes):  # pragma: no cover - numba only
-    batch, in_fm = x.shape
-    out_fm = weight.shape[0]
-    partial = np.zeros((batch, out_fm, lanes), dtype=np.float32)
-    for b in range(batch):
-        for i in range(in_fm):
-            lane = i % lanes
-            xv = x[b, i]
-            for o in range(out_fm):
-                partial[b, o, lane] = partial[b, o, lane] + weight[o, i] * xv
-    return partial
-
-
-_fc_partial_jit = maybe_njit(_fc_partial_jit_impl)
-
-
-def fc_partial_sums(x: np.ndarray, weight: np.ndarray, lanes: int) -> np.ndarray:
-    """Dispatch the FC lane recurrence to the active backend."""
-    if HAVE_NUMBA:  # pragma: no cover - exercised on the numba CI leg
-        return _fc_partial_jit(
-            np.ascontiguousarray(x), np.ascontiguousarray(weight), lanes
-        )
-    return _fc_partial_numpy(x, weight, lanes)
 
 
 def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:

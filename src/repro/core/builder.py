@@ -67,6 +67,17 @@ def random_weights(design: NetworkDesign, seed: int = 0) -> DesignWeights:
     return out
 
 
+def seeded_batch(design: NetworkDesign, seed: int, images: int) -> np.ndarray:
+    """The ``(images, C, H, W)`` input batch every seeded harness run uses.
+
+    A pure function of ``(design.input_shape, seed, images)``: faultsim,
+    profile, shrink, shard and ``repro simulate`` all draw their inputs
+    here, which is what makes their digests and cycle counts comparable.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (images,) + design.input_shape).astype(np.float32)
+
+
 def extract_weights(design: NetworkDesign, net: Sequential) -> DesignWeights:
     """Pull trained parameters out of a :class:`Sequential` model.
 
@@ -146,16 +157,21 @@ class BuiltNetwork:
         stall_limit: int = 10_000,
         tracer=None,
         scheduler: str = "event",
+        faults=None,
     ) -> SimulationResult:
         """Cycle-accurate simulation of the whole batch.
 
         Pass a :class:`~repro.dataflow.trace.Tracer` to sample per-actor
         activity and channel occupancy during the run. ``scheduler``
-        selects the simulation engine (``"event"`` or ``"lockstep"``).
+        selects the simulation engine (``"event"``, ``"lockstep"`` or
+        ``"compiled"``). ``faults`` is an
+        :class:`~repro.faults.ArmedFaults` armed on this graph; only the
+        interpreted engines accept one.
         """
         sim = self.graph.build_simulator(
             stall_limit=stall_limit, tracer=tracer, scheduler=scheduler
         )
+        sim.faults = faults
         self.result = sim.run(max_cycles=max_cycles)
         return self.result
 

@@ -40,9 +40,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.builder import BuiltNetwork, build_network, random_weights
+from repro.core.builder import BuiltNetwork, build_network, random_weights, seeded_batch
 from repro.core.multi_fpga import LinkModel, MultiFpgaPlan, plan_split
 from repro.core.network_design import NetworkDesign
 from repro.core.perf_model import Stage, pacing_stage, repriced
@@ -296,15 +294,15 @@ def run_shard(
 ) -> ShardReport:
     """Co-simulate ``design`` at each device count and verify the shards.
 
-    Weights and the batch derive from ``seed`` alone (the
-    ``repro.faults.harness.run_design`` convention), so every run in the
-    sweep processes identical data. ``throttles`` is a sequence of
+    Weights and the batch derive from ``seed`` alone
+    (:func:`~repro.core.builder.seeded_batch`, as in
+    ``repro.faults.harness.run_design``), so every run in the sweep
+    processes identical data. ``throttles`` is a sequence of
     ``(period, burst)`` DMA-throttle parameters applied to every
     ``link*.wire`` channel of each multi-device placement (event engine
     only — faults perturb interpreted execution).
     """
-    from repro.faults import DmaThrottle, FaultScenario, arm_faults
-    from repro.faults.harness import output_digest
+    from repro.faults import DmaThrottle, FaultScenario, output_digest, run_design
 
     for engine in engines:
         if engine not in _ENGINES:
@@ -314,10 +312,7 @@ def run_shard(
     if images < 1:
         raise ConfigurationError(f"images must be >= 1, got {images}")
     weights = random_weights(design, seed=seed)
-    rng = np.random.default_rng(seed)
-    batch = rng.uniform(0, 1, (images,) + design.input_shape).astype(
-        np.float32
-    )
+    batch = seeded_batch(design, seed, images)
 
     def build(plan: Optional[MultiFpgaPlan]) -> BuiltNetwork:
         return build_network(design, weights, batch, multi_plan=plan)
@@ -386,7 +381,6 @@ def run_shard(
             continue
         plan = plans[n]
         for period, burst in throttles:
-            built = build(plan)
             scenario = FaultScenario(
                 name=f"link-throttle-p{period}-b{burst}",
                 faults=(
@@ -395,12 +389,14 @@ def run_shard(
                     ),
                 ),
             )
-            armed = arm_faults(built.graph, scenario, seed)
-            sim = built.graph.build_simulator(scheduler="event")
-            sim.faults = armed
-            built.result = sim.run()
-            predicted = _throttled_prediction(built, plan, period, burst, seed)
-            cc = built.image_completion_cycles()
+            run = run_design(
+                design, seed=seed, images=images, scenario=scenario,
+                multi_plan=plan,
+            )
+            if run.deadlock is not None:
+                raise run.deadlock
+            predicted = _throttled_prediction(run.built, plan, period, burst, seed)
+            cc = run.built.image_completion_cycles()
             if len(cc) < 2:
                 raise ConfigurationError(
                     "a throttle campaign needs images >= 2 to measure the "
@@ -414,7 +410,7 @@ def run_shard(
                     n_devices=n,
                     period=period,
                     burst=burst,
-                    digest_match=output_digest(built.outputs()) == ref_digest,
+                    digest_match=run.digest == ref_digest,
                     predicted_interval=predicted,
                     measured_interval=measured,
                     error_pct=abs(measured - predicted) / predicted * 100.0,

@@ -2,10 +2,9 @@
 
 Section VI: "We will then also test the proposed approach on bigger and
 more popular CNN models like AlexNet or VGG". These designs exercise the
-*analytical* half of the methodology at full scale — shapes, initiation
-intervals, per-layer intervals, resource bills, DSE and multi-FPGA
-splits — without cycle simulation (a 224x224 simulation is possible but
-pointless for the questions these models answer).
+methodology at full scale — shapes, initiation intervals, per-layer
+intervals, resource bills, DSE and multi-FPGA splits analytically, and,
+in their blocked tier below, cycle simulation at 227x227 / 224x224.
 
 Both are faithful to the original topologies up to features the paper's
 methodology does not define: local response normalization (AlexNet) is

@@ -168,7 +168,7 @@ class Simulator:
         #: the compiled engine folds its link stages into the timing frame.
         self.multi_plan = multi_plan
         #: Optional :class:`repro.faults.ArmedFaults`. Set (by
-        #: ``repro.faults.arm_faults``) *before* the first ``run`` /
+        #: ``BuiltNetwork.run(faults=...)``) *before* the first ``run`` /
         #: ``run_cycles`` call; engines read it once at creation. None on
         #: the no-fault hot path.
         self.faults = None

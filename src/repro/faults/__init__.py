@@ -20,7 +20,6 @@ from repro.faults.analytical import (
     throttled_perf,
 )
 from repro.faults.harness import (
-    PILOT_WEIGHT_LIMIT,
     RunOutcome,
     faultsim,
     output_digest,
@@ -54,7 +53,6 @@ from repro.faults.scenario import (
 )
 
 __all__ = [
-    "PILOT_WEIGHT_LIMIT",
     "FAULT_KINDS",
     "ActorSlowdown",
     "ActorStallPlan",

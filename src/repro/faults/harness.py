@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.block_transform import design_is_blocked
-from repro.core.builder import BuiltNetwork, build_network, random_weights
+from repro.core.builder import BuiltNetwork, build_network, random_weights, seeded_batch
 from repro.core.layer_spec import (
     ConvLayerSpec,
     FCLayerSpec,
@@ -45,7 +45,7 @@ from repro.dataflow.deadlock import match_deadlock_diagnostics
 from repro.errors import ConfigurationError, DeadlockError, ReproError
 from repro.faults.injectors import ArmedFaults, arm_faults
 from repro.faults.scenario import FaultScenario, FifoShrink
-from repro.report.base import Report
+from repro.report.base import MappingReport
 
 #: Above this many parameters a design is cycle-simulated as a pilot.
 PILOT_WEIGHT_LIMIT = 2_000_000
@@ -137,13 +137,18 @@ def pilot_design(
     )
 
 
-def simulable_design(design: NetworkDesign) -> Tuple[NetworkDesign, bool]:
-    """``(design, False)`` or its pilot + True when too large to simulate."""
-    if design.weight_count() <= PILOT_WEIGHT_LIMIT or design_is_blocked(
-        design
-    ):
-        return design, False
-    return pilot_design(design), True
+def simulable_design(
+    design: NetworkDesign, pilot: Optional[bool] = None
+) -> Tuple[NetworkDesign, bool]:
+    """The design a harness cycle-simulates, and whether it is the pilot.
+
+    ``pilot`` forces (True) or forbids (False) the pilot downscale; the
+    default pilots a design above :data:`PILOT_WEIGHT_LIMIT` unless block
+    convolution already made it simulable at full size.
+    """
+    if pilot is None:
+        pilot = design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design)
+    return (pilot_design(design), True) if pilot else (design, False)
 
 
 # -- single runs -------------------------------------------------------------
@@ -157,12 +162,12 @@ class RunOutcome:
     finished: bool
     digest: Optional[str]
     scheduler: str
+    #: The built network that ran (graph, sink, per-channel counters).
+    built: BuiltNetwork = field(repr=False)
     #: Present only on faulted runs.
     armed: Optional[ArmedFaults] = None
     #: The deadlock, when the run jammed instead of finishing.
     deadlock: Optional[DeadlockError] = None
-    #: The built network (weights/graph), for callers needing outputs.
-    built: Optional[BuiltNetwork] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -237,78 +242,54 @@ def run_design(
     memory_system: str = "behavioral",
     max_cycles: int = 50_000_000,
     stall_limit: int = 10_000,
+    depth_plan=None,
+    multi_plan=None,
 ) -> RunOutcome:
     """Build, (optionally) arm, and cycle-simulate one design.
 
-    Weights and the input batch are derived from ``seed`` alone, so a
-    clean and a faulted run with the same seed process identical data —
-    the precondition for digest comparison.
+    The one seeded experiment every harness (faultsim, shrink validation
+    and bisect, shard throttles) is made of. Weights and the input batch
+    are derived from ``seed`` alone, so a clean and a faulted run with the
+    same seed process identical data — the precondition for digest
+    comparison. ``depth_plan`` / ``multi_plan`` pass through to
+    :func:`~repro.core.builder.build_network`.
     """
-    weights = random_weights(design, seed=seed)
-    rng = np.random.default_rng(seed)
-    batch = rng.uniform(0, 1, (images,) + design.input_shape).astype(np.float32)
-    built = build_network(design, weights, batch, memory_system=memory_system)
+    built = build_network(
+        design,
+        random_weights(design, seed=seed),
+        seeded_batch(design, seed, images),
+        memory_system=memory_system,
+        depth_plan=depth_plan,
+        multi_plan=multi_plan,
+    )
     armed = None
     if scenario is not None:
         scenario = resolve_shrink(scenario, built.graph)
         armed = arm_faults(built.graph, scenario, seed)
-    sim = built.graph.build_simulator(
-        stall_limit=stall_limit, scheduler=scheduler
-    )
-    sim.faults = armed
+    deadlock = None
     try:
-        result = sim.run(max_cycles=max_cycles)
-    except DeadlockError as err:
-        return RunOutcome(
-            cycles=err.cycle,
-            finished=False,
-            digest=None,
-            scheduler=scheduler,
-            armed=armed,
-            deadlock=err,
-            built=built,
+        result = built.run(
+            max_cycles=max_cycles, stall_limit=stall_limit,
+            scheduler=scheduler, faults=armed,
         )
-    built.result = result
+        cycles, finished = result.cycles, result.finished
+    except DeadlockError as err:
+        deadlock, cycles, finished = err, err.cycle, False
     return RunOutcome(
-        cycles=result.cycles,
-        finished=result.finished,
-        digest=output_digest(built.outputs()) if result.finished else None,
+        cycles=cycles,
+        finished=finished,
+        digest=output_digest(built.outputs()) if finished else None,
         scheduler=scheduler,
-        armed=armed,
-        deadlock=None,
         built=built,
+        armed=armed,
+        deadlock=deadlock,
     )
 
 
 # -- report wrappers ---------------------------------------------------------
 
 
-class _MappingReport(Report, Mapping):
-    """A dict-shaped report behind the shared envelope.
-
-    Implements :class:`collections.abc.Mapping`, so every pre-envelope
-    consumer that indexed the plain dict (``report["ok"]``,
-    ``report.get("verdict")``, iteration) keeps working unchanged; the
-    data is read-only from the outside.
-    """
-
-    def __init__(self, data: Dict):
-        self._data = data
-
-    def __getitem__(self, key: str):
-        return self._data[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def to_dict(self) -> Dict:
-        return dict(self._data)
-
-
-class FaultRunReport(_MappingReport):
+class FaultRunReport(MappingReport):
     """One (design, scenario, seed) faultsim experiment."""
 
     kind: ClassVar[str] = "faultsim"
@@ -321,7 +302,7 @@ class FaultRunReport(_MappingReport):
         )
 
 
-class CampaignReport(_MappingReport):
+class CampaignReport(MappingReport):
     """A designs x scenarios x seeds fault-campaign summary."""
 
     kind: ClassVar[str] = "fault-campaign"
@@ -444,32 +425,22 @@ def faultsim(
     campaign runner share clean runs across scenarios.
     """
     _require_interpreted(scheduler)
-    if pilot or (
-        pilot is None
-        and design.weight_count() > PILOT_WEIGHT_LIMIT
-        and not design_is_blocked(design)
-    ):
-        sim_design, piloted = pilot_design(design), True
-    else:
-        sim_design, piloted = design, False
+    sim_design, piloted = simulable_design(design, pilot)
     if scenario.has_kind("shrink"):
         # Shrink targets only exist in the literal SST chains.
         memory_system = "literal"
-    key = (sim_design.name, seed, images, scheduler, memory_system)
-    clean = _clean_cache.get(key) if _clean_cache is not None else None
-    if clean is None:
-        clean = run_design(
-            sim_design, seed=seed, images=images, scenario=None,
-            scheduler=scheduler, memory_system=memory_system,
-            max_cycles=max_cycles, stall_limit=stall_limit,
-        )
-        if _clean_cache is not None:
-            _clean_cache[key] = clean
-    faulty = run_design(
-        sim_design, seed=seed, images=images, scenario=scenario,
+    run = partial(
+        run_design, sim_design, seed=seed, images=images,
         scheduler=scheduler, memory_system=memory_system,
         max_cycles=max_cycles, stall_limit=stall_limit,
     )
+    key = (sim_design.name, seed, images, scheduler, memory_system)
+    clean = _clean_cache.get(key) if _clean_cache is not None else None
+    if clean is None:
+        clean = run(scenario=None)
+        if _clean_cache is not None:
+            _clean_cache[key] = clean
+    faulty = run(scenario=scenario)
     report: dict = {
         "design": design.name,
         "simulated_design": sim_design.name,

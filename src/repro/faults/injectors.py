@@ -240,9 +240,10 @@ class ActorStallPlan:
 class ArmedFaults:
     """A scenario wired into one graph: live injectors plus bookkeeping.
 
-    Attach to a simulator by assigning ``sim.faults = armed`` *before*
-    the first run; engines read :attr:`actor_plan` at creation and the
-    channel hooks are already installed on the channels themselves.
+    Run it with ``BuiltNetwork.run(faults=armed)``, which sets the
+    simulator's ``faults`` before the first cycle; engines read
+    :attr:`actor_plan` at creation and the channel hooks are already
+    installed on the channels themselves.
     """
 
     def __init__(self, scenario: FaultScenario, seed: int):

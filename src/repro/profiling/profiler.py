@@ -19,17 +19,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
-from repro.core.builder import build_network, random_weights
-from repro.core.block_transform import design_is_blocked
+from repro.core.builder import build_network, random_weights, seeded_batch
 from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec
 from repro.core.network_design import NetworkDesign
 from repro.core.perf_model import network_perf
 from repro.dataflow.trace import Tracer, counter_busy_fractions
 from repro.errors import ConfigurationError
-from repro.faults.harness import PILOT_WEIGHT_LIMIT, pilot_design
+from repro.faults.harness import simulable_design
 from repro.profiling.report import ProfileReport
 
 #: Relative II error above which PROFILE.II_MISMATCH is an error.
@@ -80,8 +77,9 @@ def profile_design(
 ) -> ProfileReport:
     """Simulate ``design`` and return its :class:`ProfileReport`.
 
-    Weights and inputs are derived from ``seed`` alone (same recipe as
-    the fault harness, so profile and faultsim runs are comparable).
+    Weights and inputs are derived from ``seed`` alone
+    (:func:`~repro.core.builder.seeded_batch`, the fault harness's batch,
+    so profile and faultsim runs are comparable).
     Designs above the pilot weight limit are profiled as their
     deterministic pilot downscale unless ``pilot=False`` forces the full
     design. ``sample_every`` attaches the high-resolution
@@ -96,26 +94,17 @@ def profile_design(
     identity is untouched — cutting the pipeline never changes
     productive fire counts.
     """
-    if pilot or (
-        pilot is None
-        and design.weight_count() > PILOT_WEIGHT_LIMIT
-        and not design_is_blocked(design)
-    ):
-        if multi_plan is not None:
-            raise ConfigurationError(
-                "multi_plan profiles the full design; pass pilot=False "
-                "(a plan names the real layers, not the pilot downscale)"
-            )
-        sim_design, piloted = pilot_design(design), True
-    else:
-        sim_design, piloted = design, False
-    weights = random_weights(sim_design, seed=seed)
-    rng = np.random.default_rng(seed)
-    batch = rng.uniform(
-        0, 1, (images,) + sim_design.input_shape
-    ).astype(np.float32)
+    sim_design, piloted = simulable_design(design, pilot)
+    if piloted and multi_plan is not None:
+        raise ConfigurationError(
+            "multi_plan profiles the full design; pass pilot=False "
+            "(a plan names the real layers, not the pilot downscale)"
+        )
     built = build_network(
-        sim_design, weights, batch, loop_overhead=loop_overhead,
+        sim_design,
+        random_weights(sim_design, seed=seed),
+        seeded_batch(sim_design, seed, images),
+        loop_overhead=loop_overhead,
         multi_plan=multi_plan,
     )
     tracer = Tracer(sample_every) if sample_every else None

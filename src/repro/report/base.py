@@ -14,7 +14,8 @@ working; ``schema_version`` lets them detect shape changes from here on.
 from __future__ import annotations
 
 import json
-from typing import Any, ClassVar, Dict
+from collections.abc import Mapping
+from typing import Any, ClassVar, Dict, Iterator
 
 #: Bump when any report's JSON shape changes incompatibly.
 SCHEMA_VERSION = 1
@@ -49,3 +50,33 @@ class Report:
     def to_json(self, indent: int = 2) -> str:
         """The envelope as a JSON string."""
         return json.dumps(self.envelope(), indent=indent)
+
+    def write_json(self, path: str) -> None:
+        """Write the envelope to ``path`` (the CLI's ``--json PATH``)."""
+        with open(path, "w") as fh:
+            fh.write(self.to_json() + "\n")
+
+
+class MappingReport(Report, Mapping):
+    """A dict-shaped report behind the shared envelope.
+
+    Implements :class:`collections.abc.Mapping`, so every pre-envelope
+    consumer that indexed the plain dict (``report["ok"]``,
+    ``report.get("verdict")``, iteration) keeps working unchanged; the
+    data is read-only from the outside.
+    """
+
+    def __init__(self, data: Dict[str, Any]):
+        self._data = data
+
+    def __getitem__(self, key: str) -> Any:
+        return self._data[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dict(self._data)

@@ -81,11 +81,10 @@ def run_replica_batch(
         weights = random_weights(design, seed=seed)
     batch = np.stack([request_image(design, seed, i) for i in indices])
     built = build_network(design, weights, batch)
-    sim = built.graph.build_simulator(scheduler=scheduler)
+    armed = None
     if scenario is not None:
-        sim.faults = arm_faults(built.graph, scenario, seed)
-    result = sim.run(max_cycles=50_000_000)
-    built.result = result
+        armed = arm_faults(built.graph, scenario, seed)
+    result = built.run(scheduler=scheduler, faults=armed)
     outputs = built.outputs()
     completions = built.image_completion_cycles()
     diffs = [b - a for a, b in zip(completions, completions[1:])]

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.compiled import CompiledFallbackWarning, backend_name
+from repro.compiled import CompiledFallbackWarning
 from repro.core import random_weights, tiny_design
 from repro.core.builder import build_network
 from repro.dataflow import ArraySource, DataflowGraph, ListSink
@@ -34,7 +34,7 @@ class TestStrictGate:
             res = built.run(scheduler="compiled")
         assert res.finished
         assert res.scheduler_stats["scheduler"] == "compiled"
-        assert res.scheduler_stats["backend"] == backend_name()
+        assert res.scheduler_stats["backend"] == "numpy"
 
     def test_graph_without_design_falls_back(self):
         g = DataflowGraph("bare", default_capacity=2)
@@ -89,6 +89,18 @@ class TestRefusals:
         sim.faults = arm_faults(built.graph, sc, seed=1)
         with pytest.raises(ConfigurationError, match="interpreted engine"):
             sim.run()
+
+    def test_run_with_faults_rejected_like_assignment(self, rng):
+        from repro.faults import ChannelJitter, FaultScenario, arm_faults
+
+        built = tiny_built(rng)
+        sc = FaultScenario(
+            "jitter", (ChannelJitter(probability=0.5, max_delay=2),)
+        )
+        armed = arm_faults(built.graph, sc, seed=1)
+        with pytest.raises(ConfigurationError, match="interpreted engine"):
+            built.run(scheduler="compiled", faults=armed)
+        assert built.result is None
 
     def test_until_predicate_rejected(self, rng):
         built = tiny_built(rng)

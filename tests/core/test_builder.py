@@ -9,12 +9,15 @@ from repro.core import (
     NetworkDesign,
     PoolLayerSpec,
     build_network,
+    cifar10_design,
     extract_weights,
     interleave_images,
     random_weights,
     tiny_design,
     tiny_model,
+    usps_design,
 )
+from repro.core.builder import seeded_batch
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Conv2D, Flatten, Linear, MaxPool2D, Sequential, Tanh
 
@@ -31,6 +34,23 @@ class TestInterleave:
     def test_requires_4d(self):
         with pytest.raises(ShapeError):
             interleave_images(np.zeros((2, 2, 2), dtype=np.float32))
+
+
+class TestSeededBatch:
+    @pytest.mark.parametrize(
+        "factory", [tiny_design, usps_design, cifar10_design]
+    )
+    @pytest.mark.parametrize("seed, images", [(0, 1), (7, 3)])
+    def test_is_the_harness_recipe_bit_for_bit(self, factory, seed, images):
+        d = factory()
+        expected = (
+            np.random.default_rng(seed)
+            .uniform(0, 1, (images,) + d.input_shape)
+            .astype(np.float32)
+        )
+        got = seeded_batch(d, seed, images)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestWeights:

@@ -51,6 +51,12 @@ class TestCommands:
         assert code == 0
         assert "verified" in out and "True" in out
 
+    def test_simulate_fails_when_unverified(self, capsys):
+        # No float32 simulation matches the reference to within 0.
+        code, out, _ = run_cli(capsys, "simulate", "tiny", "--tolerance", "0")
+        assert code == 1
+        assert "verified" in out and "False" in out
+
     def test_design_json_input(self, capsys, tmp_path):
         path = tmp_path / "design.json"
         path.write_text(design_to_json(usps_design()))

@@ -36,6 +36,17 @@ class TestUnifiedFlags:
         assert code == 1
         assert "design is required" in err
 
+    def test_campaign_default_designs_are_distinct_and_simulable(self):
+        # Without --designs the sweep used to run every preset *spelling*:
+        # usps/usps-tc1 twice, and full-size alexnet/vgg16 for hours.
+        from repro.cli import _load_design, build_parser
+        from repro.faults.harness import PILOT_WEIGHT_LIMIT
+
+        args = build_parser().parse_args(["faultsim", "--campaign"])
+        designs = [_load_design(n) for n in args.designs]
+        assert len({d.name for d in designs}) == len(designs) == 5
+        assert all(d.weight_count() <= PILOT_WEIGHT_LIMIT for d in designs)
+
     def test_faultsim_design_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "faultsim", "--design", "tiny", "--images", "1"
