@@ -12,10 +12,10 @@ Run:  python examples/trace_pipeline.py       (writes trace.vcd)
 
 import numpy as np
 
+from repro.analysis import analyze_graph
 from repro.core import extract_weights, usps_design, usps_model
 from repro.core.builder import build_network
 from repro.dataflow import Tracer
-from repro.dataflow.deadlock import buffering_report
 from repro.report import format_table
 
 design = usps_design()
@@ -53,8 +53,9 @@ layers = sorted({a.split(".")[0] for a in active if "." in a})
 print(f"concurrently active pipeline stages: {layers}")
 print("-> the paper's Section IV-C claim, observed directly\n")
 
-# Static buffering check of the parallel branches.
-print(buffering_report(built.graph))
+# Static check of the elaborated graph, the buffering of its parallel
+# branches (BUFFER.SKEW) included.
+print(analyze_graph(built.graph, design).format_text())
 
 # Waveform export.
 with open("trace.vcd", "w") as fh:

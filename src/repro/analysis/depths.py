@@ -15,22 +15,13 @@ Channels are classified into five certificate methods:
 ``chain-recursion``
     The FIFOs and tap channels of a literal SST filter chain
     (``X.fifo{i}`` / ``X.tap{t}`` under a ``X.asm``
-    :class:`~repro.sst.filter_chain.WindowAssembler`).  For a chain of
-    ``n`` filters with full-buffering depths ``d_i`` (``fifo_depths``,
-    taps in stream-arrival order) and tap-channel capacities ``T_i``,
-    filter ``i`` can run ahead of the assembly step by the *run-ahead
-    budget* ``R_i`` given by the max-plus recursion::
-
-        R_{n-1} = T_{n-1}
-        R_i     = min(T_i, R_{i+1} + c_i - d_i)
-
-    where ``c_i`` is the capacity of the FIFO between filters ``i`` and
-    ``i+1``.  The chain is deadlock-free iff every ``R_i >= 1`` (filter
-    ``i`` can deliver the beat the assembler's lock-step tap pop
-    demands).  The backward greedy assignment ``T_i = 1``,
-    ``c_i = max(1, d_i)`` is the word-minimal solution; a chain FIFO is
-    **tight** when ``c_i - 1`` drives ``min_i R_i`` below 1, i.e. the
-    prover can show depth-1 deadlocks.
+    :class:`~repro.sst.filter_chain.WindowAssembler`).  The chain model
+    lives in :mod:`repro.sst.sizing`: ``chain_run_ahead`` is the max-plus
+    run-ahead recursion (deadlock-free iff every budget ``R_i >= 1``) and
+    ``certified_chain_floors`` its word-minimal greedy solution
+    ``T_i = 1``, ``c_i = max(1, d_i)``, which this module certifies.  A
+    chain FIFO is **tight** when ``c_i - 1`` drives ``min_i R_i`` below
+    1, i.e. the prover can show depth-1 deadlocks.
 
 ``link-pace``
     The wire channel of a board-to-board link
@@ -49,10 +40,11 @@ Channels are classified into five certificate methods:
     provably sufficient.
 
 ``reconvergent-skew``
-    A non-bridge channel on an enumerated fork/join path (the
-    BUFFER.SKEW model with literal chains contracted to their prime
-    latency): each branch must buffer the latency *deficit* against its
-    slowest peer, so the floor is ``max(1, skew - own latency)``.
+    A non-bridge channel on an enumerated fork/join branch
+    (``graph_rules.fork_join_pairs`` — the enumeration BUFFER.SKEW
+    checks, literal chains contracted to their prime latency): each
+    branch must buffer the latency *deficit* against its slowest peer,
+    so the floor is ``max(1, skew - own latency)``.
 
 ``heuristic-pin``
     Anything the prover cannot classify keeps its built capacity and is
@@ -81,12 +73,15 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from repro.analysis.graph_rules import fork_join_pairs, literal_chains
+from repro.dataflow.deadlock import shrink_agreement
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkTxActor
 from repro.errors import ConfigurationError
 from repro.fpga.dma import PAPER_DMA, DmaModel
 from repro.report.base import MappingReport
-from repro.sst.filter_chain import TapFilter, WindowAssembler
+from repro.sst.filter_chain import WindowAssembler, fifo_depths
+from repro.sst.sizing import certified_chain_floors, chain_run_ahead
 
 #: Certificate methods, strongest structural claim first.
 METHOD_CHAIN = "chain-recursion"
@@ -96,13 +91,6 @@ METHOD_SKEW = "reconvergent-skew"
 METHOD_PIN = "heuristic-pin"
 
 _METHODS = (METHOD_CHAIN, METHOD_LINK, METHOD_BRIDGE, METHOD_SKEW, METHOD_PIN)
-
-#: Reconvergence enumeration bounds (the stock ``analyze_reconvergence``
-#: cutoff of 12 misses the long core-to-core paths threading literal
-#: chains, hence the dedicated, chain-contracted enumeration here).
-_PATH_CUTOFF = 64
-_MAX_PATHS = 16
-
 
 @dataclass(frozen=True)
 class DepthCertificate:
@@ -289,25 +277,6 @@ def _endpoint_actor(endpoint: str) -> str:
     return endpoint.rsplit(".", 1)[0]
 
 
-def _chain_bases(graph: DataflowGraph) -> List[str]:
-    """Base names of every literal SST chain (``X`` for actor ``X.asm``)."""
-    return sorted(
-        name[: -len(".asm")]
-        for name, actor in graph.actors.items()
-        if isinstance(actor, WindowAssembler) and name.endswith(".asm")
-    )
-
-
-def _chain_prime_latency(asm: WindowAssembler) -> int:
-    """Stream beats a literal chain delays before the first window.
-
-    Mirrors ``actor_skew_latency`` for the behavioral
-    :class:`~repro.sst.line_buffer.SlidingWindowActor`: the full-buffer
-    footprint times the interleave group.
-    """
-    return asm.spec.footprint(asm.wp) * asm.group
-
-
 def _bridge_channels(graph: DataflowGraph) -> Set[str]:
     """Channels that are bridges of the undirected channel multigraph.
 
@@ -336,84 +305,43 @@ def _bridge_channels(graph: DataflowGraph) -> Set[str]:
     return out
 
 
-def _chain_members(
-    graph: DataflowGraph, base: str
+def chain_members(
+    graph: DataflowGraph, base: str, asm: WindowAssembler
 ) -> Tuple[List[str], List[str], List[int]]:
-    """``(fifo names, tap channel names, full depths)`` of one chain.
+    """``(fifo names, tap channel names, full-buffering depths)`` of a chain.
 
-    Both lists follow chain position (stream-arrival order): tap channel
-    ``i`` is the one written by filter ``X.f{i}``'s ``tap`` port — the
+    All three follow chain position (stream-arrival order): tap channel
+    ``i`` is the one bound to filter ``X.f{i}``'s ``tap`` port — the
     graph itself resolves the sorted-offset-to-tap-index mapping that
-    ``build_filter_chain`` applied.
+    ``build_filter_chain`` applied.  The depths are the assembler's
+    geometry, not the built capacities, so the recursion can be evaluated
+    on whatever capacities the graph currently carries.
     """
-    writers = {
-        ch.writer: name
-        for name, ch in graph.channels.items()
-        if ch.writer is not None
-    }
-    n = 0
-    while f"{base}.f{n}" in graph.actors:
-        n += 1
-    if n == 0:
-        raise ConfigurationError(f"no filters under chain base {base!r}")
-    fifos: List[str] = []
-    depths: List[int] = []
-    for i in range(n - 1):
-        name = f"{base}.fifo{i}"
+    depths = fifo_depths(asm.spec, asm.wp, asm.group)
+    fifos = [f"{base}.fifo{i}" for i in range(len(depths))]
+    taps = [
+        graph.actors[f"{base}.f{i}"].output("tap").name
+        for i in range(len(depths) + 1)
+    ]
+    for name in fifos + taps:
         ch = graph.channels.get(name)
         if ch is None or ch.capacity is None:
             raise ConfigurationError(
-                f"literal chain {base!r} is missing bounded FIFO {name!r}"
+                f"literal chain {base!r} has no bounded channel {name!r}"
             )
-        fifos.append(name)
-        depths.append(ch.capacity - 1)
-    taps: List[str] = []
-    for i in range(n):
-        tap = writers.get(f"{base}.f{i}.tap")
-        if tap is None:
-            raise ConfigurationError(
-                f"literal chain {base!r}: filter {i} has no tap channel"
-            )
-        taps.append(tap)
     return fifos, taps, depths
-
-
-def chain_run_ahead(
-    depths: Sequence[int],
-    fifo_caps: Sequence[int],
-    tap_caps: Sequence[int],
-) -> List[int]:
-    """The max-plus run-ahead budgets ``R_i`` of a literal chain.
-
-    ``depths`` are the full-buffering depths ``d_i`` between consecutive
-    taps, ``fifo_caps`` the proposed chain FIFO capacities ``c_i``, and
-    ``tap_caps`` the tap-channel capacities ``T_i`` (one per filter).
-    The chain is deadlock-free iff every returned budget is >= 1.
-    """
-    n = len(tap_caps)
-    if len(depths) != n - 1 or len(fifo_caps) != n - 1:
-        raise ConfigurationError(
-            f"chain shape mismatch: {n} taps need {n - 1} FIFOs, got "
-            f"{len(depths)} depths / {len(fifo_caps)} capacities"
-        )
-    budgets = [0] * n
-    budgets[n - 1] = tap_caps[n - 1]
-    for i in range(n - 2, -1, -1):
-        budgets[i] = min(
-            tap_caps[i], budgets[i + 1] + fifo_caps[i] - depths[i]
-        )
-    return budgets
 
 
 def _certify_chain(
     graph: DataflowGraph,
     base: str,
+    asm: WindowAssembler,
     certs: Dict[str, DepthCertificate],
 ) -> None:
     """Prove and record the word-minimal depths of one literal chain."""
-    fifos, taps, depths = _chain_members(graph, base)
+    fifos, taps, depths = chain_members(graph, base, asm)
     tap_caps = [1] * len(taps)
-    fifo_caps = [max(1, d) for d in depths]
+    fifo_caps = certified_chain_floors(asm.spec, asm.w, asm.group)
     budgets = chain_run_ahead(depths, fifo_caps, tap_caps)
     if min(budgets) < 1:  # pragma: no cover - the assignment is feasible
         raise ConfigurationError(
@@ -463,89 +391,23 @@ def _certify_chain(
         )
 
 
-def _reduced_topology(
-    graph: DataflowGraph, chain_bases: Sequence[str]
-) -> Tuple["nx.DiGraph[str]", Dict[Tuple[str, str], List[str]], Dict[str, int]]:
-    """Digraph with literal chains contracted to one node each.
-
-    Returns ``(digraph, hop channels, node skew latency)``.  Contracting
-    a chain to its prime latency reproduces the behavioral BUFFER.SKEW
-    view: tap shortcuts inside a chain are synchronized by the assembler
-    and must not leak phantom deficits onto upstream channels.
-    """
-    from repro.analysis.graph_rules import actor_skew_latency
-
-    def node_of(actor_name: str) -> str:
-        for base in chain_bases:
-            if actor_name == base or actor_name.startswith(base + "."):
-                return base
-        return actor_name
-
-    latency: Dict[str, int] = {}
-    for name, actor in graph.actors.items():
-        node = node_of(name)
-        if node != name:
-            if isinstance(actor, WindowAssembler):
-                latency[node] = _chain_prime_latency(actor)
-            continue
-        latency[name] = actor_skew_latency(actor)
-    g: "nx.DiGraph[str]" = nx.DiGraph()
-    g.add_nodes_from(latency)
-    hops: Dict[Tuple[str, str], List[str]] = {}
-    for name, ch in graph.channels.items():
-        if ch.writer is None or ch.reader is None:
-            continue
-        u = node_of(_endpoint_actor(ch.writer))
-        v = node_of(_endpoint_actor(ch.reader))
-        if u == v:
-            continue  # intra-chain channel, certified by the recursion
-        g.add_edge(u, v)
-        hops.setdefault((u, v), []).append(name)
-    return g, hops, latency
-
-
 def _certify_reconvergent(
-    graph: DataflowGraph,
-    chain_bases: Sequence[str],
-    certs: Dict[str, DepthCertificate],
+    graph: DataflowGraph, certs: Dict[str, DepthCertificate]
 ) -> None:
     """Floor the channels on fork/join branches by their latency deficit."""
-    g, hops, latency = _reduced_topology(graph, chain_bases)
-    forks = [n for n in g if g.out_degree(n) >= 2]
-    joins = [n for n in g if g.in_degree(n) >= 2]
     needed: Dict[str, int] = {}
     origin: Dict[str, str] = {}
-    for f in forks:
-        for j in joins:
-            if f == j or not nx.has_path(g, f, j):
-                continue
-            paths: List[Tuple[str, ...]] = []
-            for path in nx.all_simple_paths(g, f, j, cutoff=_PATH_CUTOFF):
-                paths.append(tuple(path))
-                if len(paths) >= _MAX_PATHS:
-                    break
-            if len(paths) < 2:
-                continue
-            inner = [set(p[1:-1]) for p in paths]
-            if not any(
-                not (inner[a] & inner[b])
-                for a in range(len(paths))
-                for b in range(a + 1, len(paths))
-            ):
-                continue
-            lats = [
-                sum(latency[n] for n in path[1:-1]) for path in paths
-            ]
-            skew = max(lats)
-            for path, lat in zip(paths, lats):
-                deficit = max(1, skew - lat)
-                for a, b in zip(path, path[1:]):
-                    for name in hops.get((a, b), []):
-                        if name in certs:
-                            continue
-                        if deficit > needed.get(name, 0):
-                            needed[name] = deficit
-                            origin[name] = f"{f} -> {j}"
+    for fork, join, branches in fork_join_pairs(graph):
+        skew = max(b.latency for b in branches)
+        for branch in branches:
+            deficit = max(1, skew - branch.latency)
+            for hop in branch.hops:
+                for name in hop:
+                    if name in certs:
+                        continue
+                    if deficit > needed.get(name, 0):
+                        needed[name] = deficit
+                        origin[name] = f"{fork} -> {join}"
     for name, floor in needed.items():
         ch = graph.channels[name]
         if ch.capacity is None:
@@ -577,10 +439,10 @@ def infer_depth_plan(
     certificate.  The plan does not mutate ``graph`` — apply it with
     :func:`apply_depth_plan` or ``build_network(depth_plan=...)``.
     """
-    bases = _chain_bases(graph)
+    chains = literal_chains(graph)
     certs: Dict[str, DepthCertificate] = {}
-    for base in bases:
-        _certify_chain(graph, base, certs)
+    for base, asm in chains.items():
+        _certify_chain(graph, base, asm, certs)
     for name in sorted(graph.channels):
         ch = graph.channels[name]
         if name in certs or ch.capacity is None or ch.writer is None:
@@ -627,7 +489,7 @@ def infer_depth_plan(
                 "suffices"
             ),
         )
-    _certify_reconvergent(graph, bases, certs)
+    _certify_reconvergent(graph, certs)
     for name in sorted(graph.channels):
         ch = graph.channels[name]
         if name in certs or ch.capacity is None:
@@ -651,7 +513,7 @@ def infer_depth_plan(
         or (design.name if design is not None else graph.name),
         graph_name=graph.name,
         dma_beat=dma.beat_interval(32),
-        memory_system="literal" if bases else "behavioral",
+        memory_system="literal" if chains else "behavioral",
         certificates=certs,
     )
 
@@ -779,7 +641,6 @@ def probe_tight_certificate(
     exactly like the PR 3 agreement suite.
     """
     from repro.analysis.checker import analyze_graph
-    from repro.dataflow.deadlock import match_deadlock_diagnostics
     from repro.faults import FaultScenario, FifoShrink, run_design
 
     cert = plan.certificates[channel]
@@ -801,15 +662,11 @@ def probe_tight_certificate(
     blocked: List[str] = []
     flagged = matched = False
     if err is not None:
-        report = analyze_graph(run.built.graph, design)
-        blocked = err.blocked_channel_names()
-        flagged = any(
-            d.rule == "BUFFER.DEPTH_UNDERSIZED"
-            and channel in (d.message + d.location)
-            for d in report.errors
+        blocked, errors, named = shrink_agreement(
+            err, analyze_graph(run.built.graph, design), [channel]
         )
-        matches = match_deadlock_diagnostics(err, report)
-        matched = channel in {name for name, _ in matches}
+        flagged = any(d.rule == "BUFFER.DEPTH_UNDERSIZED" for d in errors)
+        matched = channel in named
     return ProbeOutcome(
         channel=channel,
         probe_depth=cert.depth - 1,

@@ -5,35 +5,37 @@ builder produced from a design (in which case the design is available for
 cross-checking the wiring against the spec-level intent) or a hand-built
 graph (structure/buffering rules only).
 
-The centerpiece promotes the :mod:`repro.dataflow.deadlock` heuristic into
-hard errors: instead of warning on a capacity *imbalance*, BUFFER.SKEW
-computes each reconvergent branch's latency skew in stream beats (window
-prime latency for memory structures, pipeline depth for cores) and demands
-the thin branch buffer at least the skew of its slowest peer — the exact
-condition for a fork/join pair of bounded FIFOs not to deadlock.
+The centerpiece is BUFFER.SKEW: :func:`fork_join_pairs` enumerates the
+reconvergent fork/join branches of the chain-contracted topology with
+each branch's latency in stream beats (window prime latency for memory
+structures, pipeline depth for cores), and the rule demands the thin
+branch buffer at least the skew of its slowest peer — the exact condition
+for a fork/join pair of bounded FIFOs not to deadlock. The depth prover
+(:mod:`repro.analysis.depths`) floors channels from the same enumeration.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import combinations, islice
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+import networkx as nx
 
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.core.layer_spec import ConvLayerSpec, PoolLayerSpec
 from repro.core.network_design import NetworkDesign
 from repro.dataflow.actors import ArraySource, Fork, Interleaver, ScheduleDemux
-from repro.dataflow.deadlock import analyze_reconvergence
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import GraphError
 from repro.sst.block import BlockMergeActor, BlockSplitActor
-from repro.sst.filter_chain import TapFilter, WindowAssembler
+from repro.sst.filter_chain import WindowAssembler
 from repro.sst.line_buffer import SlidingWindowActor
 from repro.sst.sizing import chain_fifo_capacities, chain_words
 
-#: Actors whose fork/join shape is the *intended* tap parallelism of a
-#: literal SST filter chain. Their FIFO depths are checked exactly by
-#: BUFFER.FULL against ``sst/sizing.py``; the generic skew model does not
-#: apply to their deliberately non-uniform tap rates.
-_CHAIN_ACTORS = (TapFilter, WindowAssembler)
+#: Reconvergence enumeration bounds: the hop cutoff clears the long
+#: core-to-core paths of deep designs, the path cap bounds wide port fans.
+_PATH_CUTOFF = 64
+_MAX_PATHS = 16
 
 
 def run_graph_rules(
@@ -437,14 +439,14 @@ def _rule_adapter_wiring(
 def actor_skew_latency(actor: object) -> int:
     """Beats an actor delays its stream before the first output.
 
-    Memory structures dominate: a sliding window must prime its full
+    Memory structures dominate: a sliding window — the behavioral line
+    buffer or the assembler of a literal chain — must prime its full
     buffer (``footprint * group`` beats) before the first window emerges.
     Pipelined cores delay by their pipeline depth; plain plumbing actors
     (demux, interleaver, FIFO stages) forward after one beat.
     """
-    if isinstance(actor, SlidingWindowActor):
-        _, wp = actor.spec.padded_shape(actor.h, actor.w)
-        return actor.spec.footprint(wp) * actor.group
+    if isinstance(actor, (SlidingWindowActor, WindowAssembler)):
+        return chain_words(actor.spec, actor.w, actor.group)
     if isinstance(actor, BlockSplitActor):
         # The split stages a full image before the first tile beat.
         return actor.beats_in_per_image
@@ -458,28 +460,122 @@ def actor_skew_latency(actor: object) -> int:
     return 1
 
 
+def literal_chains(graph: DataflowGraph) -> Dict[str, WindowAssembler]:
+    """Every literal SST chain: base name ``X`` -> its assembler ``X.asm``."""
+    return {
+        name[: -len(".asm")]: actor
+        for name, actor in sorted(graph.actors.items())
+        if isinstance(actor, WindowAssembler) and name.endswith(".asm")
+    }
+
+
+class Branch(NamedTuple):
+    """One fork-to-join path of the chain-contracted topology."""
+
+    nodes: Tuple[str, ...]
+    #: Summed :func:`actor_skew_latency` of the interior nodes, in beats.
+    latency: int
+    #: Channel names of each hop (parallel channels share a hop).
+    hops: Tuple[Tuple[str, ...], ...]
+
+
+def fork_join_pairs(
+    graph: DataflowGraph,
+) -> Iterator[Tuple[str, str, List[Branch]]]:
+    """Reconvergent ``(fork, join, branches)`` of the contracted topology.
+
+    Every literal SST chain (padder, filters, assembler) collapses to one
+    node carrying the assembler's prime latency — the same node the
+    behavioral :class:`~repro.sst.line_buffer.SlidingWindowActor` is — so
+    both memory systems present one topology: the tap shortcuts inside a
+    chain are synchronized by the assembler, belong to the chain recursion
+    (``repro.sst.sizing.chain_run_ahead``), and must not surface as
+    phantom branches. A pair qualifies when at least two of its (at most
+    ``_MAX_PATHS``, at most ``_PATH_CUTOFF`` hops long) simple paths are
+    internally disjoint.
+    """
+    bases = literal_chains(graph)
+
+    def node_of(actor_name: str) -> str:
+        for base in bases:
+            if actor_name == base or actor_name.startswith(base + "."):
+                return base
+        return actor_name
+
+    latency: Dict[str, int] = {}
+    for name, actor in graph.actors.items():
+        node = node_of(name)
+        if node == name or isinstance(actor, WindowAssembler):
+            latency[node] = actor_skew_latency(actor)
+    g: "nx.DiGraph[str]" = nx.DiGraph()
+    g.add_nodes_from(latency)
+    hops: Dict[Tuple[str, str], List[str]] = {}
+    for name, ch in graph.channels.items():
+        if ch.writer is None or ch.reader is None:
+            continue
+        u = node_of(_actor_of(graph, ch.writer)[0])
+        v = node_of(_actor_of(graph, ch.reader)[0])
+        if u == v:
+            continue  # intra-chain channel: the chain recursion's job
+        g.add_edge(u, v)
+        hops.setdefault((u, v), []).append(name)
+    forks = [n for n in g if g.out_degree(n) >= 2]
+    joins = [n for n in g if g.in_degree(n) >= 2]
+    for f in forks:
+        for j in joins:
+            if f == j or not nx.has_path(g, f, j):
+                continue
+            paths = [tuple(p) for p in islice(
+                nx.all_simple_paths(g, f, j, cutoff=_PATH_CUTOFF), _MAX_PATHS
+            )]
+            inner = [set(p[1:-1]) for p in paths]
+            if not any(a.isdisjoint(b) for a, b in combinations(inner, 2)):
+                continue
+            yield f, j, [
+                Branch(
+                    nodes=path,
+                    latency=sum(latency[n] for n in path[1:-1]),
+                    hops=tuple(
+                        tuple(hops[hop]) for hop in zip(path, path[1:])
+                    ),
+                )
+                for path in paths
+            ]
+
+
+def _branch_capacity(graph: DataflowGraph, branch: Branch) -> Optional[int]:
+    """Beats a branch buffers: each hop's smallest bounded capacity, summed.
+
+    Parallel channels of one hop are taken at their worst (smallest
+    bounded) case; a hop whose channels are all unbounded makes the whole
+    branch unbounded (``None``) — it absorbs any skew.
+    """
+    total = 0
+    for hop in branch.hops:
+        bounded = [
+            cap for name in hop
+            if (cap := graph.channels[name].capacity) is not None
+        ]
+        if not bounded:
+            return None
+        total += min(bounded)
+    return total
+
+
 def _rule_buffer_skew(graph: DataflowGraph, report: AnalysisReport) -> None:
     report.note_rule("BUFFER.SKEW")
-    for pair in analyze_reconvergence(graph):
-        nodes = {pair.fork, pair.join}
-        for path, _ in pair.paths:
-            nodes.update(path)
-        if any(isinstance(graph.actors.get(n), _CHAIN_ACTORS) for n in nodes):
-            continue  # literal SST chains are checked exactly by BUFFER.FULL
-        latencies = [
-            sum(actor_skew_latency(graph.actors[n]) for n in path[1:-1])
-            for path, _ in pair.paths
-        ]
-        skew = max(latencies)
-        for (path, cap), lat in zip(pair.paths, latencies):
+    for fork, join, branches in fork_join_pairs(graph):
+        skew = max(b.latency for b in branches)
+        for branch in branches:
+            cap = _branch_capacity(graph, branch)
             if cap is None:
                 continue  # unbounded branches absorb any skew
-            deficit = skew - lat
+            deficit = skew - branch.latency
             if cap < deficit:
-                route = " -> ".join(path)
+                route = " -> ".join(branch.nodes)
                 report.add(make(
                     "BUFFER.SKEW", Severity.ERROR,
-                    f"channel:{pair.fork}->{pair.join}",
+                    f"channel:{fork}->{join}",
                     f"reconvergent branch [{route}] buffers only {cap} "
                     f"beats but its slowest peer lags by {deficit}: the "
                     f"join starves this side while back-pressure freezes "
@@ -499,8 +595,7 @@ def _rule_depth_plan(graph: DataflowGraph, report: AnalysisReport) -> None:
     Runs only when :func:`repro.analysis.depths.apply_depth_plan` left a
     plan on the graph. Heuristic pins are warnings (BUFFER.DEPTH_CERT);
     a bounded channel sitting *below* a proven certificate is a hard
-    error (BUFFER.DEPTH_UNDERSIZED) — the prover can exhibit the
-    deadlock, so the old heuristic imbalance warning becomes a proof.
+    error (BUFFER.DEPTH_UNDERSIZED): the prover can exhibit the deadlock.
     """
     plan = getattr(graph, "depth_plan", None)
     if plan is None:

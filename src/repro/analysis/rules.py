@@ -171,10 +171,8 @@ _RULES = [
             "Runs when a DepthPlan is attached to the graph. A bounded "
             "channel whose capacity is below its proven certificate depth "
             "is a hard error: the prover can exhibit the deadlock (chain "
-            "run-ahead budget < 1 or unabsorbed reconvergent skew), so "
-            "this promotes the old heuristic imbalance warning to a "
-            "machine-checked insufficiency proof. Depths above the "
-            "certificate are always safe (Kahn monotonicity)."
+            "run-ahead budget < 1 or unabsorbed reconvergent skew). Depths "
+            "above the certificate are always safe (Kahn monotonicity)."
         ),
     ),
     RuleInfo(

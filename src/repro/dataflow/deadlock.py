@@ -1,160 +1,36 @@
-"""Static buffering analysis of reconvergent dataflow paths.
+"""Pairing runtime deadlocks with static diagnostics.
 
-Feed-forward dataflow graphs can still deadlock at runtime when a *fork*
-splits a stream over parallel branches that later *join*: if one branch
-buffers far less than the schedule skew between the branches, the join
-stalls one side while back-pressure freezes the other (the classic
-reconvergence deadlock of Kahn-style networks with bounded FIFOs).
-
-The paper's designs contain exactly this shape — a fully parallelized
-conv layer fans out over per-FM ports that reconverge at the next
-multi-port core — so the elaborated graphs deserve a static check:
-:func:`analyze_reconvergence` enumerates fork/join pairs with
-edge-disjoint parallel paths and reports each path's total FIFO capacity;
-a large imbalance is flagged as a warning. The check is heuristic (true
-deadlock freedom depends on schedule skew, which is dynamic) but catches
-the under-buffered-branch mistakes designers actually make.
-
-This static analysis complements the *runtime* detection performed by the
-simulation engines (:mod:`repro.dataflow.scheduler`): the event scheduler
-raises :class:`~repro.errors.DeadlockError` exactly and immediately when no
-process can ever run again, and :func:`blocked_snapshot` (re-exported here)
-formats the per-actor blocking reasons both engines report. The event
-engine additionally records the exact channel conditions of every parked
-actor in ``DeadlockError.channels``; :func:`match_deadlock_diagnostics`
-cross-references those against a static
-:class:`~repro.analysis.AnalysisReport`, which is how the fault-injection
-harness (:mod:`repro.faults`) proves that a simulated FIFO-shrink deadlock
+*Whether* a bounded FIFO is deep enough is answered statically, in one
+place per structure: ``repro.sst.sizing.chain_run_ahead`` for literal
+filter chains, ``repro.analysis.graph_rules.fork_join_pairs`` for
+reconvergent branches (DESIGN.md sections 9 and 14). This module is the
+*runtime* half. The event scheduler raises
+:class:`~repro.errors.DeadlockError` exactly when no process can ever run
+again and records the channel conditions of every parked actor in
+``DeadlockError.channels`` (:func:`blocked_snapshot`, re-exported here,
+formats the per-actor reasons both engines report);
+:func:`shrink_agreement` cross-references those against a static
+:class:`~repro.analysis.AnalysisReport`, which is how ``repro faultsim``
+and the depth prover's probes show that a simulated FIFO-shrink deadlock
 lands on the very channel the static verifier flagged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import re
+from typing import List, Sequence, Tuple
 
-import networkx as nx
-
-from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.scheduler import blocked_snapshot  # noqa: F401 - re-export
-from repro.errors import ConfigurationError, DeadlockError
+from repro.errors import DeadlockError
 
 
-@dataclass(frozen=True)
-class ReconvergentPair:
-    """One fork/join pair with its parallel-path buffering.
+def names_channel(diag, channel: str) -> bool:
+    """Whether a diagnostic's message or location names ``channel``.
 
-    Path capacities are ``None`` when the path traverses an unbounded
-    channel (e.g. under the functional executor). Such a path absorbs any
-    schedule skew itself, but it can also run arbitrarily far ahead of a
-    bounded sibling — so it is carried through the bound computation as
-    ``None`` (never flattened into a huge sentinel) and drives the
-    imbalance to ``inf`` whenever a bounded sibling exists.
+    Boundary-checked: ``x.fifo1`` must not match inside ``x.fifo14``.
     """
-
-    fork: str
-    join: str
-    #: Per-path (node tuple, total FIFO capacity or None=unbounded) in
-    #: discovery order.
-    paths: Tuple[Tuple[Tuple[str, ...], Optional[int]], ...]
-
-    @property
-    def bounded_capacities(self) -> List[int]:
-        """Capacities of the bounded paths only, in discovery order."""
-        return [c for _, c in self.paths if c is not None]
-
-    @property
-    def unbounded_paths(self) -> int:
-        """Number of paths whose buffering is unbounded."""
-        return sum(1 for _, c in self.paths if c is None)
-
-    @property
-    def min_capacity(self) -> Optional[int]:
-        """Smallest bounded path capacity; None when every path is unbounded."""
-        caps = self.bounded_capacities
-        return min(caps) if caps else None
-
-    @property
-    def max_capacity(self) -> Optional[int]:
-        """Largest bounded path capacity; None when every path is unbounded."""
-        caps = self.bounded_capacities
-        return max(caps) if caps else None
-
-    @property
-    def imbalance(self) -> float:
-        """max/min capacity ratio across the pair's paths (1.0 = balanced).
-
-        An unbounded path can run arbitrarily far ahead of a bounded
-        sibling, so mixing the two is the *worst* imbalance, not a
-        reason to stay silent: with at least one bounded and one
-        unbounded path the ratio is ``inf``. All-unbounded pairs (or
-        fewer than two bounded paths with no unbounded ones) carry no
-        imbalance signal and report 1.0.
-        """
-        caps = self.bounded_capacities
-        if caps and self.unbounded_paths:
-            return float("inf")
-        if len(caps) < 2:
-            return 1.0
-        return max(caps) / max(min(caps), 1)
-
-
-def _edge_capacity(g: nx.MultiDiGraph, u: str, v: str) -> Optional[int]:
-    """Smallest capacity among parallel edges u->v (worst case).
-
-    ``None`` (unbounded) edges impose no constraint: the result is the
-    smallest *bounded* capacity, or ``None`` when every parallel edge is
-    unbounded.
-    """
-    caps = [data["capacity"] for data in g[u][v].values()]
-    bounded = [c for c in caps if c is not None]
-    return min(bounded) if bounded else None
-
-
-def analyze_reconvergence(
-    graph: DataflowGraph, max_paths: int = 16
-) -> List[ReconvergentPair]:
-    """Enumerate fork/join pairs with >= 2 node-disjoint parallel paths.
-
-    Paths are simple node paths between a node with out-degree >= 2 and a
-    node with in-degree >= 2; path capacity is the sum of the traversed
-    FIFO capacities. ``max_paths`` bounds enumeration per pair.
-    """
-    if max_paths < 2:
-        raise ConfigurationError(f"max_paths must be >= 2, got {max_paths}")
-    g = graph.to_networkx()
-    simple = nx.DiGraph(g)
-    forks = [n for n in simple if simple.out_degree(n) >= 2]
-    joins = [n for n in simple if simple.in_degree(n) >= 2]
-    out: List[ReconvergentPair] = []
-    for f in forks:
-        for j in joins:
-            if f == j or not nx.has_path(simple, f, j):
-                continue
-            paths = []
-            for path in nx.all_simple_paths(simple, f, j, cutoff=12):
-                edge_caps = [
-                    _edge_capacity(g, path[i], path[i + 1])
-                    for i in range(len(path) - 1)
-                ]
-                # One unbounded hop makes the whole path's buffering unbounded.
-                cap: Optional[int] = (
-                    None if any(c is None for c in edge_caps) else sum(edge_caps)
-                )
-                paths.append((tuple(path), cap))
-                if len(paths) >= max_paths:
-                    break
-            # Reconvergence needs >= 2 paths that are internally disjoint.
-            if len(paths) >= 2:
-                inner_sets = [set(p[1:-1]) for p, _ in paths]
-                disjoint = any(
-                    not (inner_sets[a] & inner_sets[b])
-                    for a in range(len(paths))
-                    for b in range(a + 1, len(paths))
-                )
-                if disjoint:
-                    out.append(ReconvergentPair(f, j, tuple(paths)))
-    return out
+    pat = re.compile(re.escape(channel) + r"(?![0-9A-Za-z_])")
+    return bool(pat.search(diag.message) or pat.search(diag.location))
 
 
 def match_deadlock_diagnostics(err: DeadlockError, report) -> List[tuple]:
@@ -168,43 +44,27 @@ def match_deadlock_diagnostics(err: DeadlockError, report) -> List[tuple]:
     disagree about *where* the network jams — exactly the regression the
     fault-injection agreement suite exists to catch.
     """
-    import re
-
-    out: List[tuple] = []
-    for name in err.blocked_channel_names():
-        # Boundary-checked: "x.fifo1" must not match inside "x.fifo14".
-        pat = re.compile(re.escape(name) + r"(?![0-9A-Za-z_])")
-        for diag in report.diagnostics:
-            if pat.search(diag.message) or pat.search(diag.location):
-                out.append((name, diag))
-    return out
+    return [
+        (name, diag)
+        for name in err.blocked_channel_names()
+        for diag in report.diagnostics
+        if names_channel(diag, name)
+    ]
 
 
-def buffering_report(
-    graph: DataflowGraph, warn_imbalance: float = 4.0
-) -> str:
-    """Human-readable reconvergence/buffering report with warnings."""
-    pairs = analyze_reconvergence(graph)
-    if not pairs:
-        return f"graph {graph.name!r}: no reconvergent fork/join pairs"
-    lines = [f"graph {graph.name!r}: {len(pairs)} reconvergent pair(s)"]
-    for p in pairs:
-        if p.min_capacity is None:
-            span = "unbounded"
-        else:
-            span = f"{p.min_capacity}..{p.max_capacity}"
-            if p.unbounded_paths:
-                span += f" (+{p.unbounded_paths} unbounded)"
-        lines.append(f"  {p.fork} -> {p.join}: {len(p.paths)} paths, "
-                     f"capacity {span}")
-        if p.imbalance >= warn_imbalance:
-            ratio = (
-                "unbounded"
-                if p.imbalance == float("inf")
-                else f"{p.imbalance:.1f}x"
-            )
-            lines.append(
-                f"    WARNING: capacity imbalance {ratio} — the "
-                f"thin branch may stall the join under schedule skew"
-            )
-    return "\n".join(lines)
+def shrink_agreement(
+    err: DeadlockError, report, shrunk: Sequence[str]
+) -> Tuple[List[str], list, List[str]]:
+    """What a shrink deadlock and the static report say about each other.
+
+    Returns ``(blocked, flagged, matched)``: the channels the deadlock
+    blocked on, the error diagnostics of ``report`` that name one of the
+    ``shrunk`` channels, and the sorted blocked channels some diagnostic
+    names (:func:`match_deadlock_diagnostics`). Both shrink verdicts —
+    ``faultsim``'s and the depth prover's depth-1 probe — read this.
+    """
+    flagged = [
+        d for d in report.errors if any(names_channel(d, c) for c in shrunk)
+    ]
+    matched = sorted({name for name, _ in match_deadlock_diagnostics(err, report)})
+    return err.blocked_channel_names(), flagged, matched

@@ -25,7 +25,6 @@ and input resolution to simulable size; reports carry ``"pilot": true``.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
@@ -41,11 +40,12 @@ from repro.core.layer_spec import (
     PoolLayerSpec,
 )
 from repro.core.network_design import NetworkDesign
-from repro.dataflow.deadlock import match_deadlock_diagnostics
+from repro.dataflow.deadlock import shrink_agreement
 from repro.errors import ConfigurationError, DeadlockError, ReproError
 from repro.faults.injectors import ArmedFaults, arm_faults
 from repro.faults.scenario import FaultScenario, FifoShrink
 from repro.report.base import MappingReport
+from repro.sst.sizing import capacity_one_jams
 
 #: Above this many parameters a design is cycle-simulated as a pilot.
 PILOT_WEIGHT_LIMIT = 2_000_000
@@ -195,35 +195,35 @@ def resolve_shrink(
     """Replace ``FifoShrink(channels="auto")`` with a concrete target.
 
     Picks the alphabetically first literal chain FIFO that a capacity-1
-    shrink provably jams — one whose full-buffering depth exceeds the
-    downstream tap channel's slack (the criterion of
-    ``repro.sst.sizing.deadlock_shrink_targets``: the next filter can run
-    at most ``tap_cap`` steps ahead, so the FIFO must hold
-    ``depth - tap_cap`` words). No-op for scenarios without an auto
-    shrink.
+    shrink provably jams: ``repro.sst.sizing.capacity_one_jams`` — the
+    chain run-ahead recursion with that FIFO at 1 — evaluated on the
+    capacities the graph actually carries. No-op for scenarios without
+    an auto shrink.
     """
     if not any(
         isinstance(f, FifoShrink) and f.channels == "auto"
         for f in scenario.faults
     ):
         return scenario
+    from repro.analysis.depths import chain_members
+    from repro.analysis.graph_rules import literal_chains
+
     candidates = []
-    for name, ch in sorted(graph.channels.items()):
-        if ".fifo" not in name or ch.capacity is None:
-            continue
-        base = name.rsplit(".fifo", 1)[0]
-        tap0 = graph.channels.get(f"{base}.tap0")
-        tap_cap = tap0.capacity if tap0 is not None and tap0.capacity else 4
-        # ch.capacity is depth + 1; eligible when depth >= tap_cap + 2.
-        if ch.capacity - 1 >= tap_cap + 2:
-            candidates.append(name)
+    for base, asm in literal_chains(graph).items():
+        fifos, taps, depths = chain_members(graph, base, asm)
+        jams = capacity_one_jams(
+            depths,
+            [graph.channels[name].capacity for name in fifos],
+            [graph.channels[name].capacity for name in taps],
+        )
+        candidates += [fifos[i] for i in jams]
     if not candidates:
         raise ConfigurationError(
             "no provably-deadlocking chain FIFO in the graph (build with "
             "memory_system='literal' and a window tall enough that a line "
             "FIFO exceeds the tap slack)"
         )
-    target = candidates[0]
+    target = min(candidates)
     faults = tuple(
         FifoShrink(channels=target, capacity=1)
         if isinstance(f, FifoShrink) and f.channels == "auto"
@@ -365,21 +365,14 @@ def _shrink_verdict(faulty: RunOutcome, design: NetworkDesign) -> dict:
         info["verdict"] = "shrink_did_not_deadlock"
         info["ok"] = False
         return info
-    report = analyze_graph(faulty.built.graph, design)
     shrunk = sorted(faulty.armed.shrunk) if faulty.armed else []
-    pats = [
-        re.compile(re.escape(name) + r"(?![0-9A-Za-z_])") for name in shrunk
-    ]
-    flagged = [
-        d.to_dict()
-        for d in report.errors
-        if any(p.search(d.message) or p.search(d.location) for p in pats)
-    ]
-    matches = match_deadlock_diagnostics(faulty.deadlock, report)
+    blocked, flagged, matches = shrink_agreement(
+        faulty.deadlock, analyze_graph(faulty.built.graph, design), shrunk
+    )
     info["shrunk_channels"] = shrunk
-    info["blocked_channels"] = faulty.deadlock.blocked_channel_names()
-    info["analysis_flagged"] = flagged
-    info["matched_channels"] = sorted({name for name, _ in matches})
+    info["blocked_channels"] = blocked
+    info["analysis_flagged"] = [d.to_dict() for d in flagged]
+    info["matched_channels"] = matches
     if not flagged:
         info["verdict"] = "analysis_missed_shrink"
         info["ok"] = False

@@ -118,9 +118,9 @@ class FifoShrink:
     """Re-provision matching bounded channels to ``capacity`` at arm time.
 
     ``channels="auto"`` lets the harness pick a provably-deadlocking
-    target: the first literal filter-chain FIFO whose full-buffering
-    depth admits one (see ``repro.sst.sizing.deadlock_shrink_targets``),
-    shrunk two below its analyzer minimum. This is the scenario that
+    target: the first literal filter-chain FIFO whose shrink to capacity
+    1 the chain run-ahead recursion shows to jam (see
+    ``repro.sst.sizing.capacity_one_jams``). This is the scenario that
     cross-validates the static verifier against the simulator.
     """
 

@@ -26,6 +26,7 @@ from repro.dataflow.actor import Actor
 from repro.dataflow.events import CHARGE_NONE, POP, PUSH, ChannelWait
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError
+from repro.sst.sizing import chain_fifo_capacities, tap_capacity
 from repro.sst.window import WindowSpec
 
 
@@ -200,9 +201,9 @@ def build_filter_chain(
     ``head_filter`` port ``"in"`` and reads ``(kh, kw)`` windows from
     ``assembler`` port ``"out"``.
 
-    The inter-filter FIFOs are sized by :func:`fifo_depths` — the minimum
-    for deadlock-free full buffering; tap FIFOs get the small default
-    capacity since the assembler drains them at stream rate.
+    Every capacity comes from :mod:`repro.sst.sizing`: the inter-filter
+    FIFOs from :func:`~repro.sst.sizing.chain_fifo_capacities` (full
+    buffering), the tap channels from :func:`~repro.sst.sizing.tap_capacity`.
     """
     hp, wp = spec.padded_shape(h, w)
     offs = sorted(tap_offsets(spec, wp, group), reverse=True)
@@ -222,27 +223,19 @@ def build_filter_chain(
         )
         graph.add_actor(f)
         filters.append(f)
-    depths = fifo_depths(spec, wp, group)
-    for i in range(n - 1):
-        # +1: a FIFO of depth d delays by d only once primed; capacity d+1
-        # lets the producer stay at full rate while the consumer lags by d.
+    for i, cap in enumerate(chain_fifo_capacities(spec, w, group)):
         graph.connect(
-            filters[i], "out", filters[i + 1], "in", capacity=depths[i] + 1,
+            filters[i], "out", filters[i + 1], "in", capacity=cap,
             name=f"{name}.fifo{i}",
         )
     # Tap index within the assembler follows the *unsorted* offset order
-    # (row-major taps); map sorted chain position back to tap index.
+    # (row-major taps); map sorted chain position back to tap index
+    # (linear offsets never repeat).
     unsorted = tap_offsets(spec, wp, group)
-    taken = [False] * n
     for i, off in enumerate(offs):
-        # Find the matching unsorted tap (offsets can repeat only if kernel
-        # dims collide, which linear offsets never do).
-        t = next(
-            j for j, o in enumerate(unsorted) if o == off and not taken[j]
-        )
-        taken[t] = True
+        t = unsorted.index(off)
         graph.connect(
             filters[i], "tap", assembler, f"tap{t}",
-            capacity=max(4, group + 1), name=f"{name}.tap{t}",
+            capacity=tap_capacity(group), name=f"{name}.tap{t}",
         )
     return filters[0], assembler

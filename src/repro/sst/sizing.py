@@ -14,7 +14,7 @@ Table I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sst.window import WindowSpec
@@ -79,34 +79,101 @@ def layer_buffer_budget(
     )
 
 
-def chain_fifo_capacities(spec: WindowSpec, w: int, group: int = 1) -> List[int]:
-    """Channel capacities a literal filter chain must use, tap to tap.
-
-    ``fifo_depths`` gives the full-buffering delay each inter-filter FIFO
-    provides; the elaborated channel needs one extra slot so the producer
-    can stay at full rate while the consumer lags by the whole depth
-    (mirrors ``build_filter_chain``). The static verifier checks elaborated
-    chains against exactly these capacities.
-    """
+def _full_depths(spec: WindowSpec, w: int, group: int) -> List[int]:
+    """Full-buffering depths ``d_i`` of the chain over a width-``w`` input."""
     from repro.sst.filter_chain import fifo_depths  # local: avoid heavy import
 
     _, wp = spec.padded_shape(1, w)
-    return [d + 1 for d in fifo_depths(spec, wp, group)]
+    return fifo_depths(spec, wp, group)
+
+
+def tap_capacity(group: int = 1) -> int:
+    """Capacity of every tap channel of a literal filter chain.
+
+    Small, since the assembler drains taps at stream rate, but above
+    ``group`` so one pixel's interleaved feature maps never block.
+    """
+    return max(4, group + 1)
+
+
+def chain_fifo_capacities(spec: WindowSpec, w: int, group: int = 1) -> List[int]:
+    """Channel capacities of a literal filter chain's FIFOs, tap to tap.
+
+    ``fifo_depths`` gives the full-buffering delay each inter-filter FIFO
+    provides; the elaborated channel needs one extra slot so the producer
+    can stay at full rate while the consumer lags by the whole depth.
+    ``build_filter_chain`` provisions exactly these, and the static
+    verifier (BUFFER.FULL) checks elaborated chains against them.
+    """
+    return [d + 1 for d in _full_depths(spec, w, group)]
 
 
 def chain_channel_words(spec: WindowSpec, w: int, group: int = 1) -> int:
     """Total elaborated channel capacity of one full-buffering chain.
 
-    What the literal elaboration actually provisions: the
+    What the literal elaboration provisions: the
     :func:`chain_fifo_capacities` inter-filter FIFOs plus one
-    ``max(4, group + 1)``-deep tap channel per filter (mirrors
-    ``build_filter_chain``). This is the like-for-like baseline for the
-    certified depths — :func:`chain_words` measures the *data footprint*
-    held, not the channel storage paid.
+    :func:`tap_capacity`-deep tap channel per filter. This is the
+    like-for-like baseline for the certified depths — :func:`chain_words`
+    measures the *data footprint* held, not the channel storage paid.
     """
     caps = chain_fifo_capacities(spec, w, group)
-    tap_cap = max(4, group + 1)
-    return sum(caps) + (len(caps) + 1) * tap_cap
+    return sum(caps) + (len(caps) + 1) * tap_capacity(group)
+
+
+def chain_run_ahead(
+    depths: Sequence[int],
+    fifo_caps: Sequence[int],
+    tap_caps: Sequence[int],
+) -> List[int]:
+    """The max-plus run-ahead budgets ``R_i`` of a literal chain.
+
+    ``depths`` are the full-buffering depths ``d_i`` between consecutive
+    taps, ``fifo_caps`` the chain FIFO capacities ``c_i``, and
+    ``tap_caps`` the tap-channel capacities ``T_i`` (one per filter).
+    Filter ``i`` can run ahead of the assembly step by::
+
+        R_{n-1} = T_{n-1}
+        R_i     = min(T_i, R_{i+1} + c_i - d_i)
+
+    and the chain is deadlock-free iff every budget is >= 1 (filter ``i``
+    can deliver the beat the assembler's lock-step tap pop demands).
+    Certified floors, tight certificates and provable shrink targets are
+    all this recursion on some capacities; ``tests/sst/test_sizing.py``
+    holds it to the simulator.
+    """
+    n = len(tap_caps)
+    if len(depths) != n - 1 or len(fifo_caps) != n - 1:
+        raise ConfigurationError(
+            f"chain shape mismatch: {n} taps need {n - 1} FIFOs, got "
+            f"{len(depths)} depths / {len(fifo_caps)} capacities"
+        )
+    budgets = [0] * n
+    budgets[n - 1] = tap_caps[n - 1]
+    for i in range(n - 2, -1, -1):
+        budgets[i] = min(
+            tap_caps[i], budgets[i + 1] + fifo_caps[i] - depths[i]
+        )
+    return budgets
+
+
+def capacity_one_jams(
+    depths: Sequence[int],
+    fifo_caps: Sequence[int],
+    tap_caps: Sequence[int],
+) -> List[int]:
+    """Chain FIFO indices whose shrink to capacity 1 deadlocks the chain.
+
+    :func:`chain_run_ahead` with that one FIFO at 1 and every other
+    channel as given: the shrink jams iff some budget drops below 1.
+    """
+    out = []
+    for i in range(len(fifo_caps)):
+        shrunk = list(fifo_caps)
+        shrunk[i] = 1
+        if min(chain_run_ahead(depths, shrunk, tap_caps)) < 1:
+            out.append(i)
+    return out
 
 
 def certified_chain_floors(
@@ -114,27 +181,21 @@ def certified_chain_floors(
 ) -> List[int]:
     """Word-minimal chain FIFO capacities the depth prover certifies.
 
-    The max-plus run-ahead recursion of :mod:`repro.analysis.depths`
-    (``R_{n-1} = T_{n-1}``; ``R_i = min(T_i, R_{i+1} + c_i - d_i)``;
-    deadlock-free iff every ``R_i >= 1``) admits the backward greedy
-    assignment ``T_i = 1`` (unit tap channels), ``c_i = max(1, d_i)`` —
-    each chain FIFO drops the ``+1`` in-flight slot full buffering pays
-    for full-rate operation. Word-optimal for the recursion: spending a
+    :func:`chain_run_ahead` admits the backward greedy assignment
+    ``T_i = 1`` (unit tap channels), ``c_i = max(1, d_i)`` — each chain
+    FIFO drops the ``+1`` in-flight slot full buffering pays for
+    full-rate operation. Word-optimal for the recursion: spending a
     tap word buys back at most one word per chain FIFO but costs one
     per *tap*, and there are more taps than FIFOs.
     """
-    from repro.sst.filter_chain import fifo_depths  # local: avoid heavy import
-
-    _, wp = spec.padded_shape(1, w)
-    return [max(1, d) for d in fifo_depths(spec, wp, group)]
+    return [max(1, d) for d in _full_depths(spec, w, group)]
 
 
 def certified_chain_words(spec: WindowSpec, w: int, group: int = 1) -> int:
     """Total certified FIFO words of one chain (chain FIFOs + unit taps).
 
-    Compare against :func:`chain_fifo_capacities` summed with the
-    ``max(4, group+1)``-deep tap channels ``build_filter_chain`` uses:
-    the certified plan runs every tap at capacity 1.
+    Compare against :func:`chain_channel_words`: the certified plan runs
+    every tap at capacity 1.
     """
     floors = certified_chain_floors(spec, w, group)
     n_taps = len(floors) + 1
@@ -144,34 +205,26 @@ def certified_chain_words(spec: WindowSpec, w: int, group: int = 1) -> int:
 def deadlock_shrink_targets(
     spec: WindowSpec, w: int, group: int = 1
 ) -> List[tuple]:
-    """FIFO shrinks that *provably* deadlock a literal filter chain.
+    """FIFO shrinks that *provably* deadlock a full-buffering chain.
 
-    Returns ``(fifo_index, shrunk_capacity)`` pairs, capacity always 1.
-    For filter ``i`` to tap assembly step ``s`` it must consume stream
-    beat ``off_i + s``; the next filter is bounded by its own tap FIFO to
-    beat ``off_{i+1} + s + tap_cap``, so chain FIFO ``i`` must hold at
-    least ``depth_i - tap_cap`` words (``tap_cap = max(4, group + 1)``,
-    the tap channel capacity ``build_filter_chain`` uses). Shrinking to
-    capacity 1 therefore jams every FIFO with
-    ``depth_i >= tap_cap + 2`` — the margin keeps the bound robust at
-    image boundaries, where a filter past its tapping window can run
-    further ahead. Small inter-tap FIFOs (depth 1, between taps in the
-    same kernel row) are excluded: the tap slack absorbs their whole
-    skew at any legal capacity.
+    Returns ``(fifo_index, shrunk_capacity)`` pairs, capacity always 1:
+    :func:`capacity_one_jams` over the capacities ``build_filter_chain``
+    provisions. With every other FIFO at ``d + 1`` and every tap at
+    ``tap_cap`` the recursion reduces to ``d_i > tap_cap`` — small
+    inter-tap FIFOs (depth 1, between taps in the same kernel row) are
+    excluded because the tap slack absorbs their whole skew.
 
     The fault-injection agreement suite iterates these targets and
     asserts the simulator's deadlock names the same channel as the
     BUFFER.FULL diagnostic.
     """
-    from repro.sst.filter_chain import fifo_depths  # local: avoid heavy import
-
-    _, wp = spec.padded_shape(1, w)
-    tap_cap = max(4, group + 1)
-    return [
-        (i, 1)
-        for i, d in enumerate(fifo_depths(spec, wp, group))
-        if d >= tap_cap + 2
-    ]
+    caps = chain_fifo_capacities(spec, w, group)
+    jams = capacity_one_jams(
+        _full_depths(spec, w, group),
+        caps,
+        [tap_capacity(group)] * (len(caps) + 1),
+    )
+    return [(i, 1) for i in jams]
 
 
 def bandwidth_memory_tradeoff(

@@ -20,10 +20,13 @@ from repro.analysis import (
     AnalysisReport,
     check_design_dict,
     check_network,
+    placeholder_weights,
 )
 from repro.analysis.checker import analyze_graph
+from repro.core.builder import build_network
 from repro.core.compute_core import ConvCoreActor
 from repro.core.layer_spec import ConvLayerSpec
+from repro.core.models import tiny_design
 from repro.core.network_design import NetworkDesign
 from repro.dataflow.actors import (
     ArraySource,
@@ -128,6 +131,23 @@ def under_buffered_branch_graph() -> DataflowGraph:
     return g
 
 
+def under_buffered_tiny(memory_system: str) -> AnalysisReport:
+    """tiny with one pool core pipelined 64 deep: its sibling ports starve.
+
+    The same defect across memory structures in either memory system — a
+    literal chain contracts to the node its behavioral line buffer is.
+    """
+    design = tiny_design()
+    built = build_network(
+        design,
+        placeholder_weights(design),
+        np.zeros((1,) + design.input_shape, dtype=np.float32),
+        memory_system=memory_system,
+    )
+    built.graph.actors["pool1.core0"].pipeline_depth = 64
+    return analyze_graph(built.graph, design)
+
+
 def duplicated_source_graph() -> DataflowGraph:
     """The off-chip stream forked to two consumers: reads each word twice."""
     g = DataflowGraph("bad-dup", default_capacity=4)
@@ -186,6 +206,10 @@ BAD_CASES: List[BadCase] = [
             lambda: check_network(ii_inconsistent_design())),
     BadCase("under-buffered-branch", "BUFFER.SKEW",
             lambda: analyze_graph(under_buffered_branch_graph())),
+    BadCase("under-buffered-port-behavioral", "BUFFER.SKEW",
+            lambda: under_buffered_tiny("behavioral")),
+    BadCase("under-buffered-port-literal", "BUFFER.SKEW",
+            lambda: under_buffered_tiny("literal")),
     BadCase("duplicated-source-stream", "BUFFER.FULL",
             lambda: analyze_graph(duplicated_source_graph())),
     BadCase("miswired-demux", "ADAPTER.WIRING", miswired_demux),

@@ -16,6 +16,7 @@ from repro.analysis import (
     check_network,
     make,
 )
+from repro.analysis.graph_rules import fork_join_pairs
 from repro.core import random_weights, usps_design
 from repro.core.builder import build_network
 from repro.core.models import cifar10_design, tiny_design
@@ -23,6 +24,7 @@ from repro.core.perf_model import network_perf
 from repro.core.serialize import design_to_dict
 from repro.core.zoo import alexnet_design, vgg16_design
 from repro.errors import AnalysisError, ConfigurationError
+from tests.analysis.bad_designs import under_buffered_tiny
 
 ZOO = {
     "usps": usps_design,
@@ -178,3 +180,26 @@ class TestGraphOnly:
         report = analyze_graph(built.graph, d)
         assert report.ok, report.format_text()
         assert "ADAPTER.WIRING" in report.rules_run
+
+
+class TestSkewAcrossMemorySystems:
+    """BUFFER.SKEW sees one topology whichever memory system elaborated it."""
+
+    @pytest.mark.parametrize("memory_system", ["behavioral", "literal"])
+    def test_under_buffered_port_flagged_once(self, memory_system):
+        (err,) = under_buffered_tiny(memory_system).errors
+        assert err.rule == "BUFFER.SKEW"
+        assert err.location == "channel:conv1.core->fc1.widen0"
+
+    @pytest.mark.parametrize("name, pairs", [("tiny", 1), ("usps", 1), ("cifar10", 0)])
+    def test_clean_builds_enumerate_the_same_pairs(self, name, pairs):
+        d = ZOO[name]()
+        for memory_system in ("behavioral", "literal"):
+            built = build_network(
+                d, random_weights(d),
+                np.zeros((1,) + d.input_shape, dtype=np.float32),
+                memory_system=memory_system,
+            )
+            assert len(list(fork_join_pairs(built.graph))) == pairs
+            report = analyze_graph(built.graph, d)
+            assert not [x for x in report.diagnostics if x.rule == "BUFFER.SKEW"]

@@ -11,9 +11,11 @@ diagnostic means the verifier misses real bugs.
 import pytest
 
 from repro.analysis import analyze_graph, infer_depth_plan, probe_tight_certificate
+from repro.analysis.depths import chain_members
 from repro.core import tiny_design
-from repro.core.builder import build_network, random_weights
+from repro.core.builder import build_network, random_weights, seeded_batch
 from repro.core.models import cifar10_design, usps_design
+from repro.core.zoo import alexnet_pilot_design, vgg16_pilot_design
 from repro.dataflow.deadlock import match_deadlock_diagnostics
 from repro.errors import DeadlockError
 from repro.faults import (
@@ -23,10 +25,23 @@ from repro.faults import (
     resolve_shrink,
     run_design,
 )
-from repro.sst.sizing import deadlock_shrink_targets
+from repro.sst.sizing import (
+    chain_fifo_capacities,
+    chain_run_ahead,
+    deadlock_shrink_targets,
+    tap_capacity,
+)
 from repro.sst.window import WindowSpec
 
 SHRINK = FaultScenario("shrink", (FifoShrink(),))
+
+
+def build_literal(design):
+    return build_network(
+        design, random_weights(design, seed=0), seeded_batch(design, 0, 1),
+        memory_system="literal",
+    )
+
 
 DESIGNS = [
     pytest.param(tiny_design, id="tiny"),
@@ -37,20 +52,20 @@ DESIGNS = [
 
 class TestSizingTargets:
     def test_targets_require_depth_beyond_tap_slack(self):
-        # A 3x3 window over a width-8 row: line FIFOs have depth ~w-kw,
-        # far above the tap slack; inter-tap FIFOs (depth 1) are excluded.
+        # A 3x3 window over a width-8 row: line FIFOs (depth w - kw + 1)
+        # exceed the tap slack; inter-tap FIFOs (depth 1) are excluded.
+        # Asserted through the recursion, the only criterion there is.
         spec = WindowSpec(kh=3, kw=3)
         targets = dict(deadlock_shrink_targets(spec, w=8))
-        from repro.sst.filter_chain import fifo_depths
-
-        _, wp = spec.padded_shape(1, 8)
-        depths = fifo_depths(spec, wp, 1)
-        tap_cap = 4  # max(4, group + 1) with group=1
+        caps = chain_fifo_capacities(spec, w=8)
+        depths = [c - 1 for c in caps]
+        taps = [tap_capacity(1)] * (len(caps) + 1)
         for i, d in enumerate(depths):
-            if d >= tap_cap + 2:
-                assert targets[i] == 1
-            else:
-                assert i not in targets
+            shrunk = caps[:i] + [1] + caps[i + 1:]
+            jams = min(chain_run_ahead(depths, shrunk, taps)) < 1
+            assert jams == (d > tap_capacity(1))
+            assert (i in targets) == jams
+        assert targets and set(targets.values()) == {1}
 
     def test_tiny_window_has_no_targets(self):
         # 2x2 over width 4: every FIFO depth is within the tap slack, so
@@ -96,20 +111,29 @@ class TestAgreement:
         assert report["analysis_flagged"]
 
     def test_resolve_shrink_picks_provable_target(self):
-        design = tiny_design()
-        weights = random_weights(design, seed=0)
-        import numpy as np
+        built = build_literal(tiny_design())
+        target = resolve_shrink(SHRINK, built.graph).faults[0].channels
+        base, _, index = target.rpartition(".fifo")
+        fifos, taps, depths = chain_members(
+            built.graph, base, built.graph.actors[f"{base}.asm"]
+        )
+        # The recursion on the built capacities, with the chosen FIFO at
+        # capacity 1, starves some filter.
+        caps = [built.graph.channels[n].capacity for n in fifos]
+        caps[int(index)] = 1
+        tap_caps = [built.graph.channels[n].capacity for n in taps]
+        assert min(chain_run_ahead(depths, caps, tap_caps)) < 1
 
-        batch = np.zeros((1,) + design.input_shape, dtype=np.float32)
-        built = build_network(design, weights, batch, memory_system="literal")
-        resolved = resolve_shrink(SHRINK, built.graph)
-        target = resolved.faults[0].channels
-        assert target in built.graph.channels
-        ch = built.graph.channels[target]
-        base = target.rsplit(".fifo", 1)[0]
-        tap_cap = built.graph.channels[f"{base}.tap0"].capacity
-        # The chosen FIFO's depth exceeds the downstream tap slack.
-        assert ch.capacity - 1 >= tap_cap + 2
+    @pytest.mark.parametrize("factory, expected", [
+        (tiny_design, "conv1.win0.fifo2"),
+        (usps_design, "conv1.win0.fifo14"),
+        (cifar10_design, "conv1.win0.fifo14"),
+        (alexnet_pilot_design, "conv1.win0.fifo10"),
+        (vgg16_pilot_design, "b1_conv1.win0.fifo2"),
+    ], ids=["tiny", "usps", "cifar10", "alexnet-pilot", "vgg16-pilot"])
+    def test_auto_shrink_target_is_stable(self, factory, expected):
+        built = build_literal(factory())
+        assert resolve_shrink(SHRINK, built.graph).faults[0].channels == expected
 
     def test_clean_literal_run_has_no_buffer_errors(self):
         # Control: without the shrink, the verifier is quiet and the
