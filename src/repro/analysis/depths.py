@@ -55,12 +55,14 @@ Cross-validation
 ----------------
 :func:`validate_plan` replays the proof empirically, reusing the
 FIFO-shrink fault machinery (:mod:`repro.faults`): a certified plan must
-simulate deadlock-free under both the event and lockstep engines with
-the full-buffering output digest, and depth-1 on every tight certificate
-must deadlock the event engine on exactly the certified channel while
-the plan-aware analyzer flags it ``BUFFER.DEPTH_UNDERSIZED`` (the PR 3
-invariant, now prover-driven).  :func:`bisect_plan` binary-searches each
-channel's empirical floor under the simulator for the bench trajectory.
+simulate deadlock-free on the event engine with the full-buffering
+output digest (``tests/analysis/test_depths_properties.py`` holds the
+lockstep oracle to the same result on plan-applied builds), and depth-1
+on every tight certificate must deadlock on exactly the certified
+channel while the plan-aware analyzer flags it
+``BUFFER.DEPTH_UNDERSIZED`` (the PR 3 invariant, now prover-driven).
+:func:`bisect_plan` binary-searches each channel's empirical floor
+under the simulator for the bench trajectory.
 """
 
 from __future__ import annotations
@@ -594,14 +596,14 @@ class ProbeOutcome:
 
 @dataclass
 class PlanValidation:
-    """Dual-engine no-deadlock check plus tight-certificate probes."""
+    """Certified no-deadlock run plus tight-certificate probes."""
 
     design: str
     seed: int
     images: int
     baseline_cycles: int
     baseline_digest: str
-    #: scheduler -> {"cycles", "digest", "finished", "ok"}.
+    #: engine -> {"cycles", "digest", "finished", "ok"}; one ``"event"`` entry.
     runs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     probes: List[ProbeOutcome] = field(default_factory=list)
 
@@ -684,14 +686,13 @@ def validate_plan(
     plan: DepthPlan,
     seed: int = 0,
     images: int = 1,
-    schedulers: Sequence[str] = ("event", "lockstep"),
     probe_channels: Optional[Sequence[str]] = None,
     stall_limit: int = 50_000,
     max_cycles: int = 50_000_000,
 ) -> PlanValidation:
-    """Empirically certify a plan: clean dual-engine runs + tight probes.
+    """Empirically certify a plan: one clean certified run + tight probes.
 
-    The plan-applied build must finish under every scheduler with the
+    The plan-applied build must finish on the event engine with the
     same output digest as the full-buffering baseline (Kahn determinism
     makes digest equality a free correctness check), and every tight
     certificate's depth-1 probe must deadlock on exactly the certified
@@ -700,14 +701,14 @@ def validate_plan(
     """
     from repro.faults import run_design
 
-    def run(scheduler: str, depth_plan: Optional[DepthPlan]) -> Any:
+    def run(depth_plan: Optional[DepthPlan]) -> Any:
         return run_design(
-            design, seed=seed, images=images, scheduler=scheduler,
+            design, seed=seed, images=images,
             memory_system=plan.memory_system, depth_plan=depth_plan,
             stall_limit=stall_limit, max_cycles=max_cycles,
         )
 
-    baseline = run("event", None)
+    baseline = run(None)
     if baseline.deadlock is not None:  # pragma: no cover - full buffering
         raise baseline.deadlock
     val = PlanValidation(
@@ -717,17 +718,16 @@ def validate_plan(
         baseline_cycles=baseline.cycles,
         baseline_digest=baseline.digest,
     )
-    for scheduler in schedulers:
-        certified = run(scheduler, plan)
-        entry: Dict[str, Any] = {
-            "cycles": certified.cycles,
-            "digest": certified.digest,
-            "finished": certified.finished,
-            "ok": certified.finished and certified.digest == baseline.digest,
-        }
-        if certified.deadlock is not None:
-            entry["deadlock"] = certified.deadlock.blocked_channel_names()
-        val.runs[scheduler] = entry
+    certified = run(plan)
+    entry: Dict[str, Any] = {
+        "cycles": certified.cycles,
+        "digest": certified.digest,
+        "finished": certified.finished,
+        "ok": certified.finished and certified.digest == baseline.digest,
+    }
+    if certified.deadlock is not None:
+        entry["deadlock"] = certified.deadlock.blocked_channel_names()
+    val.runs["event"] = entry
     targets = (
         list(probe_channels)
         if probe_channels is not None
@@ -913,7 +913,6 @@ def run_shrink(
     design: Any,
     seed: int = 0,
     images: int = 1,
-    pilot: Optional[bool] = None,
     validate: bool = True,
     bisect: bool = False,
     probe_channels: Optional[Sequence[str]] = None,
@@ -937,7 +936,7 @@ def run_shrink(
     from repro.core.resource_model import buffering_savings
     from repro.faults import simulable_design
 
-    sim_design, piloted = simulable_design(design, pilot)
+    sim_design, piloted = simulable_design(design)
     built = build_network(
         sim_design,
         random_weights(sim_design, seed=seed),

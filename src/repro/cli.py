@@ -23,7 +23,8 @@ JSON produced by :mod:`repro.core.serialize`):
 The first seven take the design as a positional argument; the rest share
 ``--design``/``--json``/``--seed``. ``simulate``, ``check``, ``faultsim``,
 ``profile``, ``shrink``, ``shard`` and ``loadtest`` are gates: they exit
-nonzero when their verdict fails.
+nonzero when their verdict fails. Engine choices (``--scheduler``,
+``--engines``) are :data:`repro.dataflow.simulator.USER_SCHEDULERS`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.core import (
 )
 from repro.core.builder import seeded_batch
 from repro.core.reference import design_reference_forward
+from repro.dataflow.simulator import USER_SCHEDULERS
 from repro.dse import greedy_optimize
 from repro.errors import ReproError
 from repro.fpga import VC707, XC7VX485T
@@ -134,35 +136,6 @@ def _resolve_design(args, required: bool = True) -> Optional[str]:
     return args.design
 
 
-def _add_pilot_flags(sp: argparse.ArgumentParser) -> None:
-    """``--pilot/--no-pilot``, read back by :func:`_pilot_override`."""
-    sp.add_argument("--pilot", action="store_true",
-                    help="force the pilot downscale even for small designs")
-    sp.add_argument("--no-pilot", action="store_true",
-                    help="forbid the pilot downscale (huge designs will "
-                         "simulate at full size)")
-
-
-def _pilot_override(args, design) -> Optional[bool]:
-    """Tri-state pilot override from ``--pilot``/``--no-pilot``.
-
-    Promoted (blocked) designs simulate full-size; their downscale is
-    the explicit ``<name>-pilot`` preset, not a flag.
-    """
-    from repro.core.block_transform import design_is_blocked
-
-    if args.pilot:
-        if design_is_blocked(design):
-            raise ReproError(
-                f"{args.command}: '--pilot' does not apply to promoted "
-                f"design {design.name!r}; use '--design {design.name}-pilot'"
-            )
-        return True
-    if args.no_pilot:
-        return False
-    return None
-
-
 def _cmd_check(args):
     """Static dataflow verification; returns ``(text, exit_code)``."""
     from repro.analysis import check_design_dict, check_network, render_catalog
@@ -212,7 +185,6 @@ def _cmd_faultsim(args):
         scenarios = [load_scenario(s) for s in args.scenarios]
         summary = run_campaign(
             designs, scenarios, args.seeds, images=args.images,
-            scheduler=args.scheduler,
         )
         if args.json:
             summary.write_json(args.json)
@@ -233,12 +205,10 @@ def _cmd_faultsim(args):
     if design_arg is None:
         raise ReproError("faultsim: a design (or --campaign) is required")
     design = _load_design(design_arg)
-    pilot = _pilot_override(args, design)
     scenario = load_scenario(args.scenario)
     report = faultsim(
         design, scenario, seed=args.seed, images=args.images,
-        scheduler=args.scheduler, memory_system=args.memory_system,
-        pilot=pilot,
+        memory_system=args.memory_system,
     )
     if args.json:
         report.write_json(args.json)
@@ -433,14 +403,13 @@ def _cmd_profile(args):
     from repro.profiling import profile_design, write_chrome_trace
 
     design = _load_design(_resolve_design(args))
-    pilot = _pilot_override(args, design)
     kwargs = {}
     if args.tolerance is not None:
         kwargs["tolerance"] = args.tolerance
     report = profile_design(
         design, images=args.images, seed=args.seed,
         scheduler=args.scheduler, sample_every=args.sample_every,
-        pilot=pilot, **kwargs,
+        **kwargs,
     )
     if args.json:
         report.write_json(args.json)
@@ -454,9 +423,8 @@ def _cmd_shrink(args):
     from repro.analysis import run_shrink
 
     design = _load_design(_resolve_design(args))
-    pilot = _pilot_override(args, design)
     report = run_shrink(
-        design, seed=args.seed, images=args.images, pilot=pilot,
+        design, seed=args.seed, images=args.images,
         validate=not args.no_validate, bisect=args.bisect,
         probe_limit=args.probe_limit,
     )
@@ -625,15 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
              "or scenario JSON path",
     )
     fault.add_argument("--images", type=int, default=2)
-    fault.add_argument("--scheduler",
-                       choices=["event", "lockstep", "compiled"],
-                       default="event",
-                       help="simulation engine; 'compiled' is rejected "
-                            "(faults require an interpreted engine)")
     fault.add_argument("--memory-system", choices=["behavioral", "literal"],
                        default="behavioral",
                        help="shrink scenarios force 'literal'")
-    _add_pilot_flags(fault)
     fault.add_argument("--campaign", action="store_true",
                        help="sweep designs x scenarios x seeds instead of "
                             "one run")
@@ -654,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flow.add_argument("--out", default=None, help="artifact output directory")
     flow.add_argument("--epochs", type=int, default=None)
-    flow.add_argument("--scheduler",
-                      choices=["event", "lockstep", "compiled"],
+    flow.add_argument("--scheduler", choices=USER_SCHEDULERS,
                       default=None,
                       help="run the layerwise verification cycle-timed on "
                            "this engine (default: untimed functional "
@@ -667,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
              "vs the Eq. 4 performance model",
     )
     profile.add_argument("--images", type=int, default=3)
-    profile.add_argument("--scheduler",
-                         choices=["event", "lockstep", "compiled"],
+    profile.add_argument("--scheduler", choices=USER_SCHEDULERS,
                          default="event",
                          help="simulation engine; 'compiled' runs the fused "
                               "steady-state kernels (falls back to 'event' "
@@ -681,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--chrome-trace", metavar="PATH", default=None,
                          help="write a chrome://tracing / Perfetto JSON "
                               "trace to PATH")
-    _add_pilot_flags(profile)
     profile.add_argument("--tolerance", type=float, default=None,
                          help="relative II error treated as a mismatch "
                               "(default 0.05)")
@@ -689,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     shrink = sub.add_parser(
         "shrink", parents=[common],
         help="static FIFO depth inference: certify minimal depths, "
-             "validate them under both engines, report BRAM savings "
+             "validate them on the event engine, report BRAM savings "
              "(see repro.analysis.depths)",
     )
     shrink.add_argument("--images", type=int, default=1,
@@ -706,9 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="probe at most N tight certificates (the "
                              "report counts the unprobed remainder)")
     shrink.add_argument("--no-validate", action="store_true",
-                        help="skip the dual-engine runs and depth-1 probes "
+                        help="skip the certified run and depth-1 probes "
                              "(prover + savings only)")
-    _add_pilot_flags(shrink)
     shrink.set_defaults(fn=_cmd_shrink)
     shard = sub.add_parser(
         "shard", parents=[common],
@@ -721,9 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="device counts to place and co-simulate")
     shard.add_argument("--images", type=int, default=4,
                        help="batch size (>= 2 measures the interval)")
-    shard.add_argument("--engines", nargs="+",
-                       choices=["event", "lockstep", "compiled"],
-                       default=["event", "compiled"],
+    shard.add_argument("--engines", nargs="+", choices=USER_SCHEDULERS,
+                       default=list(USER_SCHEDULERS),
                        help="simulation engines to cross-check")
     shard.add_argument("--link-bandwidth", type=float, default=None,
                        metavar="BYTES_PER_S",

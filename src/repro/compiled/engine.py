@@ -1,9 +1,10 @@
 """The compiled steady-state engine.
 
-Third simulation engine next to ``"event"`` and ``"lockstep"``
-(:mod:`repro.dataflow.scheduler`): instead of interpreting actor
-processes cycle by cycle, it compiles a *verified* design graph down to
-a handful of fused numpy kernels and executes whole streams at once.
+The second user engine, next to the interpreted ``"event"`` engine and
+its ``"lockstep"`` test oracle (:mod:`repro.dataflow.scheduler`):
+instead of interpreting actor processes cycle by cycle, it compiles a
+*verified* design graph down to a handful of fused numpy kernels and
+executes whole streams at once.
 
 Two passes keep the fallback contract clean:
 
@@ -150,8 +151,8 @@ class CompiledEngine:
         if until is not None:
             raise ConfigurationError(
                 "the compiled engine runs to completion in one pass and "
-                "cannot stop on an `until` predicate; use the 'event' or "
-                "'lockstep' engine for early stopping"
+                "cannot stop on an `until` predicate; use the 'event' "
+                "engine for early stopping"
             )
         sched = self.schedule
         if sched.cycles > max_cycles:
@@ -179,8 +180,8 @@ class CompiledEngine:
 
     def run_cycles(self, n: int) -> int:
         raise ConfigurationError(
-            "the compiled engine cannot single-step; use the 'event' or "
-            "'lockstep' engine for run_cycles debugging"
+            "the compiled engine cannot single-step; use the 'event' "
+            "engine for run_cycles debugging"
         )
 
     def actor_stats(self) -> Dict[str, list]:

@@ -11,7 +11,7 @@ simulator (timing + values) or the functional executor (values only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,15 +19,17 @@ from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
 from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, PoolLayerSpec
-from repro.core.network_design import NetworkDesign
+from repro.core.network_design import LayerPlacement, NetworkDesign
 from repro.core.perf_model import conv_core_depth, fc_core_depth
 from repro.core.pool_core import PoolCoreActor
+from repro.dataflow.actor import Actor
 from repro.dataflow.actors import ArraySource, Interleaver, ListSink, ScheduleDemux
 from repro.dataflow.channel import Channel
 from repro.dataflow.functional import FunctionalExecutor
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.dataflow.simulator import SimulationResult
+from repro.dataflow.trace import Tracer
 from repro.errors import ConfigurationError, ShapeError
 from repro.fpga.dma import DmaModel, PAPER_DMA
 from repro.nn.layers.conv import Conv2D
@@ -39,9 +41,15 @@ from repro.sst.line_buffer import SlidingWindowActor
 from repro.sst.padding import PadInserter
 from repro.sst.window import WindowSpec
 
+if TYPE_CHECKING:  # import cycles: both modules drive this builder
+    from repro.analysis.depths import DepthPlan
+    from repro.core.multi_fpga import MultiFpgaPlan
+    from repro.faults.injectors import ArmedFaults
 
 #: Per-layer parameter arrays keyed by the spec's layer name.
 DesignWeights = Dict[str, Dict[str, np.ndarray]]
+#: One port of the pipeline under construction: (producer actor, out port).
+Stream = Tuple[Actor, str]
 
 
 def random_weights(design: NetworkDesign, seed: int = 0) -> DesignWeights:
@@ -97,29 +105,29 @@ def extract_weights(design: NetworkDesign, net: Sequential) -> DesignWeights:
                 raise ConfigurationError(
                     f"design has more conv specs than the model has Conv2D layers"
                 )
-            layer = convs[ci]
+            conv = convs[ci]
             ci += 1
-            expected = (spec.out_fm, spec.in_fm, spec.kh, spec.kw)
-            if layer.weight.shape != expected:
+            expected: Tuple[int, ...] = (spec.out_fm, spec.in_fm, spec.kh, spec.kw)
+            if conv.weight.shape != expected:
                 raise ShapeError(
-                    f"{spec.name!r}: model weight {layer.weight.shape} != "
+                    f"{spec.name!r}: model weight {conv.weight.shape} != "
                     f"spec {expected}"
                 )
-            out[spec.name] = {"weight": layer.weight.copy(), "bias": layer.bias.copy()}
+            out[spec.name] = {"weight": conv.weight.copy(), "bias": conv.bias.copy()}
         elif isinstance(spec, FCLayerSpec):
             if li >= len(linears):
                 raise ConfigurationError(
                     f"design has more FC specs than the model has Linear layers"
                 )
-            layer = linears[li]
+            fc = linears[li]
             li += 1
             expected = (spec.out_fm, spec.in_fm)
-            if layer.weight.shape != expected:
+            if fc.weight.shape != expected:
                 raise ShapeError(
-                    f"{spec.name!r}: model weight {layer.weight.shape} != "
+                    f"{spec.name!r}: model weight {fc.weight.shape} != "
                     f"spec {expected}"
                 )
-            out[spec.name] = {"weight": layer.weight.copy(), "bias": layer.bias.copy()}
+            out[spec.name] = {"weight": fc.weight.copy(), "bias": fc.bias.copy()}
     if ci != len(convs) or li != len(linears):
         raise ConfigurationError(
             f"model has unmatched layers (conv {len(convs) - ci}, "
@@ -155,18 +163,17 @@ class BuiltNetwork:
         self,
         max_cycles: int = 50_000_000,
         stall_limit: int = 10_000,
-        tracer=None,
+        tracer: Optional[Tracer] = None,
         scheduler: str = "event",
-        faults=None,
+        faults: Optional["ArmedFaults"] = None,
     ) -> SimulationResult:
         """Cycle-accurate simulation of the whole batch.
 
         Pass a :class:`~repro.dataflow.trace.Tracer` to sample per-actor
         activity and channel occupancy during the run. ``scheduler``
-        selects the simulation engine (``"event"``, ``"lockstep"`` or
-        ``"compiled"``). ``faults`` is an
-        :class:`~repro.faults.ArmedFaults` armed on this graph; only the
-        interpreted engines accept one.
+        selects the simulation engine (``"event"`` or ``"compiled"``).
+        ``faults`` is an :class:`~repro.faults.ArmedFaults` armed on this
+        graph; only the interpreted engines accept one.
         """
         sim = self.graph.build_simulator(
             stall_limit=stall_limit, tracer=tracer, scheduler=scheduler
@@ -218,8 +225,8 @@ def build_network(
     loop_overhead: int = 0,
     normalize: bool = False,
     strict: bool = False,
-    depth_plan=None,
-    multi_plan=None,
+    depth_plan: Optional["DepthPlan"] = None,
+    multi_plan: Optional["MultiFpgaPlan"] = None,
 ) -> BuiltNetwork:
     """Elaborate ``design`` into a dataflow graph processing ``batch``.
 
@@ -292,11 +299,12 @@ def build_network(
         link_beat = multi_plan.link.beat_interval()
         g.multi_plan = multi_plan
 
-    source = g.add_actor(
-        ArraySource("dma_in", interleave_images(batch), interval=dma.beat_interval(32))
+    source = ArraySource(
+        "dma_in", interleave_images(batch), interval=dma.beat_interval(32)
     )
+    g.add_actor(source)
     # `streams` holds, per current port, (producer_actor, out_port_name).
-    streams: List[Tuple[object, str]] = [(source, "out")]
+    streams: List[Stream] = [(source, "out")]
     shape = design.input_shape
 
     for p in design.placements:
@@ -359,7 +367,7 @@ def build_network(
                     )
                 g.connect(win, win_out, core, f"in{port}", capacity=channel_capacity)
             if plan is not None and spec.name not in cut_after:
-                merged: List[Tuple[object, str]] = []
+                merged: List[Stream] = []
                 for i in range(spec.out_ports):
                     merge = g.add_actor(
                         BlockMergeActor(
@@ -377,7 +385,7 @@ def build_network(
                 streams = [(core, f"out{i}") for i in range(spec.out_ports)]
         elif isinstance(spec, PoolLayerSpec):
             oh, ow = spec.out_hw(h, w)
-            new_streams: List[Tuple[object, str]] = []
+            new_streams: List[Stream] = []
             for port, (prod, oport) in enumerate(streams):
                 win, win_out = _window_stage(
                     g, f"{spec.name}.win{port}", spec.window, h, w,
@@ -417,6 +425,7 @@ def build_network(
         else:
             raise ConfigurationError(f"unknown layer spec kind {spec.kind!r}")
         if spec.name in cut_after:
+            assert multi_plan is not None  # cut_after is filled from it
             streams = _insert_link(
                 g, cut_after[spec.name], multi_plan, streams, p, h, w,
                 images, channel_capacity, link_beat,
@@ -442,9 +451,8 @@ def build_network(
         prod, oport = streams[0]
         g.connect(prod, oport, norm, "in", capacity=channel_capacity)
         streams = [(norm, "out")]
-    sink = g.add_actor(
-        ListSink("dma_out_sink", count=images * design.output_words_per_image())
-    )
+    sink = ListSink("dma_out_sink", count=images * design.output_words_per_image())
+    g.add_actor(sink)
     prod, oport = streams[0]
     g.connect(prod, oport, sink, "in", capacity=channel_capacity)
     if depth_plan is not None:
@@ -471,11 +479,11 @@ def _window_stage(
     w: int,
     group: int,
     images: int,
-    prod,
+    prod: Actor,
     oport: str,
     capacity: int,
     memory_system: str,
-) -> Tuple[object, str]:
+) -> Stream:
     """One port's memory structure: behavioral line buffer or literal chain.
 
     Returns ``(actor, out_port)`` whose stream carries the window beats.
@@ -501,10 +509,10 @@ def _window_stage(
 def _adapt_ports(
     g: DataflowGraph,
     name: str,
-    streams: List[Tuple[object, str]],
+    streams: List[Stream],
     want_ports: int,
     n_fm: int,
-) -> List[Tuple[object, str]]:
+) -> List[Stream]:
     """Insert the Section IV-A adapter between ``streams`` and ``want_ports``.
 
     Uses the modulo-interleaved FM-to-port convention: FM ``f`` lives on
@@ -517,7 +525,7 @@ def _adapt_ports(
     if want_ports % have == 0 and want_ports > have:
         # Demux: each producer port deals its FMs out to ratio consumers.
         ratio = want_ports // have
-        new: List[Optional[Tuple[object, str]]] = [None] * want_ports
+        new: List[Optional[Stream]] = [None] * want_ports
         for i, (prod, oport) in enumerate(streams):
             dem = g.add_actor(ScheduleDemux(f"{name}.demux{i}", n_outputs=ratio))
             g.connect(prod, oport, dem, "in")
@@ -528,21 +536,21 @@ def _adapt_ports(
     if have % want_ports == 0 and have > want_ports:
         # Widen: each consumer port merges ratio producer ports round-robin.
         ratio = have // want_ports
-        new = []
+        widened: List[Stream] = []
         for r in range(want_ports):
             inter = g.add_actor(Interleaver(f"{name}.widen{r}", n_inputs=ratio))
             for m in range(ratio):
                 prod, oport = streams[r + m * want_ports]
                 g.connect(prod, oport, inter, f"in{m}")
-            new.append((inter, "out"))
-        return new
+            widened.append((inter, "out"))
+        return widened
     raise ConfigurationError(
         f"{name!r}: cannot adapt {have} ports to {want_ports} "
         f"(counts must divide; n_fm={n_fm})"
     )
 
 
-def _check_multi_plan(design: NetworkDesign, multi_plan) -> None:
+def _check_multi_plan(design: NetworkDesign, multi_plan: "MultiFpgaPlan") -> None:
     """Reject a plan that does not partition this exact design."""
     if multi_plan.design_name != design.name:
         raise ConfigurationError(
@@ -561,15 +569,15 @@ def _check_multi_plan(design: NetworkDesign, multi_plan) -> None:
 def _insert_link(
     g: DataflowGraph,
     d: int,
-    multi_plan,
-    streams: List[Tuple[object, str]],
-    placement,
+    multi_plan: "MultiFpgaPlan",
+    streams: List[Stream],
+    placement: LayerPlacement,
     h: int,
     w: int,
     images: int,
     capacity: int,
     link_beat: int,
-) -> List[Tuple[object, str]]:
+) -> List[Stream]:
     """Cut the pipeline after ``placement`` with link ``d``.
 
     The cut is a serial board-to-board stream: the producer ports are
@@ -597,7 +605,7 @@ def _insert_link(
     if isinstance(spec, ConvLayerSpec):
         plan = spec.block_plan(h, w)
         if plan is not None:
-            merged: List[Tuple[object, str]] = []
+            merged: List[Stream] = []
             for i, (mprod, moport) in enumerate(streams):
                 merge = g.add_actor(
                     BlockMergeActor(

@@ -103,8 +103,8 @@ def run_flow(
     epochs: override the preset's training length.
     verify_images: batch size of the layer-wise verification run.
     scheduler: run the layer-wise verification cycle-timed on this
-        engine (``"event"``, ``"lockstep"`` or ``"compiled"``) instead
-        of the default untimed functional execution.
+        engine (``"event"`` or ``"compiled"``) instead of the default
+        untimed functional execution.
     """
     try:
         design_fn, model_fn, data_fn, preset_epochs, lr = FLOW_PRESETS[preset]

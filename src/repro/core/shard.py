@@ -36,7 +36,6 @@ The result is a :class:`ShardReport` behind the unified Report envelope
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -44,12 +43,10 @@ from repro.core.builder import BuiltNetwork, build_network, random_weights, seed
 from repro.core.multi_fpga import LinkModel, MultiFpgaPlan, plan_split
 from repro.core.network_design import NetworkDesign
 from repro.core.perf_model import Stage, pacing_stage, repriced
+from repro.dataflow.simulator import USER_SCHEDULERS
 from repro.errors import ConfigurationError
 from repro.fpga.device import Device, XC7VX485T
 from repro.report.base import Report
-
-#: Engines the harness may run; "lockstep" is allowed but rarely useful.
-_ENGINES = ("event", "lockstep", "compiled")
 
 
 def measured_interval(built: BuiltNetwork) -> Optional[int]:
@@ -81,7 +78,8 @@ class EngineRun:
     #: Worst per-core Eq. 4 relative II error (fires identity); 0.0 on
     #: every engine — link stages never perturb core II.
     core_ii_rel_err: float
-    #: True when scheduler="compiled" silently fell back to "event".
+    #: True when the engine that ran is not the one asked for (a
+    #: "compiled" run that fell back to "event").
     fell_back: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
@@ -220,43 +218,6 @@ class ShardReport(Report):
         return "\n".join(lines)
 
 
-def _core_ii_error(design: NetworkDesign, built: BuiltNetwork, images: int) -> float:
-    """Worst per-core Eq. 4 relative II error (the profiler's fires
-    identity: measured II = fires / (coords * images))."""
-    from repro.profiling.profiler import _core_coords
-
-    worst = 0.0
-    stats = built.result.actor_stats
-    for placement in design.placements:
-        spec = placement.spec
-        coords = _core_coords(placement)
-        prefix = f"{spec.name}.core"
-        for actor in stats:
-            if not (actor == prefix or actor.startswith(prefix)):
-                continue
-            fires = max(p["fires"] for p in stats[actor])
-            measured = fires / (coords * images)
-            worst = max(worst, abs(measured - float(spec.ii)) / float(spec.ii))
-    return worst
-
-
-def _run_engine(built: BuiltNetwork, engine: str) -> bool:
-    """Run one built network; returns True on compiled->event fallback."""
-    if engine != "compiled":
-        built.run(scheduler=engine)
-        return False
-    from repro.compiled import CompiledFallbackWarning
-
-    fell_back = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", CompiledFallbackWarning)
-        built.run(scheduler="compiled")
-        fell_back = any(
-            issubclass(w.category, CompiledFallbackWarning) for w in caught
-        )
-    return fell_back
-
-
 def _throttled_prediction(
     built: BuiltNetwork, plan: MultiFpgaPlan, period: int, burst: int, seed: int
 ) -> float:
@@ -296,26 +257,35 @@ def run_shard(
 
     Weights and the batch derive from ``seed`` alone
     (:func:`~repro.core.builder.seeded_batch`, as in
-    ``repro.faults.harness.run_design``), so every run in the sweep
+    ``repro.faults.harness.run_design``) and are built once, so every run
+    in the sweep (each one a :func:`~repro.faults.harness.run_built`)
     processes identical data. ``throttles`` is a sequence of
     ``(period, burst)`` DMA-throttle parameters applied to every
     ``link*.wire`` channel of each multi-device placement (event engine
     only — faults perturb interpreted execution).
     """
-    from repro.faults import DmaThrottle, FaultScenario, output_digest, run_design
+    from repro.faults import DmaThrottle, FaultScenario, run_built
+    from repro.profiling import core_ii_rows
 
     for engine in engines:
-        if engine not in _ENGINES:
+        if engine not in USER_SCHEDULERS:
             raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
+                f"unknown engine {engine!r}; expected one of {USER_SCHEDULERS}"
             )
     if images < 1:
         raise ConfigurationError(f"images must be >= 1, got {images}")
     weights = random_weights(design, seed=seed)
     batch = seeded_batch(design, seed, images)
 
-    def build(plan: Optional[MultiFpgaPlan]) -> BuiltNetwork:
-        return build_network(design, weights, batch, multi_plan=plan)
+    def run(plan: Optional[MultiFpgaPlan], engine: str, scenario=None):
+        """One run of the sweep, over the shared weights/batch copy."""
+        out = run_built(
+            build_network(design, weights, batch, multi_plan=plan),
+            seed, scenario=scenario, scheduler=engine,
+        )
+        if out.deadlock is not None:
+            raise out.deadlock
+        return out
 
     # Per-engine single-device baselines: the digest reference and the
     # measured monolithic interval (interpreted engines carry pipeline
@@ -324,10 +294,9 @@ def run_shard(
     baselines: Dict[str, str] = {}
     baseline_ivs: Dict[str, Optional[int]] = {}
     for engine in engines:
-        built = build(None)
-        _run_engine(built, engine)
-        baselines[engine] = output_digest(built.outputs())
-        baseline_ivs[engine] = measured_interval(built)
+        base_run = run(None, engine)
+        baselines[engine] = base_run.digest
+        baseline_ivs[engine] = measured_interval(base_run.built)
 
     plans: Dict[int, MultiFpgaPlan] = {}
     runs: List[DeviceRun] = []
@@ -337,10 +306,9 @@ def run_shard(
         link_stages = [s for s in plan.stages if s.kind == "link"]
         engine_runs: List[EngineRun] = []
         for engine in engines:
-            built = build(plan if n > 1 else None)
-            fell_back = _run_engine(built, engine)
-            digest = output_digest(built.outputs())
-            measured = measured_interval(built)
+            out = run(plan if n > 1 else None, engine)
+            fell_back = out.scheduler != engine
+            measured = measured_interval(out.built)
             if engine == "compiled" and not fell_back:
                 expected: Optional[int] = plan.interval
             else:
@@ -362,13 +330,18 @@ def run_shard(
             engine_runs.append(
                 EngineRun(
                     engine=engine,
-                    cycles=built.result.cycles,
-                    digest=digest,
-                    digest_match=digest == baselines[engine],
+                    cycles=out.cycles,
+                    digest=out.digest,
+                    digest_match=out.digest == baselines[engine],
                     measured_interval=measured,
                     expected_interval=expected,
                     interval_error_pct=err,
-                    core_ii_rel_err=_core_ii_error(design, built, images),
+                    core_ii_rel_err=max(
+                        row["rel_err"]
+                        for row in core_ii_rows(
+                            design, out.built.result.actor_stats, images
+                        )
+                    ),
                     fell_back=fell_back,
                 )
             )
@@ -389,14 +362,9 @@ def run_shard(
                     ),
                 ),
             )
-            run = run_design(
-                design, seed=seed, images=images, scenario=scenario,
-                multi_plan=plan,
-            )
-            if run.deadlock is not None:
-                raise run.deadlock
-            predicted = _throttled_prediction(run.built, plan, period, burst, seed)
-            cc = run.built.image_completion_cycles()
+            out = run(plan, "event", scenario)
+            predicted = _throttled_prediction(out.built, plan, period, burst, seed)
+            cc = out.built.image_completion_cycles()
             if len(cc) < 2:
                 raise ConfigurationError(
                     "a throttle campaign needs images >= 2 to measure the "
@@ -410,7 +378,7 @@ def run_shard(
                     n_devices=n,
                     period=period,
                     burst=burst,
-                    digest_match=run.digest == ref_digest,
+                    digest_match=out.digest == ref_digest,
                     predicted_interval=predicted,
                     measured_interval=measured,
                     error_pct=abs(measured - predicted) / predicted * 100.0,

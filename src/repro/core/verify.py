@@ -89,8 +89,7 @@ def verify_layerwise(
     ``timed=False`` (default) uses the fast functional executor — the
     values are identical to the timed run by construction (and that
     equivalence has its own tests). Passing ``scheduler`` implies a
-    timed run on that engine (``"event"``, ``"lockstep"`` or
-    ``"compiled"``).
+    timed run on that engine (``"event"`` or ``"compiled"``).
     """
     if tolerance <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tolerance}")

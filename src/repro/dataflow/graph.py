@@ -9,7 +9,7 @@ pipeline, cycle detection, critical-path style queries).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -40,12 +40,12 @@ class DataflowGraph:
         #: The :class:`~repro.core.network_design.NetworkDesign` this graph
         #: was elaborated from (set by ``repro.core.builder``); ``None`` for
         #: hand-built graphs. The compiled engine requires it.
-        self.design = None
+        self.design: Optional[Any] = None
         #: The :class:`~repro.core.multi_fpga.MultiFpgaPlan` this graph was
         #: sharded with (set by the builder when cutting the pipeline at
         #: device boundaries); ``None`` for single-device graphs. The
         #: compiled engine folds its link stages into the timing frame.
-        self.multi_plan = None
+        self.multi_plan: Optional[Any] = None
 
     # -- construction ------------------------------------------------------
 
@@ -154,11 +154,12 @@ class DataflowGraph:
     ) -> Simulator:
         """Validate and return a cycle-level :class:`Simulator`.
 
-        ``scheduler`` selects the engine (``"event"``, ``"lockstep"``, or
-        ``"compiled"``; see :mod:`repro.dataflow.scheduler` and
-        :mod:`repro.compiled`). The two interpreted engines are
-        bit-equivalent; the compiled engine matches them on outputs and
-        fires and needs :attr:`design` to be set.
+        ``scheduler`` is a key of
+        :data:`~repro.dataflow.simulator.SCHEDULERS`: ``"event"`` or
+        ``"compiled"`` (see :mod:`repro.dataflow.scheduler` and
+        :mod:`repro.compiled`), or the test oracle. The interpreted
+        engines are bit-equivalent; the compiled engine matches them on
+        outputs and fires and needs :attr:`design` to be set.
         """
         self.validate()
         return Simulator(

@@ -20,13 +20,15 @@ reference loop that resumes everything every cycle. They produce identical
 results; the event engine is asymptotically faster on stalling workloads
 and reports deadlocks immediately (no runnable process, no pending wakeup,
 no channel activity) instead of after ``stall_limit`` idle cycles.
+``"lockstep"`` is the test and ledger oracle: :data:`SCHEDULERS` keeps it,
+the user-facing surfaces offer :data:`USER_SCHEDULERS` only.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Sequence
+from typing import Any, ClassVar, Dict, Optional, Sequence
 
 from repro.dataflow.actor import Actor
 from repro.dataflow.channel import Channel
@@ -50,7 +52,7 @@ def _compiled_engine(sim):
 
     if sim.faults is not None:
         raise ConfigurationError(
-            "faults require an interpreted engine ('event' or 'lockstep'); "
+            "faults require an interpreted engine (use 'event'); "
             "the compiled engine executes fused kernels and cannot apply "
             "fault plans"
         )
@@ -72,6 +74,9 @@ SCHEDULERS = {
     "lockstep": LockstepEngine,
     "compiled": _compiled_engine,
 }
+
+#: The engines a user-facing surface (CLI choices, ``run_shard``) offers.
+USER_SCHEDULERS = ("event", "compiled")
 
 
 @dataclass
@@ -127,8 +132,9 @@ class Simulator:
         usually detects deadlock exactly and immediately; this limit
         remains the bound for legacy actors that poll with bare ``yield``.
     scheduler:
-        ``"event"`` (default) or ``"lockstep"``; both give bit-identical
-        results (cycles, outputs, channel stats) on well-formed graphs.
+        ``"event"`` (default) or its reference loop ``"lockstep"``; both
+        give bit-identical results (cycles, outputs, channel stats) on
+        well-formed graphs.
         ``"compiled"`` lowers verified design graphs to fused vectorized
         kernels (see :mod:`repro.compiled`) — bit-identical outputs and
         fires, modeled timing — and falls back to ``"event"`` with a
@@ -171,7 +177,7 @@ class Simulator:
         #: ``BuiltNetwork.run(faults=...)``) *before* the first ``run`` /
         #: ``run_cycles`` call; engines read it once at creation. None on
         #: the no-fault hot path.
-        self.faults = None
+        self.faults: Optional[Any] = None
         self._engine = None
         self._validate()
 

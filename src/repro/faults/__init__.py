@@ -25,6 +25,7 @@ from repro.faults.harness import (
     output_digest,
     pilot_design,
     resolve_shrink,
+    run_built,
     run_campaign,
     run_design,
     simulable_design,
@@ -76,6 +77,7 @@ __all__ = [
     "pilot_design",
     "preset_scenarios",
     "resolve_shrink",
+    "run_built",
     "run_campaign",
     "run_design",
     "simulable_design",

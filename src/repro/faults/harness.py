@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +41,16 @@ from repro.core.layer_spec import (
 )
 from repro.core.network_design import NetworkDesign
 from repro.dataflow.deadlock import shrink_agreement
+from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError, DeadlockError, ReproError
 from repro.faults.injectors import ArmedFaults, arm_faults
 from repro.faults.scenario import FaultScenario, FifoShrink
 from repro.report.base import MappingReport
 from repro.sst.sizing import capacity_one_jams
+
+if TYPE_CHECKING:  # import cycles: both modules call this harness
+    from repro.analysis.depths import DepthPlan
+    from repro.core.multi_fpga import MultiFpgaPlan
 
 #: Above this many parameters a design is cycle-simulated as a pilot.
 PILOT_WEIGHT_LIMIT = 2_000_000
@@ -137,17 +142,15 @@ def pilot_design(
     )
 
 
-def simulable_design(
-    design: NetworkDesign, pilot: Optional[bool] = None
-) -> Tuple[NetworkDesign, bool]:
+def simulable_design(design: NetworkDesign) -> Tuple[NetworkDesign, bool]:
     """The design a harness cycle-simulates, and whether it is the pilot.
 
-    ``pilot`` forces (True) or forbids (False) the pilot downscale; the
-    default pilots a design above :data:`PILOT_WEIGHT_LIMIT` unless block
-    convolution already made it simulable at full size.
+    A design above :data:`PILOT_WEIGHT_LIMIT` is piloted unless block
+    convolution already made it simulable at full size. To ask for a
+    downscale explicitly, pass :func:`pilot_design`'s result (the
+    ``<name>-pilot`` presets do).
     """
-    if pilot is None:
-        pilot = design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design)
+    pilot = design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design)
     return (pilot_design(design), True) if pilot else (design, False)
 
 
@@ -161,6 +164,8 @@ class RunOutcome:
     cycles: int
     finished: bool
     digest: Optional[str]
+    #: The engine that ran (``"event"`` after a compiled fallback); the
+    #: requested one when the run deadlocked before reporting.
     scheduler: str
     #: The built network that ran (graph, sink, per-channel counters).
     built: BuiltNetwork = field(repr=False)
@@ -189,9 +194,7 @@ class RunOutcome:
         return d
 
 
-def resolve_shrink(
-    scenario: FaultScenario, graph
-) -> FaultScenario:
+def resolve_shrink(scenario: FaultScenario, graph: DataflowGraph) -> FaultScenario:
     """Replace ``FifoShrink(channels="auto")`` with a concrete target.
 
     Picks the alphabetically first literal chain FIFO that a capacity-1
@@ -208,7 +211,7 @@ def resolve_shrink(
     from repro.analysis.depths import chain_members
     from repro.analysis.graph_rules import literal_chains
 
-    candidates = []
+    candidates: List[str] = []
     for base, asm in literal_chains(graph).items():
         fifos, taps, depths = chain_members(graph, base, asm)
         jams = capacity_one_jams(
@@ -233,6 +236,45 @@ def resolve_shrink(
     return FaultScenario(scenario.name, faults)
 
 
+def run_built(
+    built: BuiltNetwork,
+    seed: int = 0,
+    scenario: Optional[FaultScenario] = None,
+    scheduler: str = "event",
+    max_cycles: int = 50_000_000,
+    stall_limit: int = 10_000,
+) -> RunOutcome:
+    """The arm -> run -> digest half of :func:`run_design`.
+
+    For callers that build several networks over one weights/batch copy
+    (the shard sweep). ``seed`` phases the armed faults; a deadlock lands
+    in :attr:`RunOutcome.deadlock` instead of raising.
+    """
+    armed = None
+    if scenario is not None:
+        scenario = resolve_shrink(scenario, built.graph)
+        armed = arm_faults(built.graph, scenario, seed)
+    deadlock = None
+    try:
+        result = built.run(
+            max_cycles=max_cycles, stall_limit=stall_limit,
+            scheduler=scheduler, faults=armed,
+        )
+        cycles, finished = result.cycles, result.finished
+        scheduler = str(result.scheduler_stats["scheduler"])
+    except DeadlockError as err:
+        deadlock, cycles, finished = err, err.cycle, False
+    return RunOutcome(
+        cycles=cycles,
+        finished=finished,
+        digest=output_digest(built.outputs()) if finished else None,
+        scheduler=scheduler,
+        built=built,
+        armed=armed,
+        deadlock=deadlock,
+    )
+
+
 def run_design(
     design: NetworkDesign,
     seed: int = 0,
@@ -242,8 +284,8 @@ def run_design(
     memory_system: str = "behavioral",
     max_cycles: int = 50_000_000,
     stall_limit: int = 10_000,
-    depth_plan=None,
-    multi_plan=None,
+    depth_plan: Optional["DepthPlan"] = None,
+    multi_plan: Optional["MultiFpgaPlan"] = None,
 ) -> RunOutcome:
     """Build, (optionally) arm, and cycle-simulate one design.
 
@@ -262,27 +304,9 @@ def run_design(
         depth_plan=depth_plan,
         multi_plan=multi_plan,
     )
-    armed = None
-    if scenario is not None:
-        scenario = resolve_shrink(scenario, built.graph)
-        armed = arm_faults(built.graph, scenario, seed)
-    deadlock = None
-    try:
-        result = built.run(
-            max_cycles=max_cycles, stall_limit=stall_limit,
-            scheduler=scheduler, faults=armed,
-        )
-        cycles, finished = result.cycles, result.finished
-    except DeadlockError as err:
-        deadlock, cycles, finished = err, err.cycle, False
-    return RunOutcome(
-        cycles=cycles,
-        finished=finished,
-        digest=output_digest(built.outputs()) if finished else None,
-        scheduler=scheduler,
-        built=built,
-        armed=armed,
-        deadlock=deadlock,
+    return run_built(
+        built, seed, scenario=scenario, scheduler=scheduler,
+        max_cycles=max_cycles, stall_limit=stall_limit,
     )
 
 
@@ -385,49 +409,32 @@ def _shrink_verdict(faulty: RunOutcome, design: NetworkDesign) -> dict:
     return info
 
 
-def _require_interpreted(scheduler: str) -> None:
-    """Fault experiments perturb interpreted execution; reject "compiled".
-
-    Raised up front (not mid-campaign) so the CLI can report the
-    configuration problem before any simulation work happens.
-    """
-    if scheduler == "compiled":
-        raise ConfigurationError(
-            "faults require an interpreted engine ('event' or 'lockstep'); "
-            "the compiled engine executes fused kernels and cannot apply "
-            "fault plans"
-        )
-
-
 def faultsim(
     design: NetworkDesign,
     scenario: FaultScenario,
     seed: int = 0,
     images: int = 2,
-    scheduler: str = "event",
     memory_system: str = "behavioral",
     max_cycles: int = 50_000_000,
     stall_limit: int = 10_000,
-    pilot: Optional[bool] = None,
     _clean_cache: Optional[Dict] = None,
 ) -> FaultRunReport:
     """One experiment: clean run vs faulted run, verdict, JSON report.
 
-    ``pilot`` forces (True) or forbids (False) the pilot downscale; the
-    default decides by parameter count. ``_clean_cache`` lets the
-    campaign runner share clean runs across scenarios.
+    Both runs are on the event engine (faults perturb interpreted
+    execution). ``_clean_cache`` lets the campaign runner share clean
+    runs across scenarios.
     """
-    _require_interpreted(scheduler)
-    sim_design, piloted = simulable_design(design, pilot)
+    sim_design, piloted = simulable_design(design)
     if scenario.has_kind("shrink"):
         # Shrink targets only exist in the literal SST chains.
         memory_system = "literal"
     run = partial(
         run_design, sim_design, seed=seed, images=images,
-        scheduler=scheduler, memory_system=memory_system,
+        memory_system=memory_system,
         max_cycles=max_cycles, stall_limit=stall_limit,
     )
-    key = (sim_design.name, seed, images, scheduler, memory_system)
+    key = (sim_design.name, seed, images, memory_system)
     clean = _clean_cache.get(key) if _clean_cache is not None else None
     if clean is None:
         clean = run(scenario=None)
@@ -441,7 +448,7 @@ def faultsim(
         "scenario": scenario.to_dict(),
         "seed": seed,
         "images": images,
-        "scheduler": scheduler,
+        "scheduler": clean.scheduler,
         "memory_system": memory_system,
         "clean": clean.to_dict(),
         "faulty": faulty.to_dict(),
@@ -492,7 +499,6 @@ def run_campaign(
     scenarios: Sequence[FaultScenario],
     seeds: Sequence[int],
     images: int = 2,
-    scheduler: str = "event",
 ) -> CampaignReport:
     """Sweep designs x scenarios x seeds; one report per experiment.
 
@@ -501,7 +507,6 @@ def run_campaign(
     read-only mapping) with the full report list, a per-scenario stall
     aggregate, and an overall ``ok``.
     """
-    _require_interpreted(scheduler)
     cache: Dict = {}
     runs: List[FaultRunReport] = []
     for name, design in designs:
@@ -510,7 +515,7 @@ def run_campaign(
                 runs.append(
                     faultsim(
                         design, scenario, seed=seed, images=images,
-                        scheduler=scheduler, _clean_cache=cache,
+                        _clean_cache=cache,
                     )
                 )
     failed = [r for r in runs if not r.get("ok")]

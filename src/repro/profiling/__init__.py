@@ -10,7 +10,7 @@ on the command line as ``repro profile``.
 """
 
 from repro.profiling.chrome import chrome_trace, chrome_trace_json, write_chrome_trace
-from repro.profiling.profiler import II_TOLERANCE, INTERVAL_TOLERANCE, profile_design
+from repro.profiling.profiler import II_TOLERANCE, INTERVAL_TOLERANCE, core_ii_rows, profile_design
 from repro.profiling.report import ProfileReport
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "ProfileReport",
     "chrome_trace",
     "chrome_trace_json",
+    "core_ii_rows",
     "profile_design",
     "write_chrome_trace",
 ]

@@ -17,7 +17,7 @@ excluded from ``fires``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.core.builder import build_network, random_weights, seeded_batch
@@ -54,6 +54,38 @@ def _core_coords(placement) -> int:
     return oh * ow
 
 
+def core_ii_rows(
+    design: NetworkDesign, actor_stats: Dict[str, list], images: int
+) -> Iterator[dict]:
+    """One row per compute-core actor: the fires identity against Eq. 4.
+
+    ``measured_ii = fires / (coords x images)`` over the core's busiest
+    process, ``predicted_ii`` the layer's Eq. 4 II, ``rel_err`` their
+    relative distance. The profiler and the shard harness both read it.
+    """
+    actors = sorted(actor_stats)
+    for placement in design.placements:
+        spec = placement.spec
+        coords = _core_coords(placement)
+        prefix = f"{spec.name}.core"
+        for actor in actors:
+            if not (actor == prefix or actor.startswith(prefix)):
+                continue
+            fires = max(p["fires"] for p in actor_stats[actor])
+            measured = fires / (coords * images)
+            predicted = float(spec.ii)
+            yield {
+                "layer": spec.name,
+                "actor": actor,
+                "kind": spec.kind,
+                "coords": coords,
+                "fires": fires,
+                "measured_ii": measured,
+                "predicted_ii": predicted,
+                "rel_err": abs(measured - predicted) / predicted,
+            }
+
+
 def _stage_of_actor(name: str) -> str:
     """Map an actor name to its pipeline stage (layer or DMA endpoint)."""
     if name == "dma_in" or name.startswith("dma_in."):
@@ -70,7 +102,6 @@ def profile_design(
     scheduler: str = "event",
     loop_overhead: int = 0,
     sample_every: Optional[int] = None,
-    pilot: Optional[bool] = None,
     max_cycles: int = 50_000_000,
     tolerance: float = II_TOLERANCE,
     multi_plan=None,
@@ -81,8 +112,8 @@ def profile_design(
     (:func:`~repro.core.builder.seeded_batch`, the fault harness's batch,
     so profile and faultsim runs are comparable).
     Designs above the pilot weight limit are profiled as their
-    deterministic pilot downscale unless ``pilot=False`` forces the full
-    design. ``sample_every`` attaches the high-resolution
+    deterministic pilot downscale (:func:`~repro.faults.simulable_design`).
+    ``sample_every`` attaches the high-resolution
     :class:`~repro.dataflow.trace.Tracer` backend (disables the event
     engine's bulk cycle-skipping; counters are unaffected).
 
@@ -94,11 +125,11 @@ def profile_design(
     identity is untouched — cutting the pipeline never changes
     productive fire counts.
     """
-    sim_design, piloted = simulable_design(design, pilot)
+    sim_design, piloted = simulable_design(design)
     if piloted and multi_plan is not None:
         raise ConfigurationError(
-            "multi_plan profiles the full design; pass pilot=False "
-            "(a plan names the real layers, not the pilot downscale)"
+            "multi_plan profiles the full design (a plan names the real "
+            "layers, not the pilot downscale this design simulates as)"
         )
     built = build_network(
         sim_design,
@@ -122,48 +153,26 @@ def profile_design(
 
     # -- per-core measured II vs Eq. 4 ----------------------------------
     cores: List[dict] = []
-    for placement in sim_design.placements:
-        spec = placement.spec
-        coords = _core_coords(placement)
-        prefix = f"{spec.name}.core"
-        for actor in sorted(result.actor_stats):
-            if not (actor == prefix or actor.startswith(prefix)):
-                continue
-            procs = result.actor_stats[actor]
-            fires = max(p["fires"] for p in procs)
-            measured = fires / (coords * images)
-            predicted = float(spec.ii)
-            rel_err = abs(measured - predicted) / predicted
-            within = rel_err <= tolerance
-            cores.append(
-                {
-                    "layer": spec.name,
-                    "actor": actor,
-                    "kind": spec.kind,
-                    "coords": coords,
-                    "fires": fires,
-                    "measured_ii": measured,
-                    "predicted_ii": predicted,
-                    "rel_err": rel_err,
-                    "within_tolerance": within,
-                }
-            )
-            if not within:
-                analysis.add(
-                    make(
-                        "PROFILE.II_MISMATCH",
-                        Severity.ERROR,
-                        actor,
-                        f"measured II {measured:.3f} deviates from the "
-                        f"Eq. 4 prediction {predicted:.3f} by "
-                        f"{100.0 * rel_err:.1f}% (> {100.0 * tolerance:.0f}%)",
-                        hint=(
-                            "the core is not sustaining one group per "
-                            "cycle; check port widths, window stage "
-                            "pacing, and queue_depth backpressure"
-                        ),
-                    )
+    for row in core_ii_rows(sim_design, result.actor_stats, images):
+        within = row["rel_err"] <= tolerance
+        cores.append({**row, "within_tolerance": within})
+        if not within:
+            analysis.add(
+                make(
+                    "PROFILE.II_MISMATCH",
+                    Severity.ERROR,
+                    row["actor"],
+                    f"measured II {row['measured_ii']:.3f} deviates from the "
+                    f"Eq. 4 prediction {row['predicted_ii']:.3f} by "
+                    f"{100.0 * row['rel_err']:.1f}% "
+                    f"(> {100.0 * tolerance:.0f}%)",
+                    hint=(
+                        "the core is not sustaining one group per "
+                        "cycle; check port widths, window stage "
+                        "pacing, and queue_depth backpressure"
+                    ),
                 )
+            )
 
     # -- steady-state throughput and latency ----------------------------
     throughput: Dict[str, object] = {}
@@ -233,7 +242,7 @@ def profile_design(
         design_name=design.name,
         simulated_design=sim_design.name,
         pilot=piloted,
-        scheduler=scheduler,
+        scheduler=result.scheduler_stats["scheduler"],
         images=images,
         seed=seed,
         cycles=result.cycles,

@@ -35,9 +35,6 @@ from repro.errors import ConfigurationError
 from repro.faults.injectors import arm_faults
 from repro.faults.scenario import FaultScenario
 
-#: Engines a replica accepts for a batch.
-_SCHEDULERS = ("compiled", "event", "lockstep")
-
 
 def request_image(
     design: NetworkDesign, seed: int, index: int
@@ -56,7 +53,6 @@ def run_replica_batch(
     design: NetworkDesign,
     seed: int,
     indices: Sequence[int],
-    scheduler: str = "compiled",
     scenario: Optional[FaultScenario] = None,
     weights=None,
 ) -> Dict[str, object]:
@@ -64,18 +60,12 @@ def run_replica_batch(
 
     Returns a JSON-friendly dict: per-request output digests (row ``i``
     of the outputs is request ``indices[i]``), total cycles, per-image
-    completion cycles, the measured steady interval, and wall time.
-    Faulted batches require an interpreted engine (the compiled engine
-    rejects armed faults by contract), so a scenario forces ``"event"``.
+    completion cycles, the measured steady interval, the engine that ran
+    and wall time. A clean batch runs compiled; a faulted one runs on the
+    event engine (the compiled engine rejects armed faults by contract).
     """
-    if scheduler not in _SCHEDULERS:
-        raise ConfigurationError(
-            f"unknown scheduler {scheduler!r} (choose from {_SCHEDULERS})"
-        )
     if not indices:
         raise ConfigurationError("a batch needs at least one request")
-    if scenario is not None and scheduler == "compiled":
-        scheduler = "event"
     t0 = time.perf_counter()
     if weights is None:
         weights = random_weights(design, seed=seed)
@@ -84,7 +74,9 @@ def run_replica_batch(
     armed = None
     if scenario is not None:
         armed = arm_faults(built.graph, scenario, seed)
-    result = built.run(scheduler=scheduler, faults=armed)
+    result = built.run(
+        scheduler="compiled" if scenario is None else "event", faults=armed
+    )
     outputs = built.outputs()
     completions = built.image_completion_cycles()
     diffs = [b - a for a, b in zip(completions, completions[1:])]
@@ -97,7 +89,7 @@ def run_replica_batch(
         "cycles": result.cycles,
         "completion_cycles": completions,
         "measured_interval": interval,
-        "scheduler": scheduler,
+        "scheduler": result.scheduler_stats["scheduler"],
         "faulted": scenario is not None,
         "wall_s": time.perf_counter() - t0,
         "pid": os.getpid(),
@@ -128,7 +120,6 @@ def _worker_init(design_json: str, seed: int) -> None:
 
 def _worker_run(
     indices: Sequence[int],
-    scheduler: str,
     scenario_json: Optional[str],
 ) -> Dict[str, object]:
     assert _WORKER_DESIGN is not None, "worker used before initialization"
@@ -139,7 +130,6 @@ def _worker_run(
         _WORKER_DESIGN,
         _WORKER_SEED,
         indices,
-        scheduler=scheduler,
         scenario=scenario,
         weights=_WORKER_WEIGHTS,
     )
@@ -211,8 +201,7 @@ class ReplicaFleet:
         cache hit on every subsequent batch).
         """
         futures = [
-            self.submit(r, [0], scheduler="compiled")
-            for r in range(self.n_replicas)
+            self.submit(r, [0]) for r in range(self.n_replicas)
         ]
         return [f.result() for f in futures]
 
@@ -242,8 +231,15 @@ class ReplicaFleet:
         """Dispatch one batch to one replica; returns a future.
 
         If a chaos scenario is armed on the replica, it travels with the
-        batch (and forces the event engine in the worker).
+        batch (and makes the worker run the event engine). ``scheduler``
+        is not a choice: it survives only because the frozen
+        ``benchmarks/ledger`` submit wrapper passes ``"compiled"``
+        positionally; remove it with the next ledger change.
         """
+        if scheduler != "compiled":
+            raise ConfigurationError(
+                f"a replica derives its engine; got scheduler={scheduler!r}"
+            )
         self._check_replica(replica)
         scenario = self._scenarios[replica]
         if self.mode == "inline":
@@ -254,7 +250,6 @@ class ReplicaFleet:
                         self.design,
                         self.seed,
                         indices,
-                        scheduler=scheduler,
                         scenario=scenario,
                         weights=self._weights,
                     )
@@ -264,7 +259,7 @@ class ReplicaFleet:
             return fut
         scenario_json = scenario.to_json() if scenario is not None else None
         return self._pools[replica].submit(
-            _worker_run, list(indices), scheduler, scenario_json
+            _worker_run, list(indices), scenario_json
         )
 
     def _check_replica(self, replica: int) -> None:

@@ -280,9 +280,8 @@ class TestValidation:
     def test_validate_plan_tiny(self, tiny_plan):
         val = validate_plan(tiny_design(), tiny_plan)
         assert val.ok
-        assert set(val.runs) == {"event", "lockstep"}
-        for run in val.runs.values():
-            assert run["digest"] == val.baseline_digest
+        assert set(val.runs) == {"event"}
+        assert val.runs["event"]["digest"] == val.baseline_digest
         assert {p.channel for p in val.probes} == set(
             tiny_plan.tight_channels()
         )

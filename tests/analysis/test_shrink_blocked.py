@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.block_transform import without_blocking
 from repro.core.resource_model import buffering_savings
 from repro.core.zoo import alexnet_design, alexnet_pilot_design, vgg16_design
+from repro.faults import pilot_design
 
 
 def blocked_midsize():
@@ -127,14 +128,16 @@ class TestPromotedFullSize:
         )
 
     def test_pilot_alias_reports_distinct_full_buffering_words(self):
-        # `pilot=True` on a promoted design is what the `<name>-pilot`
-        # presets resolve to; the downscaled run must visibly be the
-        # downscale, not a silent duplicate of the full-size report.
+        # `pilot_design()` of a promoted design is what the
+        # `<name>-pilot` presets resolve to; the downscaled run must
+        # visibly be the downscale, not a silent duplicate of the
+        # full-size report.
         blocked = alexnet_blocked_design()
-        pilot_rep = run_shrink(blocked, pilot=True, validate=False)
+        pilot_rep = run_shrink(pilot_design(blocked), validate=False)
         preset_rep = run_shrink(alexnet_pilot_design(), validate=False)
         full_rep = run_shrink(blocked, validate=False)
-        assert pilot_rep["pilot"] and not full_rep["pilot"]
+        # Asked for by name, so neither run is an *automatic* pilot.
+        assert not pilot_rep["pilot"] and not full_rep["pilot"]
         assert pilot_rep["simulated_design"] == preset_rep["simulated_design"]
         assert pilot_rep["simulated_design"] != full_rep["simulated_design"]
         assert pilot_rep["words"]["full"] == preset_rep["words"]["full"]

@@ -113,25 +113,3 @@ class TestRefusals:
         sim = built.graph.build_simulator(scheduler="compiled")
         with pytest.raises(ConfigurationError):
             sim.run_cycles(10)
-
-    def test_faultsim_harness_rejects_compiled(self):
-        from repro.faults import ChannelJitter, FaultScenario
-        from repro.faults.harness import faultsim
-
-        sc = FaultScenario(
-            "jitter", (ChannelJitter(probability=0.5, max_delay=2),)
-        )
-        with pytest.raises(ConfigurationError, match="interpreted engine"):
-            faultsim(tiny_design(), sc, images=1, scheduler="compiled")
-
-    def test_run_campaign_rejects_compiled(self):
-        from repro.faults import ChannelJitter, FaultScenario
-        from repro.faults.harness import run_campaign
-
-        sc = FaultScenario(
-            "jitter", (ChannelJitter(probability=0.5, max_delay=2),)
-        )
-        with pytest.raises(ConfigurationError, match="interpreted engine"):
-            run_campaign(
-                [("tiny", tiny_design())], [sc], [0], scheduler="compiled"
-            )

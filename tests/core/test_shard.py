@@ -38,7 +38,7 @@ from repro.core.multi_fpga import (
 )
 from repro.core.perf_model import LinkPerf, network_perf
 from repro.core.resource_model import BASE_DESIGN, layer_resources
-from repro.core.zoo import alexnet_blocked_design
+from repro.core.zoo import alexnet_blocked_design, alexnet_design
 from repro.errors import ConfigurationError
 from repro.faults.harness import output_digest
 from repro.profiling import profile_design
@@ -304,10 +304,12 @@ class TestShardedProfile:
             assert report.latency["fill_predicted"] == schedule.fill_latency
 
     def test_profile_multi_plan_refuses_pilot(self):
-        design = usps_design()
-        plan = plan_split(design, 2)
-        with pytest.raises(ConfigurationError):
-            profile_design(design, multi_plan=plan, pilot=True)
+        # Unblocked AlexNet is above the weight limit, so it profiles as
+        # its pilot; a plan names the real layers.
+        design = alexnet_design()
+        plan = plan_split(design, 2, fit=False)
+        with pytest.raises(ConfigurationError, match="pilot downscale"):
+            profile_design(design, multi_plan=plan)
 
 
 class TestShardReportEnvelope:

@@ -40,8 +40,7 @@ def test_harnesses_agree_on_one_seeded_run(factory):
     )
     plan = infer_depth_plan(literal.graph, design_name=design.name)
     val = validate_plan(
-        design, plan, seed=seed, images=images, schedulers=(),
-        probe_channels=[],
+        design, plan, seed=seed, images=images, probe_channels=[],
     )
     assert val.baseline_digest == run.digest
 
@@ -50,7 +49,7 @@ def test_harnesses_agree_on_one_seeded_run(factory):
 
 
 class TestSimulableDesign:
-    """The pilot decision, for every ``--pilot/--no-pilot`` state."""
+    """The automatic pilot decision (there is no override)."""
 
     SMALL = staticmethod(tiny_design)
     HUGE = staticmethod(alexnet_design)
@@ -64,22 +63,12 @@ class TestSimulableDesign:
         assert design_is_blocked(self.PROMOTED())
 
     @pytest.mark.parametrize(
-        "pilot, kind, piloted",
-        [
-            (None, "SMALL", False),
-            (None, "HUGE", True),
-            (None, "PROMOTED", False),
-            (True, "SMALL", True),
-            (True, "HUGE", True),
-            (True, "PROMOTED", True),
-            (False, "SMALL", False),
-            (False, "HUGE", False),
-            (False, "PROMOTED", False),
-        ],
+        "kind, piloted",
+        [("SMALL", False), ("HUGE", True), ("PROMOTED", False)],
     )
-    def test_tri_state(self, pilot, kind, piloted):
+    def test_automatic_rule(self, kind, piloted):
         design = getattr(self, kind)()
-        sim_design, was_piloted = simulable_design(design, pilot)
+        sim_design, was_piloted = simulable_design(design)
         assert was_piloted is piloted
         if piloted:
             assert sim_design.name.startswith(f"{design.name}-pilot")

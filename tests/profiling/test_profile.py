@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.core import tiny_design, usps_design
+from repro.core.zoo import alexnet_design
+from repro.faults import pilot_design
 from repro.profiling import (
     chrome_trace,
     chrome_trace_json,
@@ -81,10 +83,38 @@ class TestReportSurface:
         assert "bottleneck" in text
         assert tiny_profile.summary() in text
 
+    def test_report_names_the_engine_that_ran(self):
+        # A tracer cannot observe a compiled run, so the simulator falls
+        # back to the event engine; the report must say "event".
+        from repro.compiled import CompiledFallbackWarning
+
+        with pytest.warns(CompiledFallbackWarning):
+            report = profile_design(
+                tiny_design(), images=2, seed=0, scheduler="compiled",
+                sample_every=4,
+            )
+        assert report.scheduler == "event"
+        assert report.to_dict()["scheduler"] == "event"
+        assert "scheduler        : event" in report.format_text()
+        compiled = profile_design(
+            tiny_design(), images=2, seed=0, scheduler="compiled"
+        )
+        assert compiled.scheduler == "compiled"
+
     def test_pilot_downscale_flag(self):
-        report = profile_design(tiny_design(), images=1, seed=0, pilot=True)
+        # Automatic: an unblocked design above the weight limit is
+        # profiled as its pilot and the report says so.
+        report = profile_design(
+            alexnet_design(), images=1, seed=0, scheduler="compiled"
+        )
         assert report.pilot
-        assert report.design_name == "tiny"
+        assert report.design_name == "alexnet"
+        assert report.simulated_design.startswith("alexnet-pilot")
+        # Explicit: a downscale asked for by name is just the design.
+        pilot = pilot_design(tiny_design())
+        report = profile_design(pilot, images=1, seed=0)
+        assert not report.pilot
+        assert report.design_name == report.simulated_design == pilot.name
 
 
 class TestChromeTrace:

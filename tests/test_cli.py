@@ -99,17 +99,7 @@ class TestCommands:
 
 
 class TestPilotAlias:
-    """`--pilot` on a promoted design is gone; the `-pilot` presets remain."""
-
-    def test_pilot_flag_on_promoted_design_rejected(self, capsys):
-        # A promoted (blocked, full-size) preset simulates full-size; its
-        # downscale is the explicit -pilot preset, and the error says so.
-        code, _, err = run_cli(
-            capsys, "profile", "--design", "alexnet", "--pilot",
-            "--scheduler", "compiled",
-        )
-        assert code == 1
-        assert "--design alexnet-pilot" in err
+    """The `-pilot` presets are the only way to ask for a downscale."""
 
     def test_pilot_preset_spelling_is_quiet(self, capsys):
         code, _, err = run_cli(

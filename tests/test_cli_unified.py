@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core import random_weights, tiny_design
+from repro.core.builder import build_network, seeded_batch
+from repro.core.shard import run_shard
+from repro.dataflow.simulator import SCHEDULERS, USER_SCHEDULERS
+from repro.errors import ConfigurationError
 
 
 def run_cli(capsys, *argv):
@@ -87,13 +92,63 @@ class TestProfileCommand:
         trace = json.loads(tpath.read_text())
         assert trace["traceEvents"]
 
-    def test_profile_lockstep_scheduler(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "profile", "--design", "tiny", "--scheduler", "lockstep",
-            "--images", "2",
+    def test_profile_rejects_lockstep_scheduler(self, capsys):
+        # The oracle is not a CLI choice: a clean argparse error.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--design", "tiny", "--scheduler", "lockstep"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'lockstep'" in err
+        assert "Traceback" not in err
+
+
+class TestEngineRegistry:
+    """One registry, one two-value user set; `lockstep` is the oracle."""
+
+    @staticmethod
+    def cli_choices(command, flag):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        (action,) = [a for a in sub._actions if flag in a.option_strings]
+        return action.choices
+
+    @staticmethod
+    def run_shard_accepts():
+        accepted = []
+        for engine in SCHEDULERS:
+            try:
+                run_shard(
+                    tiny_design(), devices=(1,), images=1, engines=(engine,)
+                )
+            except ConfigurationError as exc:
+                assert "unknown engine" in str(exc)
+            else:
+                accepted.append(engine)
+        return accepted
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            ("cli_choices", "profile", "--scheduler"),
+            ("cli_choices", "flow", "--scheduler"),
+            ("cli_choices", "shard", "--engines"),
+            ("run_shard_accepts",),
+        ],
+        ids=["profile", "flow", "shard", "run_shard"],
+    )
+    def test_every_surface_offers_the_user_set(self, surface):
+        offered = getattr(self, surface[0])(*surface[1:])
+        assert sorted(offered) == sorted(USER_SCHEDULERS)
+
+    def test_oracle_stays_in_the_simulator_registry(self):
+        assert set(USER_SCHEDULERS) < set(SCHEDULERS)
+        assert "lockstep" in SCHEDULERS
+        built = build_network(
+            tiny_design(), random_weights(tiny_design(), seed=0),
+            seeded_batch(tiny_design(), 0, 1),
         )
-        assert code == 0
-        assert "lockstep" in out
+        result = built.graph.build_simulator(scheduler="lockstep").run()
+        assert result.finished
+        assert result.scheduler_stats["scheduler"] == "lockstep"
 
 
 class TestCompiledScheduler:
@@ -115,18 +170,6 @@ class TestCompiledScheduler:
         )
         assert code == 0
         assert "verification" in out
-
-    def test_faultsim_rejects_compiled_cleanly(self, capsys):
-        # A clear one-line error, not a traceback: fault injection needs
-        # an interpreted engine.
-        code, _, err = run_cli(
-            capsys, "faultsim", "--design", "tiny", "--images", "1",
-            "--scheduler", "compiled",
-        )
-        assert code == 1
-        assert "error:" in err
-        assert "interpreted engine" in err
-        assert "Traceback" not in err
 
 
 class TestShrinkCommand:
