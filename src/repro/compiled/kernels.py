@@ -1,9 +1,19 @@
 """Fused, bit-exact vectorized kernels for the compiled engine.
 
 Each kernel consumes an actor's *entire* input streams as numpy arrays
-(scalars as ``(n,)`` float32 lanes, windows as ``(n, kh, kw)`` stacks)
 and produces its entire output streams in one pass, batching over the
-``images x coordinates`` lanes of the steady-state schedule.
+``images x coordinates`` lanes of the steady-state schedule. A scalar
+stream is an ``(n,)`` float32 array. A window stream is the zero-copy
+``sliding_window_view`` of the pixel array it was cut from, shape
+``(images, out_h, out_w, group, kh, kw)``: its leading four axes flatten
+to the actor's emission order (coordinate-major, FM-minor) and its
+``nbytes`` is the logical stream size, but the ``kh*kw``-times-expanded
+stream is never stored — like the paper's filter chain, every pixel is
+held once and the cores read their windows through strides. The conv
+and pool kernels do exactly that; the routing kernels that move single
+beats (sink, map, demux, interleave) gather the ``(n, kh, kw)`` stack
+of beats first, through :func:`_beats`, and a stack is accepted
+wherever a view is.
 
 Bit-exactness with the interpreted engines is a hard contract, kept by
 reproducing the per-beat association order exactly:
@@ -15,7 +25,10 @@ reproducing the per-beat association order exactly:
   bit-identical across broadcast shapes. Its product slab is
   ``(K, o, c)``: the ``K = P*kh*kw`` tree inputs lead, ``c``
   coordinates ("lanes") are minor, so the multiply is one weight times
-  a long contiguous lane row and every tree level adds whole rows.
+  a long contiguous lane row and every tree level adds whole rows. A
+  lane block is a slice of whole images (or whole output rows) of the
+  port views, gathered into the lanes-minor ``(G, K, c)`` window buffer
+  by one strided assignment per port.
   The tree is *not* padded to a power of two: an odd level's last row
   is carried as ``row + 0.0``, which is what the padded tree computes
   for it (``-0.0`` becomes ``+0.0`` on the first carry; further pad
@@ -23,10 +36,22 @@ reproducing the per-beat association order exactly:
   ``K = 25`` and no level allocates. ``np.dot``/BLAS stays out: it
   accumulates in an order of its own choosing (blocked, FMA-fused),
   which is not the hardware tree's;
-* the FC kernel replays the interleaved-lane MAC recurrence input by
-  input (lane ``i % acc_lanes``), rounding to float32 after each step
-  exactly like the actor, then tree-combines the lanes;
-* pool/activation/softmax are elementwise or per-row reductions whose
+* the FC kernel keeps the interleaved-accumulator order (input ``i``
+  feeds lane ``i % acc_lanes``; each lane adds its terms one after the
+  other from zero, rounding to float32 at every step; the lanes meet in
+  one tree) but lays the terms out ``(steps, lanes, images, outputs)``,
+  so a chain step of every lane is one row of an outer-axis
+  ``np.add.reduce`` (a one-element row is summed by hand: numpy would
+  reduce it pairwise) and the lane tree is the conv kernel's;
+* max pooling is a chain of ``np.maximum`` over the window elements in
+  raster order, each a strided slice of the view — comparisons are
+  exact, so only a maximum that is a zero (a ``-0.0``/``+0.0`` tie) or
+  NaN (which of several) depends on the order, and the actor's
+  ``w.max()`` settles those in numpy's SIMD lane order: exactly those
+  windows are gathered and reduced like the actor's, contiguously.
+  Mean pooling gathers every beat: numpy's float64 pairwise order over
+  ``kh*kw`` contiguous elements is not the order of a strided chain;
+* activation/softmax are elementwise or per-row reductions whose
   numpy reduction order over the trailing axis is the same for one row
   or a batch of rows.
 
@@ -37,7 +62,9 @@ was not in steady state after all).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import itertools
+import math
+from typing import Callable, Dict, List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,7 +85,6 @@ from repro.dataflow.actors import (
 )
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.errors import CompilationError
-from repro.hls.tree_adder import tree_reduce
 from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
 
@@ -66,7 +92,8 @@ from repro.sst.line_buffer import SlidingWindowActor
 #: maps are blocked so the slab, its half-size tree scratch and one
 #: group's windows stay cache-resident. Blocking is bit-neutral (the
 #: product tree is elementwise per coordinate and output map) — it only
-#: sets how much one vectorized pass carries.
+#: sets how much one vectorized pass carries. The FC kernel blocks its
+#: term array (outputs, then images) to the same size.
 _CONV_BLOCK_BYTES = 1 << 19
 
 Streams = Dict[str, np.ndarray]
@@ -83,6 +110,22 @@ def _expect(actor_name: str, what: str, got: int, want: int) -> None:
 # -- endpoint / routing kernels ------------------------------------------
 
 
+def _beats(arr: np.ndarray) -> np.ndarray:
+    """A stream as one array row per beat.
+
+    A scalar stream already is; a window stream — :func:`k_window`'s
+    ``(images, out_h, out_w, group, kh, kw)`` view — is gathered into
+    the ``(n, kh, kw)`` stack of its beats in emission order. Only the
+    kernels that route individual beats pay for that copy.
+    """
+    return arr if arr.ndim < 3 else arr.reshape((-1,) + arr.shape[-2:])
+
+
+def _n_windows(arr: np.ndarray) -> int:
+    """Window beats carried by a view or an ``(n, kh, kw)`` stack."""
+    return math.prod(arr.shape[:-2])
+
+
 def k_source(actor: ArraySource, ins: Streams) -> Streams:
     # No kernel writes into its input streams, so the caller's array can
     # be streamed as is instead of being rebuilt from the per-beat list.
@@ -91,7 +134,7 @@ def k_source(actor: ArraySource, ins: Streams) -> Streams:
 
 
 def k_sink(actor: ListSink, ins: Streams) -> Streams:
-    arr = ins[actor.port]
+    arr = _beats(ins[actor.port])
     if actor.count is not None:
         _expect(actor.name, "sink input", len(arr), actor.count)
     # received gets the per-beat values (numpy scalars / window arrays),
@@ -113,7 +156,7 @@ def k_link(actor, ins: Streams) -> Streams:
 def k_map(actor: MapActor, ins: Streams) -> Streams:
     # MapActor carries an arbitrary Python callable: apply it per beat
     # (bit-exact by construction, just not vectorized).
-    return {actor.dst: np.asarray([actor.fn(v) for v in ins[actor.src]])}
+    return {actor.dst: np.asarray([actor.fn(v) for v in _beats(ins[actor.src])])}
 
 
 def k_fork(actor: Fork, ins: Streams) -> Streams:
@@ -127,13 +170,13 @@ def _cyclic_sources(schedule: List[int], n: int) -> np.ndarray:
 
 
 def k_demux(actor: ScheduleDemux, ins: Streams) -> Streams:
-    arr = ins[actor.src]
+    arr = _beats(ins[actor.src])
     dst = _cyclic_sources(actor.schedule, len(arr))
     return {f"out{i}": arr[dst == i] for i in range(actor.n_outputs)}
 
 
 def k_interleave(actor: Interleaver, ins: Streams) -> Streams:
-    lanes = [ins[f"in{i}"] for i in range(actor.n_inputs)]
+    lanes = [_beats(ins[f"in{i}"]) for i in range(actor.n_inputs)]
     n = sum(len(l) for l in lanes)
     src = _cyclic_sources(actor.schedule, n)
     first = next((l for l in lanes if len(l)), None)
@@ -155,26 +198,23 @@ def k_window(actor: SlidingWindowActor, ins: Streams) -> Streams:
     n_in = actor.images * actor.h * actor.w * actor.group
     arr = np.asarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "pixel stream", len(arr), n_in)
-    # Raster-ordered FM-minor stream -> (images, group, h, w) planes.
-    px = np.ascontiguousarray(
-        arr.reshape(actor.images, actor.h, actor.w, actor.group)
-        .transpose(0, 3, 1, 2)
-    )
+    # The raster-ordered FM-minor stream *is* the (images, h, w, group)
+    # pixel array; only padding copies it (once, not kh*kw times).
+    px = arr.reshape(actor.images, actor.h, actor.w, actor.group)
     if spec.pad:
-        px = np.pad(px, ((0, 0), (0, 0), (spec.pad,) * 2, (spec.pad,) * 2))
-    wins = sliding_window_view(px, (spec.kh, spec.kw), axis=(2, 3))
-    wins = wins[:, :, :: spec.stride, :: spec.stride]
-    if wins.shape[2] != actor.out_h or wins.shape[3] != actor.out_w:
+        px = np.pad(px, ((0, 0), (spec.pad,) * 2, (spec.pad,) * 2, (0, 0)))
+    # (images, out_h, out_w, group, kh, kw), read-only, nothing copied.
+    # The leading four axes flatten to the actor's emission order:
+    # coordinate-major, FM-minor.
+    wins = sliding_window_view(px, (spec.kh, spec.kw), axis=(1, 2))
+    wins = wins[:, :: spec.stride, :: spec.stride]
+    if wins.shape[1:3] != (actor.out_h, actor.out_w):
         raise CompilationError(
             f"{actor.name!r}: window geometry mismatch "
-            f"({wins.shape[2]}x{wins.shape[3]} vs "
+            f"({wins.shape[1]}x{wins.shape[2]} vs "
             f"{actor.out_h}x{actor.out_w})"
         )
-    # Emission order: coordinate-major, FM-minor (exactly the actor's).
-    out = np.ascontiguousarray(
-        wins.transpose(0, 2, 3, 1, 4, 5)
-    ).reshape(-1, spec.kh, spec.kw)
-    return {"out": out}
+    return {"out": wins}
 
 
 def k_block_split(actor: BlockSplitActor, ins: Streams) -> Streams:
@@ -277,36 +317,65 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     n_lanes = actor.images * actor.n_coords
     groups = actor.in_groups
     out_fm = actor.out_fm
-    kk = actor.kh * actor.kw
+    win_shape = (groups, actor.kh, actor.kw)
     ports = []
     for p in range(actor.in_ports):
         arr = np.asarray(ins[f"in{p}"], dtype=DTYPE)
-        _expect(actor.name, f"in{p}", len(arr), n_lanes * groups)
-        ports.append(arr.reshape(n_lanes, groups, kk))
+        _expect(actor.name, f"in{p}", _n_windows(arr), n_lanes * groups)
+        if arr.ndim == 3:
+            # A stack of beats is one "image" of n_lanes one-coordinate
+            # rows: the same (images, rows, cols, G, kh, kw) walk below.
+            arr = arr.reshape((1, n_lanes, 1) + win_shape)
+        ports.append(arr)
+        if arr.shape != ports[0].shape[:3] + win_shape:
+            raise CompilationError(
+                f"{actor.name!r}: in{p} window geometry {arr.shape} is not "
+                f"{win_shape} windows over {ports[0].shape[:3]}"
+            )
+    n_images, n_rows, n_cols = ports[0].shape[:3]
     w_t = np.ascontiguousarray(actor._w_all.transpose(0, 2, 1))  # (G, K, OUT_FM)
     kk_all = w_t.shape[1]  # K = P*kh*kw, the tree width
     scratch_rows = (kk_all + 1) // 2  # the tree's widest second level
     bias = actor.bias[:, None]
     # One product slab is (K, o, c): c lanes (coordinates) minor, o output
     # maps. `row` = o*c is what _CONV_BLOCK_BYTES allows; lanes take it
-    # first (the multiply's inner loop is one weight times c lanes), in
-    # whole cache lines, and output maps fill what a short chunk leaves.
+    # first (the multiply's inner loop is one weight times c lanes) and
+    # output maps fill what a short block leaves. A lane block is as many
+    # whole images as the budget holds — all of them, never rounded down
+    # to an even count: the multiply halves its speed on rows under 4096
+    # lanes — or, when one image is over the budget, whole output rows of
+    # one image, so every block is one slice of the port views.
     # Blocking is bit-neutral: every op is elementwise per (lane, map).
     row = _CONV_BLOCK_BYTES // (kk_all * DTYPE(0).nbytes)
-    chunk = min(n_lanes, max(16, row - row % 16))
+    budget = max(16, row - row % 16)
+    if n_rows * n_cols <= budget:
+        i_step, r_step = min(n_images, budget // (n_rows * n_cols)), n_rows
+    else:
+        i_step, r_step = 1, min(n_rows, max(1, budget // n_cols))
+    chunk = i_step * r_step * n_cols
     row = max(row, chunk)
     wins_buf = _aligned_empty(groups * kk_all * chunk)
     slab_buf = _aligned_empty(kk_all * row)
     scratch_buf = _aligned_empty(scratch_rows * row)
     out_t = np.empty((out_fm, n_lanes), dtype=DTYPE)
-    for s in range(0, n_lanes, chunk):
-        c = min(chunk, n_lanes - s)
-        # The chunk's windows, lanes minor; per group the K rows are the
-        # raveled windows of every port in port order (the actor's
-        # `wins[g, 0]`).
+    for i0, r0 in itertools.product(
+        range(0, n_images, i_step), range(0, n_rows, r_step)
+    ):
+        ni = min(i_step, n_images - i0)
+        nr = min(r_step, n_rows - r0)
+        s = (i0 * n_rows + r0) * n_cols
+        c = ni * nr * n_cols
+        # The block's windows, lanes minor, gathered straight from the
+        # port views; per group the K rows are the raveled windows of
+        # every port in port order (the actor's `wins[g, 0]`).
         wins = wins_buf[: groups * kk_all * c].reshape(groups, kk_all, c)
+        dst = wins.reshape(
+            groups, actor.in_ports, actor.kh, actor.kw, ni, nr, n_cols
+        )
         for p, port in enumerate(ports):
-            wins[:, p * kk : (p + 1) * kk] = port[s : s + c].transpose(1, 2, 0)
+            dst[:, p] = port[i0 : i0 + ni, r0 : r0 + nr].transpose(
+                3, 4, 5, 0, 1, 2
+            )
         o_block = max(1, min(out_fm, row // c))
         # Same product tree + sequential group chain as the actor (bias +
         # tree[0] + tree[1] + ...); groups outermost so one group's
@@ -338,63 +407,90 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
 
 def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
     arr = np.asarray(ins["in"], dtype=DTYPE)
-    _expect(actor.name, "window stream", len(arr), actor.count)
+    _expect(actor.name, "window stream", _n_windows(arr), actor.count)
     if actor.mode == "max":
-        out = arr.max(axis=(1, 2))
+        # One np.maximum per window element over the strided slices
+        # arr[..., dy, dx]; the windows are not gathered and the result,
+        # C-ordered over the leading axes, already is the output stream.
+        taps = [
+            arr[..., dy, dx]
+            for dy in range(arr.shape[-2]) for dx in range(arr.shape[-1])
+        ]
+        out = np.empty(arr.shape[:-2], dtype=DTYPE)
+        np.copyto(out, taps[0])
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        # Comparisons round nothing, so a non-zero maximum has one bit
+        # pattern whatever the order. The order shows only in a tie
+        # between -0.0 and +0.0 and in which of several NaNs comes out,
+        # and numpy's contiguous reduce settles those in SIMD lane order
+        # (by window length and host), not raster order: the windows
+        # whose maximum is a zero or NaN are gathered and reduced the
+        # way the actor reduces one, over kh*kw contiguous elements.
+        out = out.reshape(-1)
+        redo = np.flatnonzero(~(np.abs(out) > 0))
+        if len(redo):
+            wins = arr[np.unravel_index(redo, arr.shape[:-2])]
+            out[redo] = np.ascontiguousarray(wins).max(axis=(1, 2))
     else:
-        out = arr.mean(axis=(1, 2), dtype=np.float64).astype(DTYPE)
-    return {"out": out}
-
-
-def fc_partial_sums(x: np.ndarray, weight: np.ndarray, lanes: int) -> np.ndarray:
-    """The interleaved-lane MAC recurrence, batched over images.
-
-    The actor feeds input ``i`` into accumulator lane ``i % lanes``:
-    ``partial[:, lane] = (partial[:, lane] + weight[:, i] * x).astype(f32)``.
-    Lane ``l`` therefore performs a *sequential* float32 addition chain
-    over the terms ``w[:, l], w[:, l+L], w[:, l+2L], ...`` — an order
-    this kernel must not reassociate. It does, however, batch *across*
-    lanes (and images): all lanes take their ``j``-th chain step in one
-    vectorized add, which is legal because lanes never interact. The
-    per-step float32 rounding of each lane's chain is preserved bit for
-    bit; only the ``in_fm``-long Python loop collapses to
-    ``in_fm / lanes`` array ops.
-    """
-    batch, in_fm = x.shape
-    out_fm = weight.shape[0]
-    steps, rem = divmod(in_fm, lanes)
-    if steps == 0:
-        partial = np.zeros((batch, out_fm, lanes), dtype=DTYPE)
-        np.add(
-            partial[:, :, :rem],
-            weight[None, :, :rem] * x[:, None, :rem],
-            out=partial[:, :, :rem],
-        )
-        return partial
-    # terms[b, o, j, l] = w[o, j*L + l] * x[b, j*L + l], float32-rounded
-    # exactly like the actor's per-input product.
-    w_main = weight[:, : steps * lanes].reshape(out_fm, steps, lanes)
-    x_main = x[:, : steps * lanes].reshape(batch, steps, lanes)
-    terms = w_main[None] * x_main[:, None]  # (B, O, steps, L)
-    # Chain step 0 starts from the actor's zero-initialized accumulator
-    # (0 + t, which canonicalizes a -0.0 term like the actor does).
-    partial = terms[:, :, 0] + DTYPE(0.0)
-    for j in range(1, steps):
-        np.add(partial, terms[:, :, j], out=partial)
-    if rem:
-        tail = weight[None, :, steps * lanes :] * x[:, None, steps * lanes :]
-        np.add(partial[:, :, :rem], tail, out=partial[:, :, :rem])
-    return partial
+        # Not fused: numpy's float64 pairwise order over kh*kw contiguous
+        # elements is not the order of a strided per-element chain.
+        out = _beats(arr).mean(axis=(1, 2), dtype=np.float64).astype(DTYPE)
+    return {"out": out.reshape(-1)}
 
 
 def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
+    batch, in_fm, out_fm = actor.images, actor.in_fm, actor.out_fm
+    lanes = actor.acc_lanes
     arr = np.asarray(ins["in"], dtype=DTYPE)
-    _expect(actor.name, "in", len(arr), actor.images * actor.in_fm)
-    x = arr.reshape(actor.images, actor.in_fm)
-    partial = fc_partial_sums(x, actor.weight, actor.acc_lanes)
-    out = (tree_reduce(partial) + actor.bias).astype(DTYPE)
-    out = actor._act(out)
-    return {"out": out.reshape(-1)}
+    _expect(actor.name, "in", len(arr), batch * in_fm)
+    # The actor feeds input i into accumulator lane i % lanes, so lane l
+    # runs the *sequential* float32 chain ((0 + t_l) + t_{l+L}) + ... over
+    # its terms t_i = w[:, i] * x_i, and the lanes meet in one tree per
+    # image. Laid out (steps, lanes, b, o), chain step j of every lane,
+    # image and output is one row of an outer-axis add.reduce, which numpy
+    # runs in exactly that order. The ragged last step is padded with
+    # 0 * 0 = +0.0 terms: a chain that took `0 + t` is never -0.0, so
+    # adding +0.0 changes no bit, and a lane with no input stays +0.0.
+    steps = -(-in_fm // lanes)
+    x_t = np.zeros((steps * lanes, batch), dtype=DTYPE)
+    x_t[:in_fm] = arr.reshape(batch, in_fm).T
+    x_t = x_t.reshape(steps, lanes, batch, 1)
+    # out_fm takes the block budget first, batch what is left; the weight
+    # block is re-laid once per output block, while it is cache-hot,
+    # never the whole matrix at once.
+    room = max(1, _CONV_BLOCK_BYTES // (steps * lanes * DTYPE(0).nbytes))
+    o_block = min(out_fm, room)
+    b_block = min(batch, max(1, room // o_block))
+    w_buf = np.empty(steps * lanes * o_block, dtype=DTYPE)
+    terms_buf = np.empty(steps * lanes * b_block * o_block, dtype=DTYPE)
+    partial_buf = np.empty(lanes * b_block * o_block, dtype=DTYPE)
+    scratch_buf = np.empty((lanes + 1) // 2 * b_block * o_block, dtype=DTYPE)
+    out = np.empty((batch, out_fm), dtype=DTYPE)
+    for o0 in range(0, out_fm, o_block):
+        o = min(o_block, out_fm - o0)
+        w_blk = w_buf[: steps * lanes * o].reshape(steps * lanes, o)
+        w_blk[:in_fm] = actor.weight[o0 : o0 + o].T
+        w_blk[in_fm:] = 0
+        w_blk = w_blk.reshape(steps, lanes, 1, o)
+        for b0 in range(0, batch, b_block):
+            b = min(b_block, batch - b0)
+            terms = terms_buf[: steps * lanes * b * o].reshape(steps, lanes, b, o)
+            partial = partial_buf[: lanes * b * o].reshape(lanes, b, o)
+            scratch = scratch_buf[: (lanes + 1) // 2 * b * o].reshape(-1, b, o)
+            np.multiply(w_blk, x_t[:, :, b0 : b0 + b], out=terms)
+            if partial.size > 1:
+                np.add.reduce(terms, axis=0, initial=DTYPE(0), out=partial)
+            else:
+                # One lane, image and output: numpy would make the chain
+                # its inner loop and sum it pairwise. Add it in sequence.
+                partial[...] = sum(terms.ravel(), DTYPE(0))
+            np.add(
+                _tree_reduce_pingpong(partial, scratch),
+                actor.bias[o0 : o0 + o],
+                out=out[b0 : b0 + b, o0 : o0 + o],
+            )
+    return {"out": actor._act(out).reshape(-1)}
 
 
 def k_norm(actor: NormalizationActor, ins: Streams) -> Streams:

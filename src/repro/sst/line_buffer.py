@@ -101,7 +101,6 @@ class SlidingWindowActor(Actor):
         self.w = int(w)
         self.group = int(group)
         self.images = int(images)
-        self._completion = completion_map(spec, self.h, self.w)
         self.out_h, self.out_w = spec.out_shape(self.h, self.w)
 
     @property
@@ -115,6 +114,11 @@ class SlidingWindowActor(Actor):
         # the window registers while the previous window drains.
         self._emit_queue: deque = deque()
         self._recv_done = False
+        # Built here, not in __init__: a Python loop over every output
+        # coordinate that only the receiver reads, so a compiled run (which
+        # never asks for processes) does not pay for it. It cannot fail:
+        # WindowSpec already rejects pad >= kh/kw, its one error.
+        self._completion = completion_map(self.spec, self.h, self.w)
         # Wakes the emitter when the receiver completes new windows.
         self._gate = Gate()
         return [self._receiver(), self._emitter()]

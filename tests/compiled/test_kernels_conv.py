@@ -5,18 +5,21 @@ in-place product tree) but may not reorder a single float32 operation.
 These tests pin that down below the engine level: the tree helper
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the kernel against the per-coordinate formulation of
-``ConvCoreActor._compute`` over a port/kernel/blocking grid.
+``ConvCoreActor._compute`` over a port/kernel/blocking grid — every case
+fed both the zero-copy ``k_window`` views and the gathered ``(n, kh, kw)``
+beat stacks of the same pixels.
 """
 
 import numpy as np
 import pytest
 
 from repro.compiled import kernels
-from repro.compiled.kernels import _tree_reduce_pingpong, k_conv
+from repro.compiled.kernels import _beats, _tree_reduce_pingpong, k_conv, k_window
 from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
 from repro.errors import CompilationError
 from repro.hls.tree_adder import tree_reduce
+from repro.sst import SlidingWindowActor, WindowSpec
 
 
 def bits(arr):
@@ -70,24 +73,45 @@ class TestTreeReducePingpong:
         assert bits(out)[0] == 0x80000000
 
 
-def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0):
+def grid_shape(n_coords):
+    """``(oh, ow)`` with ``oh * ow == n_coords``, as square as it divides."""
+    oh = max(d for d in range(1, int(n_coords ** 0.5) + 1) if n_coords % d == 0)
+    return oh, n_coords // oh
+
+
+def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None):
+    """A conv core plus the same windows in both stream representations.
+
+    Returns ``(actor, views, beats)``: per in-port the zero-copy
+    ``k_window`` view of seeded pixels and its gathered ``(n, k, k)``
+    beat stack (what ``k_window`` used to emit).
+    """
     rng = np.random.default_rng(seed)
     groups, out_fm = 2, 6
     in_fm = in_ports * groups
     weight = rng.standard_normal((out_fm, in_fm, k, k)).astype(DTYPE)
     weight[rng.random(weight.shape) < 0.05] = -0.0
     bias = rng.standard_normal(out_fm).astype(DTYPE)
-    images = 2 if n_lanes % 2 == 0 else 1
+    if images is None:
+        images = 2 if n_lanes % 2 == 0 else 1
+    oh, ow = grid_shape(n_lanes // images)
+    h, w = oh + k - 1, ow + k - 1
     actor = ConvCoreActor(
         "core", weight, bias, in_ports, out_ports,
-        n_coords=n_lanes // images, images=images, activation=activation,
+        n_coords=oh * ow, images=images, activation=activation,
     )
-    ins = {}
+    views, beats = {}, {}
     for p in range(in_ports):
-        wins = rng.standard_normal((n_lanes * groups, k, k)).astype(DTYPE)
-        wins[rng.random(wins.shape) < 0.05] = 0.0
-        ins[f"in{p}"] = wins
-    return actor, ins
+        px = rng.standard_normal(images * h * w * groups).astype(DTYPE)
+        px[rng.random(px.shape) < 0.05] = 0.0
+        win = SlidingWindowActor(
+            f"win{p}", WindowSpec(k, k), h, w, group=groups, images=images
+        )
+        views[f"in{p}"] = k_window(win, {"in": px})["out"]
+        beats[f"in{p}"] = _beats(views[f"in{p}"])
+        assert views[f"in{p}"].shape == (images, oh, ow, groups, k, k)
+        assert beats[f"in{p}"].shape == (n_lanes * groups, k, k)
+    return actor, views, beats
 
 
 def actor_formulation(actor, ins):
@@ -113,9 +137,27 @@ def actor_formulation(actor, ins):
     return {f"out{p}": np.concatenate(o) for p, o in enumerate(outs)}
 
 
-#: Tree rows of 150 lanes: the lane chunk is 144 (whole cache lines), and
-#: a chunk of 36 lanes gets an output block of 4 of the 6 output maps.
+def assert_both_forms_bit_equal(actor, views, beats, want=None):
+    """``k_conv`` on the views and on the beat stacks against ``want``
+    (default: the actor formulation)."""
+    if want is None:
+        want = actor_formulation(actor, beats)
+    for form, ins in (("view", views), ("beats", beats)):
+        got = k_conv(actor, ins)
+        assert sorted(got) == sorted(want), form
+        for port, arr in want.items():
+            assert got[port].dtype == DTYPE
+            assert np.array_equal(bits(got[port]), bits(arr)), (form, port)
+    return want
+
+
+#: Tree rows of 150 lanes: the lane budget is 144 (whole cache lines), and
+#: a block of 36 lanes gets an output block of 4 of the 6 output maps.
 ROW = 150
+
+
+def set_row(monkeypatch, lanes, tree_width):
+    monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", lanes * tree_width * 4)
 
 
 class TestConvKernelBlocking:
@@ -128,40 +170,87 @@ class TestConvKernelBlocking:
     def test_bit_equal_to_actor_formulation(
         self, monkeypatch, in_ports, out_ports, activation, k, n_lanes
     ):
-        # K = in_ports*k*k covers 1, 9, 25, 36, 121 and their multiples;
-        # 36 lanes sit below the chunk, 144 equal it, 324 = 144+144+36.
-        monkeypatch.setattr(
-            kernels, "_CONV_BLOCK_BYTES", ROW * in_ports * k * k * 4
-        )
-        actor, ins = make_case(in_ports, out_ports, k, n_lanes, activation)
-        want = actor_formulation(actor, ins)
-        got = k_conv(actor, ins)
-        assert sorted(got) == sorted(want)
-        for port, arr in want.items():
-            assert got[port].dtype == DTYPE
-            assert np.array_equal(bits(got[port]), bits(arr)), port
+        # K = in_ports*k*k covers 1, 9, 25, 36, 121 and their multiples.
+        # Two images of 18 / 72 / 162 coordinates: as beats, 36 lanes sit
+        # below the budget, 144 equal it, 324 = 144+144+36; as views, both
+        # images in one block, twice, and 162 = 9 rows of 18 > budget, so
+        # each image goes in row blocks of 8 + 1.
+        set_row(monkeypatch, ROW, in_ports * k * k)
+        actor, views, beats = make_case(in_ports, out_ports, k, n_lanes, activation)
+        assert_both_forms_bit_equal(actor, views, beats)
 
     @pytest.mark.parametrize("block_bytes", [1, 64, 1 << 12, 1 << 19, 1 << 24])
     def test_blocking_is_bit_neutral(self, monkeypatch, block_bytes):
-        actor, ins = make_case(2, 2, 3, 330, "tanh", seed=3)
-        want = k_conv(actor, ins)
+        actor, views, beats = make_case(2, 2, 3, 330, "tanh", seed=3)
+        want = k_conv(actor, beats)
         monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", block_bytes)
-        got = k_conv(actor, ins)
-        for port, arr in want.items():
-            assert np.array_equal(bits(got[port]), bits(arr)), port
+        assert_both_forms_bit_equal(actor, views, beats, want)
+
+    def test_ragged_last_image_block(self, monkeypatch):
+        # 5 images of 4x5 coordinates, budget 48 lanes: blocks of 2, 2, 1.
+        set_row(monkeypatch, 50, 2 * 9)
+        actor, views, beats = make_case(2, 2, 3, 100, "relu", seed=5, images=5)
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    def test_row_blocks_when_one_image_exceeds_the_budget(self, monkeypatch):
+        # 3 images of 7x11 = 77 coordinates, budget 32 lanes: each image in
+        # row blocks of 2, 2, 2, 1 rows (22 and 11 lanes), never across images.
+        set_row(monkeypatch, 40, 2 * 9)
+        actor, views, beats = make_case(2, 1, 3, 231, "tanh", seed=6, images=3)
+        assert views["in0"].shape[:3] == (3, 7, 11)
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize("n_coords", [1, 6, 15, 16])
+    def test_blocks_of_at_most_sixteen_lanes(self, monkeypatch, n_coords):
+        # The budget never drops under 16 lanes; images of <= 16
+        # coordinates then go one whole image per block.
+        set_row(monkeypatch, 1, 9)
+        actor, views, beats = make_case(
+            1, 3, 3, 3 * n_coords, None, seed=n_coords, images=3
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    def test_row_wider_than_the_budget_is_one_block(self, monkeypatch):
+        # 1x40 coordinates against a 16-lane budget: a block is at least
+        # one whole output row.
+        set_row(monkeypatch, 1, 9)
+        actor, views, beats = make_case(1, 1, 3, 80, "relu", seed=8)
+        views = {"in0": views["in0"].reshape(2, 1, 40, 2, 3, 3)}
+        assert_both_forms_bit_equal(actor, views, beats)
 
     def test_inputs_are_not_modified(self):
-        actor, ins = make_case(2, 1, 3, 40, "relu")
-        before = {port: arr.copy() for port, arr in ins.items()}
-        k_conv(actor, ins)
-        for port, arr in before.items():
-            assert np.array_equal(bits(ins[port]), bits(arr))
+        actor, views, beats = make_case(2, 1, 3, 40, "relu")
+        for ins in (views, beats):
+            before = {port: arr.copy() for port, arr in ins.items()}
+            k_conv(actor, ins)
+            for port, arr in before.items():
+                assert np.array_equal(bits(ins[port]), bits(arr))
+        assert not any(v.flags.writeable for v in views.values())
 
     @pytest.mark.parametrize("port", ["in0", "in1"])
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_stream_is_a_compilation_error(self, port, delta):
-        actor, ins = make_case(2, 1, 3, 40, None)
-        n = len(ins[port]) + delta
-        ins[port] = np.resize(ins[port], (n, 3, 3))
+        actor, _, beats = make_case(2, 1, 3, 40, None)
+        n = len(beats[port]) + delta
+        beats[port] = np.resize(beats[port], (n, 3, 3))
         with pytest.raises(CompilationError, match=port):
-            k_conv(actor, ins)
+            k_conv(actor, beats)
+
+    @pytest.mark.parametrize("port", ["in0", "in1"])
+    @pytest.mark.parametrize(
+        "crop", [np.s_[:1], np.s_[:, :-1], np.s_[:, :, 1:], np.s_[:, :, :, :1]],
+        ids=["image", "row", "column", "group"],
+    )
+    def test_wrong_length_view_is_a_compilation_error(self, port, crop):
+        actor, views, _ = make_case(2, 1, 3, 40, None)
+        views[port] = views[port][crop]
+        with pytest.raises(CompilationError, match=port):
+            k_conv(actor, views)
+
+    def test_ports_must_share_one_geometry(self):
+        # Same beat count, different (images, rows, cols): one block slice
+        # could not address both ports.
+        actor, views, beats = make_case(2, 1, 3, 40, None)
+        views["in1"] = beats["in1"]
+        with pytest.raises(CompilationError, match="in1"):
+            k_conv(actor, views)

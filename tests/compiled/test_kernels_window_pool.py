@@ -1,0 +1,209 @@
+"""Window streams as zero-copy views, and the kernels that read them.
+
+``k_window`` hands its consumers the ``sliding_window_view`` of the pixel
+stream, shape ``(images, out_h, out_w, group, kh, kw)``, instead of a
+gathered ``(n, kh, kw)`` stack; ``_beats`` is the one place that stack is
+still made, for the kernels that route single beats. These tests pin the
+view's emission order against :func:`repro.sst.reference_windows`, guard
+that the ``kh*kw``-fold copy is gone, and hold ``k_pool`` bitwise to the
+actor's per-beat arithmetic on both representations.
+"""
+
+import numpy as np
+import pytest
+
+from repro.compiled.kernels import (
+    _beats,
+    k_demux,
+    k_interleave,
+    k_pool,
+    k_sink,
+    k_window,
+)
+from repro.config import DTYPE
+from repro.core.pool_core import PoolCoreActor
+from repro.dataflow.actors import Interleaver, ListSink, ScheduleDemux
+from repro.errors import CompilationError
+from repro.sst import SlidingWindowActor, WindowSpec
+from tests.compiled.test_kernels_conv import bits
+from tests.sst.test_line_buffer import expected_windows
+
+#: Pixel values that make a window's maximum a tie between the two zeros
+#: most of the time, and NaN, an infinity or a denormal now and then.
+TIE_VALUES = np.array(
+    [-0.0, 0.0, -1e-45, -1e-39, -1.0, -np.inf, 1e-45, 2.0, np.inf, np.nan],
+    dtype=DTYPE,
+)
+TIE_SHARES = [0.22, 0.22, 0.1, 0.1, 0.1, 0.16, 0.025, 0.025, 0.025, 0.025]
+
+
+def same_bits_nan_as_nan(got, want):
+    """Elementwise: equal bit patterns, any NaN equal to any NaN."""
+    got, want = np.asarray(got, dtype=DTYPE), np.asarray(want, dtype=DTYPE)
+    return (bits(got) == bits(want)) | (np.isnan(got) & np.isnan(want))
+
+
+def window_case(spec, h, w, group, images, rng, ties=False):
+    """``(actor, pixel stream)``: raster order, FM-minor, image after image."""
+    n = images * h * w * group
+    if ties:
+        px = rng.choice(TIE_VALUES, size=n, p=TIE_SHARES)
+    else:
+        px = rng.standard_normal(n).astype(DTYPE)
+    actor = SlidingWindowActor("win", spec, h, w, group=group, images=images)
+    return actor, px
+
+
+def gathered_emission(actor, px):
+    """The actor's window beats from the golden per-FM extraction
+    (``reference_windows``): coordinate-major, FM-minor — the stack
+    ``k_window`` used to materialize."""
+    planes = px.reshape(actor.images, actor.h, actor.w, actor.group)
+    return np.stack(
+        expected_windows(planes.transpose(0, 3, 1, 2), actor.spec, actor.group)
+    )
+
+
+class TestWindowView:
+    @pytest.mark.parametrize("images", [1, 3])
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 9, 9), (3, 5, 11, 14), (5, 3, 7, 12)])
+    def test_beats_equal_reference_windows(
+        self, rng, kh, kw, h, w, stride, pad, group, images
+    ):
+        spec = WindowSpec(kh, kw, stride=stride, pad=pad)
+        actor, px = window_case(spec, h, w, group, images, rng)
+        before = px.copy()
+        out = k_window(actor, {"in": px})["out"]
+        assert out.shape == (images, actor.out_h, actor.out_w, group, kh, kw)
+        assert out.dtype == DTYPE
+        assert np.array_equal(bits(_beats(out)), bits(gathered_emission(actor, px)))
+        # The guard that the kh*kw-fold copy is gone: without padding the
+        # stream is a view of the pixels it was given, and a kernel
+        # downstream cannot write through it.
+        assert np.shares_memory(out, px) == (pad == 0)
+        assert not out.flags.writeable
+        assert np.array_equal(bits(px), bits(before))
+        # The ledger's bytes_out: a view's nbytes is its logical size.
+        assert out.nbytes == actor.windows_per_image * images * kh * kw * 4
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_pixel_stream_is_a_compilation_error(self, rng, delta):
+        actor, px = window_case(WindowSpec(3, 3), 6, 7, 2, 2, rng)
+        with pytest.raises(CompilationError, match="pixel stream"):
+            k_window(actor, {"in": np.resize(px, len(px) + delta)})
+
+    def test_beats_of_a_scalar_stream_or_a_stack_is_the_array_itself(self, rng):
+        scalars = rng.standard_normal(12).astype(DTYPE)
+        assert _beats(scalars) is scalars
+        stack = rng.standard_normal((12, 2, 3)).astype(DTYPE)
+        assert np.shares_memory(_beats(stack), stack)
+        assert _beats(stack).shape == stack.shape
+
+
+class TestRoutingKernelsTakeViews:
+    """Kernels that move single beats see a view as its ``(n, kh, kw)`` beats."""
+
+    def case(self, rng):
+        actor, px = window_case(WindowSpec(2, 3, stride=2), 6, 9, 3, 2, rng)
+        view = k_window(actor, {"in": px})["out"]
+        return view, gathered_emission(actor, px)
+
+    def test_sink_receives_one_window_per_beat(self, rng):
+        view, beats = self.case(rng)
+        sink = ListSink("snk", count=len(beats))
+        assert k_sink(sink, {"in": view}) == {}
+        assert len(sink.received) == len(beats)
+        assert all(np.array_equal(a, b) for a, b in zip(sink.received, beats))
+        with pytest.raises(CompilationError, match="sink input"):
+            k_sink(ListSink("snk", count=len(beats) + 1), {"in": view})
+
+    def test_demux_then_interleave_round_trips_the_beats(self, rng):
+        view, beats = self.case(rng)
+        demux = ScheduleDemux("dem", n_outputs=3)
+        lanes = k_demux(demux, {"in": view})
+        for i in range(3):
+            assert np.array_equal(lanes[f"out{i}"], beats[i::3])
+        merged = k_interleave(
+            Interleaver("mux", n_inputs=3),
+            {f"in{i}": lanes[f"out{i}"] for i in range(3)},
+        )["out"]
+        assert np.array_equal(bits(merged), bits(beats))
+
+    def test_interleave_gathers_views_on_its_inputs(self, rng):
+        view, beats = self.case(rng)
+        merged = k_interleave(
+            Interleaver("mux", n_inputs=2), {"in0": view, "in1": view}
+        )["out"]
+        assert np.array_equal(bits(merged[0::2]), bits(beats))
+        assert np.array_equal(bits(merged[1::2]), bits(beats))
+
+
+#: Pool geometries: disjoint, overlapping at stride 2, fully overlapping,
+#: a one-column window (kw == 1), and windows past 8 and 16 elements,
+#: where numpy's ``w.max()`` stops settling a -0.0/+0.0 tie in raster
+#: order (it reduces in SIMD lane order) and a plain chain would differ.
+POOL_SPECS = [
+    WindowSpec(2, 2, stride=2),
+    WindowSpec(3, 3, stride=2),
+    WindowSpec(3, 3, stride=1),
+    WindowSpec(3, 1, stride=1),
+    WindowSpec(5, 5, stride=1),
+    WindowSpec(2, 9, stride=1),
+    WindowSpec(1, 17, stride=2),
+    WindowSpec(7, 7, stride=1),
+]
+
+
+def pool_streams(spec, rng, ties):
+    actor, px = window_case(spec, spec.kh + 8, spec.kw + 20, 3, 2, rng, ties)
+    view = k_window(actor, {"in": px})["out"]
+    return {"view": view, "beats": _beats(view)}
+
+
+@pytest.mark.parametrize("form", ["view", "beats"])
+@pytest.mark.parametrize("spec", POOL_SPECS, ids=WindowSpec.describe)
+class TestPoolKernel:
+    def test_max_is_bitwise_the_actors_per_beat_max(self, rng, spec, form):
+        streams = pool_streams(spec, rng, ties=True)
+        beats = streams["beats"]
+        want = np.array([DTYPE(w.max()) for w in beats])
+        # The answers that depend on the order of comparison do occur: a
+        # NaN, and a zero maximum over a window holding both zeros.
+        zeros = beats == 0
+        tie = (zeros & np.signbit(beats)).any(axis=(1, 2)) & (
+            zeros & ~np.signbit(beats)
+        ).any(axis=(1, 2))
+        assert np.isnan(want).any() and (tie & (want == 0)).sum() >= 10
+        actor = PoolCoreActor("pool", "max", count=len(beats))
+        got = k_pool(actor, {"in": streams[form]})["out"]
+        assert got.dtype == DTYPE and got.shape == want.shape
+        assert same_bits_nan_as_nan(got, want).all()
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "specials"])
+    def test_mean_is_bitwise_the_actors_per_beat_mean(self, rng, spec, form, ties):
+        streams = pool_streams(spec, rng, ties)
+        beats = streams["beats"]
+        with np.errstate(invalid="ignore"):
+            want = np.array([DTYPE(w.mean(dtype=np.float64)) for w in beats])
+            actor = PoolCoreActor("pool", "mean", count=len(beats))
+            got = k_pool(actor, {"in": streams[form]})["out"]
+        assert got.dtype == DTYPE and got.shape == want.shape
+        assert same_bits_nan_as_nan(got, want).all()
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    def test_count_is_checked_against_the_windows_carried(
+        self, rng, spec, form, mode
+    ):
+        # A view's len() is its image count: the schedule's beat count is
+        # compared with the number of windows, whatever the representation.
+        stream = pool_streams(spec, rng, ties=False)[form]
+        n = stream.size // (spec.kh * spec.kw)
+        before = stream.copy()
+        k_pool(PoolCoreActor("pool", mode, count=n), {"in": stream})
+        assert np.array_equal(bits(stream), bits(before))
+        for wrong in {n - 1, n + 1, len(stream)} - {n}:
+            with pytest.raises(CompilationError, match="window stream"):
+                k_pool(PoolCoreActor("pool", mode, count=wrong), {"in": stream})

@@ -71,6 +71,51 @@ class TestCompletionMap:
         assert any((oy, ox) == (0, 3) for (oy, ox) in done[(1, 3)])
 
 
+class TestLazyCompletionMap:
+    """The map is the receiver's: built by ``processes()``, not ``__init__``."""
+
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (2, 5), (3, 3), (5, 2)])
+    def test_deferring_the_map_defers_no_failure(self, kh, kw):
+        # The map's one error is a window with no real pixel. WindowSpec
+        # refuses the smallest pad that could produce one, and under the
+        # largest pad it accepts the map builds even on the smallest image.
+        pad = min(kh, kw) - 1
+        with pytest.raises(ConfigurationError, match="pad"):
+            WindowSpec(kh, kw, pad=pad + 1)
+        spec = WindowSpec(kh, kw, pad=pad)
+        h, w = max(1, kh - 2 * pad), max(1, kw - 2 * pad)
+        done = completion_map(spec, h, w)
+        assert sum(len(c) for c in done.values()) == spec.num_windows(h, w)
+
+    def test_compiled_run_never_builds_the_map(self, monkeypatch):
+        import repro.sst.line_buffer as line_buffer
+        from repro.core import random_weights, tiny_design
+        from repro.core.builder import build_network, seeded_batch
+
+        calls = []
+        real = line_buffer.completion_map
+        monkeypatch.setattr(
+            line_buffer, "completion_map",
+            lambda *a: calls.append(a) or real(*a),
+        )
+        design = tiny_design()
+        weights = random_weights(design, seed=3)
+        batch = seeded_batch(design, 3, 2)
+        built = build_network(design, weights, batch)
+        windows = [
+            a for a in built.graph.actors.values()
+            if isinstance(a, SlidingWindowActor)
+        ]
+        assert windows and not calls
+        assert built.run(scheduler="compiled").scheduler_stats["scheduler"] == "compiled"
+        assert not calls
+        want = built.outputs()
+        built = build_network(design, weights, batch)
+        built.run(scheduler="event")
+        assert len(calls) == len(windows)
+        assert np.array_equal(built.outputs(), want)
+
+
 class TestStreaming:
     def test_simple_3x3(self, rng):
         img = rng.standard_normal((1, 5, 6)).astype(np.float32)
