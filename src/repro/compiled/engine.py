@@ -108,6 +108,18 @@ class CompiledEngine:
         :mod:`repro.compiled.plan_cache`. Cached failures re-raise the
         same :class:`CompilationError` without re-running the analyzer.
         """
+        first = design.placements[0].spec
+        if first.kind == "pool":
+            # Values would be right and the interval too, but a compiled
+            # run's cycles are core/perf_model.py's, and its fill recursion
+            # runs 16-31 % long on pool-first designs (1x8x8 -> pool 2x2/s2
+            # -> fc 16->4: first completion at 147, 127 on the event
+            # engine; DESIGN.md section 12 has the cause).
+            raise CompilationError(
+                f"design {design.name!r} starts with pool layer "
+                f"{first.name!r}; the compiled engine's fill-latency model "
+                f"is not exact for a leading pool stage"
+            )
         cache = GLOBAL_PLAN_CACHE
         digest = design_digest(design)
         verdict = cache.get_verdict(digest)

@@ -29,13 +29,18 @@ reproducing the per-beat association order exactly:
   lane block is a slice of whole images (or whole output rows) of the
   port views, gathered into the lanes-minor ``(G, K, c)`` window buffer
   by one strided assignment per port.
-  The tree is *not* padded to a power of two: an odd level's last row
-  is carried as ``row + 0.0``, which is what the padded tree computes
-  for it (``-0.0`` becomes ``+0.0`` on the first carry; further pad
-  zeros change nothing), so 24 row-adds do the work of 31 for
-  ``K = 25`` and no level allocates. ``np.dot``/BLAS stays out: it
-  accumulates in an order of its own choosing (blocked, FMA-fused),
-  which is not the hardware tree's;
+  The multiply runs with numpy's ufunc buffer shrunk for the block
+  loop: under the default one, any row of up to 4096 lanes takes the
+  buffered path, which expands the stride-0 weight operand and runs at
+  a third of the streaming rate. The tree reduces the slab in place
+  (level ``l`` adds rows ``2**l * (2i+1)`` into rows ``2**l * 2i``) and
+  is *not* padded to a power of two: an odd level's last row is carried
+  as ``row + 0.0``, which is what the padded tree computes for it
+  (``-0.0`` becomes ``+0.0`` on the first carry; further pad zeros
+  change nothing, so it is carried once), and 25 row-adds do the work
+  of 31 for ``K = 25``. ``np.dot``/BLAS stays out: it accumulates in an
+  order of its own choosing (blocked, FMA-fused), which is not the
+  hardware tree's;
 * the FC kernel keeps the interleaved-accumulator order (input ``i``
   feeds lane ``i % acc_lanes``; each lane adds its terms one after the
   other from zero, rounding to float32 at every step; the lanes meet in
@@ -89,11 +94,12 @@ from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
 
 #: Target size of one conv product slab (bytes): coordinates and output
-#: maps are blocked so the slab, its half-size tree scratch and one
-#: group's windows stay cache-resident. Blocking is bit-neutral (the
-#: product tree is elementwise per coordinate and output map) — it only
-#: sets how much one vectorized pass carries. The FC kernel blocks its
-#: term array (outputs, then images) to the same size.
+#: maps are blocked so the slab (which its product tree reduces in place)
+#: and one group's windows stay cache-resident. Blocking is bit-neutral
+#: (the product tree is elementwise per coordinate and output map) — it
+#: only sets how much one vectorized pass carries (TC2's two conv layers:
+#: 58 / 54 / 48 / 47 / 52 ms at 256 / 384 / 512 / 768 / 1024 KiB). The FC
+#: kernel blocks its term array (outputs, then images) to the same size.
 _CONV_BLOCK_BYTES = 1 << 19
 
 Streams = Dict[str, np.ndarray]
@@ -289,34 +295,38 @@ def _aligned_empty(n: int) -> np.ndarray:
     return buf[skip : skip + n]
 
 
-def _tree_reduce_pingpong(slab: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _tree_reduce_inplace(slab: np.ndarray) -> np.ndarray:
     """:func:`~repro.hls.tree_adder.tree_reduce` over the *leading* axis.
 
     Same association tree (``t_i = a_{2i} + a_{2i+1}`` level by level),
-    without the pad to a power of two and without allocating: levels
-    alternate between ``slab`` (destroyed) and ``scratch`` (at least
-    ``ceil(n / 2)`` rows). An odd level's last row is carried as
-    ``row + 0.0`` — precisely what pairing it with a pad zero computes,
-    ``-0.0 -> +0.0`` included; the zeros ``tree_reduce`` adds to an
-    already-carried value afterwards change no bit, and all-pad pairs
-    never reach the result. Returns a view into one of the two buffers.
+    without the pad to a power of two and without a second buffer: level
+    ``l`` adds rows ``step*(2i+1)`` into rows ``step*2i``, ``step = 2**l``,
+    so ``slab`` is destroyed and the result is ``slab[0]``. Every level
+    writes rows it has just read — an out-of-place level pays a
+    write-allocate for each destination line on top. An odd level's last
+    row is carried as ``row + 0.0`` — precisely what pairing it with a
+    pad zero computes, ``-0.0 -> +0.0`` included — and only the first
+    time: every later odd last row is that value or a sum holding it,
+    neither of which can be ``-0.0``, so the zeros ``tree_reduce`` adds
+    there change no bit; all-pad pairs never reach the result.
     """
-    n = slab.shape[0]
-    src, dst = slab, scratch
+    n, step, carried = slab.shape[0], 1, False
     while n > 1:
         half = n >> 1
-        np.add(src[0 : 2 * half : 2], src[1 : 2 * half : 2], out=dst[:half])
-        if n & 1:
-            np.add(src[n - 1], DTYPE(0.0), out=dst[half])
+        even = slab[0 : 2 * half * step : 2 * step]
+        np.add(even, slab[step : 2 * half * step : 2 * step], out=even)
+        if n & 1 and not carried:
+            last = slab[(n - 1) * step]
+            np.add(last, DTYPE(0.0), out=last)
+            carried = True
         n -= half
-        src, dst = dst, src
-    return src[0]
+        step *= 2
+    return slab[0]
 
 
 def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     n_lanes = actor.images * actor.n_coords
     groups = actor.in_groups
-    out_fm = actor.out_fm
     win_shape = (groups, actor.kh, actor.kw)
     ports = []
     for p in range(actor.in_ports):
@@ -332,19 +342,48 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
                 f"{actor.name!r}: in{p} window geometry {arr.shape} is not "
                 f"{win_shape} windows over {ports[0].shape[:3]}"
             )
+    out_t = np.empty((actor.out_fm, n_lanes), dtype=DTYPE)
+    # numpy's ufuncs buffer any operation whose inner row fits half their
+    # buffer (8192 elements by default), and on that path the stride-0
+    # weight column of the slab multiply is expanded element by element:
+    # a third of the streaming rate for every row of <= 4096 lanes, which
+    # is every AlexNet/VGG layer at batch 1 and the tail block of a large
+    # batch. The smallest buffer numpy takes leaves no row under it. It is
+    # shrunk around the block loop only — the setting is per thread, and
+    # k_fc's outer-axis reduce runs AlexNet's fc6 2.6x slower under it —
+    # and put back whatever the loop raises.
+    bufsize = np.setbufsize(16)
+    try:
+        _conv_blocks(actor, ports, out_t)
+    finally:
+        np.setbufsize(bufsize)
+    out = actor._act(np.ascontiguousarray(out_t.T))  # (lanes, OUT_FM)
+    if actor.out_ports == 1:
+        return {"out0": out.reshape(-1)}
+    return {
+        f"out{p}": np.ascontiguousarray(out[:, p :: actor.out_ports]).reshape(-1)
+        for p in range(actor.out_ports)
+    }
+
+
+def _conv_blocks(
+    actor: ConvCoreActor, ports: List[np.ndarray], out_t: np.ndarray
+) -> None:
+    """Fill ``out_t`` — ``(OUT_FM, lanes)``, before the activation — from
+    the ``(images, rows, cols, G, kh, kw)`` port views, block by block."""
+    groups = actor.in_groups
+    out_fm = actor.out_fm
     n_images, n_rows, n_cols = ports[0].shape[:3]
     w_t = np.ascontiguousarray(actor._w_all.transpose(0, 2, 1))  # (G, K, OUT_FM)
     kk_all = w_t.shape[1]  # K = P*kh*kw, the tree width
-    scratch_rows = (kk_all + 1) // 2  # the tree's widest second level
     bias = actor.bias[:, None]
     # One product slab is (K, o, c): c lanes (coordinates) minor, o output
     # maps. `row` = o*c is what _CONV_BLOCK_BYTES allows; lanes take it
     # first (the multiply's inner loop is one weight times c lanes) and
     # output maps fill what a short block leaves. A lane block is as many
-    # whole images as the budget holds — all of them, never rounded down
-    # to an even count: the multiply halves its speed on rows under 4096
-    # lanes — or, when one image is over the budget, whole output rows of
-    # one image, so every block is one slice of the port views.
+    # whole images as the budget holds or, when one image is over the
+    # budget, whole output rows of one image, so every block is one slice
+    # of the port views.
     # Blocking is bit-neutral: every op is elementwise per (lane, map).
     row = _CONV_BLOCK_BYTES // (kk_all * DTYPE(0).nbytes)
     budget = max(16, row - row % 16)
@@ -356,8 +395,6 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     row = max(row, chunk)
     wins_buf = _aligned_empty(groups * kk_all * chunk)
     slab_buf = _aligned_empty(kk_all * row)
-    scratch_buf = _aligned_empty(scratch_rows * row)
-    out_t = np.empty((out_fm, n_lanes), dtype=DTYPE)
     for i0, r0 in itertools.product(
         range(0, n_images, i_step), range(0, n_rows, r_step)
     ):
@@ -384,25 +421,15 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
             for o0 in range(0, out_fm, o_block):
                 o = min(o_block, out_fm - o0)
                 slab = slab_buf[: kk_all * o * c].reshape(kk_all, o, c)
-                scratch = scratch_buf[: scratch_rows * o * c].reshape(
-                    scratch_rows, o, c
-                )
                 np.multiply(
                     wins[g, :, None, :], w_t[g, :, o0 : o0 + o, None], out=slab
                 )
                 acc = out_t[o0 : o0 + o, s : s + c]
                 np.add(
                     acc if g else bias[o0 : o0 + o],
-                    _tree_reduce_pingpong(slab, scratch),
+                    _tree_reduce_inplace(slab),
                     out=acc,
                 )
-    out = actor._act(np.ascontiguousarray(out_t.T))  # (lanes, OUT_FM)
-    if actor.out_ports == 1:
-        return {"out0": out.reshape(-1)}
-    return {
-        f"out{p}": np.ascontiguousarray(out[:, p :: actor.out_ports]).reshape(-1)
-        for p in range(actor.out_ports)
-    }
 
 
 def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
@@ -465,7 +492,6 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     w_buf = np.empty(steps * lanes * o_block, dtype=DTYPE)
     terms_buf = np.empty(steps * lanes * b_block * o_block, dtype=DTYPE)
     partial_buf = np.empty(lanes * b_block * o_block, dtype=DTYPE)
-    scratch_buf = np.empty((lanes + 1) // 2 * b_block * o_block, dtype=DTYPE)
     out = np.empty((batch, out_fm), dtype=DTYPE)
     for o0 in range(0, out_fm, o_block):
         o = min(o_block, out_fm - o0)
@@ -477,7 +503,6 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
             b = min(b_block, batch - b0)
             terms = terms_buf[: steps * lanes * b * o].reshape(steps, lanes, b, o)
             partial = partial_buf[: lanes * b * o].reshape(lanes, b, o)
-            scratch = scratch_buf[: (lanes + 1) // 2 * b * o].reshape(-1, b, o)
             np.multiply(w_blk, x_t[:, :, b0 : b0 + b], out=terms)
             if partial.size > 1:
                 np.add.reduce(terms, axis=0, initial=DTYPE(0), out=partial)
@@ -486,7 +511,7 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
                 # its inner loop and sum it pairwise. Add it in sequence.
                 partial[...] = sum(terms.ravel(), DTYPE(0))
             np.add(
-                _tree_reduce_pingpong(partial, scratch),
+                _tree_reduce_inplace(partial),
                 actor.bias[o0 : o0 + o],
                 out=out[b0 : b0 + b, o0 : o0 + o],
             )

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.compiled import CompiledFallbackWarning
-from repro.core import random_weights, tiny_design
+from repro.core import (
+    FCLayerSpec,
+    NetworkDesign,
+    PoolLayerSpec,
+    random_weights,
+    tiny_design,
+)
 from repro.core.builder import build_network
 from repro.dataflow import ArraySource, DataflowGraph, ListSink
 from repro.errors import ConfigurationError
@@ -75,6 +81,31 @@ class TestStrictGate:
         b = build_network(design, weights, batch, memory_system="literal")
         b.run(scheduler="event")
         np.testing.assert_array_equal(a.outputs(), b.outputs())
+
+    def test_pool_first_design_runs_on_measured_timing(self, rng):
+        # Seeded counter-example (ROADMAP item 3): compiled, this design
+        # gave the right outputs and interval but cycles 276, completions
+        # [147, 211, 275] — the fill model runs 20 cycles long behind a
+        # leading pool. It is refused, so both engines report the same.
+        design = NetworkDesign("pool-first", (1, 8, 8), [
+            PoolLayerSpec(name="pool1", in_fm=1, out_fm=1, kh=2, stride=2),
+            FCLayerSpec(name="fc1", in_fm=16, out_fm=4),
+        ])
+        weights = random_weights(design, seed=7)
+        batch = rng.uniform(-1, 1, (3, 1, 8, 8)).astype(np.float32)
+        event = build_network(design, weights, batch)
+        want = event.run(scheduler="event")
+        built = build_network(design, weights, batch)
+        with pytest.warns(CompiledFallbackWarning, match="leading pool"):
+            got = built.run(scheduler="compiled")
+        assert got.scheduler_stats["scheduler"] == "event"
+        assert got.cycles == want.cycles == 257
+        assert (
+            built.image_completion_cycles()
+            == event.image_completion_cycles()
+            == [127, 191, 255]
+        )
+        np.testing.assert_array_equal(built.outputs(), event.outputs())
 
 
 class TestRefusals:

@@ -1,7 +1,8 @@
 """The compiled conv kernel against the actor's own arithmetic, bit for bit.
 
 ``k_conv`` reorders memory (lanes minor, blocked slabs, an unpadded
-in-place product tree) but may not reorder a single float32 operation.
+in-place product tree) and shrinks numpy's ufunc buffer while it runs, but
+may not reorder a single float32 operation or leave the buffer changed.
 These tests pin that down below the engine level: the tree helper
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the kernel against the per-coordinate formulation of
@@ -10,13 +11,24 @@ fed both the zero-copy ``k_window`` views and the gathered ``(n, kh, kw)``
 beat stacks of the same pixels.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.compiled import kernels
-from repro.compiled.kernels import _beats, _tree_reduce_pingpong, k_conv, k_window
+from repro.compiled.kernels import (
+    _beats,
+    _tree_reduce_inplace,
+    k_conv,
+    k_fc,
+    k_pool,
+    k_window,
+)
 from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
+from repro.core.fc_core import FCCoreActor
+from repro.core.pool_core import PoolCoreActor
 from repro.errors import CompilationError
 from repro.hls.tree_adder import tree_reduce
 from repro.sst import SlidingWindowActor, WindowSpec
@@ -37,40 +49,76 @@ def carried_rows(n):
     return rows
 
 
+def special_rows(n, cols=24):
+    """``(n, cols)`` normals with the values a carry could mishandle
+    placed where carries happen (the first row of a carried subtree; row
+    ``n - 1`` for odd ``n``) and in their neighbours, one kind per column,
+    plus a whole column of negative zeros."""
+    arr = np.random.default_rng(n).standard_normal((n, cols)).astype(DTYPE)
+    specials = np.array(
+        [-0.0, 0.0, 1e-45, -1e-45, 1e-39, np.inf, -np.inf, np.nan],
+        dtype=DTYPE,
+    )
+    for row in set(carried_rows(n)) | {0, n - 1}:
+        arr[row, : len(specials)] = specials
+        arr[row - 1, len(specials) : 2 * len(specials)] = specials
+    arr[:, -1] = -0.0
+    return arr
+
+
 class TestTreeReducePingpong:
+    """``_tree_reduce_inplace``. (The class keeps the name its test ids
+    were recorded under; the ping-pong tree it first covered is gone.)"""
+
     @pytest.mark.parametrize("n", range(1, 131))
     def test_bit_equal_to_tree_reduce(self, n):
-        rng = np.random.default_rng(n)
-        cols = 24
-        arr = rng.standard_normal((n, cols)).astype(DTYPE)
-        # Values a carry could mishandle, placed where carries happen
-        # (the first row of a carried subtree; row n-1 for odd n) and
-        # in their neighbours, one kind per column.
-        specials = np.array(
-            [-0.0, 0.0, 1e-45, -1e-45, 1e-39, np.inf, -np.inf, np.nan],
-            dtype=DTYPE,
-        )
-        for row in set(carried_rows(n)) | {0, n - 1}:
-            arr[row, : len(specials)] = specials
-            arr[row - 1, len(specials) : 2 * len(specials)] = specials
-        arr[:, -1] = -0.0  # a whole column of negative zeros
+        arr = special_rows(n)
         want = tree_reduce(arr.T)
         slab = arr.copy()
-        scratch = np.empty(((n + 1) // 2, cols), dtype=DTYPE)
-        got = _tree_reduce_pingpong(slab, scratch)
+        got = _tree_reduce_inplace(slab)
         assert got.dtype == DTYPE
         assert np.array_equal(bits(got), bits(want))
+        # In place: the result is the slab's first row.
+        assert got.base is slab and np.shares_memory(got, slab[0])
 
     def test_negative_zero_is_canonicalized_only_by_a_carry(self):
         neg = np.full((3, 1), -0.0, dtype=DTYPE)
         # n = 3: (-0 + -0) + (-0 + 0.0) = -0 + 0 = +0
-        out = _tree_reduce_pingpong(neg.copy(), np.empty((2, 1), DTYPE))
-        assert bits(out)[0] == 0
+        assert bits(_tree_reduce_inplace(neg.copy()))[0] == 0
         # n = 2: no carry, -0 + -0 stays -0; n = 1: returned untouched
-        out = _tree_reduce_pingpong(neg[:2].copy(), np.empty((1, 1), DTYPE))
-        assert bits(out)[0] == 0x80000000
-        out = _tree_reduce_pingpong(neg[:1].copy(), np.empty((1, 1), DTYPE))
-        assert bits(out)[0] == 0x80000000
+        assert bits(_tree_reduce_inplace(neg[:2].copy()))[0] == 0x80000000
+        assert bits(_tree_reduce_inplace(neg[:1].copy()))[0] == 0x80000000
+
+    def test_no_second_buffer_is_taken(self, monkeypatch):
+        # Every level's destination is a slice of the slab itself.
+        slab = special_rows(25)
+        outs = []
+        real_add = np.add
+
+        def spy(a, b, out):
+            outs.append(out)
+            return real_add(a, b, out=out)
+
+        monkeypatch.setattr(kernels.np, "add", spy)
+        _tree_reduce_inplace(slab)
+        monkeypatch.undo()
+        assert len(outs) == 6  # five levels and one carry
+        assert all(np.shares_memory(out, slab) for out in outs)
+
+    @pytest.mark.parametrize("last", [-0.0, 0.0, -1e-45, np.nan, 1.5])
+    def test_row_carried_once_survives_three_more_odd_levels(self, last):
+        # K = 25: 25 -> 13 -> 7 -> 4. Row 24 is the odd last row of the
+        # first three levels; it is carried (+ 0.0) at the first only, and
+        # the padded tree's two further + 0.0 change no bit of it.
+        arr = special_rows(25)
+        arr[24] = last
+        arr[24, 0] = -0.0
+        slab = arr.copy()
+        got = _tree_reduce_inplace(slab)
+        assert np.array_equal(bits(got), bits(tree_reduce(arr.T)))
+        # Row 24 is only read after its carry (into row 16, at the 4-wide
+        # level): it still holds the value carried once.
+        assert np.array_equal(bits(slab[24]), bits(arr[24] + DTYPE(0.0)))
 
 
 def grid_shape(n_coords):
@@ -254,3 +302,152 @@ class TestConvKernelBlocking:
         views["in1"] = beats["in1"]
         with pytest.raises(CompilationError, match="in1"):
             k_conv(actor, views)
+
+
+def spy_on_slabs(monkeypatch):
+    """Record the shape of every product slab ``k_conv`` reduces."""
+    shapes = []
+    tree = kernels._tree_reduce_inplace
+
+    def spy(slab):
+        shapes.append(slab.shape)
+        return tree(slab)
+
+    monkeypatch.setattr(kernels, "_tree_reduce_inplace", spy)
+    return shapes
+
+
+class TestConvKernelLaneCounts:
+    """Both sides of numpy's buffered-iterator threshold (an inner row of
+    4096 elements under the default buffer) and the output-blocked slab of
+    a short tail block, at the real block size, pinned by value."""
+
+    @pytest.mark.parametrize("n_lanes", [4095, 4096, 4097])
+    def test_lane_rows_around_the_buffer_threshold(self, monkeypatch, n_lanes):
+        # One image of 63x65 / 64x64 / 17x241 coordinates, K = 25: one
+        # block of one output map, as a view and as a beat stack.
+        shapes = spy_on_slabs(monkeypatch)
+        actor, views, beats = make_case(1, 2, 5, n_lanes, "relu", seed=n_lanes)
+        assert_both_forms_bit_equal(actor, views, beats)
+        assert set(shapes) == {(25, 1, n_lanes)}
+
+    @pytest.mark.parametrize(
+        "images,n_coords,view_slabs,beat_slabs",
+        [
+            # TC2 conv2, 64 images of 10x10: 52 + 12 images, the tail's
+            # six output maps in blocks of 4 + 2.
+            (64, 100, {(25, 1, 5200), (25, 4, 1200), (25, 2, 1200)},
+             {(25, 1, 5232), (25, 4, 1168), (25, 2, 1168)}),
+            # TC2 conv1's last ten images of 28x28: 6 + 4.
+            (10, 784, {(25, 1, 4704), (25, 1, 3136)},
+             {(25, 1, 5232), (25, 2, 2608)}),
+        ],
+        ids=["conv2-tail", "conv1-tail"],
+    )
+    def test_short_tail_block(
+        self, monkeypatch, images, n_coords, view_slabs, beat_slabs
+    ):
+        # A view is cut at whole images, a stack at the 5232-lane budget
+        # wherever that falls; either way the tail is under 4096 lanes.
+        actor, views, beats = make_case(
+            1, 1, 5, images * n_coords, "tanh", seed=images, images=images
+        )
+        want = actor_formulation(actor, beats)
+        shapes = spy_on_slabs(monkeypatch)
+        for ins, slabs in ((views, view_slabs), (beats, beat_slabs)):
+            shapes.clear()
+            got = k_conv(actor, ins)
+            assert set(shapes) == slabs
+            assert np.array_equal(bits(got["out0"]), bits(want["out0"]))
+
+
+class TestUfuncBufferScope:
+    """``k_conv`` shrinks numpy's ufunc buffer around its block loop and
+    nowhere else; the caller's setting is back whatever happens."""
+
+    @pytest.fixture
+    def caller_bufsize(self):
+        # Not numpy's default, so "restored" cannot be "reset".
+        old = np.setbufsize(2048)
+        yield 2048
+        np.setbufsize(old)
+
+    def test_small_buffer_spans_the_block_loop_only(
+        self, monkeypatch, caller_bufsize
+    ):
+        actor, views, beats = make_case(2, 2, 3, 40, "relu")
+        seen = {}
+        tree, act = kernels._tree_reduce_inplace, actor._act
+
+        def tree_spy(slab):
+            seen["tree"] = np.getbufsize()
+            return tree(slab)
+
+        def act_spy(x):
+            seen["act"] = np.getbufsize()
+            return act(x)
+
+        monkeypatch.setattr(kernels, "_tree_reduce_inplace", tree_spy)
+        monkeypatch.setattr(actor, "_act", act_spy)
+        for ins in (views, beats):
+            seen.clear()
+            k_conv(actor, ins)
+            assert seen == {"tree": 16, "act": caller_bufsize}
+            assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.parametrize("where", ["length", "geometry", "block loop"])
+    def test_restored_when_the_kernel_raises(
+        self, monkeypatch, caller_bufsize, where
+    ):
+        actor, views, beats = make_case(2, 1, 3, 40, None)
+        if where == "length":
+            views["in1"] = views["in1"][:, :-1]
+        elif where == "geometry":
+            views["in1"] = beats["in1"]
+        else:
+            def jam(slab):
+                assert np.getbufsize() == 16
+                raise CompilationError("mid-run")
+
+            monkeypatch.setattr(kernels, "_tree_reduce_inplace", jam)
+        with pytest.raises(CompilationError):
+            k_conv(actor, views)
+        assert np.getbufsize() == caller_bufsize
+
+    def test_second_thread_keeps_its_own_and_leaves_ours(self, caller_bufsize):
+        # Serve's replicas run kernels off the main thread; numpy keeps
+        # the buffer size per thread.
+        actor, views, beats = make_case(2, 2, 3, 40, "relu")
+        want = k_conv(actor, views)
+        seen = {}
+
+        def replica():
+            np.setbufsize(1024)
+            seen["out"] = k_conv(actor, beats)
+            seen["after"] = np.getbufsize()
+
+        thread = threading.Thread(target=replica)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen["after"] == 1024
+        assert np.getbufsize() == caller_bufsize
+        for port, arr in want.items():
+            assert np.array_equal(bits(seen["out"][port]), bits(arr))
+
+    def test_other_kernels_never_touch_the_buffer(self, monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"np.setbufsize({size}) outside k_conv")
+
+        monkeypatch.setattr(np, "setbufsize", refuse)
+        rng = np.random.default_rng(0)
+        fc = FCCoreActor(
+            "fc", rng.standard_normal((7, 29)).astype(DTYPE),
+            rng.standard_normal(7).astype(DTYPE),
+            acc_lanes=4, images=3, activation="tanh",
+        )
+        k_fc(fc, {"in": rng.standard_normal(3 * 29).astype(DTYPE)})
+        _, views, beats = make_case(1, 1, 3, 40, None)
+        for mode in ("max", "mean"):
+            pool = PoolCoreActor("pool", mode, count=len(beats["in0"]))
+            k_pool(pool, {"in": views["in0"]})
