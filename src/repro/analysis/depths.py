@@ -73,14 +73,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.graph_rules import fork_join_pairs, literal_chains
+from repro.dataflow.actors import ArraySource
 from repro.dataflow.deadlock import shrink_agreement
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkTxActor
 from repro.errors import ConfigurationError
-from repro.fpga.dma import PAPER_DMA, DmaModel
 from repro.report.base import MappingReport
 from repro.sst.filter_chain import WindowAssembler, fifo_depths
 from repro.sst.sizing import certified_chain_floors, chain_run_ahead
@@ -93,6 +91,12 @@ METHOD_SKEW = "reconvergent-skew"
 METHOD_PIN = "heuristic-pin"
 
 _METHODS = (METHOD_CHAIN, METHOD_LINK, METHOD_BRIDGE, METHOD_SKEW, METHOD_PIN)
+
+#: Idle cycles before a validation / probe / bisect run is declared jammed
+#: (only the backstop: the event engine raises at the first unprogressable
+#: cycle).
+_STALL_LIMIT = 50_000
+
 
 @dataclass(frozen=True)
 class DepthCertificate:
@@ -274,11 +278,6 @@ def load_depth_plan(path: str) -> DepthPlan:
 # -- graph structure helpers --------------------------------------------------
 
 
-def _endpoint_actor(endpoint: str) -> str:
-    """Actor name of a channel endpoint (ports never contain dots)."""
-    return endpoint.rsplit(".", 1)[0]
-
-
 def _bridge_channels(graph: DataflowGraph) -> Set[str]:
     """Channels that are bridges of the undirected channel multigraph.
 
@@ -286,6 +285,8 @@ def _bridge_channels(graph: DataflowGraph) -> Set[str]:
     never a bridge (the sibling closes an undirected cycle), so only
     multiplicity-1 edges that :func:`networkx.bridges` reports qualify.
     """
+    import networkx as nx
+
     parallel: Dict[Tuple[str, str], List[str]] = {}
     g: "nx.Graph[str]" = nx.Graph()
     for name in graph.actors:
@@ -293,8 +294,7 @@ def _bridge_channels(graph: DataflowGraph) -> Set[str]:
     for name, ch in graph.channels.items():
         if ch.writer is None or ch.reader is None:
             continue
-        u = _endpoint_actor(ch.writer)
-        v = _endpoint_actor(ch.reader)
+        (u, _), (v, _) = ch.ends
         key = (u, v) if u <= v else (v, u)
         parallel.setdefault(key, []).append(name)
         g.add_edge(*key)
@@ -432,7 +432,6 @@ def _certify_reconvergent(
 def infer_depth_plan(
     graph: DataflowGraph,
     design_name: Optional[str] = None,
-    dma: DmaModel = PAPER_DMA,
 ) -> DepthPlan:
     """Derive a certified :class:`DepthPlan` for an elaborated graph.
 
@@ -447,9 +446,12 @@ def infer_depth_plan(
         _certify_chain(graph, base, asm, certs)
     for name in sorted(graph.channels):
         ch = graph.channels[name]
-        if name in certs or ch.capacity is None or ch.writer is None:
+        if (
+            name in certs or ch.capacity is None
+            or ch.writer is None or ch.reader is None
+        ):
             continue
-        tx = graph.actors.get(_endpoint_actor(ch.writer))
+        tx = graph.actors.get(ch.ends[0][0])
         if type(tx) is not LinkTxActor:
             continue
         beat = tx.beat
@@ -514,7 +516,10 @@ def infer_depth_plan(
         design_name=design_name
         or (design.name if design is not None else graph.name),
         graph_name=graph.name,
-        dma_beat=dma.beat_interval(32),
+        dma_beat=max(
+            (a.interval for a in graph.actors.values() if isinstance(a, ArraySource)),
+            default=1,
+        ),
         memory_system="literal" if chains else "behavioral",
         certificates=certs,
     )
@@ -632,8 +637,6 @@ def probe_tight_certificate(
     channel: str,
     seed: int = 0,
     images: int = 1,
-    stall_limit: int = 50_000,
-    max_cycles: int = 50_000_000,
 ) -> ProbeOutcome:
     """Shrink one tight certificate to depth-1 and expect the deadlock.
 
@@ -658,7 +661,7 @@ def probe_tight_certificate(
     run = run_design(
         design, seed=seed, images=images, scenario=scenario,
         memory_system=plan.memory_system, depth_plan=plan,
-        stall_limit=stall_limit, max_cycles=max_cycles,
+        stall_limit=_STALL_LIMIT,
     )
     err = run.deadlock
     blocked: List[str] = []
@@ -687,8 +690,6 @@ def validate_plan(
     seed: int = 0,
     images: int = 1,
     probe_channels: Optional[Sequence[str]] = None,
-    stall_limit: int = 50_000,
-    max_cycles: int = 50_000_000,
 ) -> PlanValidation:
     """Empirically certify a plan: one clean certified run + tight probes.
 
@@ -705,7 +706,7 @@ def validate_plan(
         return run_design(
             design, seed=seed, images=images,
             memory_system=plan.memory_system, depth_plan=depth_plan,
-            stall_limit=stall_limit, max_cycles=max_cycles,
+            stall_limit=_STALL_LIMIT,
         )
 
     baseline = run(None)
@@ -736,8 +737,7 @@ def validate_plan(
     for channel in targets:
         val.probes.append(
             probe_tight_certificate(
-                design, plan, channel, seed=seed, images=images,
-                stall_limit=stall_limit, max_cycles=max_cycles,
+                design, plan, channel, seed=seed, images=images
             )
         )
     return val
@@ -752,8 +752,6 @@ def bisect_channel_floor(
     channel: str,
     seed: int = 0,
     images: int = 1,
-    stall_limit: int = 50_000,
-    max_cycles: int = 50_000_000,
 ) -> int:
     """Binary-search one channel's empirical deadlock-freedom floor.
 
@@ -772,7 +770,7 @@ def bisect_channel_floor(
         return run_design(
             design, seed=seed, images=images, scenario=scenario,
             memory_system=plan.memory_system, depth_plan=plan,
-            stall_limit=stall_limit, max_cycles=max_cycles,
+            stall_limit=_STALL_LIMIT,
         ).finished
 
     cert = plan.certificates[channel]
@@ -799,8 +797,6 @@ def bisect_plan(
     channels: Optional[Sequence[str]] = None,
     seed: int = 0,
     images: int = 1,
-    stall_limit: int = 50_000,
-    max_cycles: int = 50_000_000,
 ) -> Dict[str, Dict[str, Any]]:
     """Empirical floors for ``channels`` (default: every depth > 1).
 
@@ -819,8 +815,7 @@ def bisect_plan(
     for name in channels:
         cert = plan.certificates[name]
         floor = bisect_channel_floor(
-            design, plan, name, seed=seed, images=images,
-            stall_limit=stall_limit, max_cycles=max_cycles,
+            design, plan, name, seed=seed, images=images
         )
         agrees = floor <= cert.depth and (
             not cert.tight or floor == cert.depth
@@ -917,9 +912,6 @@ def run_shrink(
     bisect: bool = False,
     probe_channels: Optional[Sequence[str]] = None,
     probe_limit: Optional[int] = None,
-    stall_limit: int = 50_000,
-    max_cycles: int = 50_000_000,
-    dma: DmaModel = PAPER_DMA,
 ) -> ShrinkReport:
     """The full ``repro shrink`` experiment for one design.
 
@@ -943,8 +935,10 @@ def run_shrink(
         seeded_batch(sim_design, seed, 1),
         memory_system="literal",
     )
+    import networkx  # noqa: F401 - its one-off ~0.1 s import is not prover time
+
     t0 = time.perf_counter()
-    plan = infer_depth_plan(built.graph, design_name=sim_design.name, dma=dma)
+    plan = infer_depth_plan(built.graph, design_name=sim_design.name)
     runtime = time.perf_counter() - t0
     violations: List[str] = []
     data: Dict[str, Any] = {
@@ -984,8 +978,7 @@ def run_shrink(
             targets = targets[:probe_limit]
         val = validate_plan(
             sim_design, plan, seed=seed, images=images,
-            probe_channels=targets, stall_limit=stall_limit,
-            max_cycles=max_cycles,
+            probe_channels=targets,
         )
         data["validation"] = val.to_dict()
         data["validation"]["unprobed_tight"] = unprobed
@@ -1011,10 +1004,7 @@ def run_shrink(
                     f"matched={probe.matched}"
                 )
     if bisect:
-        rows = bisect_plan(
-            sim_design, plan, seed=seed, images=images,
-            stall_limit=stall_limit, max_cycles=max_cycles,
-        )
+        rows = bisect_plan(sim_design, plan, seed=seed, images=images)
         data["bisect"] = rows
         for name, row in rows.items():
             if not row["agrees"]:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from itertools import combinations, islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.core.layer_spec import ConvLayerSpec, PoolLayerSpec
 from repro.core.network_design import NetworkDesign
@@ -50,16 +48,6 @@ def run_graph_rules(
         _rule_adapter_wiring(graph, report, design)
     _rule_buffer_skew(graph, report)
     _rule_depth_plan(graph, report)
-
-
-def _actor_of(graph: DataflowGraph, endpoint: str) -> Tuple[str, object]:
-    """Resolve a channel endpoint ``"actor.port"`` to its actor.
-
-    Actor names themselves contain dots (``conv1.win0.f2``), so the port is
-    always the last component.
-    """
-    name = endpoint.rsplit(".", 1)[0]
-    return name, graph.actors.get(name)
 
 
 # -- GRAPH.STRUCTURE ---------------------------------------------------------
@@ -100,9 +88,9 @@ def _rule_buffer_full(
     for ch in graph.channels.values():
         if ch.writer is None or ch.reader is None:
             continue
-        wname, wactor = _actor_of(graph, ch.writer)
-        rname, ractor = _actor_of(graph, ch.reader)
-        if isinstance(wactor, ArraySource) and isinstance(ractor, Fork):
+        (wname, _), (rname, _) = ch.ends
+        ractor = graph.actors.get(rname)
+        if isinstance(graph.actors.get(wname), ArraySource) and isinstance(ractor, Fork):
             report.add(make(
                 "BUFFER.FULL", Severity.ERROR,
                 f"channel:{ch.writer}->{ch.reader}",
@@ -393,7 +381,7 @@ def _rule_adapter_wiring(
                             f"{aname}.out{m} is not connected",
                         ))
                         continue
-                    reader, _ = _actor_of(graph, ch.reader)
+                    reader = ch.ends[1][0]
                     idx = i + m * have
                     expect = (
                         f"{name}.split{idx}" if blocked else f"{name}.win{idx}"
@@ -494,6 +482,8 @@ def fork_join_pairs(
     ``_MAX_PATHS``, at most ``_PATH_CUTOFF`` hops long) simple paths are
     internally disjoint.
     """
+    import networkx as nx
+
     bases = literal_chains(graph)
 
     def node_of(actor_name: str) -> str:
@@ -513,8 +503,9 @@ def fork_join_pairs(
     for name, ch in graph.channels.items():
         if ch.writer is None or ch.reader is None:
             continue
-        u = node_of(_actor_of(graph, ch.writer)[0])
-        v = node_of(_actor_of(graph, ch.reader)[0])
+        (writer, _), (reader, _) = ch.ends
+        u = node_of(writer)
+        v = node_of(reader)
         if u == v:
             continue  # intra-chain channel: the chain recursion's job
         g.add_edge(u, v)

@@ -31,15 +31,7 @@ from repro.core.network_design import NetworkDesign
 from repro.core.norm_core import NormalizationActor
 from repro.core.perf_model import network_perf
 from repro.core.pool_core import PoolCoreActor
-from repro.dataflow.actors import (
-    ArraySource,
-    FifoStage,
-    Fork,
-    Interleaver,
-    ListSink,
-    MapActor,
-    ScheduleDemux,
-)
+from repro.dataflow.actors import ArraySource, Interleaver, ListSink, ScheduleDemux
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.errors import CompilationError
 from repro.sst.block import BlockMergeActor, BlockSplitActor
@@ -75,16 +67,11 @@ class SteadySchedule:
     dma_last_push: int
 
 
-def _endpoints(channels) -> Dict[str, Tuple[Tuple[str, str], Tuple[str, str]]]:
-    """Channel name -> ((writer actor, port), (reader actor, port))."""
-    out = {}
-    for ch in channels:
-        if ch.writer is None or ch.reader is None:
-            raise CompilationError(f"channel {ch.name!r} has a dangling endpoint")
-        w_actor, w_port = ch.writer.rsplit(".", 1)
-        r_actor, r_port = ch.reader.rsplit(".", 1)
-        out[ch.name] = ((w_actor, w_port), (r_actor, r_port))
-    return out
+def _bound_ends(ch):
+    """``ch.ends`` of a channel the lowering can use: both sides bound."""
+    if ch.writer is None or ch.reader is None:
+        raise CompilationError(f"channel {ch.name!r} has a dangling endpoint")
+    return ch.ends
 
 
 def port_maps(actors, channels):
@@ -96,16 +83,15 @@ def port_maps(actors, channels):
     """
     in_ports_of: Dict[str, Dict[str, str]] = {a.name: {} for a in actors}
     out_ports_of: Dict[str, Dict[str, str]] = {a.name: {} for a in actors}
-    for cname, ((w_actor, w_port), (r_actor, r_port)) in _endpoints(
-        channels
-    ).items():
+    for ch in channels:
+        (w_actor, w_port), (r_actor, r_port) = _bound_ends(ch)
         if w_actor not in out_ports_of or r_actor not in in_ports_of:
             raise CompilationError(
-                f"channel {cname!r} endpoints {w_actor!r}->{r_actor!r} "
+                f"channel {ch.name!r} endpoints {w_actor!r}->{r_actor!r} "
                 f"missing from the actor set"
             )
-        out_ports_of[w_actor][w_port] = cname
-        in_ports_of[r_actor][r_port] = cname
+        out_ports_of[w_actor][w_port] = ch.name
+        in_ports_of[r_actor][r_port] = ch.name
     return in_ports_of, out_ports_of
 
 
@@ -114,7 +100,8 @@ def topological_order(actors, channels) -> Tuple[str, ...]:
     names = [a.name for a in actors]
     indeg = {n: 0 for n in names}
     succ: Dict[str, List[str]] = {n: [] for n in names}
-    for (w_actor, _), (r_actor, _) in _endpoints(channels).values():
+    for ch in channels:
+        (w_actor, _), (r_actor, _) = _bound_ends(ch)
         if w_actor not in indeg or r_actor not in indeg:
             raise CompilationError(
                 f"channel endpoints {w_actor!r}->{r_actor!r} missing from the "
@@ -232,12 +219,6 @@ def _actor_rates(actor, in_beats: Dict[str, int]):
                     f"would starve or overrun"
                 )
         return {actor.dst: n}, [n]
-    if type(actor) is Fork:
-        n = in_beats.get(actor.src, 0)
-        return {f"out{i}": n for i in range(actor.n_outputs)}, [n]
-    if type(actor) is FifoStage:
-        n = in_beats.get(actor.src, 0)
-        return {actor.dst: n}, [n]
     if type(actor) in (LinkTxActor, LinkRxActor):
         # Pass-through word movers: one productive beat per word (the
         # transmitter's pacing waits are WaitCycles parks, excluded from
@@ -249,9 +230,6 @@ def _actor_rates(actor, in_beats: Dict[str, int]):
                 f"for {actor.words_per_image} words per image"
             )
         return {"out": n}, [n]
-    if type(actor) is MapActor:
-        n = in_beats.get(actor.src, 0)
-        return {actor.dst: n}, [n]
     raise CompilationError(
         f"actor {actor.name!r} of type {type(actor).__name__} has no "
         f"compiled kernel (literal memory systems and custom actors run on "

@@ -11,7 +11,7 @@ to the actor's emission order (coordinate-major, FM-minor) and its
 stream is never stored — like the paper's filter chain, every pixel is
 held once and the cores read their windows through strides. The conv
 and pool kernels do exactly that; the routing kernels that move single
-beats (sink, map, demux, interleave) gather the ``(n, kh, kw)`` stack
+beats (sink, demux, interleave) gather the ``(n, kh, kw)`` stack
 of beats first, through :func:`_beats`, and a stack is accepted
 wherever a view is.
 
@@ -79,15 +79,7 @@ from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
 from repro.core.norm_core import NormalizationActor
 from repro.core.pool_core import PoolCoreActor
-from repro.dataflow.actors import (
-    ArraySource,
-    FifoStage,
-    Fork,
-    Interleaver,
-    ListSink,
-    MapActor,
-    ScheduleDemux,
-)
+from repro.dataflow.actors import ArraySource, Interleaver, ListSink, ScheduleDemux
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.errors import CompilationError
 from repro.sst.block import BlockMergeActor, BlockSplitActor
@@ -149,25 +141,10 @@ def k_sink(actor: ListSink, ins: Streams) -> Streams:
     return {}
 
 
-def k_fifo(actor: FifoStage, ins: Streams) -> Streams:
-    return {actor.dst: ins[actor.src]}
-
-
 def k_link(actor, ins: Streams) -> Streams:
     # LinkTx/LinkRx move words unchanged; their bandwidth pacing lives
     # entirely in the schedule's timing frame.
     return {"out": ins["in"]}
-
-
-def k_map(actor: MapActor, ins: Streams) -> Streams:
-    # MapActor carries an arbitrary Python callable: apply it per beat
-    # (bit-exact by construction, just not vectorized).
-    return {actor.dst: np.asarray([actor.fn(v) for v in _beats(ins[actor.src])])}
-
-
-def k_fork(actor: Fork, ins: Streams) -> Streams:
-    arr = ins[actor.src]
-    return {f"out{i}": arr for i in range(actor.n_outputs)}
 
 
 def _cyclic_sources(schedule: List[int], n: int) -> np.ndarray:
@@ -529,17 +506,16 @@ def k_norm(actor: NormalizationActor, ins: Streams) -> Streams:
     return {"out": probs.reshape(-1)}
 
 
-#: Exact-type kernel dispatch. Subclasses deliberately do NOT inherit a
+#: Exact-type kernel dispatch: the 13 actor types the builder can emit
+#: (a graph needs ``design`` set, which only ``build_network`` does, to
+#: reach this engine at all). Subclasses deliberately do NOT inherit a
 #: kernel: an overridden behavior would silently diverge from the fused
 #: implementation, so unknown (sub)types refuse to compile instead.
 KERNELS: Dict[type, Callable] = {
     ArraySource: k_source,
     ListSink: k_sink,
-    FifoStage: k_fifo,
     LinkTxActor: k_link,
     LinkRxActor: k_link,
-    MapActor: k_map,
-    Fork: k_fork,
     ScheduleDemux: k_demux,
     Interleaver: k_interleave,
     SlidingWindowActor: k_window,

@@ -157,17 +157,11 @@ class ConvCoreActor(Actor):
                     if in0 is not None
                     else all(ch.can_pop() for ch in ins)
                 ):
-                    self.blocked_reason = "conv: windows not ready"
-                    for ch in ins:
-                        if not ch.can_pop():
-                            ch.note_empty_stall()
                     yield win_park
                 # Model backpressure from the result queue: stall reads
                 # when the emitter has fallen queue_depth coordinates behind.
                 while len(results) >= queue_depth:
-                    self.blocked_reason = "conv: result queue full"
                     yield self._gate.wait()
-                self.blocked_reason = None
                 if in0 is not None:
                     wins[g, 0] = in0.pop().ravel()
                 else:
@@ -193,7 +187,6 @@ class ConvCoreActor(Actor):
         out_park = ChannelWait(tuple((PUSH, ch) for ch in outs), CHARGE_EACH)
         for _ in range(self.images * self.n_coords):
             while not self._results or self._results[0][0] > self.now:
-                self.blocked_reason = "conv: waiting for a finished coordinate"
                 if not self._results:
                     yield self._gate.wait()
                 else:
@@ -205,19 +198,11 @@ class ConvCoreActor(Actor):
                 # pushes acc[j] without a DTYPE round trip.
                 if out0 is not None:
                     while not out0.can_push():
-                        self.blocked_reason = "conv: output full"
-                        out0.note_full_stall()
                         yield out_park
-                    self.blocked_reason = None
                     out0.push(acc[j])
                 else:
                     while not all(ch.can_push() for ch in outs):
-                        self.blocked_reason = "conv: output full"
-                        for ch in outs:
-                            if not ch.can_push():
-                                ch.note_full_stall()
                         yield out_park
-                    self.blocked_reason = None
                     for p, ch in enumerate(outs):
                         ch.push(DTYPE(acc[j * self.out_ports + p]))
                 yield

@@ -92,13 +92,9 @@ class FCCoreActor(Actor):
             partial = np.zeros((self.out_fm, self.acc_lanes), dtype=DTYPE)
             for i in range(self.in_fm):
                 while not in_ch.can_pop():
-                    self.blocked_reason = f"fc: {in_ch.name} empty"
-                    in_ch.note_empty_stall()
                     yield in_ch.pop_wait()
                 while len(self._results) >= self.queue_depth:
-                    self.blocked_reason = "fc: result queue full"
                     yield self._gate.wait()
-                self.blocked_reason = None
                 x = DTYPE(in_ch.pop())
                 lane = i % self.acc_lanes
                 # All OUT_FM MACs for this input value in one cycle.
@@ -114,7 +110,6 @@ class FCCoreActor(Actor):
         out_ch = self.output("out")
         for _ in range(self.images):
             while not self._results or self._results[0][0] > self.now:
-                self.blocked_reason = "fc: waiting for finished image"
                 if not self._results:
                     yield self._gate.wait()
                 else:
@@ -123,9 +118,6 @@ class FCCoreActor(Actor):
             self._gate.notify()
             for j in range(self.out_fm):
                 while not out_ch.can_push():
-                    self.blocked_reason = f"fc: {out_ch.name} full"
-                    out_ch.note_full_stall()
                     yield out_ch.push_wait()
-                self.blocked_reason = None
                 out_ch.push(DTYPE(out[j]))
                 yield

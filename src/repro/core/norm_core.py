@@ -54,10 +54,7 @@ class NormalizationActor(Actor):
             logits = np.empty(self.n_classes, dtype=DTYPE)
             for i in range(self.n_classes):
                 while not in_ch.can_pop():
-                    self.blocked_reason = f"norm: {in_ch.name} empty"
-                    in_ch.note_empty_stall()
                     yield in_ch.pop_wait()
-                self.blocked_reason = None
                 logits[i] = in_ch.pop()
                 yield
             # Numerically stable Eq. 3 (same order as nn.losses.softmax).
@@ -67,10 +64,7 @@ class NormalizationActor(Actor):
             yield from self.wait(self.pipeline_depth)
             for i in range(self.n_classes):
                 while not out_ch.can_push():
-                    self.blocked_reason = f"norm: {out_ch.name} full"
-                    out_ch.note_full_stall()
                     yield out_ch.push_wait()
-                self.blocked_reason = None
                 out_ch.push(DTYPE(probs[i]))
                 yield
 

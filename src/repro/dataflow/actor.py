@@ -23,6 +23,12 @@ recommended way to write actors. Use them with ``yield from``::
             while True:
                 v = yield from self.recv("in")
                 yield from self.send("out", 2 * v)
+
+A hand-written blocking loop is ``while not <firing rule>: yield
+<descriptor>`` and nothing else. The yielded descriptor
+(:mod:`repro.dataflow.events`) is the one statement of the stall: the engines
+charge the channels' stall counters from it and a deadlock report names its
+unsatisfied conditions, so an actor keeps no bookkeeping of its own.
 """
 
 from __future__ import annotations
@@ -68,8 +74,6 @@ class Actor:
         self.name = str(name)
         self._inputs: Dict[str, Channel] = {}
         self._outputs: Dict[str, Channel] = {}
-        #: Diagnostic only: last reason this actor stalled (or ``None``).
-        self.blocked_reason: Optional[str] = None
         #: Daemon actors (e.g. free-running routing stages) never finish on
         #: their own; the simulation completes when all non-daemon processes
         #: have finished, regardless of daemons.
@@ -143,10 +147,7 @@ class Actor:
         """
         ch = self.input(port)
         while not ch.can_pop():
-            self.blocked_reason = f"recv({port}): {ch.name} empty"
-            ch.note_empty_stall()
             yield ch.pop_wait()
-        self.blocked_reason = None
         value = ch.pop()
         yield
         return value
@@ -160,13 +161,7 @@ class Actor:
         chans = [self.input(p) for p in ports]
         park = ChannelWait(tuple((POP, ch) for ch in chans), CHARGE_EACH)
         while not all(ch.can_pop() for ch in chans):
-            empties = [ch.name for ch in chans if not ch.can_pop()]
-            self.blocked_reason = f"recv_all: empty {empties}"
-            for ch in chans:
-                if not ch.can_pop():
-                    ch.note_empty_stall()
             yield park
-        self.blocked_reason = None
         values = [ch.pop() for ch in chans]
         yield
         return values
@@ -175,10 +170,7 @@ class Actor:
         """Send ``value`` on ``port`` (>= 1 cycle). Stalls while full."""
         ch = self.output(port)
         while not ch.can_push():
-            self.blocked_reason = f"send({port}): {ch.name} full"
-            ch.note_full_stall()
             yield ch.push_wait()
-        self.blocked_reason = None
         ch.push(value)
         yield
 
@@ -187,13 +179,7 @@ class Actor:
         chans = {p: self.output(p) for p in mapping}
         park = ChannelWait(tuple((PUSH, ch) for ch in chans.values()), CHARGE_EACH)
         while not all(ch.can_push() for ch in chans.values()):
-            fulls = [ch.name for ch in chans.values() if not ch.can_push()]
-            self.blocked_reason = f"send_all: full {fulls}"
-            for ch in chans.values():
-                if not ch.can_push():
-                    ch.note_full_stall()
             yield park
-        self.blocked_reason = None
         for p, ch in chans.items():
             ch.push(mapping[p])
         yield
@@ -227,14 +213,7 @@ class Actor:
         moved = 0
         while count is None or moved < count:
             while not (in_ch.can_pop() and out_ch.can_push()):
-                if not in_ch.can_pop():
-                    self.blocked_reason = f"relay: {in_ch.name} empty"
-                    in_ch.note_empty_stall()
-                else:
-                    self.blocked_reason = f"relay: {out_ch.name} full"
-                    out_ch.note_full_stall()
                 yield park
-            self.blocked_reason = None
             out_ch.push(fn(in_ch.pop()) if fn is not None else in_ch.pop())
             moved += 1
             yield

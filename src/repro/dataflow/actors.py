@@ -91,10 +91,7 @@ class ListSink(Actor):
         n = 0
         while self.count is None or n < self.count:
             while not ch.can_pop():
-                self.blocked_reason = f"sink: {ch.name} empty"
-                ch.note_empty_stall()
                 yield ch.pop_wait()
-            self.blocked_reason = None
             self.received.append(ch.pop())
             self.timestamps.append(self.now)
             n += 1
@@ -154,9 +151,7 @@ class Fork(Actor):
         )
         while True:
             while not (in_ch.can_pop() and all(o.can_push() for o in outs)):
-                self.blocked_reason = "fork: waiting on input/outputs"
                 yield park
-            self.blocked_reason = None
             v = in_ch.pop()
             for o in outs:
                 o.push(v)
@@ -205,9 +200,7 @@ class ScheduleDemux(Actor):
             i = sched[k % period]
             dst = outs[i]
             while not (in_ch.can_pop() and dst.can_push()):
-                self.blocked_reason = f"demux: waiting ({in_ch.name} -> {dst.name})"
                 yield parks[i]
-            self.blocked_reason = None
             dst.push(in_ch.pop())
             k += 1
             yield
@@ -252,9 +245,7 @@ class Interleaver(Actor):
             i = sched[k % period]
             src = ins[i]
             while not (src.can_pop() and out_ch.can_push()):
-                self.blocked_reason = f"interleave: waiting ({src.name} -> {out_ch.name})"
                 yield parks[i]
-            self.blocked_reason = None
             out_ch.push(src.pop())
             k += 1
             yield

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.dataflow.events import CHARGE_EACH, POP, PUSH, ChannelWait
-from repro.errors import ChannelProtocolError, ConfigurationError
+from repro.errors import ChannelProtocolError, ConfigurationError, GraphError
 
 
 @dataclass(slots=True)
@@ -258,9 +258,9 @@ class Channel:
     def pop_wait(self) -> ChannelWait:
         """Cached single-condition wait-for-pop descriptor.
 
-        Charges an empty stall per blocked cycle (``CHARGE_EACH``), which
-        is what every ``note_empty_stall``-calling loop needs. Loops that
-        record no stalls must build their own ``CHARGE_NONE`` descriptor.
+        Charges an empty stall per blocked cycle (``CHARGE_EACH``). Loops
+        that record no stalls must build their own ``CHARGE_NONE``
+        descriptor.
         """
         w = self._pop_wait_desc
         if w is None:
@@ -285,13 +285,18 @@ class Channel:
         """Number of committed, visible values."""
         return len(self._q)
 
-    def note_full_stall(self) -> None:
-        """Record that the writer stalled on a full channel this cycle."""
-        self.stats.full_stall_cycles += 1
+    @property
+    def ends(self) -> Tuple[Tuple[str, str], Tuple[str, str]]:
+        """``((writer actor, port), (reader actor, port))`` of a bound channel.
 
-    def note_empty_stall(self) -> None:
-        """Record that the reader stalled on an empty channel this cycle."""
-        self.stats.empty_stall_cycles += 1
+        Endpoints are bound as ``"actor.port"`` and actor names themselves
+        contain dots (``conv1.win0.f2``), so the port is the last component.
+        """
+        if self.writer is None or self.reader is None:
+            raise GraphError(f"channel {self.name!r} has an unbound endpoint")
+        w_actor, w_port = self.writer.rsplit(".", 1)
+        r_actor, r_port = self.reader.rsplit(".", 1)
+        return (w_actor, w_port), (r_actor, r_port)
 
     def drain(self) -> List[Any]:
         """Remove and return every value (committed and staged), untimed.

@@ -6,9 +6,11 @@ filter chains, ``repro.analysis.graph_rules.fork_join_pairs`` for
 reconvergent branches (DESIGN.md sections 9 and 14). This module is the
 *runtime* half. The event scheduler raises
 :class:`~repro.errors.DeadlockError` exactly when no process can ever run
-again and records the channel conditions of every parked actor in
-``DeadlockError.channels`` (:func:`blocked_snapshot`, re-exported here,
-formats the per-actor reasons both engines report);
+again (the lock-step oracle after ``stall_limit`` idle cycles), and either
+engine reads the report off the wait descriptors the live processes last
+yielded: the unsatisfied channel conditions of every parked process in
+``DeadlockError.channels``, the same conditions rendered per actor in
+``DeadlockError.blocked``.
 :func:`shrink_agreement` cross-references those against a static
 :class:`~repro.analysis.AnalysisReport`, which is how ``repro faultsim``
 and the depth prover's probes show that a simulated FIFO-shrink deadlock
@@ -20,7 +22,6 @@ from __future__ import annotations
 import re
 from typing import List, Sequence, Tuple
 
-from repro.dataflow.scheduler import blocked_snapshot  # noqa: F401 - re-export
 from repro.errors import DeadlockError
 
 
@@ -37,7 +38,7 @@ def match_deadlock_diagnostics(err: DeadlockError, report) -> List[tuple]:
     """Cross-reference a runtime deadlock against static diagnostics.
 
     Returns ``(channel_name, diagnostic)`` pairs for every channel the
-    deadlock blocked on (``err.channels``, event scheduler only) that a
+    deadlock blocked on (``err.channels``) that a
     diagnostic of ``report`` (an :class:`~repro.analysis.AnalysisReport`)
     names in its location or message. An empty result for a
     deliberately-broken design means the static verifier and the simulator

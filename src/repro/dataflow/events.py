@@ -21,17 +21,24 @@ actor yields carries that information:
 The descriptors are *hints with contracts*: an actor must re-check its
 firing rule after waking (the helper loops in :class:`Actor` do), so a
 spurious wakeup is harmless, but a missing wakeup would stall the actor
-forever. The lock-step scheduler ignores the descriptors entirely, which
-is what makes a bit-for-bit equivalence cross-check between the two
-schedulers possible.
+forever. The lock-step scheduler never parks on a descriptor — it resumes
+every process every cycle — which is what makes a bit-for-bit equivalence
+cross-check between the two schedulers possible.
+
+A blocking loop is ``while not <firing rule>: yield <descriptor>`` and the
+descriptor is the *only* statement of the stall: actors keep no reason
+string and charge no counter themselves. Both engines charge the stall
+statistics and render a deadlock report from what was yielded.
 
 Stall accounting
 ----------------
-The lock-step loops call :meth:`Channel.note_empty_stall` /
-:meth:`Channel.note_full_stall` once per blocked cycle. A parked actor
-cannot do that, so each :class:`ChannelWait` names the charging policy the
-scheduler must apply retroactively on wakeup to reproduce the exact same
-:class:`~repro.dataflow.channel.ChannelStats`:
+One function, :func:`repro.dataflow.scheduler.charge_blocked_cycle`,
+turns one blocked cycle of a :class:`ChannelWait` into
+:class:`~repro.dataflow.channel.ChannelStats` counts. The lock-step loop
+calls it on every blocked yield; the event engine calls it once for the
+park cycle and charges the remaining cycles of the span retroactively on
+wakeup, from the cycle each condition became ready. The descriptor names
+the policy:
 
 * ``CHARGE_NONE`` — the loop never records stalls (Fork, demux, ...).
 * ``CHARGE_EACH`` — every still-unsatisfiable condition is charged every
@@ -50,7 +57,7 @@ from typing import Tuple
 POP = 0
 PUSH = 1
 
-#: Retroactive stall-charging policies (see module docstring).
+#: Stall-charging policies (see module docstring).
 CHARGE_NONE = 0
 CHARGE_EACH = 1
 CHARGE_FIRST = 2

@@ -75,14 +75,7 @@ class LinkTxActor(Actor):
         pace = self.beat - 1
         while True:
             while not (in_ch.can_pop() and out_ch.can_push()):
-                if not in_ch.can_pop():
-                    self.blocked_reason = f"link-tx: {in_ch.name} empty"
-                    in_ch.note_empty_stall()
-                else:
-                    self.blocked_reason = f"link-tx: {out_ch.name} full"
-                    out_ch.note_full_stall()
                 yield park
-            self.blocked_reason = None
             out_ch.push(in_ch.pop())
             yield
             if pace:

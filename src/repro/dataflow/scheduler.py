@@ -5,7 +5,8 @@ Two interchangeable engines drive a :class:`~repro.dataflow.simulator.Simulator`
 * :class:`LockstepEngine` — the original reference loop. Every cycle it calls
   ``begin_cycle()`` on every channel and resumes every live process, so one
   cycle costs O(actors + channels) regardless of how much actually happens.
-  Blocked actors spin-yield; wait descriptors are ignored entirely.
+  Blocked actors spin-yield; each yielded descriptor is charged as one
+  blocked cycle (:func:`charge_blocked_cycle`) and otherwise ignored.
 * :class:`EventEngine` — does work proportional to *activity*. Actors blocked
   on a channel register on its wait-list and are only re-examined when that
   channel commits a beat; fixed-latency waits go into a wakeup heap; when no
@@ -21,9 +22,11 @@ error paths: the event engine raises :class:`~repro.errors.DeadlockError`
 *immediately* when no process can ever run again (no runnables, no pending
 wakeups, no channel activity) instead of after ``stall_limit`` wasted cycles,
 and it does not false-positive on fixed-latency waits longer than the stall
-limit. A lock-step-compatible stall counter is kept as a backstop for legacy
-actors that poll with bare ``yield`` (those always stay runnable, so the
-exact condition alone would never fire for them).
+limit; the report itself (:func:`_deadlock_error`) is the same on both, read
+off each live process's last yielded descriptor. A lock-step-compatible
+stall counter is kept as a backstop for legacy actors that poll with bare
+``yield`` (those always stay runnable, so the exact condition alone would
+never fire for them).
 
 Equivalence notes (why the event engine is exact, not approximate):
 
@@ -55,6 +58,7 @@ from repro.dataflow.actor import Actor
 from repro.dataflow.counters import ProcCounters, actor_stats_dict
 from repro.dataflow.events import (
     CHARGE_EACH,
+    CHARGE_FIRST,
     CHARGE_NONE,
     POP,
     ChannelWait,
@@ -64,13 +68,97 @@ from repro.dataflow.events import (
 from repro.errors import DeadlockError, SimulationError
 
 
-def blocked_snapshot(actors: Iterable[Actor]) -> Dict[str, str]:
-    """Deadlock report: each live non-daemon actor's last blocking reason."""
-    return {
-        a.name: (a.blocked_reason or "running (no channel beat)")
-        for a in actors
-        if not a.daemon
-    }
+class _Proc:
+    """One live generator: its actor, stable resumption rank, liveness."""
+
+    __slots__ = ("actor", "gen", "seq", "alive", "key", "cnt", "wait")
+
+    def __init__(self, actor: Actor, gen: Generator, seq: int):
+        self.actor = actor
+        self.gen = gen
+        self.seq = seq
+        self.alive = True
+        #: Preallocated run-list entry; scheduling containers reuse it so
+        #: the hot loop never builds tuples.
+        self.key = (seq, self)
+        self.cnt = ProcCounters()
+        #: The value this process last yielded: what a deadlock report says
+        #: it is waiting on.
+        self.wait = None
+
+
+def _spawn(actors: Iterable[Actor]) -> List[_Proc]:
+    """One :class:`_Proc` per process, in creation (= resumption) order."""
+    procs: List[_Proc] = []
+    for a in actors:
+        for gen in a.processes():
+            procs.append(_Proc(a, gen, len(procs)))
+    return procs
+
+
+def charge_blocked_cycle(w: ChannelWait) -> None:
+    """Charge one blocked cycle of ``w`` to its channels' stall counters.
+
+    The one place a stalled cycle becomes a ``ChannelStats`` count: every
+    unsatisfiable condition is charged under ``CHARGE_EACH``, only the
+    first in listed order under ``CHARGE_FIRST``, none under
+    ``CHARGE_NONE``. The lock-step loop calls this on every blocked yield;
+    the event engine calls it for the park cycle and owes the rest of the
+    span retroactively (:meth:`EventEngine._apply_charges`).
+    """
+    charge = w.charge
+    if charge == CHARGE_NONE:
+        return
+    for op, ch in w.conds:
+        if op == POP:
+            if ch.can_pop():
+                continue
+            ch.stats.empty_stall_cycles += 1
+        else:
+            if ch.can_push():
+                continue
+            ch.stats.full_stall_cycles += 1
+        if charge == CHARGE_FIRST:
+            return
+
+
+def _deadlock_error(cycle: int, procs: Iterable[_Proc]) -> DeadlockError:
+    """The deadlock report of either engine, read off the wait descriptors.
+
+    ``procs`` are the live processes in creation order. ``channels`` lists
+    the unsatisfiable conditions of every process blocked in a
+    :class:`ChannelWait`, daemon adapters included; ``blocked`` renders one
+    part per process of each non-daemon actor (``pop:<channel>,
+    push:<channel>``, ``gate``, ``timer(n)``). Nothing moves once a
+    deadlock is declared, so asking the channels now gives the conditions
+    that never became ready.
+    """
+    blocked: Dict[str, List[str]] = {}
+    channels: Dict[str, List[str]] = {}
+    for p in procs:
+        y = p.wait
+        name = p.actor.name
+        part = "running (no channel beat)"
+        if type(y) is ChannelWait:
+            conds = [
+                ("pop:" if op == POP else "push:") + ch.name
+                for op, ch in y.conds
+                if not (ch.can_pop() if op == POP else ch.can_push())
+            ]
+            if conds:
+                channels.setdefault(name, []).extend(conds)
+                part = ", ".join(conds)
+        elif type(y) is WaitCycles:
+            part = f"timer({y.cycles})"
+        elif type(y) is GateWait:
+            part = "gate"
+        if not p.actor.daemon:
+            blocked.setdefault(name, []).append(part)
+    return DeadlockError(
+        cycle,
+        {name: " | ".join(parts) for name, parts in blocked.items()},
+        channels={name: sorted(channels[name]) for name in sorted(channels)},
+    )
 
 
 def _actor_plan_of(sim) -> Optional[object]:
@@ -101,14 +189,10 @@ class LockstepEngine:
         self.cycle = 0
         self._stall = 0
         self._actor_plan = _actor_plan_of(sim)
-        self._live: List[Tuple[Actor, Generator, ProcCounters]] = [
-            (a, gen, ProcCounters()) for a in sim.actors for gen in a.processes()
-        ]
-        #: Full (actor, counters) roster, surviving process completion, for
-        #: the end-of-run actor_stats report.
-        self._counters: List[Tuple[Actor, ProcCounters]] = [
-            (a, cnt) for a, _, cnt in self._live
-        ]
+        #: Full roster, surviving process completion, for the end-of-run
+        #: actor_stats report; ``_live`` is the still-running subset.
+        self._procs: List[_Proc] = _spawn(sim.actors)
+        self._live: List[_Proc] = list(self._procs)
         # Make sure no event-engine hooks linger from a previous engine on
         # the same graph: descriptors must be inert under lock-step.
         for ch in sim.channels:
@@ -118,37 +202,40 @@ class LockstepEngine:
             ch._clock = self
 
     def _nondaemon_live(self) -> bool:
-        return any(not a.daemon for a, _, _ in self._live)
+        return any(not p.actor.daemon for p in self._live)
 
     def _step(self) -> None:
         """One cycle: commit all channels, resume all processes, trace."""
         sim = self.sim
         for ch in sim.channels:
             ch.begin_cycle()
-        still: List[Tuple[Actor, Generator, ProcCounters]] = []
+        still: List[_Proc] = []
         plan = self._actor_plan
-        for actor, proc, cnt in self._live:
+        for p in self._live:
+            actor = p.actor
             if plan is not None and plan.free_cycle(actor.name, self.cycle) > self.cycle:
-                still.append((actor, proc, cnt))  # stalled by an injected fault
+                still.append(p)  # stalled by an injected fault
                 continue
             actor.now = self.cycle
             try:
-                y = next(proc)
+                y = p.wait = next(p.gen)
             except StopIteration:
-                cnt.end_cycle = self.cycle
+                p.cnt.end_cycle = self.cycle
                 continue
             # Native stall classification: one yield per executed cycle,
-            # so counting blocked descriptors here reproduces exactly what
-            # the event engine charges as park/wake spans.
+            # so counting (and charging) blocked descriptors here
+            # reproduces exactly what the event engine charges as
+            # park/wake spans.
             if y is not None:
                 t = type(y)
                 if t is ChannelWait:
-                    cnt.stalled_channel += 1
+                    p.cnt.stalled_channel += 1
+                    charge_blocked_cycle(y)
                 elif t is WaitCycles:
-                    cnt.stalled_timer += 1
+                    p.cnt.stalled_timer += 1
                 elif t is GateWait:
-                    cnt.stalled_gate += 1
-            still.append((actor, proc, cnt))
+                    p.cnt.stalled_gate += 1
+            still.append(p)
         self._live = still
         if sim.tracer is not None:
             sim.tracer.record(self.cycle, sim.actors, sim.channels)
@@ -156,7 +243,9 @@ class LockstepEngine:
 
     def actor_stats(self) -> Dict[str, List[dict]]:
         """Per-actor, per-process counter report (see ProcCounters)."""
-        return actor_stats_dict(self._counters, self.cycle)
+        return actor_stats_dict(
+            [(p.actor, p.cnt) for p in self._procs], self.cycle
+        )
 
     def scheduler_stats(self) -> dict:
         """Engine-specific scheduling metrics (not part of equivalence)."""
@@ -178,9 +267,7 @@ class LockstepEngine:
         if activity == 0:
             self._stall += 1
             if self._stall >= self.sim.stall_limit:
-                raise DeadlockError(
-                    self.cycle, blocked_snapshot(a for a, _, _ in self._live)
-                )
+                raise _deadlock_error(self.cycle, self._live)
         else:
             self._stall = 0
 
@@ -207,22 +294,6 @@ class LockstepEngine:
         return len(self._live)
 
 
-class _Proc:
-    """One live generator: its actor, stable resumption rank, liveness."""
-
-    __slots__ = ("actor", "gen", "seq", "alive", "key", "cnt")
-
-    def __init__(self, actor: Actor, gen: Generator, seq: int):
-        self.actor = actor
-        self.gen = gen
-        self.seq = seq
-        self.alive = True
-        #: Preallocated run-list entry; scheduling containers reuse it so
-        #: the hot loop never builds tuples.
-        self.key = (seq, self)
-        self.cnt = ProcCounters()
-
-
 class _WaitRec:
     """A parked :class:`ChannelWait`: per-condition readiness bookkeeping.
 
@@ -233,8 +304,8 @@ class _WaitRec:
     loop would have recorded are charged retroactively from ``ready``.
 
     ``park`` and ``apark`` start equal but rebase differently at an
-    end-of-run flush: channel charging owes ``ready - park - 1`` (the
-    actor's loop charged the park cycle itself before yielding) and
+    end-of-run flush: channel charging owes ``ready - park - 1``
+    (:meth:`EventEngine._park` charged the park cycle itself) and
     rebases to ``end - 1``, while the actor's own stall counter owes the
     full ``wake - apark`` span and rebases to ``end``.
     """
@@ -295,10 +366,7 @@ class EventEngine:
         self._executed = 0
         self._parks = 0
         self._wakeups = 0
-        self._procs: List[_Proc] = []
-        for a in sim.actors:
-            for gen in a.processes():
-                self._procs.append(_Proc(a, gen, len(self._procs)))
+        self._procs: List[_Proc] = _spawn(sim.actors)
         self._live_total = len(self._procs)
         self._live_nondaemon = sum(
             1 for p in self._procs if not p.actor.daemon
@@ -375,7 +443,7 @@ class EventEngine:
             self._cur_seq = seq
             p.actor.now = c
             try:
-                y = next(p.gen)
+                y = p.wait = next(p.gen)
             except StopIteration:
                 p.alive = False
                 p.cnt.end_cycle = c
@@ -414,6 +482,7 @@ class EventEngine:
         )
 
     def _park(self, p: _Proc, w: ChannelWait, c: int) -> None:
+        charge_blocked_cycle(w)  # the park cycle; the span is owed at wake
         rec = _WaitRec(p, c, w.conds, w.charge)
         ready = rec.ready
         pending = 0
@@ -484,8 +553,8 @@ class EventEngine:
     def _apply_charges(self, rec: _WaitRec, default: int) -> None:
         """Charge the stall cycles lock-step would have recorded.
 
-        The actor's own loop already charged the park cycle before
-        yielding, so for ``CHARGE_EACH`` condition *i* owes
+        :meth:`_park` already charged the park cycle, so for
+        ``CHARGE_EACH`` condition *i* owes
         ``max(0, ready[i] - park - 1)`` further cycles. ``CHARGE_FIRST``
         (relay) charges only the first still-blocked condition per cycle,
         which the running ``m`` cursor reproduces. ``default`` substitutes
@@ -586,33 +655,8 @@ class EventEngine:
             return wake if wake > self.cycle else self.cycle
         return None
 
-    def _blocked(self) -> Dict[str, str]:
-        return blocked_snapshot(p.actor for p in self._procs if p.alive)
-
-    def _blocked_channels(self) -> Dict[str, List[str]]:
-        """Per-actor unsatisfied channel conditions of every parked record.
-
-        Unlike :meth:`_blocked` (free-text ``blocked_reason`` strings) this
-        names the exact channels a deadlocked actor is waiting on, as
-        ``"pop:<name>"`` / ``"push:<name>"`` entries — the data the
-        fault-injection harness matches against the static analyzer's
-        FIFO-sizing diagnostics.
-        """
-        out: Dict[str, List[str]] = {}
-        for rec in self._parked:
-            conds = [
-                ("pop:" if op == POP else "push:") + ch.name
-                for (op, ch), r in zip(rec.conds, rec.ready)
-                if r is None
-            ]
-            if conds:
-                out.setdefault(rec.proc.actor.name, []).extend(conds)
-        return {name: sorted(conds) for name, conds in sorted(out.items())}
-
     def _deadlock(self) -> DeadlockError:
-        return DeadlockError(
-            self.cycle, self._blocked(), channels=self._blocked_channels()
-        )
+        return _deadlock_error(self.cycle, (p for p in self._procs if p.alive))
 
     def _check_stall(self) -> None:
         """Lock-step-compatible backstop for bare-``yield`` pollers."""

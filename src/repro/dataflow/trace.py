@@ -1,9 +1,8 @@
 """Execution tracing: per-actor activity, channel occupancy, VCD export.
 
 A :class:`Tracer` attached to the simulator samples, every cycle, which
-actors did useful work (an actor that ends its slice without a
-``blocked_reason`` made progress) and how full each channel is. From the
-samples it derives:
+actors did useful work (an actor that moved a beat on one of its channels
+made progress) and how full each channel is. From the samples it derives:
 
 * per-actor busy fractions over any cycle window — the direct evidence
   for the paper's claim that "at steady state, all the different layers
@@ -89,19 +88,23 @@ class Tracer:
         """Take one sample if the cycle falls on the sampling grid.
 
         An actor counts as *active* in a cycle if it moved at least one
-        beat on any of its channels (popped an input or pushed an output).
-        This is robust for multi-process actors, whose shared
-        ``blocked_reason`` would otherwise under-report.
+        beat on any of its channels (popped an input or pushed an output):
+        the channels' own per-cycle beat flags, so a multi-process actor
+        with one process stalled and one firing still counts as busy.
         """
         if cycle % self.sample_every:
             return
         self.cycles.append(cycle)
         active = set()
         for ch in channels:
-            if ch._popped_this_cycle and ch.reader:
-                active.add(ch.reader.rsplit(".", 1)[0])
-            if ch._pushed_this_cycle and ch.writer:
-                active.add(ch.writer.rsplit(".", 1)[0])
+            if (ch._popped_this_cycle or ch._pushed_this_cycle) and (
+                ch.writer and ch.reader
+            ):
+                (writer, _), (reader, _) = ch.ends
+                if ch._popped_this_cycle:
+                    active.add(reader)
+                if ch._pushed_this_cycle:
+                    active.add(writer)
         for a in actors:
             self.activity.setdefault(a.name, []).append(
                 1 if a.name in active else 0

@@ -41,14 +41,17 @@ class DeadlockError(SimulationError):
     cycle:
         Cycle at which the deadlock was declared.
     blocked:
-        Mapping of ``actor_name -> reason`` describing what each live actor
-        was waiting on when the deadlock was detected.
+        Mapping of ``actor_name -> text`` for every live non-daemon actor:
+        what each of its processes was waiting on when the deadlock was
+        detected, rendered from the wait descriptor it last yielded
+        (``pop:<channel>, push:<channel>``, ``gate``, ``timer(n)``; one
+        part per process, joined by ``" | "``).
     channels:
         Mapping of ``actor_name -> ["pop:<channel>", "push:<channel>", ...]``
-        naming the exact channel conditions each parked actor is blocked on.
-        Populated by the event scheduler (whose wait records carry the
-        channels); empty under the lock-step scheduler, whose actors only
-        report free-text ``blocked_reason`` strings.
+        naming the exact channel conditions each parked actor (daemon
+        adapters included) is blocked on. Both engines fill it from the
+        same descriptors, so a verdict that a deadlock lands on a given
+        channel can be checked on either.
     """
 
     def __init__(self, cycle: int, blocked: dict, channels: dict | None = None):

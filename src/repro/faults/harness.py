@@ -415,8 +415,6 @@ def faultsim(
     seed: int = 0,
     images: int = 2,
     memory_system: str = "behavioral",
-    max_cycles: int = 50_000_000,
-    stall_limit: int = 10_000,
     _clean_cache: Optional[Dict] = None,
 ) -> FaultRunReport:
     """One experiment: clean run vs faulted run, verdict, JSON report.
@@ -432,7 +430,6 @@ def faultsim(
     run = partial(
         run_design, sim_design, seed=seed, images=images,
         memory_system=memory_system,
-        max_cycles=max_cycles, stall_limit=stall_limit,
     )
     key = (sim_design.name, seed, images, memory_system)
     clean = _clean_cache.get(key) if _clean_cache is not None else None

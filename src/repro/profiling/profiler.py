@@ -102,7 +102,6 @@ def profile_design(
     scheduler: str = "event",
     loop_overhead: int = 0,
     sample_every: Optional[int] = None,
-    max_cycles: int = 50_000_000,
     tolerance: float = II_TOLERANCE,
     multi_plan=None,
 ) -> ProfileReport:
@@ -139,9 +138,7 @@ def profile_design(
         multi_plan=multi_plan,
     )
     tracer = Tracer(sample_every) if sample_every else None
-    result = built.run(
-        max_cycles=max_cycles, tracer=tracer, scheduler=scheduler
-    )
+    result = built.run(tracer=tracer, scheduler=scheduler)
     perf = network_perf(
         sim_design,
         loop_overhead=float(loop_overhead),

@@ -64,7 +64,6 @@ def synthesize_channel_stats(
     ``[0, cycles - 1]``. ``high_water`` reflects the rate-matched steady
     state (one in flight).
     """
-    prefix = source_name + "."
     for ch in channels:
         beats = schedule.channel_beats.get(ch.name, 0)
         st = ch.stats
@@ -75,7 +74,7 @@ def synthesize_channel_stats(
         st.empty_stall_cycles = 0
         if not beats:
             continue
-        if ch.writer is not None and ch.writer.startswith(prefix):
+        if ch.ends[0][0] == source_name:
             st.first_push_cycle = 0
             st.last_push_cycle = schedule.dma_last_push
         else:

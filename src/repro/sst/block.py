@@ -299,10 +299,7 @@ class BlockSplitActor(Actor):
                 for x in range(plan.w):
                     for g in range(group):
                         while not in_ch.can_pop():
-                            self.blocked_reason = f"split: {in_ch.name} empty"
-                            in_ch.note_empty_stall()
                             yield pop_wait
-                        self.blocked_reason = None
                         buf[g, y, x] = in_ch.pop()
                         yield
             ready_append(buf)
@@ -321,7 +318,6 @@ class BlockSplitActor(Actor):
         ready = self._ready
         for _ in range(self.images):
             while not ready:
-                self.blocked_reason = "split: waiting for image"
                 yield self._gate.wait()
             buf = ready.popleft()
             for bi in range(plan.gh):
@@ -339,12 +335,7 @@ class BlockSplitActor(Actor):
                                 row = None
                             for g in range(group):
                                 while not out_ch.can_push():
-                                    self.blocked_reason = (
-                                        f"split: {out_ch.name} full"
-                                    )
-                                    out_ch.note_full_stall()
                                     yield push_wait
-                                self.blocked_reason = None
                                 out_ch.push(
                                     DTYPE(0.0) if row is None else row[g]
                                 )
@@ -405,12 +396,7 @@ class BlockMergeActor(Actor):
                         for tx in range(plan.tw):
                             for g in range(group):
                                 while not in_ch.can_pop():
-                                    self.blocked_reason = (
-                                        f"merge: {in_ch.name} empty"
-                                    )
-                                    in_ch.note_empty_stall()
                                     yield pop_wait
-                                self.blocked_reason = None
                                 buf[g, ys + ty, xs + tx] = in_ch.pop()
                                 yield
             ready_append(buf)
@@ -424,7 +410,6 @@ class BlockMergeActor(Actor):
         ready = self._ready
         for _ in range(self.images):
             while not ready:
-                self.blocked_reason = "merge: waiting for image"
                 yield self._gate.wait()
             buf = ready.popleft()
             for y in range(plan.oh):
@@ -432,9 +417,6 @@ class BlockMergeActor(Actor):
                     row = buf[:, y, x]
                     for g in range(group):
                         while not out_ch.can_push():
-                            self.blocked_reason = f"merge: {out_ch.name} full"
-                            out_ch.note_full_stall()
                             yield push_wait
-                        self.blocked_reason = None
                         out_ch.push(row[g])
                         yield

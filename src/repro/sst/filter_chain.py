@@ -101,17 +101,12 @@ class TapFilter(Actor):
         for idx in range(self.beats_per_image * self.images):
             local = idx % self.beats_per_image
             tapping = self.skip <= local < self.skip + self.steps
-            while True:
-                ok = in_ch.can_pop()
-                if ok and out_ch is not None:
-                    ok = out_ch.can_push()
-                if ok and tapping:
-                    ok = tap_ch.can_push()
-                if ok:
-                    break
-                self.blocked_reason = f"filter[{idx}]: waiting on FIFO"
+            while not (
+                in_ch.can_pop()
+                and (out_ch is None or out_ch.can_push())
+                and (not tapping or tap_ch.can_push())
+            ):
                 yield tap_park if tapping else fwd_park
-            self.blocked_reason = None
             v = in_ch.pop()
             if out_ch is not None:
                 out_ch.push(v)
@@ -170,14 +165,9 @@ class WindowAssembler(Actor):
                     and x + spec.kw <= self.wp
                 )
                 while not all(t.can_pop() for t in taps):
-                    self.blocked_reason = "assembler: taps not ready"
                     yield taps_park
-                if valid:
-                    while not out_ch.can_push():
-                        self.blocked_reason = f"assembler: {out_ch.name} full"
-                        out_ch.note_full_stall()
-                        yield out_ch.push_wait()
-                self.blocked_reason = None
+                while valid and not out_ch.can_push():
+                    yield out_ch.push_wait()
                 values = [t.pop() for t in taps]
                 if valid:
                     win = np.asarray(values, dtype=DTYPE).reshape(spec.kh, spec.kw)

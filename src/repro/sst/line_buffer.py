@@ -142,10 +142,7 @@ class SlidingWindowActor(Actor):
                     xp = x + pad
                     for g in range(group):
                         while not in_ch.can_pop():
-                            self.blocked_reason = f"window: {in_ch.name} empty"
-                            in_ch.note_empty_stall()
                             yield pop_wait
-                        self.blocked_reason = None
                         buf[g, yp, xp] = in_ch.pop()
                         yield
                     # All FMs of (y, x) have arrived: enqueue every window
@@ -170,13 +167,9 @@ class SlidingWindowActor(Actor):
         sent = 0
         while sent < total:
             while not emit_queue:
-                self.blocked_reason = "window: no completed window yet"
                 yield self._gate.wait()
             while not out_ch.can_push():
-                self.blocked_reason = f"window: {out_ch.name} full"
-                out_ch.note_full_stall()
                 yield push_wait
-            self.blocked_reason = None
             out_ch.push(emit_queue.popleft())
             sent += 1
             yield

@@ -57,14 +57,9 @@ class PadInserter(Actor):
                 for x in range(wp):
                     real = p <= y < p + self.h and p <= x < p + self.w
                     for _g in range(self.group):
-                        while True:
-                            ok = out_ch.can_push()
-                            if ok and real:
-                                ok = in_ch.can_pop()
-                            if ok:
-                                break
-                            self.blocked_reason = "pad: waiting on stream"
+                        while not (
+                            out_ch.can_push() and (not real or in_ch.can_pop())
+                        ):
                             yield real_park if real else pad_park
-                        self.blocked_reason = None
                         out_ch.push(in_ch.pop() if real else _ZERO)
                         yield

@@ -13,15 +13,20 @@ import numpy as np
 import pytest
 
 from repro.compiled import CompiledFallbackWarning
+from repro.compiled.kernels import KERNELS
 from repro.core import (
     FCLayerSpec,
     NetworkDesign,
     PoolLayerSpec,
+    cifar10_design,
     random_weights,
     tiny_design,
+    usps_design,
 )
-from repro.core.builder import build_network
-from repro.dataflow import ArraySource, DataflowGraph, ListSink
+from repro.core.builder import build_network, seeded_batch
+from repro.core.multi_fpga import plan_split
+from repro.core.zoo import alexnet_pilot_design, vgg16_pilot_design
+from repro.dataflow import ArraySource, DataflowGraph, FifoStage, ListSink, MapActor
 from repro.errors import ConfigurationError
 
 
@@ -70,6 +75,52 @@ class TestStrictGate:
             res = built.run(scheduler="compiled")
         assert res.finished
         assert res.scheduler_stats["scheduler"] == "event"
+
+    @pytest.mark.parametrize("glue", [
+        lambda: FifoStage("glue"),
+        lambda: MapActor("glue", lambda v: v),
+    ])
+    def test_hand_built_glue_actor_falls_back(self, glue):
+        # Fork / FifoStage / MapActor are hand-built-graph glue the builder
+        # never emits, so they have no kernel: even with a design attached
+        # the graph runs on the event engine.
+        design = tiny_design()
+        n = int(np.prod(design.input_shape))
+        g = DataflowGraph("hand", default_capacity=2)
+        src = g.add_actor(ArraySource("src", np.arange(n, dtype=np.float32)))
+        mid = g.add_actor(glue())
+        snk = g.add_actor(ListSink("snk", count=n))
+        g.connect(src, "out", mid, "in")
+        g.connect(mid, "out", snk, "in")
+        g.design = design
+        with pytest.warns(CompiledFallbackWarning, match="has no compiled kernel"):
+            res = g.build_simulator(scheduler="compiled").run()
+        assert res.finished
+        assert res.scheduler_stats["scheduler"] == "event"
+
+    def test_kernel_table_is_exactly_what_the_builder_emits(self):
+        # Closed world: every actor type some build can contain has a
+        # kernel, and KERNELS holds no entry no build can reach.
+        usps = usps_design()
+        builds = [
+            (usps, {}),
+            (cifar10_design(), {}),
+            (tiny_design(), {}),
+            (alexnet_pilot_design(), {}),
+            (vgg16_pilot_design(), {}),
+            (tiny_design(), {"normalize": True}),
+            (usps, {"multi_plan": plan_split(usps, 2)}),
+            (tiny_design().with_blocking(2), {}),
+        ]
+        emitted = set()
+        for design, kwargs in builds:
+            built = build_network(
+                design, random_weights(design, seed=0),
+                seeded_batch(design, 0, 1), **kwargs,
+            )
+            emitted |= {type(a) for a in built.graph.actors.values()}
+        assert emitted == set(KERNELS)
+        assert len(KERNELS) == 13
 
     def test_fallback_matches_event_outputs(self, rng):
         design = tiny_design()

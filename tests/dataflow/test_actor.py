@@ -3,6 +3,15 @@
 import pytest
 
 from repro.dataflow import Actor, ArraySource, Channel, DataflowGraph, ListSink
+from repro.dataflow.events import (
+    CHARGE_EACH,
+    CHARGE_FIRST,
+    CHARGE_NONE,
+    POP,
+    PUSH,
+    ChannelWait,
+)
+from repro.dataflow.scheduler import charge_blocked_cycle
 from repro.errors import GraphError
 
 
@@ -143,7 +152,7 @@ class TestHelpers:
         assert sa.received == [1, 2, 3]
         assert sb.received == [-1, -2, -3]
 
-    def test_blocked_reason_set_while_stalled(self):
+    def test_stalled_recv_yields_the_pop_wait_descriptor(self):
         a = Echo("echo")
         ch_in = Channel("in_ch", 2)
         ch_out = Channel("out_ch", 2)
@@ -151,5 +160,97 @@ class TestHelpers:
         a.bind_output("out", ch_out)
         proc = a.run()
         ch_in.begin_cycle()
-        next(proc)  # stalls on empty input
-        assert "empty" in a.blocked_reason
+        # Stalls on empty input: the yielded descriptor is the whole
+        # statement of the stall; the actor itself records nothing.
+        assert next(proc) is ch_in.pop_wait()
+        assert ch_in.stats.empty_stall_cycles == 0
+        assert not hasattr(a, "blocked_reason")
+
+
+class Stage(Actor):
+    """in -> out at II = 1; its blocking loop is only ``yield park``."""
+
+    def __init__(self, name, charge):
+        super().__init__(name)
+        self.charge = charge
+        self.daemon = True
+
+    def run(self):
+        src, dst = self.input("in"), self.output("out")
+        park = ChannelWait(((POP, src), (PUSH, dst)), self.charge)
+        while True:
+            while not (src.can_pop() and dst.can_push()):
+                yield park
+            dst.push(src.pop())
+            yield
+
+
+class PacedSink(Actor):
+    """Pops ``count`` values, idling ``gap`` cycles after each."""
+
+    def __init__(self, name, count, gap):
+        super().__init__(name)
+        self.count, self.gap = count, gap
+
+    def run(self):
+        ch = self.input("in")
+        for _ in range(self.count):
+            while not ch.can_pop():
+                yield ch.pop_wait()
+            ch.pop()
+            yield
+            yield from self.wait(self.gap)
+
+
+class TestAuthoringContract:
+    """Actors that only yield descriptors get every counter from the engines."""
+
+    POLICIES = (("each", CHARGE_EACH), ("first", CHARGE_FIRST), ("none", CHARGE_NONE))
+
+    def run(self, scheduler, interval, gap, n=12):
+        g = DataflowGraph("policies", default_capacity=1)
+        prev = g.add_actor(ArraySource("src", list(range(n)), interval=interval))
+        for name, charge in self.POLICIES:
+            stage = g.add_actor(Stage(name, charge))
+            g.connect(prev, "out", stage, "in", name=f"to_{name}")
+            prev = stage
+        snk = g.add_actor(PacedSink("snk", n, gap))
+        g.connect(prev, "out", snk, "in", name="to_snk")
+        res = g.build_simulator(scheduler=scheduler).run()
+        return res.cycles, res.channel_stats, res.actor_stats
+
+    @pytest.mark.parametrize("interval,gap", [(1, 3), (4, 0)])
+    def test_engines_agree_on_every_counter(self, interval, gap):
+        lock = self.run("lockstep", interval, gap)
+        assert self.run("event", interval, gap) == lock
+        _, channels, actors = lock
+        stalls = {
+            name: (st["full_stall_cycles"], st["empty_stall_cycles"])
+            for name, st in channels.items()
+        }
+        # The reader charges a channel's empty stalls, the writer its full
+        # stalls: a slow sink backs every stage up, a slow source starves it.
+        if gap:
+            assert stalls["to_first"][0] and stalls["to_none"][0]
+        else:
+            assert stalls["to_each"][1] and stalls["to_first"][1]
+        # CHARGE_NONE charges neither side, however long it was blocked...
+        assert stalls["to_none"][1] == 0 and stalls["to_snk"][0] == 0
+        # ...but a blocked cycle is a blocked cycle on the actor's own clock.
+        assert all(actors[name][0]["stalled_channel"] for name, _ in self.POLICIES)
+
+    @pytest.mark.parametrize(
+        "charge,full", [(CHARGE_EACH, 1), (CHARGE_FIRST, 0)], ids=["each", "first"]
+    )
+    def test_first_charges_one_condition_where_each_charges_all(self, charge, full):
+        # No input and no room at once: EACH charges both channels for the
+        # blocked cycle, FIRST only the first unmet condition (the input).
+        ch_in, ch_out = Channel("i", 1), Channel("o", 1)
+        stage = Stage("s", charge)
+        stage.bind_input("in", ch_in)
+        stage.bind_output("out", ch_out)
+        ch_out.push(7)
+        ch_out.begin_cycle()
+        charge_blocked_cycle(next(stage.run()))
+        assert ch_in.stats.empty_stall_cycles == 1
+        assert ch_out.stats.full_stall_cycles == full

@@ -159,14 +159,6 @@ class TestStats:
             ch.begin_cycle()
         assert ch.stats.high_water == 5
 
-    def test_stall_notes(self):
-        ch = fresh(1)
-        ch.note_full_stall()
-        ch.note_empty_stall()
-        d = ch.stats.as_dict()
-        assert d["full_stall_cycles"] == 1
-        assert d["empty_stall_cycles"] == 1
-
     def test_len_includes_staged(self):
         ch = fresh(4)
         ch.push(1)

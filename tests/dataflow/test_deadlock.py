@@ -1,10 +1,14 @@
 """Reconvergent-branch enumeration and deadlock/diagnostic pairing."""
 
+import re
+
 import numpy as np
+import pytest
 
 from repro.analysis import analyze_graph
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.analysis.graph_rules import _branch_capacity, fork_join_pairs
+from repro.core import tiny_design
 from repro.dataflow import ArraySource, DataflowGraph, FifoStage, Fork, Interleaver, ListSink
 from repro.dataflow.deadlock import (
     match_deadlock_diagnostics,
@@ -12,6 +16,7 @@ from repro.dataflow.deadlock import (
     shrink_agreement,
 )
 from repro.errors import DeadlockError
+from repro.faults import preset_scenarios, run_design
 
 
 def diamond(cap_a=2, cap_b=2):
@@ -195,3 +200,57 @@ class TestMatch:
         blocked, flagged, matched = shrink_agreement(err, report, ["x.fifo1"])
         assert blocked == ["x.fifo0", "x.fifo1"]
         assert flagged == report.errors and matched == ["x.fifo1"]
+
+
+class TestReportParity:
+    """Both engines read one deadlock report off the yielded descriptors."""
+
+    PART = re.compile(
+        r"(pop|push):\S+(, (pop|push):\S+)*|gate|timer\(\d+\)"
+        r"|running \(no channel beat\)"
+    )
+
+    @staticmethod
+    def starved_sink(scheduler):
+        g = DataflowGraph("starved", default_capacity=2)
+        src = g.add_actor(ArraySource("src", [1, 2]))
+        snk = g.add_actor(ListSink("snk", count=5))
+        g.connect(src, "out", snk, "in")
+        with pytest.raises(DeadlockError) as exc:
+            g.build_simulator(stall_limit=50, scheduler=scheduler).run()
+        return exc.value
+
+    @staticmethod
+    def tiny_shrink(scheduler):
+        return run_design(
+            tiny_design(), seed=0, images=2, scheduler=scheduler,
+            scenario=preset_scenarios()["shrink"], memory_system="literal",
+            stall_limit=200,
+        ).deadlock
+
+    @pytest.mark.parametrize("case", ["starved_sink", "tiny_shrink"])
+    def test_same_report_from_both_engines(self, case):
+        lock, event = (getattr(self, case)(s) for s in ("lockstep", "event"))
+        assert lock.channels and lock.channels == event.channels
+        assert lock.blocked and lock.blocked == event.blocked
+        # Every entry is rendered from descriptors, one part per process.
+        for text in event.blocked.values():
+            assert all(self.PART.fullmatch(part) for part in text.split(" | "))
+
+    def test_starved_sink_names_its_channel(self):
+        err = self.starved_sink("lockstep")
+        assert err.channels == {"snk": ["pop:src.out->snk.in"]}
+        assert err.blocked == {"snk": "pop:src.out->snk.in"}
+
+    def test_shrink_lists_daemons_and_each_process(self):
+        err = self.tiny_shrink("lockstep")
+        # A parked daemon adapter is in `channels` (the wait conditions of
+        # every process) but not in `blocked` (live non-daemon actors).
+        assert err.channels["fc1.widen0"] == ["pop:pool1.core0.out->fc1.widen0.in0"]
+        assert "fc1.widen0" not in err.blocked
+        # A conv core is two processes: compute parked on its window
+        # inputs, emit on the result-queue gate.
+        assert err.blocked["conv1.core"] == (
+            "pop:conv1.win0.asm.out->conv1.core.in0 | gate"
+        )
+        assert err.channels["conv1.core"] == ["pop:conv1.win0.asm.out->conv1.core.in0"]

@@ -1,9 +1,13 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import design_to_json, usps_design
 
@@ -12,6 +16,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_does_not_import_networkx():
+    # networkx costs 130-200 ms and ~20 MiB; only `check` / `shrink` use it
+    # (inside the functions that need it), so no other CLI call, replica
+    # worker or benchmark process should pay for it at import.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, repro.cli, repro.analysis, repro.serve, repro.profiling, "
+        "repro.compiled; sys.exit('networkx' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestCommands:
