@@ -56,9 +56,9 @@ with tempfile.TemporaryDirectory() as tmp:
     weights2 = load_weights(weights_path)
 
     a = build_network(design, weights, batch)
-    a.run_functional()
+    a.run(scheduler="compiled")
     b = build_network(design2, weights2, batch)
-    b.run_functional()
+    b.run(scheduler="compiled")
     identical = np.array_equal(a.outputs(), b.outputs())
 
 print(f"serialized design + weights reload bit-identically: {identical}")

@@ -31,7 +31,6 @@ from repro.analysis.depths import (
     run_shrink,
     validate_plan,
 )
-from repro.analysis.design_rules import SpecChain
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity, make
 from repro.analysis.graph_rules import actor_skew_latency
 from repro.analysis.rules import DESIGN_RULES, GRAPH_RULES, RULES, RuleInfo, render_catalog
@@ -44,7 +43,6 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "ShrinkReport",
-    "SpecChain",
     "RuleInfo",
     "RULES",
     "DESIGN_RULES",

@@ -4,7 +4,8 @@ The checker composes the design-level rules (:mod:`.design_rules`) with
 the graph-level rules (:mod:`.graph_rules`):
 
 * :func:`analyze_chain` — tolerant analysis of a raw, possibly broken
-  spec chain (never raises on a bad design; emits diagnostics instead);
+  ``(name, input_shape, specs)`` chain (never raises on a bad design;
+  emits diagnostics instead);
 * :func:`analyze_design` — full design-level analysis of a valid
   :class:`NetworkDesign`, including the perf-model bottleneck report;
 * :func:`analyze_graph` — graph-level analysis of any elaborated
@@ -18,21 +19,17 @@ the graph-level rules (:mod:`.graph_rules`):
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.analysis.design_rules import (
-    SpecChain,
-    run_bottleneck_rule,
-    run_chain_rules,
-)
+from repro.analysis.design_rules import run_bottleneck_rule, run_chain_rules
 from repro.analysis.diagnostics import AnalysisReport, Severity, make
 from repro.analysis.graph_rules import run_graph_rules
 from repro.config import DTYPE
 from repro.core.builder import DesignWeights, build_network
-from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec
-from repro.core.network_design import NetworkDesign
+from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, LayerSpec
+from repro.core.network_design import NetworkDesign, walk_chain
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ReproError
 
@@ -64,16 +61,18 @@ def placeholder_weights(design: NetworkDesign) -> DesignWeights:
     return out
 
 
-def analyze_chain(chain: SpecChain) -> AnalysisReport:
+def analyze_chain(
+    name: str, input_shape: Sequence[int], specs: Sequence[LayerSpec]
+) -> AnalysisReport:
     """Design-level rules over a raw (possibly invalid) spec chain."""
-    report = AnalysisReport(chain.name)
-    run_chain_rules(chain, report)
+    report = AnalysisReport(name)
+    run_chain_rules(walk_chain(input_shape, specs), report)
     return report
 
 
 def analyze_design(design: NetworkDesign) -> AnalysisReport:
     """Design-level rules plus the perf-model bottleneck report."""
-    report = analyze_chain(SpecChain.from_design(design))
+    report = analyze_chain(design.name, design.input_shape, design.specs)
     run_bottleneck_rule(design, report)
     return report
 
@@ -91,7 +90,6 @@ def check_network(
     design: NetworkDesign,
     elaborate: Union[bool, str] = "auto",
     memory_system: str = "behavioral",
-    channel_capacity: int = 4,
 ) -> AnalysisReport:
     """Full static check of a valid design: spec rules + elaborated graph.
 
@@ -121,7 +119,6 @@ def check_network(
             design,
             placeholder_weights(design),
             np.zeros((1,) + design.input_shape, dtype=DTYPE),
-            channel_capacity=channel_capacity,
             memory_system=memory_system,
         )
     except ReproError as exc:
@@ -139,9 +136,10 @@ def check_design_dict(
 ) -> AnalysisReport:
     """Lenient front end for design dicts (the ``repro check`` CLI path).
 
-    Specs that fail to construct become SPEC.VALID errors; if the design
-    as a whole fails :class:`NetworkDesign` validation, the tolerant
-    chain analysis still produces a full per-boundary report.
+    Specs that fail to construct become SPEC.VALID errors; a chain whose
+    walk finds violations gets them all reported per boundary, and one
+    whose walk finds none *is* a constructible :class:`NetworkDesign`
+    and gets the full :func:`check_network`.
     """
     from repro.core.serialize import spec_from_dict
 
@@ -158,7 +156,7 @@ def check_design_dict(
         ))
         return report
 
-    specs = []
+    specs: List[LayerSpec] = []
     spec_errors = False
     for i, sd in enumerate(d.get("layers", [])):
         try:
@@ -172,24 +170,10 @@ def check_design_dict(
                      "were still analyzed",
             ))
 
-    if not spec_errors:
-        construct_error: Optional[ReproError] = None
-        try:
-            design = NetworkDesign(name, tuple(shape), specs)
-        except ReproError as exc:
-            construct_error = exc
-        else:
-            return report.merge(check_network(design, elaborate=elaborate))
-        report.merge(analyze_chain(SpecChain(name, tuple(shape), tuple(specs))))
-        if report.ok:
-            # The chain rules model every NetworkDesign invariant; if one
-            # ever slips through, still fail the check with the raw reason.
-            report.add(make(
-                "SPEC.VALID", Severity.ERROR, "design",
-                f"design does not construct: {construct_error}",
-            ))
-        return report
-
-    if specs:
-        report.merge(analyze_chain(SpecChain(name, tuple(shape), tuple(specs))))
+    walk = walk_chain(shape, specs)
+    if not spec_errors and not walk.errors():
+        design = NetworkDesign(name, shape, specs)
+        return report.merge(check_network(design, elaborate=elaborate))
+    if specs or not spec_errors:
+        run_chain_rules(walk, report)
     return report

@@ -511,7 +511,7 @@ def infer_depth_plan(
                 "capacity"
             ),
         )
-    design = getattr(graph, "design", None)
+    design = graph.design
     return DepthPlan(
         design_name=design_name
         or (design.name if design is not None else graph.name),

@@ -283,7 +283,7 @@ def _check_literal_chain(
             hint="literal chains rely on injected padding beats to keep "
                  "the tap offsets aligned",
         ))
-    plan = getattr(graph, "depth_plan", None)
+    plan = graph.depth_plan
     certified = plan.certificates if plan is not None else {}
     expected = chain_fifo_capacities(window, w, group)
     for i, cap in enumerate(expected):
@@ -588,7 +588,7 @@ def _rule_depth_plan(graph: DataflowGraph, report: AnalysisReport) -> None:
     a bounded channel sitting *below* a proven certificate is a hard
     error (BUFFER.DEPTH_UNDERSIZED): the prover can exhibit the deadlock.
     """
-    plan = getattr(graph, "depth_plan", None)
+    plan = graph.depth_plan
     if plan is None:
         return
     report.note_rule("BUFFER.DEPTH_CERT")

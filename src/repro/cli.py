@@ -617,10 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--out", default=None, help="artifact output directory")
     flow.add_argument("--epochs", type=int, default=None)
     flow.add_argument("--scheduler", choices=USER_SCHEDULERS,
-                      default=None,
-                      help="run the layerwise verification cycle-timed on "
-                           "this engine (default: untimed functional "
-                           "execution)")
+                      default="compiled",
+                      help="simulation engine of the layerwise verification")
     flow.set_defaults(fn=_cmd_flow)
     profile = sub.add_parser(
         "profile", parents=[common],

@@ -85,7 +85,7 @@ class CompiledEngine:
                 "a tracer is attached; tracing samples interpreted "
                 "execution and cannot observe a compiled run"
             )
-        design = getattr(sim, "design", None)
+        design = sim.design
         if design is None:
             raise CompilationError(
                 "the graph carries no NetworkDesign (hand-built graphs "
@@ -138,7 +138,7 @@ class CompiledEngine:
              if type(a) is ConvCoreActor),
             default=0,
         )
-        multi_plan = getattr(sim, "multi_plan", None)
+        multi_plan = sim.multi_plan
         key = plan_key(
             digest,
             sources[0].n_values if sources else -1,

@@ -5,7 +5,8 @@ layer becomes its memory structure (per-port sliding-window actors) plus
 its computation core, the three port cases of Section IV-A become
 round-robin demux/interleaver adapters, and the whole chain is framed by a
 DMA-rate source and a sink. The resulting graph runs on the cycle-accurate
-simulator (timing + values) or the functional executor (values only).
+simulator (timing + values) under any engine of
+:data:`~repro.dataflow.simulator.SCHEDULERS`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from repro.core.pool_core import PoolCoreActor
 from repro.dataflow.actor import Actor
 from repro.dataflow.actors import ArraySource, Interleaver, ListSink, ScheduleDemux
 from repro.dataflow.channel import Channel
-from repro.dataflow.functional import FunctionalExecutor
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.dataflow.simulator import SimulationResult
 from repro.dataflow.trace import Tracer
 from repro.errors import ConfigurationError, ShapeError
-from repro.fpga.dma import DmaModel, PAPER_DMA
+from repro.fpga.dma import PAPER_DMA
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
 from repro.nn.network import Sequential
@@ -182,11 +182,6 @@ class BuiltNetwork:
         self.result = sim.run(max_cycles=max_cycles)
         return self.result
 
-    def run_functional(self, max_cycles: int = 50_000_000) -> SimulationResult:
-        """Untimed run (unbounded FIFOs): values only, much faster."""
-        self.result = FunctionalExecutor(self.graph).run(max_cycles=max_cycles)
-        return self.result
-
     def outputs(self) -> np.ndarray:
         """Collected outputs reshaped to ``(N, K, OH, OW)`` / ``(N, K)``.
 
@@ -214,12 +209,20 @@ class BuiltNetwork:
             raise ShapeError("simulation incomplete; no timing available")
         return [ts[(i + 1) * per_image - 1] for i in range(self.images)]
 
+    def measured_interval(self) -> Optional[int]:
+        """Steady-state cycles/image measured at the sink: the *max*
+        completion delta, or ``None`` when the batch has fewer than two
+        images. (The profiler reports the *last* delta and
+        :func:`~repro.core.runner.run_batch` the *mean*: different
+        definitions, which agree on a run that reached steady state.)"""
+        cc = self.image_completion_cycles()
+        return max((b - a for a, b in zip(cc, cc[1:])), default=None)
+
 
 def build_network(
     design: NetworkDesign,
     weights: DesignWeights,
     batch: np.ndarray,
-    dma: DmaModel = PAPER_DMA,
     channel_capacity: int = 4,
     memory_system: str = "behavioral",
     loop_overhead: int = 0,
@@ -236,7 +239,6 @@ def build_network(
     weights: per-layer parameter arrays (:func:`random_weights`,
         :func:`extract_weights`, or hand-built).
     batch: ``(N, C, H, W)`` input images; ``C, H, W`` must match the design.
-    dma: transfer model setting the source beat rate.
     channel_capacity: default FIFO depth for inter-actor links.
     memory_system: ``"behavioral"`` uses the fast line-buffer actor per
         port; ``"literal"`` elaborates the full SST filter chain (one
@@ -300,19 +302,16 @@ def build_network(
         g.multi_plan = multi_plan
 
     source = ArraySource(
-        "dma_in", interleave_images(batch), interval=dma.beat_interval(32)
+        "dma_in", interleave_images(batch), interval=PAPER_DMA.beat_interval(32)
     )
     g.add_actor(source)
     # `streams` holds, per current port, (producer_actor, out_port_name).
     streams: List[Stream] = [(source, "out")]
-    shape = design.input_shape
 
     for p in design.placements:
         spec = p.spec
-        if isinstance(spec, FCLayerSpec):
-            shape = (spec.in_fm, 1, 1)
         streams = _adapt_ports(g, spec.name, streams, spec.in_ports, spec.in_fm)
-        c, h, w = shape
+        _, h, w = p.in_shape
         if isinstance(spec, ConvLayerSpec):
             if spec.name not in weights:
                 raise ConfigurationError(f"no weights for layer {spec.name!r}")
@@ -430,7 +429,6 @@ def build_network(
                 g, cut_after[spec.name], multi_plan, streams, p, h, w,
                 images, channel_capacity, link_beat,
             )
-        shape = p.out_shape
 
     # DMA out is a single 32-bit stream: widen to one port if needed.
     streams = _adapt_ports(g, "dma_out", streams, 1, design.output_shape[0])

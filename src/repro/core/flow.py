@@ -90,7 +90,7 @@ def run_flow(
     output_dir: Optional[str] = None,
     epochs: Optional[int] = None,
     verify_images: int = 2,
-    scheduler: Optional[str] = None,
+    scheduler: str = "compiled",
 ) -> FlowResult:
     """Run the end-to-end flow for one preset network.
 
@@ -102,9 +102,8 @@ def run_flow(
         ``hls_report.txt`` and ``verify.txt`` there.
     epochs: override the preset's training length.
     verify_images: batch size of the layer-wise verification run.
-    scheduler: run the layer-wise verification cycle-timed on this
-        engine (``"event"`` or ``"compiled"``) instead of the default
-        untimed functional execution.
+    scheduler: the engine the layer-wise verification runs on
+        (``"event"`` or ``"compiled"``).
     """
     try:
         design_fn, model_fn, data_fn, preset_epochs, lr = FLOW_PRESETS[preset]

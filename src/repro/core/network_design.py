@@ -1,21 +1,26 @@
 """Whole-network designs: validated layer chains and port matching.
 
 :class:`NetworkDesign` is the artifact a designer produces with this
-methodology (Figures 4/5): an input shape plus a chain of layer specs. It
-propagates shapes, classifies every layer-to-layer connection into the
-three port cases of Section IV-A (direct / demux / widen), validates the
-divisibility the interleaved routing requires, and renders the textual
-block design used to reproduce Figures 4 and 5.
+methodology (Figures 4/5): an input shape plus a chain of layer specs.
+:func:`walk_chain` resolves such a chain once — it propagates shapes,
+classifies every layer-to-layer connection into the three port cases of
+Section IV-A (direct / demux / widen) and records every broken invariant
+without raising; constructing a :class:`NetworkDesign` raises the walk's
+first violation, ``repro check`` (:mod:`repro.analysis`) reports them all.
+The design also renders the textual block design of Figures 4 and 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Type
 
-from repro.errors import ConfigurationError, PortMismatchError, ShapeError
+from repro.errors import ConfigurationError, PortMismatchError, ReproError, ShapeError
 from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, LayerSpec, PoolLayerSpec
+
+#: A feature-map volume ``(C, H, W)``.
+Shape = Tuple[int, int, int]
 
 
 class PortAdapter(Enum):
@@ -55,10 +60,161 @@ class LayerPlacement:
     """A spec plus its resolved input/output shapes within a network."""
 
     spec: LayerSpec
-    in_shape: Tuple[int, int, int]
-    out_shape: Tuple[int, int, int]
+    in_shape: Shape
+    out_shape: Shape
     #: Adapter between the *previous* stage and this layer.
     adapter: PortAdapter
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One broken chain invariant, in the verifier's vocabulary."""
+
+    #: Rule id of :mod:`repro.analysis.rules` the violation reports under.
+    rule: str
+    #: ``"design"``, ``"layer:<name>"`` or ``"boundary:<prev>-><name>"``.
+    location: str
+    message: str
+    #: What :class:`NetworkDesign` raises for it.
+    error: Type[ReproError]
+    hint: str = ""
+
+
+@dataclass(frozen=True)
+class WalkedLayer:
+    """One chain position with whatever the walk could resolve of it."""
+
+    spec: LayerSpec
+    #: Volume arriving from upstream (flattened to ``(n, 1, 1)`` for FC).
+    in_shape: Shape
+    #: ``None`` when the window does not fit or the layer is out of order.
+    out_shape: Optional[Shape]
+    #: ``None`` when no Section IV-A case applies (or out of order).
+    adapter: Optional[PortAdapter]
+    violations: Tuple[Violation, ...]
+    #: Why the walk stopped here with layers still ahead ("" when it went on).
+    stopped: str = ""
+
+
+@dataclass(frozen=True)
+class ChainWalk:
+    """A resolved chain: the layers reached and everything wrong with them."""
+
+    #: Layers up to and including the one the walk stopped at.
+    layers: Tuple[WalkedLayer, ...]
+    #: Chain-level violations (nothing could be walked).
+    violations: Tuple[Violation, ...] = ()
+
+    def errors(self) -> List[Violation]:
+        """Every violation in walk order; empty for a constructible chain."""
+        return [*self.violations, *(v for lay in self.layers for v in lay.violations)]
+
+
+def walk_chain(input_shape: Sequence[int], specs: Sequence[LayerSpec]) -> ChainWalk:
+    """Resolve a raw layer chain; never raises on a bad one.
+
+    The only place a chain is resolved: shapes flow forward, every layer
+    boundary is classified into the Section IV-A adapter cases, and each
+    broken invariant becomes a :class:`Violation`. :class:`NetworkDesign`
+    raises the first of them; ``repro check`` reports them all. The walk
+    stops at a feature-extraction layer behind the classifier and at a
+    window that does not fit, because no shape flows past either.
+    """
+    problem = ""
+    if not specs:
+        problem = "a network needs at least one layer"
+    elif len(input_shape) != 3 or any(d < 1 for d in input_shape):
+        problem = f"input_shape must be a positive (C, H, W), got {input_shape}"
+    if problem:
+        return ChainWalk(
+            (), (Violation("SPEC.VALID", "design", problem, ConfigurationError),)
+        )
+
+    layers: List[WalkedLayer] = []
+    shape: Shape = (int(input_shape[0]), int(input_shape[1]), int(input_shape[2]))
+    prev_name = "dma_in"
+    prev_out_ports = 1  # the DMA is a single stream
+    seen_fc = False
+    names: Set[str] = set()
+    for index, spec in enumerate(specs):
+        loc = f"layer:{spec.name}"
+        boundary = f"boundary:{prev_name}->{spec.name}"
+        found: List[Violation] = []
+        if spec.name in names:
+            found.append(Violation(
+                "SPEC.VALID", loc, f"duplicate layer name {spec.name!r}",
+                ConfigurationError, "give every layer a unique name",
+            ))
+        names.add(spec.name)
+        is_fc = isinstance(spec, FCLayerSpec)
+        if seen_fc and not is_fc:
+            found.append(Violation(
+                "SPEC.VALID", loc,
+                "feature-extraction layer after the classifier stage",
+                ConfigurationError,
+                "move all conv/pool layers before the first FC layer",
+            ))
+            layers.append(WalkedLayer(
+                spec, shape, None, None, tuple(found),
+                "analysis of downstream layers skipped (broken chain order)",
+            ))
+            break
+        seen_fc = seen_fc or is_fc
+
+        # RATE.BALANCE: words/image leaving upstream == words entering here.
+        c, h, w = shape
+        if is_fc:
+            in_shape: Shape = (c * h * w, 1, 1)  # classifier stage: flatten
+            what = f"IN_FM {spec.in_fm} flattened inputs"
+        else:
+            in_shape = shape
+            what = f"IN_FM {spec.in_fm} x {h}x{w} = {spec.in_fm * h * w} words"
+        if in_shape[0] != spec.in_fm:
+            found.append(Violation(
+                "RATE.BALANCE", boundary,
+                f"rate imbalance: upstream produces {c * h * w} words/image "
+                f"({c} FMs over {h}x{w}) but {spec.name!r} consumes {what}",
+                ShapeError,
+                f"set {spec.name}.in_fm to match the upstream output volume",
+            ))
+
+        # ADAPTER.LEGAL: the Section IV-A port classification must exist.
+        adapter: Optional[PortAdapter] = None
+        try:
+            adapter = classify_adapter(prev_out_ports, spec.in_ports)
+        except PortMismatchError as exc:
+            found.append(Violation(
+                "ADAPTER.LEGAL", boundary,
+                f"no legal port adapter: {exc} "
+                f"(OUT_PORTS={prev_out_ports}, IN_PORTS={spec.in_ports})",
+                PortMismatchError,
+                "pick port counts where one divides the other "
+                "(direct/demux/widen are the only adapter cases)",
+            ))
+
+        # RATE.GEOMETRY: the window must fit the arriving feature maps.
+        out_shape: Optional[Shape] = None
+        stopped = ""
+        try:
+            out_shape = (spec.out_fm,) + spec.out_hw(in_shape[1], in_shape[2])
+        except ReproError as exc:
+            found.append(Violation(
+                "RATE.GEOMETRY", loc,
+                f"window does not fit the {h}x{w} input: {exc}", type(exc),
+                "shrink the kernel/stride or add padding",
+            ))
+            if index + 1 < len(specs):
+                stopped = ("shapes of downstream layers unresolved; their "
+                           "rate/geometry checks were skipped")
+        layers.append(WalkedLayer(
+            spec, in_shape, out_shape, adapter, tuple(found), stopped
+        ))
+        if out_shape is None:
+            break
+        shape = out_shape
+        prev_name = spec.name
+        prev_out_ports = spec.out_ports
+    return ChainWalk(tuple(layers))
 
 
 class NetworkDesign:
@@ -74,49 +230,21 @@ class NetworkDesign:
     def __init__(
         self,
         name: str,
-        input_shape: Tuple[int, int, int],
+        input_shape: Sequence[int],
         specs: Sequence[LayerSpec],
-    ):
-        if len(input_shape) != 3 or any(d < 1 for d in input_shape):
-            raise ConfigurationError(
-                f"input_shape must be a positive (C, H, W), got {input_shape}"
-            )
-        if not specs:
-            raise ConfigurationError("a network needs at least one layer")
+    ) -> None:
+        walk = walk_chain(input_shape, specs)
+        for first in walk.errors():
+            raise first.error(f"{first.location}: {first.message}")
         self.name = str(name)
-        self.input_shape = tuple(int(d) for d in input_shape)
+        c, h, w = input_shape
+        self.input_shape: Shape = (int(c), int(h), int(w))
         self.placements: List[LayerPlacement] = []
-
-        shape = self.input_shape
-        prev_out_ports = 1  # the DMA is a single stream
-        seen_fc = False
-        names = set()
-        for spec in specs:
-            if spec.name in names:
-                raise ConfigurationError(f"duplicate layer name {spec.name!r}")
-            names.add(spec.name)
-            if isinstance(spec, FCLayerSpec):
-                # Classifier stage: flatten the remaining volume.
-                flat = shape[0] * shape[1] * shape[2]
-                if flat != spec.in_fm:
-                    raise ShapeError(
-                        f"{spec.name!r}: expects {spec.in_fm} inputs but the "
-                        f"previous stage provides {shape} = {flat}"
-                    )
-                shape = (flat, 1, 1)
-                seen_fc = True
-            elif seen_fc:
-                raise ConfigurationError(
-                    f"{spec.name!r}: feature-extraction layer after the "
-                    f"classifier stage"
-                )
-            adapter = classify_adapter(prev_out_ports, spec.in_ports)
-            out_shape = spec.out_shape(shape)
+        for lay in walk.layers:
+            assert lay.out_shape is not None and lay.adapter is not None  # no errors
             self.placements.append(
-                LayerPlacement(spec, shape, out_shape, adapter)
+                LayerPlacement(lay.spec, lay.in_shape, lay.out_shape, lay.adapter)
             )
-            shape = out_shape
-            prev_out_ports = spec.out_ports
 
     # -- convenience views ------------------------------------------------------
 

@@ -53,21 +53,14 @@ def run_batch(
     weights: DesignWeights,
     batch: np.ndarray,
     reference: Optional[Sequential] = None,
-    timed: bool = True,
-    max_cycles: int = 50_000_000,
 ) -> RunReport:
     """Build ``design``, stream ``batch`` through it, and report.
 
-    ``timed=True`` runs the cycle-accurate simulation (bounded FIFOs);
-    ``timed=False`` runs the untimed functional executor (values only —
-    completion cycles are then not meaningful for performance claims).
+    The run is the cycle-accurate simulation on the ``event`` engine.
     ``reference`` optionally checks the outputs against the software model.
     """
     built = build_network(design, weights, batch)
-    if timed:
-        built.run(max_cycles=max_cycles)
-    else:
-        built.run_functional(max_cycles=max_cycles)
+    built.run()
     outputs = built.outputs()
     completions = built.image_completion_cycles()
     interval = (
@@ -96,11 +89,10 @@ def run_trained(
     design: NetworkDesign,
     model: Sequential,
     batch: np.ndarray,
-    timed: bool = True,
 ) -> RunReport:
     """Convenience wrapper: extract ``model``'s weights and verify against it."""
     weights = extract_weights(design, model)
-    return run_batch(design, weights, batch, reference=model, timed=timed)
+    return run_batch(design, weights, batch, reference=model)
 
 
 def simulated_batch_sweep(
@@ -109,7 +101,6 @@ def simulated_batch_sweep(
     image: np.ndarray,
     batches: Sequence[int],
     board: Board = VC707,
-    max_cycles: int = 50_000_000,
 ) -> List[dict]:
     """Figure 6 from actual cycle simulation: one run per batch size.
 
@@ -121,7 +112,7 @@ def simulated_batch_sweep(
     rows = []
     for b in batches:
         batch = np.repeat(image[None], b, axis=0)
-        report = run_batch(design, weights, batch, timed=True, max_cycles=max_cycles)
+        report = run_batch(design, weights, batch)
         rows.append(
             {
                 "batch": b,

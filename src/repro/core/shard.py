@@ -49,15 +49,6 @@ from repro.fpga.device import Device, XC7VX485T
 from repro.report.base import Report
 
 
-def measured_interval(built: BuiltNetwork) -> Optional[int]:
-    """Steady-state cycles/image measured at the sink (max completion
-    delta), or ``None`` when the batch has fewer than two images."""
-    cc = built.image_completion_cycles()
-    if len(cc) < 2:
-        return None
-    return max(cc[i + 1] - cc[i] for i in range(len(cc) - 1))
-
-
 @dataclass(frozen=True)
 class EngineRun:
     """One engine's verdict on one sharded build."""
@@ -296,7 +287,7 @@ def run_shard(
     for engine in engines:
         base_run = run(None, engine)
         baselines[engine] = base_run.digest
-        baseline_ivs[engine] = measured_interval(base_run.built)
+        baseline_ivs[engine] = base_run.built.measured_interval()
 
     plans: Dict[int, MultiFpgaPlan] = {}
     runs: List[DeviceRun] = []
@@ -308,7 +299,7 @@ def run_shard(
         for engine in engines:
             out = run(plan if n > 1 else None, engine)
             fell_back = out.scheduler != engine
-            measured = measured_interval(out.built)
+            measured = out.built.measured_interval()
             if engine == "compiled" and not fell_back:
                 expected: Optional[int] = plan.interval
             else:

@@ -3,9 +3,8 @@
 This subpackage is the simulated stand-in for the FPGA fabric: bounded FIFO
 :class:`~repro.dataflow.channel.Channel` links, coroutine-based
 :class:`~repro.dataflow.actor.Actor` processes, a two-phase cycle-accurate
-:class:`~repro.dataflow.simulator.Simulator`, an untimed
-:class:`~repro.dataflow.functional.FunctionalExecutor`, and the standard
-actor library (sources, sinks, routing adapters).
+:class:`~repro.dataflow.simulator.Simulator`, and the standard actor
+library (sources, sinks, routing adapters).
 """
 
 from repro.dataflow.actor import Actor
@@ -21,7 +20,6 @@ from repro.dataflow.actors import (
 from repro.dataflow.channel import Channel, ChannelStats
 from repro.dataflow.digest import stable_digest
 from repro.dataflow.events import ChannelWait, Gate, WaitCycles
-from repro.dataflow.functional import FunctionalExecutor
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.simulator import SimulationResult, Simulator
 from repro.dataflow.trace import Tracer
@@ -35,7 +33,6 @@ __all__ = [
     "DataflowGraph",
     "FifoStage",
     "Fork",
-    "FunctionalExecutor",
     "Gate",
     "Interleaver",
     "ListSink",

@@ -80,9 +80,7 @@ class Channel:
     name:
         Human-readable identifier, used in traces and deadlock reports.
     capacity:
-        Maximum number of in-flight values. ``None`` means unbounded, which
-        is what the :class:`~repro.dataflow.functional.FunctionalExecutor`
-        uses to run graphs without timing.
+        Maximum number of in-flight values. ``None`` means unbounded.
     """
 
     __slots__ = (
@@ -139,7 +137,7 @@ class Channel:
         # Whoever owns the clock: both engines install themselves here so
         # push/pop can stamp first/last beat cycles with two attribute
         # loads and no callback. The null clock reads cycle 0 for channels
-        # exercised outside a simulation (unit tests, functional executor).
+        # exercised outside a simulation (unit tests).
         self._clock = _NULL_CLOCK
 
     # -- binding ---------------------------------------------------------
@@ -301,8 +299,8 @@ class Channel:
     def drain(self) -> List[Any]:
         """Remove and return every value (committed and staged), untimed.
 
-        Only intended for post-simulation inspection and the functional
-        executor's teardown; never call this from an actor process.
+        Only intended for post-simulation inspection; never call this
+        from an actor process.
         """
         out = list(self._q) + list(self._staged)
         self._q.clear()

@@ -49,6 +49,10 @@ class DataflowGraph:
         #: device boundaries); ``None`` for single-device graphs. The
         #: compiled engine folds its link stages into the timing frame.
         self.multi_plan: Optional[Any] = None
+        #: The certified :class:`~repro.analysis.depths.DepthPlan` applied
+        #: to this graph's channels (set by ``apply_depth_plan``); ``None``
+        #: at built capacities. The BUFFER.DEPTH_* rules check against it.
+        self.depth_plan: Optional[Any] = None
 
     # -- construction ------------------------------------------------------
 

@@ -170,10 +170,8 @@ def _actor_plan_of(sim) -> Optional[object]:
     function of ``(actor name, cycle)`` so both schedulers defer the
     exact same resumptions.
     """
-    armed = getattr(sim, "faults", None)
-    if armed is None:
-        return None
-    return getattr(armed, "actor_plan", None)
+    armed = sim.faults
+    return None if armed is None else armed.actor_plan
 
 
 class LockstepEngine:

@@ -54,6 +54,10 @@ if TYPE_CHECKING:  # import cycles: both modules call this harness
 
 #: Above this many parameters a design is cycle-simulated as a pilot.
 PILOT_WEIGHT_LIMIT = 2_000_000
+#: A pilot's feature maps per layer, classes, and largest input side tried.
+PILOT_MAX_FM = 4
+PILOT_MAX_CLASSES = 8
+PILOT_MAX_INPUT = 256
 
 
 def output_digest(outputs: np.ndarray) -> str:
@@ -71,8 +75,6 @@ def output_digest(outputs: np.ndarray) -> str:
 def _pilot_specs(
     design: NetworkDesign,
     input_shape: Tuple[int, int, int],
-    max_fm: int,
-    max_classes: int,
 ) -> List[LayerSpec]:
     """Downscaled spec chain over ``input_shape``; raises if it won't fit."""
     specs: List[LayerSpec] = []
@@ -82,7 +84,7 @@ def _pilot_specs(
             new: LayerSpec = ConvLayerSpec(
                 name=spec.name,
                 in_fm=shape[0],
-                out_fm=min(spec.out_fm, max_fm),
+                out_fm=min(spec.out_fm, PILOT_MAX_FM),
                 kh=spec.kh,
                 kw=spec.kw,
                 stride=spec.stride,
@@ -103,7 +105,7 @@ def _pilot_specs(
             new = FCLayerSpec(
                 name=spec.name,
                 in_fm=shape[0] * shape[1] * shape[2],
-                out_fm=min(spec.out_fm, max_classes),
+                out_fm=min(spec.out_fm, PILOT_MAX_CLASSES),
                 activation=spec.activation,
             )
             shape = (new.in_fm, 1, 1)
@@ -114,30 +116,26 @@ def _pilot_specs(
     return specs
 
 
-def pilot_design(
-    design: NetworkDesign,
-    max_fm: int = 4,
-    max_classes: int = 8,
-    max_input: int = 256,
-) -> NetworkDesign:
+def pilot_design(design: NetworkDesign) -> NetworkDesign:
     """Deterministic simulable downscale preserving the layer topology.
 
     Keeps every layer's kind, kernel, stride, padding and activation;
-    shrinks feature-map counts to ``max_fm`` (``max_classes`` for FC
-    outputs) and scans square input sizes ascending for the smallest one
+    shrinks feature-map counts to :data:`PILOT_MAX_FM`
+    (:data:`PILOT_MAX_CLASSES` for FC outputs) and scans square input
+    sizes ascending for the smallest one
     every window fits — so the pilot is a pure function of the design,
     the same in every process and on every seed.
     """
     c0 = design.input_shape[0]
-    for hw in range(4, max_input + 1):
+    for hw in range(4, PILOT_MAX_INPUT + 1):
         shape = (c0, hw, hw)
         try:
-            specs = _pilot_specs(design, shape, max_fm, max_classes)
+            specs = _pilot_specs(design, shape)
             return NetworkDesign(f"{design.name}-pilot{hw}", shape, specs)
         except ReproError:
             continue
     raise ConfigurationError(
-        f"no input size up to {max_input} makes a simulable pilot of "
+        f"no input size up to {PILOT_MAX_INPUT} makes a simulable pilot of "
         f"{design.name!r}"
     )
 

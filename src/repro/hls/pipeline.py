@@ -27,17 +27,7 @@ def initiation_interval(
     corresponding feature-map counts (the builder's interleaving assumes
     an integral group size); the result is always >= 1.
     """
-    if in_ports < 1 or out_ports < 1:
-        raise ConfigurationError(
-            f"port counts must be >= 1 (got in={in_ports}, out={out_ports})"
-        )
-    if in_fm % in_ports:
-        raise ConfigurationError(f"IN_FM {in_fm} not a multiple of IN_PORTS {in_ports}")
-    if out_fm % out_ports:
-        raise ConfigurationError(
-            f"OUT_FM {out_fm} not a multiple of OUT_PORTS {out_ports}"
-        )
-    return max(in_fm // in_ports, out_fm // out_ports, 1)
+    return max(*ii_bounds(in_fm, in_ports, out_fm, out_ports), 1)
 
 
 def ii_bounds(

@@ -78,17 +78,14 @@ def run_replica_batch(
         scheduler="compiled" if scenario is None else "event", faults=armed
     )
     outputs = built.outputs()
-    completions = built.image_completion_cycles()
-    diffs = [b - a for a, b in zip(completions, completions[1:])]
-    interval = max(diffs) if diffs else None
     from repro.compiled import plan_cache_stats
 
     return {
         "indices": list(indices),
         "digests": [stable_digest(outputs[i]) for i in range(len(indices))],
         "cycles": result.cycles,
-        "completion_cycles": completions,
-        "measured_interval": interval,
+        "completion_cycles": built.image_completion_cycles(),
+        "measured_interval": built.measured_interval(),
         "scheduler": result.scheduler_stats["scheduler"],
         "faulted": scenario is not None,
         "wall_s": time.perf_counter() - t0,

@@ -6,7 +6,9 @@ Two families:
   and bad window parameters with :class:`ConfigurationError` — the
   analyzer's SPEC.VALID rule leans on these raises;
 * the analyzer itself must accept every randomly generated valid design
-  and flag every random single-fault mutation with the right rule.
+  and flag every random single-fault mutation with the right rule, and
+  :class:`NetworkDesign` must construct exactly the chains the walk
+  finds no violation in (they are the same walk).
 """
 
 import dataclasses
@@ -15,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import SpecChain, analyze_chain, analyze_design
+from repro.analysis import analyze_chain, analyze_design
 from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec, PoolLayerSpec
-from repro.errors import ConfigurationError
+from repro.core.network_design import NetworkDesign, walk_chain
+from repro.errors import ConfigurationError, ReproError
 from tests.strategies import small_designs
 
 
@@ -81,9 +84,8 @@ class TestAnalyzerProperties:
         _, h, w = design.input_shape
         broken = dataclasses.replace(first, kh=h + 2 * first.pad + 1,
                                      kw=w + 2 * first.pad + 1)
-        chain = SpecChain(design.name, design.input_shape,
-                          (broken,) + tuple(design.specs[1:]))
-        report = analyze_chain(chain)
+        report = analyze_chain(design.name, design.input_shape,
+                               [broken] + design.specs[1:])
         assert "RATE.GEOMETRY" in report.error_rules()
 
     @settings(deadline=None, max_examples=30)
@@ -95,17 +97,47 @@ class TestAnalyzerProperties:
         mutated = dataclasses.replace(
             first, in_fm=first.in_fm + first.in_ports
         )
-        chain = SpecChain(design.name, design.input_shape,
-                          (mutated,) + tuple(design.specs[1:]))
-        report = analyze_chain(chain)
+        report = analyze_chain(design.name, design.input_shape,
+                               [mutated] + design.specs[1:])
         assert "RATE.BALANCE" in report.error_rules()
 
     @settings(deadline=None, max_examples=20)
     @given(design=small_designs())
     def test_duplicate_names_flagged(self, design):
-        specs = tuple(design.specs) + (
+        specs = design.specs + [
             dataclasses.replace(design.specs[0], name=design.specs[0].name),
-        )
-        chain = SpecChain(design.name, design.input_shape, specs)
-        report = analyze_chain(chain)
+        ]
+        report = analyze_chain(design.name, design.input_shape, specs)
         assert "SPEC.VALID" in report.error_rules()
+
+    @settings(deadline=None, max_examples=30)
+    @given(design=small_designs(), mutation=st.sampled_from(
+        ["none", "window", "in_fm", "duplicate", "ports", "reversed"]))
+    def test_design_constructs_iff_walk_is_clean(self, design, mutation):
+        """Construction and ``repro check`` read one walk: a chain
+        constructs exactly when the walk finds nothing, and the class
+        raised is the one the first violation names."""
+        first = design.specs[0]
+        _, h, w = design.input_shape
+        specs = {
+            "none": design.specs,
+            "window": [dataclasses.replace(first, kh=h + 2 * first.pad + 1)]
+                      + design.specs[1:],
+            "in_fm": [dataclasses.replace(first, in_fm=first.in_fm + first.in_ports)]
+                     + design.specs[1:],
+            "duplicate": design.specs + [first],
+            # 3 ports against the DMA's 1 is fine; 2 against those 3 is not.
+            "ports": [dataclasses.replace(first, out_fm=6, out_ports=3),
+                      ConvLayerSpec(name="extra", in_fm=6, out_fm=2, kh=1,
+                                    in_ports=2)],
+            "reversed": design.specs[::-1],
+        }[mutation]
+        errors = walk_chain(design.input_shape, specs).errors()
+        if not errors:
+            NetworkDesign(design.name, design.input_shape, specs)
+            return
+        with pytest.raises(ReproError) as raised:
+            NetworkDesign(design.name, design.input_shape, specs)
+        assert type(raised.value) is errors[0].error
+        report = analyze_chain(design.name, design.input_shape, specs)
+        assert [d.rule for d in report.errors] == [v.rule for v in errors]

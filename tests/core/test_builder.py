@@ -100,13 +100,14 @@ class TestBuild:
             build_network(d, {}, rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32))
 
     def test_functional_equals_timed(self, rng):
+        """A values-only run is a compiled run: same bits as `event`."""
         d = tiny_design()
         w = random_weights(d, seed=3)
         batch = rng.uniform(0, 1, (2, 1, 8, 8)).astype(np.float32)
         timed = build_network(d, w, batch)
-        timed.run()
+        timed.run(scheduler="event")
         funct = build_network(d, w, batch)
-        funct.run_functional()
+        funct.run(scheduler="compiled")
         assert np.array_equal(timed.outputs(), funct.outputs())
 
     def test_outputs_before_run_rejected(self, rng):

@@ -45,7 +45,7 @@ class TestRunFlow:
             0, 1, (2,) + design.input_shape
         ).astype(np.float32)
         built = build_network(design, weights, batch)
-        built.run_functional()
+        built.run(scheduler="compiled")
         ref = res.model.forward(batch)
         assert np.allclose(built.outputs(), ref, atol=1e-4)
 

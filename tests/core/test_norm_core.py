@@ -105,7 +105,7 @@ class TestBuilderIntegration:
         m = tiny_model()
         batch = rng.uniform(0, 1, (4, 1, 8, 8)).astype(np.float32)
         built = build_network(d, extract_weights(d, m), batch, normalize=True)
-        built.run_functional()
+        built.run(scheduler="event")
         assert np.array_equal(
             np.argmax(built.outputs(), axis=-1), m.predict(batch)
         )

@@ -124,9 +124,9 @@ class TestWeightsRoundtrip:
         save_weights(path, w)
         batch = rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32)
         a = build_network(design, w, batch)
-        a.run_functional()
+        a.run(scheduler="compiled")
         b = build_network(design, load_weights(path), batch)
-        b.run_functional()
+        b.run(scheduler="compiled")
         assert np.array_equal(a.outputs(), b.outputs())
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.compiled import CompiledFallbackWarning
 from repro.core import (
+    cifar10_design,
     random_weights,
     tiny_design,
     usps_design,
@@ -28,8 +30,22 @@ class TestVerifyLayerwise:
         design = usps_design()
         weights = extract_weights(design, usps_model())
         batch = rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32)
-        report = verify_layerwise(design, weights, batch, timed=True)
+        report = verify_layerwise(design, weights, batch, scheduler="event")
         assert report.passed
+
+    @pytest.mark.parametrize("design_fn", [tiny_design, usps_design, cifar10_design])
+    def test_default_is_compiled_and_matches_event(self, design_fn, rng, recwarn):
+        """The default run compiles (no fallback) and its per-layer errors
+        are the event engine's, bit for bit."""
+        design = design_fn()
+        weights = random_weights(design, seed=2)
+        batch = rng.uniform(0, 1, (2,) + design.input_shape).astype(np.float32)
+        default = verify_layerwise(design, weights, batch)
+        assert not [w for w in recwarn if w.category is CompiledFallbackWarning]
+        event = verify_layerwise(design, weights, batch, scheduler="event")
+        assert default.passed and event.passed
+        assert ([c.max_abs_error for c in default.checks]
+                == [c.max_abs_error for c in event.checks])
 
     def test_corrupted_layer_localized(self, rng):
         # Corrupt conv1's bias: verification must fail AT conv1 (every
@@ -46,7 +62,7 @@ class TestVerifyLayerwise:
         from repro.core.builder import build_network
 
         built = build_network(design, weights, batch)
-        built.run_functional()
+        built.run(scheduler="compiled")
         got = built.outputs()
         clean = design_reference_forward(design, ref_weights, batch)[-1]
         assert not np.allclose(got, clean, atol=1e-3)

@@ -30,7 +30,7 @@ class TestRandomDesigns:
         rng = np.random.default_rng(seed)
         batch = rng.uniform(0, 1, (2,) + design.input_shape).astype(np.float32)
         built = build_network(design, weights, batch)
-        built.run_functional()
+        built.run(scheduler="event")
         got = built.outputs()
         ref = design_reference_forward(design, weights, batch)[-1]
         if ref.shape != got.shape:
@@ -41,14 +41,18 @@ class TestRandomDesigns:
               suppress_health_check=[HealthCheck.too_slow])
     @given(design=small_designs(), seed=st.integers(0, 2**16))
     def test_timed_equals_functional(self, design, seed):
+        """event = compiled = reference: the values-only run is a
+        compiled run, bit-identical to the interpreted one."""
         weights = random_weights(design, seed=seed)
         rng = np.random.default_rng(seed)
         batch = rng.uniform(0, 1, (2,) + design.input_shape).astype(np.float32)
         a = build_network(design, weights, batch)
-        a.run()
+        a.run(scheduler="event")
         b = build_network(design, weights, batch)
-        b.run_functional()
+        b.run(scheduler="compiled")
         assert np.array_equal(a.outputs(), b.outputs())
+        ref = design_reference_forward(design, weights, batch)[-1]
+        assert np.allclose(b.outputs(), ref.reshape(b.outputs().shape), atol=1e-4)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
