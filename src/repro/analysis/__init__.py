@@ -9,7 +9,6 @@ violations. See DESIGN.md section 9 for the rule catalog.
 """
 
 from repro.analysis.checker import (
-    ELABORATE_WEIGHT_LIMIT,
     analyze_chain,
     analyze_design,
     analyze_graph,
@@ -36,7 +35,6 @@ from repro.analysis.graph_rules import actor_skew_latency
 from repro.analysis.rules import DESIGN_RULES, GRAPH_RULES, RULES, RuleInfo, render_catalog
 
 __all__ = [
-    "ELABORATE_WEIGHT_LIMIT",
     "AnalysisReport",
     "DepthCertificate",
     "DepthPlan",

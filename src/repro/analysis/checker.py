@@ -10,8 +10,9 @@ the graph-level rules (:mod:`.graph_rules`):
   :class:`NetworkDesign`, including the perf-model bottleneck report;
 * :func:`analyze_graph` — graph-level analysis of any elaborated
   :class:`DataflowGraph` (design optional);
-* :func:`check_network` — the whole pipeline: design rules, then
-  elaborate with placeholder weights and run the graph rules;
+* :func:`check_network` — the whole pipeline, always: design rules, then
+  elaborate with placeholder weights and run the graph rules (structure
+  needs no weight values, so no design is too big to elaborate);
 * :func:`check_design_dict` — lenient JSON-dict front end used by the
   ``repro check`` CLI: bad specs become SPEC.VALID findings, valid
   designs get the full treatment.
@@ -19,7 +20,7 @@ the graph-level rules (:mod:`.graph_rules`):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,15 +34,13 @@ from repro.core.network_design import NetworkDesign, walk_chain
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ReproError
 
-#: Above this parameter count, ``elaborate="auto"`` skips graph-level
-#: analysis: materializing e.g. VGG-16's 100M+ FC weights just to check
-#: wiring would dominate the check's runtime and memory for no extra
-#: signal (adapters/buffers do not depend on weight values).
-ELABORATE_WEIGHT_LIMIT = 2_000_000
-
 
 def placeholder_weights(design: NetworkDesign) -> DesignWeights:
-    """All-zero weights: enough to elaborate, free of RNG cost."""
+    """All-zero weights: enough to elaborate, free of RNG cost.
+
+    ``np.zeros`` pages are never touched by elaboration, so even VGG-16's
+    100M+ FC parameters cost no resident memory.
+    """
     out: DesignWeights = {}
     for p in design.placements:
         spec = p.spec
@@ -87,33 +86,14 @@ def analyze_graph(
 
 
 def check_network(
-    design: NetworkDesign,
-    elaborate: Union[bool, str] = "auto",
-    memory_system: str = "behavioral",
+    design: NetworkDesign, memory_system: str = "behavioral"
 ) -> AnalysisReport:
     """Full static check of a valid design: spec rules + elaborated graph.
 
-    ``elaborate`` is ``True``/``False`` or ``"auto"`` (elaborate unless
-    the design exceeds :data:`ELABORATE_WEIGHT_LIMIT` parameters).
     Elaboration uses zero weights and a single blank image — the graph
     rules only look at structure, never at values.
     """
     report = analyze_design(design)
-    if elaborate == "auto":
-        do_elaborate = design.weight_count() <= ELABORATE_WEIGHT_LIMIT
-        if not do_elaborate:
-            report.add(make(
-                "GRAPH.STRUCTURE", Severity.INFO, "design",
-                f"graph-level rules skipped: {design.weight_count():,} "
-                f"parameters exceed the auto-elaboration limit "
-                f"({ELABORATE_WEIGHT_LIMIT:,}); pass elaborate=True "
-                f"(--elaborate) to force",
-            ))
-            report.note_rule("GRAPH.STRUCTURE")
-    else:
-        do_elaborate = bool(elaborate)
-    if not do_elaborate:
-        return report
     try:
         built = build_network(
             design,
@@ -131,9 +111,7 @@ def check_network(
     return report.merge(analyze_graph(built.graph, design))
 
 
-def check_design_dict(
-    d: dict, elaborate: Union[bool, str] = "auto"
-) -> AnalysisReport:
+def check_design_dict(d: dict) -> AnalysisReport:
     """Lenient front end for design dicts (the ``repro check`` CLI path).
 
     Specs that fail to construct become SPEC.VALID errors; a chain whose
@@ -173,7 +151,7 @@ def check_design_dict(
     walk = walk_chain(shape, specs)
     if not spec_errors and not walk.errors():
         design = NetworkDesign(name, shape, specs)
-        return report.merge(check_network(design, elaborate=elaborate))
+        return report.merge(check_network(design))
     if specs or not spec_errors:
         run_chain_rules(walk, report)
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar, Dict, Iterable, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.analysis.rules import RULES
 from repro.errors import ConfigurationError
@@ -155,16 +155,13 @@ class AnalysisReport(Report):
             f"({c['error']} error(s), {c['warning']} warning(s))"
         )
 
-    def format_text(self, show_info: bool = True) -> str:
+    def format_text(self) -> str:
         """Terminal report: findings sorted most-severe-first, then a verdict."""
         lines = [f"=== repro check: {self.design_name} ==="]
-        shown: Iterable[Diagnostic] = sorted(
-            self.diagnostics, key=lambda d: -d.severity.rank
-        )
-        for d in shown:
-            if d.severity is Severity.INFO and not show_info:
-                continue
-            lines.append(d.format())
+        lines += [
+            d.format()
+            for d in sorted(self.diagnostics, key=lambda d: -d.severity.rank)
+        ]
         c = self.counts()
         lines.append(
             f"{'PASS' if self.ok else 'FAIL'}: {c['error']} error(s), "

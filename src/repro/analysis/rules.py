@@ -3,7 +3,8 @@
 Each rule encodes one *structural* correctness guarantee the paper relies
 on. The registry is the single source of truth for rule ids, the paper
 sections they come from, and the level they run at (``design`` rules need
-only layer specs; ``graph`` rules need an elaborated dataflow graph).
+only layer specs; ``graph`` rules need an elaborated dataflow graph, which
+``check_network`` builds for every design — no rule is ever skipped).
 ``repro check --list-rules`` renders this catalog.
 """
 
@@ -199,9 +200,8 @@ _RULES = [
         paper_ref="Section II-B",
         description=(
             "Every channel has exactly one writer and one reader and the "
-            "graph is acyclic (a feed-forward CNN pipeline). Also carries "
-            "analysis-scope notes, e.g. when graph-level checks are skipped "
-            "for very large designs."
+            "graph is acyclic (a feed-forward CNN pipeline). A valid design "
+            "the builder refuses to elaborate is reported here."
         ),
     ),
 ]

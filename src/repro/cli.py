@@ -30,6 +30,7 @@ nonzero when their verdict fails. Engine choices (``--scheduler``,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.core import (
     cifar10_design,
-    design_from_json,
+    design_from_dict,
     design_resources,
     network_perf,
     random_weights,
@@ -49,6 +50,12 @@ from repro.core import (
 )
 from repro.core.builder import seeded_batch
 from repro.core.reference import design_reference_forward
+from repro.core.zoo import (
+    alexnet_blocked_design,
+    alexnet_pilot_design,
+    vgg16_blocked_design,
+    vgg16_pilot_design,
+)
 from repro.dataflow.simulator import USER_SCHEDULERS
 from repro.dse import greedy_optimize
 from repro.errors import ReproError
@@ -64,28 +71,15 @@ _PRESETS = {
     # cifar10-tc2` works on the name a ServeReport printed.
     "usps-tc1": usps_design,
     "cifar10-tc2": cifar10_design,
-}
-
-
-def _register_zoo() -> None:
     # AlexNet/VGG-16 resolve to the promoted full-size designs
     # (weight-streaming FC + block convolution), simulable on every
     # engine; the '-pilot' spellings are their deterministic downscales
     # for quick fault/profile loops.
-    from repro.core.zoo import (
-        alexnet_blocked_design,
-        alexnet_pilot_design,
-        vgg16_blocked_design,
-        vgg16_pilot_design,
-    )
-
-    _PRESETS.setdefault("alexnet", alexnet_blocked_design)
-    _PRESETS.setdefault("vgg16", vgg16_blocked_design)
-    _PRESETS.setdefault("alexnet-pilot", alexnet_pilot_design)
-    _PRESETS.setdefault("vgg16-pilot", vgg16_pilot_design)
-
-
-_register_zoo()
+    "alexnet": alexnet_blocked_design,
+    "vgg16": vgg16_blocked_design,
+    "alexnet-pilot": alexnet_pilot_design,
+    "vgg16-pilot": vgg16_pilot_design,
+}
 
 _DESIGN_HELP = (
     "preset (usps|cifar10|tiny|alexnet|vgg16|alexnet-pilot|vgg16-pilot) "
@@ -97,18 +91,29 @@ _DESIGN_HELP = (
 _CAMPAIGN_DESIGNS = ("usps", "cifar10", "tiny", "alexnet-pilot", "vgg16-pilot")
 
 
-def _load_design(arg: str):
-    """A preset name or a path to a design JSON file."""
+def _read_design(arg: str):
+    """A preset's design, or the parsed object of a design JSON file."""
     if arg in _PRESETS:
         return _PRESETS[arg]()
     try:
         with open(arg) as fh:
-            return design_from_json(fh.read())
+            d = json.load(fh)
     except FileNotFoundError:
         raise ReproError(
             f"unknown design {arg!r}: not a preset ({sorted(_PRESETS)}) and "
             f"not a readable JSON file"
         ) from None
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"{arg}: not valid JSON ({exc})") from None
+    if not isinstance(d, dict):
+        raise ReproError(f"{arg}: design JSON must be an object")
+    return d
+
+
+def _load_design(arg: str):
+    """A preset name or a path to a design JSON file, as a valid design."""
+    d = _read_design(arg)
+    return design_from_dict(d) if isinstance(d, dict) else d
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -145,31 +150,10 @@ def _cmd_check(args):
     design_arg = _resolve_design(args, required=False)
     if design_arg is None:
         raise ReproError("check: a design (or --list-rules) is required")
-    elaborate = "auto"
-    if args.no_elaborate:
-        elaborate = False
-    elif args.elaborate:
-        elaborate = True
-    if design_arg in _PRESETS:
-        report = check_network(_PRESETS[design_arg](), elaborate=elaborate)
-    else:
-        # Lenient path: a broken design JSON still yields a full report
-        # (per-rule diagnostics + nonzero exit) instead of one exception.
-        import json
-
-        try:
-            with open(design_arg) as fh:
-                d = json.load(fh)
-        except FileNotFoundError:
-            raise ReproError(
-                f"unknown design {design_arg!r}: not a preset "
-                f"({sorted(_PRESETS)}) and not a readable JSON file"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"{design_arg}: not valid JSON ({exc})") from None
-        if not isinstance(d, dict):
-            raise ReproError(f"{design_arg}: design JSON must be an object")
-        report = check_design_dict(d, elaborate=elaborate)
+    d = _read_design(design_arg)
+    # Lenient path: a broken design JSON still yields a full report
+    # (per-rule diagnostics + nonzero exit) instead of one exception.
+    report = check_design_dict(d) if isinstance(d, dict) else check_network(d)
     if args.json:
         report.write_json(args.json)
     failed = not report.ok or (args.warnings_as_errors and report.warnings)
@@ -206,10 +190,7 @@ def _cmd_faultsim(args):
         raise ReproError("faultsim: a design (or --campaign) is required")
     design = _load_design(design_arg)
     scenario = load_scenario(args.scenario)
-    report = faultsim(
-        design, scenario, seed=args.seed, images=args.images,
-        memory_system=args.memory_system,
-    )
+    report = faultsim(design, scenario, seed=args.seed, images=args.images)
     if args.json:
         report.write_json(args.json)
     pairs = [
@@ -228,10 +209,8 @@ def _cmd_faultsim(args):
             ("cycle overhead",
              f"{report['cycle_overhead']} (+{report['cycle_overhead_pct']}%)")
         )
-    pairs.append(("clean digest", (report["clean"]["digest"] or "-")[:16]))
-    pairs.append(
-        ("faulty digest", (report["faulty"]["digest"] or "-")[:16])
-    )
+    pairs.append(("clean digest", report["clean"]["digest"] or "-"))
+    pairs.append(("faulty digest", report["faulty"]["digest"] or "-"))
     if report["faulty"].get("deadlock"):
         blocked = report["faulty"]["deadlock"]["channels"]
         chans = sorted({c for conds in blocked.values() for c in conds})
@@ -363,8 +342,6 @@ def _cmd_flow(args) -> str:
     res = run_flow(design_arg, seed=args.seed, output_dir=args.out,
                    epochs=args.epochs, scheduler=args.scheduler)
     if args.json:
-        import json
-
         from repro.report import SCHEMA_VERSION
 
         summary = {
@@ -431,8 +408,6 @@ def _cmd_shrink(args):
     if args.json:
         report.write_json(args.json)
     if args.apply:
-        import json
-
         with open(args.apply, "w") as fh:
             json.dump(report["plan"], fh, indent=2)
             fh.write("\n")
@@ -558,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common],
         help="static dataflow verification (rate/adapter/buffer/II rules)",
     )
-    check.add_argument("--elaborate", action="store_true",
-                       help="force graph-level rules even on huge designs")
-    check.add_argument("--no-elaborate", action="store_true",
-                       help="design-level rules only (skip elaboration)")
     check.add_argument("--warnings-as-errors", action="store_true",
                        help="exit nonzero on warnings too")
     check.add_argument("--list-rules", action="store_true",
@@ -593,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or scenario JSON path",
     )
     fault.add_argument("--images", type=int, default=2)
-    fault.add_argument("--memory-system", choices=["behavioral", "literal"],
-                       default="behavioral",
-                       help="shrink scenarios force 'literal'")
     fault.add_argument("--campaign", action="store_true",
                        help="sweep designs x scenarios x seeds instead of "
                             "one run")

@@ -325,11 +325,16 @@ def network_perf(
     )
 
 
+#: Scan ranges of the two calibration fits (cycles).
+_MAX_DMA_SETUP = 20_000
+_MAX_LOOP_OVERHEAD = 16.0
+_LOOP_OVERHEAD_STEP = 0.05
+
+
 def fit_dma_setup(
     design: NetworkDesign,
     measured_interval_cycles: float,
     board: Board = VC707,
-    max_setup: int = 20_000,
 ) -> int:
     """Per-image DMA setup cost implied by a measured interval.
 
@@ -344,10 +349,9 @@ def fit_dma_setup(
             f"measured interval must be positive, got {measured_interval_cycles}"
         )
     best_s, best_err = 0, float("inf")
-    lo, hi = 0, max_setup
     # The interval is monotone non-decreasing in the setup cost: bisect on
     # the first value reaching the measurement, then refine around it.
-    for s in range(lo, hi + 1, 16):
+    for s in range(0, _MAX_DMA_SETUP + 1, 16):
         interval = network_perf(design, board, dma_setup_cycles=s).interval
         err = abs(interval - measured_interval_cycles)
         if err < best_err:
@@ -366,8 +370,6 @@ def fit_loop_overhead(
     design: NetworkDesign,
     measured_interval_cycles: float,
     board: Board = VC707,
-    max_overhead: float = 16.0,
-    step: float = 0.05,
 ) -> float:
     """Per-coordinate loop overhead implied by a measured interval.
 
@@ -383,12 +385,12 @@ def fit_loop_overhead(
         )
     best_oh, best_err = 0.0, float("inf")
     oh = 0.0
-    while oh <= max_overhead:
+    while oh <= _MAX_LOOP_OVERHEAD:
         interval = network_perf(design, board, loop_overhead=oh).interval
         err = abs(interval - measured_interval_cycles)
         if err < best_err:
             best_oh, best_err = oh, err
-        oh = round(oh + step, 10)
+        oh = round(oh + _LOOP_OVERHEAD_STEP, 10)
     return best_oh
 
 

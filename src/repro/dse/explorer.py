@@ -126,10 +126,13 @@ def optimize_for_target(
     return ExplorationResult(best=best, evaluated=n)
 
 
+#: Hill-climbing step bound (every step strictly improves the profile).
+_MAX_GREEDY_STEPS = 64
+
+
 def greedy_optimize(
     design: NetworkDesign,
     device: Device = XC7VX485T,
-    max_steps: int = 64,
 ) -> ExplorationResult:
     """Bottleneck-driven hill climbing from the single-port configuration.
 
@@ -150,7 +153,7 @@ def greedy_optimize(
         )
     history = [current]
     evaluated = 1
-    for _ in range(max_steps):
+    for _ in range(_MAX_GREEDY_STEPS):
         perf = network_perf(current.design)
         pacing = pacing_stage(perf.stages)
         if pacing.kind == "dma":

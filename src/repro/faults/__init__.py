@@ -22,7 +22,6 @@ from repro.faults.analytical import (
 from repro.faults.harness import (
     RunOutcome,
     faultsim,
-    output_digest,
     pilot_design,
     resolve_shrink,
     run_built,
@@ -73,7 +72,6 @@ __all__ = [
     "disarm_faults",
     "faultsim",
     "load_scenario",
-    "output_digest",
     "pilot_design",
     "preset_scenarios",
     "resolve_shrink",

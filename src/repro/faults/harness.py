@@ -24,12 +24,9 @@ and input resolution to simulable size; reports carry ``"pilot": true``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.block_transform import design_is_blocked
 from repro.core.builder import BuiltNetwork, build_network, random_weights, seeded_batch
@@ -41,6 +38,7 @@ from repro.core.layer_spec import (
 )
 from repro.core.network_design import NetworkDesign
 from repro.dataflow.deadlock import shrink_agreement
+from repro.dataflow.digest import stable_digest
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import ConfigurationError, DeadlockError, ReproError
 from repro.faults.injectors import ArmedFaults, arm_faults
@@ -58,15 +56,6 @@ PILOT_WEIGHT_LIMIT = 2_000_000
 PILOT_MAX_FM = 4
 PILOT_MAX_CLASSES = 8
 PILOT_MAX_INPUT = 256
-
-
-def output_digest(outputs: np.ndarray) -> str:
-    """Stable content hash of a run's output tensor."""
-    arr = np.ascontiguousarray(outputs)
-    h = hashlib.sha256()
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 # -- pilot designs -----------------------------------------------------------
@@ -239,7 +228,6 @@ def run_built(
     seed: int = 0,
     scenario: Optional[FaultScenario] = None,
     scheduler: str = "event",
-    max_cycles: int = 50_000_000,
     stall_limit: int = 10_000,
 ) -> RunOutcome:
     """The arm -> run -> digest half of :func:`run_design`.
@@ -255,8 +243,7 @@ def run_built(
     deadlock = None
     try:
         result = built.run(
-            max_cycles=max_cycles, stall_limit=stall_limit,
-            scheduler=scheduler, faults=armed,
+            stall_limit=stall_limit, scheduler=scheduler, faults=armed,
         )
         cycles, finished = result.cycles, result.finished
         scheduler = str(result.scheduler_stats["scheduler"])
@@ -265,7 +252,7 @@ def run_built(
     return RunOutcome(
         cycles=cycles,
         finished=finished,
-        digest=output_digest(built.outputs()) if finished else None,
+        digest=stable_digest(built.outputs()) if finished else None,
         scheduler=scheduler,
         built=built,
         armed=armed,
@@ -280,7 +267,6 @@ def run_design(
     scenario: Optional[FaultScenario] = None,
     scheduler: str = "event",
     memory_system: str = "behavioral",
-    max_cycles: int = 50_000_000,
     stall_limit: int = 10_000,
     depth_plan: Optional["DepthPlan"] = None,
     multi_plan: Optional["MultiFpgaPlan"] = None,
@@ -303,8 +289,7 @@ def run_design(
         multi_plan=multi_plan,
     )
     return run_built(
-        built, seed, scenario=scenario, scheduler=scheduler,
-        max_cycles=max_cycles, stall_limit=stall_limit,
+        built, seed, scenario=scenario, scheduler=scheduler, stall_limit=stall_limit
     )
 
 
@@ -412,7 +397,6 @@ def faultsim(
     scenario: FaultScenario,
     seed: int = 0,
     images: int = 2,
-    memory_system: str = "behavioral",
     _clean_cache: Optional[Dict] = None,
 ) -> FaultRunReport:
     """One experiment: clean run vs faulted run, verdict, JSON report.
@@ -422,9 +406,8 @@ def faultsim(
     runs across scenarios.
     """
     sim_design, piloted = simulable_design(design)
-    if scenario.has_kind("shrink"):
-        # Shrink targets only exist in the literal SST chains.
-        memory_system = "literal"
+    # Shrink targets only exist in the literal SST chains.
+    memory_system = "literal" if scenario.has_kind("shrink") else "behavioral"
     run = partial(
         run_design, sim_design, seed=seed, images=images,
         memory_system=memory_system,

@@ -70,7 +70,6 @@ def train_classifier(
     x_test: Optional[np.ndarray] = None,
     y_test: Optional[np.ndarray] = None,
     seed: int = 0,
-    verbose: bool = False,
     lr_decay: float = 1.0,
     lr_decay_every: int = 1,
     patience: Optional[int] = None,
@@ -129,11 +128,6 @@ def train_classifier(
             batches += 1
         result.losses.append(epoch_loss / batches)
         result.train_accuracies.append(accuracy(net.predict(x_train), y_train))
-        if verbose:  # pragma: no cover - console output
-            print(
-                f"epoch {epoch}: loss={result.losses[-1]:.4f} "
-                f"acc={result.train_accuracies[-1]:.3f} lr={opt.lr:.4f}"
-            )
         if patience is not None:
             if result.losses[-1] < best_loss - min_improvement:
                 best_loss = result.losses[-1]

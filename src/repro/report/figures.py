@@ -12,7 +12,6 @@ def ascii_plot(
     xs: Sequence[float],
     series: Sequence[Tuple[str, Sequence[float]]],
     width: int = 64,
-    height: int = 16,
     title: Optional[str] = None,
     x_label: str = "x",
     y_label: str = "y",
@@ -30,6 +29,7 @@ def ascii_plot(
                 f"series {name!r} has {len(ys)} points for {len(xs)} xs"
             )
     markers = "*o+x#@"
+    height = 16
     all_y = [y for _, ys in series for y in ys]
     y_min, y_max = min(all_y), max(all_y)
     x_min, x_max = min(xs), max(xs)

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.network_design import NetworkDesign
 from repro.errors import ConfigurationError
-from repro.serve.admission import convergence_knee
+from repro.serve.admission import admission_config
 from repro.serve.replicas import ReplicaFleet
 
 #: Default wall-time cap on the oldest queued request (50 ms).
@@ -61,9 +61,11 @@ class InferenceServer:
                 f"max_wait_s must be positive, got {max_wait_s}"
             )
         self.design = design
-        knee = convergence_knee(design)
-        self.target_batch = target_batch or knee
-        self.max_batch = max_batch or max(2 * self.target_batch, 8)
+        # One derivation with the loadtest: the knee is the target, the cap
+        # clamps it. An explicit target overrides (and lifts a default cap).
+        cfg = admission_config(design, max_batch=max_batch)
+        self.target_batch = target_batch or cfg.target_batch
+        self.max_batch = max_batch or max(cfg.max_batch, self.target_batch)
         if self.max_batch < self.target_batch:
             raise ConfigurationError(
                 f"max_batch ({self.max_batch}) < target_batch "

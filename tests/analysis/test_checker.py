@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    DESIGN_RULES,
     RULES,
     AnalysisReport,
     Severity,
@@ -22,9 +23,35 @@ from repro.core.builder import build_network
 from repro.core.models import cifar10_design, tiny_design
 from repro.core.perf_model import network_perf
 from repro.core.serialize import design_to_dict
-from repro.core.zoo import alexnet_design, vgg16_design
+from repro.core.zoo import (
+    alexnet_blocked_design,
+    alexnet_design,
+    vgg16_blocked_design,
+    vgg16_design,
+)
 from repro.errors import AnalysisError, ConfigurationError
 from tests.analysis.bad_designs import under_buffered_tiny
+
+#: What a plain ``check`` runs (the two BUFFER.DEPTH_* rules need a depth plan).
+TEN_RULES = DESIGN_RULES + [
+    "GRAPH.STRUCTURE", "BUFFER.FULL", "ADAPTER.WIRING", "BUFFER.SKEW",
+]
+
+FULL_SIZE = {
+    "alexnet": alexnet_design,
+    "vgg16": vgg16_design,
+    "alexnet-blocked": alexnet_blocked_design,
+    "vgg16-blocked": vgg16_blocked_design,
+}
+
+
+def _swap_merge_plan(graph):
+    graph.actors["conv3.merge0"].plan = graph.actors["conv2.merge0"].plan
+
+
+def _shave_split_halo(graph):
+    graph.actors["conv1.split0"].shave_h = 1
+
 
 ZOO = {
     "usps": usps_design,
@@ -47,12 +74,37 @@ class TestZooClean:
         report = check_network(ZOO[name](), memory_system="literal")
         assert report.ok, report.format_text()
 
-    def test_large_designs_skip_elaboration_by_default(self):
-        report = check_network(vgg16_design())
-        assert any("skipped" in d.message for d in report.infos)
-        # Design rules still all ran.
-        assert "II.BOTTLENECK" in report.rules_run
-        assert "BUFFER.SKEW" not in report.rules_run
+    @pytest.mark.parametrize("name", sorted(FULL_SIZE))
+    def test_full_size_designs_run_every_rule(self, name):
+        # No design is too big for the graph rules: zero weights are never
+        # touched, so 62M / 138M parameters elaborate in a fraction of a second.
+        report = check_network(FULL_SIZE[name]())
+        assert report.ok, report.format_text()
+        assert sorted(report.rules_run) == sorted(TEN_RULES)
+
+    @pytest.mark.parametrize("name", ["alexnet-blocked", "vgg16-blocked"])
+    def test_full_size_blocked_designs_pass_literal_memory(self, name):
+        report = check_network(FULL_SIZE[name](), memory_system="literal")
+        assert report.ok, report.format_text()
+        assert sorted(report.rules_run) == sorted(TEN_RULES)
+
+    @pytest.mark.parametrize("sabotage, location", [
+        (_swap_merge_plan, "layer:conv3"),
+        (_shave_split_halo, "layer:conv1"),
+    ])
+    def test_bad_full_size_graph_is_flagged(self, monkeypatch, sabotage, location):
+        import repro.analysis.checker as checker
+
+        def build_sabotaged(*args, **kwargs):
+            built = build_network(*args, **kwargs)
+            sabotage(built.graph)
+            return built
+
+        monkeypatch.setattr(checker, "build_network", build_sabotaged)
+        report = check_network(alexnet_blocked_design())
+        assert [(d.rule, d.location) for d in report.errors] == [
+            ("BUFFER.FULL", location)
+        ]
 
 
 class TestPerfAgreement:

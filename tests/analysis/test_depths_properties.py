@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.analysis import infer_depth_plan, probe_tight_certificate
 from repro.core import random_weights
 from repro.core.builder import build_network
-from repro.faults import output_digest
+from repro.dataflow.digest import stable_digest
 from tests.strategies import small_designs
 
 _SETTINGS = settings(
@@ -47,12 +47,12 @@ def test_certified_plan_is_deadlock_free_on_both_engines(design):
     assert set(plan.certificates) == bounded
     base = built.run(stall_limit=50_000)
     assert base.finished
-    baseline_digest = output_digest(built.outputs())
+    baseline_digest = stable_digest(built.outputs())
     for scheduler in ("event", "lockstep"):
         applied = _build(design, plan=plan)
         res = applied.run(stall_limit=50_000, scheduler=scheduler)
         assert res.finished, f"certified plan deadlocked under {scheduler}"
-        assert output_digest(applied.outputs()) == baseline_digest
+        assert stable_digest(applied.outputs()) == baseline_digest
     assert plan.certified_words <= plan.full_words
 
 

@@ -39,8 +39,8 @@ from repro.core.multi_fpga import (
 from repro.core.perf_model import LinkPerf, network_perf
 from repro.core.resource_model import BASE_DESIGN, layer_resources
 from repro.core.zoo import alexnet_blocked_design, alexnet_design
+from repro.dataflow.digest import stable_digest
 from repro.errors import ConfigurationError
-from repro.faults.harness import output_digest
 from repro.profiling import profile_design
 from repro.report import SCHEMA_VERSION
 
@@ -175,13 +175,13 @@ class TestForcedBlockedCut:
         design = self.blocked_design()
         base = seeded_build(design)
         base.run(scheduler=scheduler)
-        reference = output_digest(base.outputs())
+        reference = stable_digest(base.outputs())
 
         plan = forced_two_way_plan(design, "conv1")
         sharded = seeded_build(design, multi_plan=plan)
         res = sharded.run(scheduler=scheduler)
         assert res.finished
-        assert output_digest(sharded.outputs()) == reference
+        assert stable_digest(sharded.outputs()) == reference
         # The deferred merges run on device 1 under their layer names.
         assert "conv1.merge0" in sharded.graph.actors
         assert "link0.tx" in sharded.graph.actors
@@ -224,7 +224,7 @@ class TestLinkDepthCertificates:
         mp = plan_split(design, 2)
         reference = seeded_build(design, multi_plan=mp)
         reference.run()
-        expected = output_digest(reference.outputs())
+        expected = stable_digest(reference.outputs())
 
         certified = seeded_build(design, multi_plan=mp)
         plan = infer_depth_plan(certified.graph, design_name=design.name)
@@ -232,7 +232,7 @@ class TestLinkDepthCertificates:
         assert certified.graph.channels["link0.wire"].capacity == 2
         res = certified.run()
         assert res.finished
-        assert output_digest(certified.outputs()) == expected
+        assert stable_digest(certified.outputs()) == expected
 
 
 class TestThrottleCampaign:

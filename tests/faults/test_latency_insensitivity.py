@@ -14,13 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import random_weights
 from repro.core.builder import build_network
+from repro.dataflow.digest import stable_digest
 from repro.faults import (
     ActorSlowdown,
     ChannelJitter,
     DmaThrottle,
     FaultScenario,
     arm_faults,
-    output_digest,
 )
 from tests.strategies import small_designs
 
@@ -58,7 +58,7 @@ def run_once(design, seed, scenario, scheduler):
     result = sim.run()
     assert result.finished
     built.result = result
-    return result.cycles, output_digest(built.outputs())
+    return result.cycles, stable_digest(built.outputs())
 
 
 class TestLatencyInsensitivity:

@@ -11,9 +11,10 @@ import json
 
 import pytest
 
-from repro.core import tiny_design, usps_design
+from repro.core import cifar10_design, tiny_design, usps_design
 from repro.errors import ConfigurationError
 from repro.serve import InferenceServer, serve_tcp, single_shot_digests
+from repro.serve.admission import admission_config
 
 
 def make_server(design, **kw):
@@ -87,6 +88,20 @@ class TestSubmit:
             make_server(tiny_design(), max_wait_s=0.0)
         with pytest.raises(ConfigurationError):
             make_server(tiny_design(), target_batch=8, max_batch=4)
+
+
+    @pytest.mark.parametrize("design", [tiny_design, usps_design, cifar10_design])
+    @pytest.mark.parametrize("max_batch", [None, 4])
+    def test_admission_is_the_loadtests(self, design, max_batch):
+        # `repro serve --max-batch 4` used to raise on every preset (knees
+        # 55 / 25 / 6) where `repro loadtest --max-batch 4` clamped the target.
+        server = make_server(design(), max_batch=max_batch)
+        cfg = admission_config(design(), max_batch=max_batch)
+        assert (server.target_batch, server.max_batch) == (
+            cfg.target_batch, cfg.max_batch
+        )
+        if max_batch:
+            assert server.target_batch == 4
 
 
 class TestTcp:

@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import ConvLayerSpec, NetworkDesign, build_network, random_weights
 from repro.core.block_transform import design_is_blocked, without_blocking
-from repro.dataflow import ArraySource, DataflowGraph, ListSink
-from repro.faults.harness import output_digest
+from repro.dataflow import ArraySource, DataflowGraph, ListSink, stable_digest
 from repro.sst.block import (
     BlockSpec,
     BlockSplitActor,
@@ -75,7 +74,7 @@ def _digest(design, batch, scheduler, shave=None):
         actor = net.graph.actors["c0.split0"]
         actor.shave_h, actor.shave_w = shave
     net.run(max_cycles=2_000_000, scheduler=scheduler)
-    return output_digest(net.sink.received)
+    return stable_digest(net.sink.received)
 
 
 class TestBlockedEqualsUnblocked:

@@ -178,6 +178,20 @@ class TestCheck:
         assert d["design"] == "tiny" and d["ok"] is True
         assert d["rules_run"]
 
+    @pytest.mark.parametrize("design", [
+        "usps", "cifar10", "tiny", "alexnet", "vgg16", "alexnet-pilot",
+        "vgg16-pilot",
+    ])
+    def test_check_runs_ten_rules_on_every_preset(self, capsys, tmp_path, design):
+        artifact = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "check", "--design", design, "--json", str(artifact)
+        )
+        assert code == 0 and "(10 rules run)" in out
+        d = json.loads(artifact.read_text())
+        assert {"BUFFER.FULL", "ADAPTER.WIRING", "BUFFER.SKEW"} <= set(d["rules_run"])
+        assert not any("skipped" in x["message"] for x in d["diagnostics"])
+
     def test_check_list_rules(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--list-rules")
         assert code == 0
@@ -187,13 +201,11 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check")
         assert code == 1 and "required" in err
 
-    def test_check_no_elaborate_skips_graph_rules(self, capsys, tmp_path):
-        artifact = tmp_path / "r.json"
-        code, _, _ = run_cli(capsys, "check", "--design", "usps", "--no-elaborate",
-                             "--json", str(artifact))
-        assert code == 0
-        d = json.loads(artifact.read_text())
-        assert "BUFFER.SKEW" not in d["rules_run"]
+    @pytest.mark.parametrize("flag", ["--no-elaborate", "--elaborate"])
+    def test_check_has_one_mode(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--design", "usps", flag])
+        assert exc.value.code == 2
 
     def test_check_not_json_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
