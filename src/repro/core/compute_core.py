@@ -14,12 +14,18 @@ Decoupling the two is exactly what lets the core sustain Eq. 4's
 same association order as the modeled hardware (per-group product tree,
 then one accumulation add), so the simulated outputs carry the datapath's
 float32 rounding.
+
+Timing never depends on a value, so a coordinate's numbers are worked out
+when the emitter first reads them, not when its last window arrives: the
+compute process queues the coordinate's cycle stamp and window block, and
+the emitter evaluates every coordinate queued at that moment in one
+batched pass (see :meth:`ConvCoreActor._evaluate`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -126,7 +132,11 @@ class ConvCoreActor(Actor):
         )
 
     def processes(self):
+        #: ``[ready_cycle, values]`` per finished coordinate; ``values`` is
+        #: ``None`` until the emitter asks, and ``_pending`` holds the
+        #: window blocks of exactly those unevaluated coordinates.
         self._results: deque = deque()
+        self._pending: list = []
         # Couples the two processes through the result queue: the producer
         # notifies after every append/popleft so the event scheduler can
         # park the other side instead of letting it poll.
@@ -141,12 +151,13 @@ class ConvCoreActor(Actor):
         queue_depth = self.queue_depth
         w_all = self._w_all
         in_groups = self.in_groups
-        bias = self.bias
         pipeline_depth = self.pipeline_depth
-        # Window beats of the current coordinate, buffered for one batched
-        # product-tree pass per coordinate (middle axis broadcasts OUT_FM).
-        wins = np.empty((in_groups, 1, w_all.shape[2]), DTYPE)
+        pending = self._pending
+        block_shape = (in_groups, 1, w_all.shape[2])
         for _ in range(self.images * self.n_coords):
+            # Window beats of this coordinate, one row per group (the middle
+            # axis broadcasts OUT_FM in the batched product of _evaluate).
+            wins = np.empty(block_shape, DTYPE)
             for g in range(in_groups):
                 # One group per cycle: read IN_PORTS windows in parallel
                 # (Algorithm 1's "buf <- IN_PORTS windows"). The single-port
@@ -167,19 +178,35 @@ class ConvCoreActor(Actor):
                 else:
                     wins[g, 0] = np.concatenate([ch.pop().ravel() for ch in ins])
                 yield
-            # One vectorised pass does every group's (OUT_FM, P*kh*kw)
-            # product tree at once, then the accumulation chain adds the
-            # per-group sums in the original order — bit-identical to the
-            # per-beat formulation (float32 throughout, no astype needed).
-            trees = tree_reduce(w_all * wins)
-            acc = bias
-            for g in range(in_groups):
-                acc = acc + trees[g]
-            # Result leaves the datapath pipeline_depth cycles from now.
-            results.append((self.now + pipeline_depth, self._act(acc)))
+            # Result leaves the datapath pipeline_depth cycles from now;
+            # what it is gets worked out when the emitter reads it.
+            results.append([self.now + pipeline_depth, None])
+            pending.append(wins)
             self._gate.notify()
             if self.coord_overhead:
                 yield from self.wait(self.coord_overhead)  # loop entry/exit bubble
+
+    def _evaluate(self) -> None:
+        """Fill in the values of every queued coordinate, in one pass.
+
+        Called when the head of the result queue has no value yet. Values
+        are only ever filled in for the whole queue, so then no queued
+        coordinate has one and ``_pending`` is their window blocks in
+        order. One product ``(B, G, OUT_FM, P*kh*kw)`` — ``B`` is at most
+        ``queue_depth``, which bounds the scratch — goes through every
+        coordinate's and group's product tree at once, then the
+        accumulation chain adds the per-group sums in Algorithm 1's order.
+        Every operation is elementwise over the leading ``B`` axis, so each
+        coordinate's bits are those of evaluating it alone.
+        """
+        stack = np.stack(self._pending)
+        self._pending.clear()
+        trees = tree_reduce(self._w_all * stack)
+        acc = self.bias
+        for g in range(self.in_groups):
+            acc = acc + trees[:, g]
+        for entry, values in zip(self._results, self._act(acc)):
+            entry[1] = values
 
     def _emit(self) -> Generator:
         outs = [self.output(f"out{p}") for p in range(self.out_ports)]
@@ -191,11 +218,12 @@ class ConvCoreActor(Actor):
                     yield self._gate.wait()
                 else:
                     yield WaitCycles(self._results[0][0] - self.now)
+            if self._results[0][1] is None:
+                self._evaluate()
             acc = self._results[0][1]
             for j in range(self.out_groups):
-                # Beat j carries FM j*OUT_PORTS + p on output port p. The
-                # accumulator is float32 already, so the single-port path
-                # pushes acc[j] without a DTYPE round trip.
+                # Beat j carries FM j*OUT_PORTS + p on output port p (the
+                # accumulator is float32 already: no DTYPE round trip).
                 if out0 is not None:
                     while not out0.can_push():
                         yield out_park
@@ -204,7 +232,7 @@ class ConvCoreActor(Actor):
                     while not all(ch.can_push() for ch in outs):
                         yield out_park
                     for p, ch in enumerate(outs):
-                        ch.push(DTYPE(acc[j * self.out_ports + p]))
+                        ch.push(acc[j * self.out_ports + p])
                 yield
             self._results.popleft()
             self._gate.notify()

@@ -6,7 +6,11 @@ each incoming value is one "input channel"; for each of them, all the
 floating-point accumulation latency (11 cycles) is hidden by interleaved
 accumulator lanes — incoming value ``i`` lands in lane ``i % acc_lanes``
 of every output's partial-sum array, and the lanes are tree-combined once
-per image. The simulated arithmetic follows that exact association order.
+per image. The simulated arithmetic follows that exact association order:
+the lanes are only combined once per image, so the compute process just
+stores the image's inputs as they arrive and runs every output's lane
+chains through :func:`~repro.hls.accumulator.interleaved_sum` after the
+last one — no beat's cycle depends on a value.
 """
 
 from __future__ import annotations
@@ -20,8 +24,14 @@ from repro.config import DTYPE
 from repro.dataflow.actor import Actor
 from repro.dataflow.events import Gate, WaitCycles
 from repro.errors import ConfigurationError, ShapeError
-from repro.hls.tree_adder import tree_reduce
+from repro.hls.accumulator import interleaved_sum
 from repro.nn.layers.activation import activation_fn
+
+
+#: Most bytes of ``w * x`` terms one pass of the per-image lane chains
+#: builds: a large layer is summed a block of output maps at a time, never
+#: as one ``in_fm x out_fm`` array.
+_TERMS_BYTES = 1 << 20
 
 
 class FCCoreActor(Actor):
@@ -89,22 +99,33 @@ class FCCoreActor(Actor):
     def _compute(self) -> Generator:
         in_ch = self.input("in")
         for _ in range(self.images):
-            partial = np.zeros((self.out_fm, self.acc_lanes), dtype=DTYPE)
+            x = np.empty(self.in_fm, dtype=DTYPE)
             for i in range(self.in_fm):
                 while not in_ch.can_pop():
                     yield in_ch.pop_wait()
                 while len(self._results) >= self.queue_depth:
                     yield self._gate.wait()
-                x = DTYPE(in_ch.pop())
-                lane = i % self.acc_lanes
-                # All OUT_FM MACs for this input value in one cycle.
-                partial[:, lane] = (partial[:, lane] + self.weight[:, i] * x).astype(
-                    DTYPE
-                )
+                x[i] = in_ch.pop()
                 yield
-            out = (tree_reduce(partial) + self.bias).astype(DTYPE)
-            self._results.append((self.now + self.pipeline_depth, self._act(out)))
+            self._results.append(
+                (self.now + self.pipeline_depth, self._act(self._image_sums(x)))
+            )
             self._gate.notify()
+
+    def _image_sums(self, x: np.ndarray) -> np.ndarray:
+        """``weight @ x + bias`` in the core's association order.
+
+        Input ``i`` lands in lane ``i % acc_lanes`` of every output map
+        (all ``OUT_FM`` MACs of one input happen in one cycle), so each
+        output is the interleaved sum of its ``w[o, i] * x[i]`` terms.
+        """
+        block = max(1, _TERMS_BYTES // (self.in_fm * x.itemsize))
+        out = np.empty(self.out_fm, dtype=DTYPE)
+        for o in range(0, self.out_fm, block):
+            out[o : o + block] = interleaved_sum(
+                self.weight[o : o + block] * x, self.acc_lanes
+            )
+        return out + self.bias
 
     def _emit(self) -> Generator:
         out_ch = self.output("out")
@@ -119,5 +140,5 @@ class FCCoreActor(Actor):
             for j in range(self.out_fm):
                 while not out_ch.can_push():
                     yield out_ch.push_wait()
-                out_ch.push(DTYPE(out[j]))
+                out_ch.push(out[j])
                 yield

@@ -59,8 +59,15 @@ class ArraySource(Actor):
         return len(self._values if self.array is None else self.array)
 
     def run(self) -> Generator:
+        # Actor.send, inlined: one generator per beat is a measurable part of
+        # an interpreted run whose source feeds every pixel.
+        ch = self.output(self.port)
+        push_wait = ch.push_wait()
         for v in self.values:
-            yield from self.send(self.port, v)
+            while not ch.can_push():
+                yield push_wait
+            ch.push(v)
+            yield
             if self.interval > 1:
                 yield from self.wait(self.interval - 1)
 

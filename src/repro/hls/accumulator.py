@@ -32,6 +32,15 @@ def interleaved_sum(values: np.ndarray, lanes: int) -> np.ndarray:
     Element ``i`` is added into lane ``i % lanes``; the lane partials are
     then combined with a balanced tree — the association order of the
     hardware, hence bit-faithful float32 rounding.
+
+    Lane ``l`` is the *sequential* chain ``((0 + v_l) + v_{l+L}) + ...``.
+    The terms are laid out steps-major, ``(steps, lanes, ...)``, so that
+    chain step ``j`` of every lane is one row of an outer-axis
+    ``add.reduce``, which numpy adds row after row in exactly that order.
+    The ragged last step is padded with ``+0.0``: a chain that began
+    ``0 + v`` is never ``-0.0``, so the padding changes no bit and a lane
+    that got no element stays ``+0.0``. Scratch: one padded copy of
+    ``values``.
     """
     if lanes < 1:
         raise ConfigurationError(f"lanes must be >= 1, got {lanes}")
@@ -39,11 +48,18 @@ def interleaved_sum(values: np.ndarray, lanes: int) -> np.ndarray:
     n = arr.shape[-1]
     if n == 0:
         raise ConfigurationError("interleaved_sum over an empty axis")
-    partial = np.zeros(arr.shape[:-1] + (lanes,), dtype=DTYPE)
-    for i in range(n):
-        lane = i % lanes
-        partial[..., lane] = (partial[..., lane] + arr[..., i]).astype(DTYPE)
-    return tree_reduce(partial)
+    lead = arr.shape[:-1]
+    steps = -(-n // lanes)
+    terms = np.zeros((steps * lanes,) + lead, dtype=DTYPE)
+    terms[:n] = np.moveaxis(arr, -1, 0)
+    terms = terms.reshape((steps, lanes) + lead)
+    if terms[0].size != 1:
+        partial = np.add.reduce(terms, axis=0, initial=DTYPE(0))
+    else:
+        # One lane, one sum: numpy would make the chain its inner loop
+        # and add it pairwise. Add it in sequence.
+        partial = np.reshape(sum(terms.ravel(), DTYPE(0)), (1,) + lead)
+    return tree_reduce(np.moveaxis(partial, 0, -1))
 
 
 @dataclass(frozen=True)

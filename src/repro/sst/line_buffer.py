@@ -17,7 +17,9 @@ on-chip footprint — (kh-1) lines + kw pixels per feature map — is what
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Generator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -28,9 +30,10 @@ from repro.errors import ConfigurationError
 from repro.sst.window import WindowSpec
 
 
+@lru_cache(maxsize=32)
 def completion_map(
     spec: WindowSpec, h: int, w: int
-) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+) -> Mapping[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
     """Map each real pixel to the output coordinates emitted at its arrival.
 
     A window's data is complete when its bottom-right-most real
@@ -41,6 +44,10 @@ def completion_map(
     the window raster order — a padded window waits for the pixel that
     releases its predecessor. Windows sharing a trigger pixel are listed
     in raster order.
+
+    A Python loop over every output coordinate, and every build of a
+    design asks for the same few geometries: the answer is memoised, so it
+    is read-only and shared between callers.
     """
     oh, ow = spec.out_shape(h, w)
     triggers: List[Tuple[int, int]] = []
@@ -61,7 +68,7 @@ def completion_map(
     done: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for idx, trig in enumerate(triggers):
         done.setdefault(trig, []).append((idx // ow, idx % ow))
-    return done
+    return MappingProxyType({trig: tuple(c) for trig, c in done.items()})
 
 
 class SlidingWindowActor(Actor):
@@ -113,11 +120,10 @@ class SlidingWindowActor(Actor):
         # coupled by an internal queue: exactly like the filter chain feeding
         # the window registers while the previous window drains.
         self._emit_queue: deque = deque()
-        self._recv_done = False
-        # Built here, not in __init__: a Python loop over every output
-        # coordinate that only the receiver reads, so a compiled run (which
-        # never asks for processes) does not pay for it. It cannot fail:
-        # WindowSpec already rejects pad >= kh/kw, its one error.
+        # Asked for here, not in __init__: only the receiver reads it, so a
+        # compiled run (which never asks for processes) does not pay for
+        # it. It cannot fail: WindowSpec already rejects pad >= kh/kw, its
+        # one error.
         self._completion = completion_map(self.spec, self.h, self.w)
         # Wakes the emitter when the receiver completes new windows.
         self._gate = Gate()
@@ -131,7 +137,7 @@ class SlidingWindowActor(Actor):
         pad, stride, kh, kw = spec.pad, spec.stride, spec.kh, spec.kw
         group = self.group
         completion_get = self._completion.get
-        emit_append = self._emit_queue.append
+        emit_extend = self._emit_queue.extend
         pop_wait = in_ch.pop_wait()
         for _ in range(self.images):
             # Padded, per-FM pixel buffers; padding pre-filled with zeros.
@@ -146,18 +152,18 @@ class SlidingWindowActor(Actor):
                         buf[g, yp, xp] = in_ch.pop()
                         yield
                     # All FMs of (y, x) have arrived: enqueue every window
-                    # this pixel completes, coordinate-major, FM-minor.
+                    # this pixel completes, coordinate-major, FM-minor —
+                    # one (group, kh, kw) copy per coordinate, its rows
+                    # (views) the window beats.
                     completed = completion_get((y, x))
                     if completed is not None:
                         for (oy, ox) in completed:
                             ys = oy * stride
                             xs = ox * stride
-                            for g in range(group):
-                                emit_append(
-                                    buf[g, ys : ys + kh, xs : xs + kw].copy()
-                                )
+                            emit_extend(
+                                buf[:, ys : ys + kh, xs : xs + kw].copy()
+                            )
                         self._gate.notify()
-        self._recv_done = True
 
     def _emitter(self) -> Generator:
         out_ch = self.output("out")

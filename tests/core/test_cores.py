@@ -6,16 +6,18 @@ import pytest
 from repro.core import ConvCoreActor, FCCoreActor, PoolCoreActor
 from repro.dataflow import ArraySource, DataflowGraph, ListSink
 from repro.errors import ConfigurationError, ShapeError
-from repro.hls import interleaved_sum
+from repro.hls import interleaved_sum, tree_reduce
+from tests.compiled.test_kernels_conv import bits
+from tests.compiled.test_kernels_fc import actor_formulation
 
 
 def run_conv_core(weight, bias, windows_per_port, in_ports, out_ports, n_coords,
-                  activation=None):
+                  activation=None, **core_kwargs):
     """windows_per_port: list (per port) of lists of (kh,kw) arrays."""
     g = DataflowGraph("t")
     core = g.add_actor(
         ConvCoreActor("core", weight, bias, in_ports, out_ports,
-                      n_coords=n_coords, activation=activation)
+                      n_coords=n_coords, activation=activation, **core_kwargs)
     )
     out_fm = weight.shape[0]
     for p in range(in_ports):
@@ -88,6 +90,47 @@ class TestConvCore:
         ts = sinks[0].timestamps
         deltas = [b_ - a_ for a_, b_ in zip(ts, ts[1:])]
         assert all(d == 4 for d in deltas)
+
+    def test_values_do_not_depend_on_how_many_were_evaluated_together(
+        self, rng, monkeypatch
+    ):
+        # A coordinate's values are worked out when the emitter first reads
+        # them, together with every coordinate queued by then. However
+        # many that is, they are the bits of Algorithm 1 run on that
+        # coordinate alone: per-group product tree, then the chain.
+        out_fm, in_fm, k, n_coords = 3, 4, 3, 12
+        w = rng.standard_normal((out_fm, in_fm, k, k)).astype(np.float32)
+        b = rng.standard_normal(out_fm).astype(np.float32)
+        wins = rng.standard_normal((n_coords, in_fm, k, k)).astype(np.float32)
+        specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-45]
+        odd = rng.random(wins.shape) < 0.02
+        wins[odd] = rng.choice(specials, size=odd.sum())
+        wins[3] = -0.0
+        w[0] = -0.0
+        with np.errstate(all="ignore"):
+            want = []
+            for coord in wins:
+                acc = b
+                for g in range(in_fm):
+                    acc = acc + tree_reduce(w[:, g].reshape(out_fm, -1) * coord[g].ravel())
+                want.append(np.tanh(acc))
+        batches = []
+        evaluate = ConvCoreActor._evaluate
+        monkeypatch.setattr(
+            ConvCoreActor, "_evaluate",
+            lambda core: batches.append(len(core._pending)) or evaluate(core),
+        )
+        got = {}
+        with np.errstate(all="ignore"):
+            for depth in (1, 5):
+                sinks = run_conv_core(
+                    w, b, [list(wins.reshape(-1, k, k))], 1, 1, n_coords,
+                    activation="tanh", queue_depth=depth, pipeline_depth=40,
+                )
+                got[depth] = np.asarray(sinks[0].received)
+        assert max(batches[:n_coords]) == 1 and max(batches[n_coords:]) == 5
+        for depth in (1, 5):
+            assert np.array_equal(bits(got[depth]), bits(np.concatenate(want)))
 
     def test_weight_shape_validated(self):
         with pytest.raises(ShapeError):
@@ -163,6 +206,32 @@ class TestFCCore:
         snk = self._run(w, b, x, lanes=4)
         exp = interleaved_sum(w * x[None, :], 4)
         assert np.array_equal(np.asarray(snk.received), exp)
+
+    def test_layer_larger_than_one_term_block(self, rng, monkeypatch):
+        # The per-image pass never builds the in_fm x out_fm terms at once:
+        # a byte budget of two output maps' terms makes this layer four
+        # blocks, the last one ragged, and no bit may notice.
+        import repro.core.fc_core as fc_core
+
+        in_fm, out_fm, lanes, images = 29, 7, 12, 2
+        monkeypatch.setattr(fc_core, "_TERMS_BYTES", 2 * in_fm * 4)
+        w = rng.standard_normal((out_fm, in_fm)).astype(np.float32)
+        w[rng.random(w.shape) < 0.1] = -0.0
+        b = rng.standard_normal(out_fm).astype(np.float32)
+        xs = rng.standard_normal((images, in_fm)).astype(np.float32)
+        xs[:, ::3] = -0.0
+        calls = []
+        monkeypatch.setattr(
+            fc_core, "interleaved_sum",
+            lambda terms, n: calls.append(terms.shape) or interleaved_sum(terms, n),
+        )
+        snk = self._run(w, b, xs.ravel(), lanes=lanes, images=images,
+                        activation="tanh")
+        assert calls == [(2, in_fm), (2, in_fm), (2, in_fm), (1, in_fm)] * images
+        actor = FCCoreActor("ref", w, b, acc_lanes=lanes, images=images,
+                            activation="tanh")
+        want = actor_formulation(actor, xs)
+        assert np.array_equal(bits(np.asarray(snk.received)), bits(want))
 
     def test_multiple_images(self, rng):
         w = rng.standard_normal((2, 4)).astype(np.float32)

@@ -6,7 +6,21 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
-from repro.hls import AccumulatorModel, interleaved_sum
+from repro.hls import AccumulatorModel, interleaved_sum, tree_reduce
+from tests.compiled.test_kernels_conv import bits
+from tests.hls.test_tree_adder import SPECIAL_FLOATS
+
+
+def lane_rotation(values, lanes):
+    """Section IV-B one element at a time: element ``i`` is added to lane
+    ``i % lanes`` of zero-initialised partial sums, then the lanes meet in
+    the tree. What the vectorised ``interleaved_sum`` must equal bit for bit."""
+    arr = np.asarray(values, dtype=np.float32)
+    partial = np.zeros(arr.shape[:-1] + (lanes,), dtype=np.float32)
+    for i in range(arr.shape[-1]):
+        lane = i % lanes
+        partial[..., lane] = partial[..., lane] + arr[..., i]
+    return tree_reduce(partial)
 
 
 class TestFunctional:
@@ -45,6 +59,38 @@ class TestFunctional:
         got = float(interleaved_sum(vals, lanes))
         exp = float(np.sum(vals, dtype=np.float64))
         assert got == pytest.approx(exp, abs=1e-2, rel=1e-4)
+
+
+class TestLaneChainsBitExact:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bitwise_the_per_element_rotation(self, data):
+        # Ragged n % lanes, lanes > n, lanes == 1, and one lane of one
+        # sum (lead () or (1,)): the case numpy would add pairwise.
+        lead = data.draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+        n = data.draw(st.integers(1, 70))
+        lanes = data.draw(st.sampled_from([1, 2, 3, 12, 16, n + 5]))
+        vals = data.draw(arrays(np.float32, lead + (n,), elements=SPECIAL_FLOATS))
+        with np.errstate(all="ignore"):
+            got = interleaved_sum(vals, lanes)
+            want = lane_rotation(vals, lanes)
+        assert got.shape == want.shape == lead
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (1, 1)])
+    def test_one_lane_one_sum_is_added_in_sequence(self, rng, lead):
+        # 300 terms of mixed magnitude: a pairwise sum rounds differently.
+        vals = (rng.standard_normal(lead + (300,)) * 10.0 ** rng.integers(
+            -3, 4, lead + (300,))).astype(np.float32)
+        want = lane_rotation(vals, 1)
+        assert np.array_equal(bits(interleaved_sum(vals, 1)), bits(want))
+        assert bits(want) != bits(vals.sum(dtype=np.float32))  # non-vacuous
+
+    def test_first_term_is_added_to_a_zero(self):
+        # 0 + -0.0 = +0.0: a lane never holds the -0.0 it was handed.
+        vals = np.full((4, 5), -0.0, dtype=np.float32)
+        for lanes in (1, 2, 5, 9):
+            assert not np.signbit(interleaved_sum(vals, lanes)).any()
 
 
 class TestModel:

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
 from repro.hls import AdderTreeModel, chain_reduce, tree_reduce
+from tests.compiled.test_kernels_conv import bits
 
 
 class TestFunctional:
@@ -62,6 +63,30 @@ class TestFunctional:
         # Tree reduce of all-equal values is exact regardless of shape.
         const = np.full_like(vals, 2.0)
         assert tree_reduce(const) == np.float32(2.0 * len(vals))
+
+
+#: float32 draws that include what a carry or a zero pad could mishandle.
+SPECIAL_FLOATS = st.one_of(
+    st.floats(width=32),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+class TestStackedLeadingAxis:
+    """The conv core evaluates queued coordinates as one stacked block: the
+    tree over ``(B, G, OUT_FM, K)`` must be the ``B`` per-item trees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stack_is_bitwise_the_per_item_calls(self, data):
+        k = data.draw(st.sampled_from([3, 5, 6, 7, 9, 25, 27, 75]))  # no 2**n
+        lead = data.draw(st.sampled_from([(2,), (4, 1), (3, 2, 2)]))
+        stack = data.draw(arrays(np.float32, lead + (k,), elements=SPECIAL_FLOATS))
+        with np.errstate(all="ignore"):
+            got = tree_reduce(stack)
+            want = np.stack([tree_reduce(item) for item in stack])
+        assert got.shape == want.shape == lead
+        assert np.array_equal(bits(got), bits(want))
 
 
 class TestModel:
