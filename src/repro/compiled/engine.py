@@ -66,7 +66,7 @@ class CompiledEngine:
 
     Satisfies the engine protocol of
     :class:`~repro.dataflow.simulator.Simulator` (``cycle``, ``run``,
-    ``run_cycles``, ``actor_stats``, ``scheduler_stats``) with two
+    ``run_cycles``, ``release``, ``actor_stats``, ``scheduler_stats``) with two
     restrictions, both rejected with :class:`ConfigurationError`:
     ``run_cycles`` / ``run(until=...)`` (no partial execution — the run
     is a single fused pass) and armed faults (checked by the factory in
@@ -76,7 +76,10 @@ class CompiledEngine:
     name = "compiled"
 
     def __init__(self, sim):
-        self.sim = sim
+        # What the engine reads of the simulator, copied: the simulator
+        # owns the engine, never the other way round.
+        self._actors = sim.actors
+        self._channels = sim.channels
         self.cycle = 0
         self._ran = False
 
@@ -175,7 +178,7 @@ class CompiledEngine:
             )
         if not self._ran:
             run_kernels(
-                self.sim.actors, self._in_ports, self._out_ports, sched.order
+                self._actors, self._in_ports, self._out_ports, sched.order
             )
             # Modeled output timing: each image's last beat lands at its
             # perf-model completion cycle, earlier beats back-to-back.
@@ -184,17 +187,21 @@ class CompiledEngine:
             for done in sched.completions:
                 ts.extend(range(done - sched.per_image_out + 1, done + 1))
             synthesize_channel_stats(
-                sched, self.sim.channels, self._source.name
+                sched, self._channels, self._source.name
             )
             self.cycle = sched.cycles
             self._ran = True
-        return self.sim._result(self.cycle, True)
+        return self.cycle, True
 
     def run_cycles(self, n: int) -> int:
         raise ConfigurationError(
             "the compiled engine cannot single-step; use the 'event' "
             "engine for run_cycles debugging"
         )
+
+    def release(self) -> None:
+        """Nothing to let go of: a compiled run starts no process and
+        hooks no channel or gate."""
 
     def actor_stats(self) -> Dict[str, list]:
         return synthesize_actor_stats(self.schedule)

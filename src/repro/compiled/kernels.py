@@ -528,11 +528,14 @@ KERNELS: Dict[type, Callable] = {
 }
 
 
-def run_kernels(actors, in_ports_of, out_ports_of, order) -> Streams:
+def run_kernels(actors, in_ports_of, out_ports_of, order) -> None:
     """Execute every actor's kernel in topological order.
 
-    Returns the full channel-name -> stream mapping (the sink's input
-    stream included, so the engine can synthesize timestamps).
+    A stream lives until its reader has run: every channel has exactly one
+    reader, so each input stream is popped as it is handed to its kernel
+    and is freed when the kernel's outputs no longer refer to it (a window
+    stream is a view of the pixel stream; see :func:`k_window`). Values
+    leave through the sink kernel, which fills ``ListSink.received``.
     """
     by_name = {a.name: a for a in actors}
     streams: Streams = {}
@@ -544,10 +547,10 @@ def run_kernels(actors, in_ports_of, out_ports_of, order) -> Streams:
                 f"actor {name!r} of type {type(actor).__name__} has no "
                 f"compiled kernel"
             )
-        ins = {
-            port: streams[cname] for port, cname in in_ports_of[name].items()
-        }
-        outs = kernel(actor, ins)
+        outs = kernel(
+            actor,
+            {port: streams.pop(cname) for port, cname in in_ports_of[name].items()},
+        )
         for port, arr in outs.items():
             cname = out_ports_of[name].get(port)
             if cname is None:
@@ -555,4 +558,3 @@ def run_kernels(actors, in_ports_of, out_ports_of, order) -> Streams:
                     f"{name!r}: kernel produced unbound port {port!r}"
                 )
             streams[cname] = arr
-    return streams

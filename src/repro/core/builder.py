@@ -52,6 +52,29 @@ DesignWeights = Dict[str, Dict[str, np.ndarray]]
 Stream = Tuple[Actor, str]
 
 
+#: float64 elements drawn at a time by :func:`_uniform_rows` (8 MiB).
+_DRAW_BLOCK = 1 << 20
+
+
+def _uniform_rows(
+    rng: np.random.Generator, low: float, high: float, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """``rng.uniform(low, high, shape).astype(DTYPE)``, a block of rows at a time.
+
+    A ``Generator``'s stream is sequential, so consecutive row blocks are
+    bit for bit the one-shot draw and leave the generator in the same
+    state; each block goes straight into its float32 destination, so the
+    float64 draw of a large matrix (AlexNet ``fc6``: 288 MiB) never exists
+    whole next to its float32 copy.
+    """
+    out = np.empty(shape, DTYPE)
+    step = max(1, _DRAW_BLOCK // max(1, out[:1].size))
+    for r in range(0, shape[0], step):
+        rows = out[r : r + step]
+        rows[...] = rng.uniform(low, high, rows.shape)
+    return out
+
+
 def random_weights(design: NetworkDesign, seed: int = 0) -> DesignWeights:
     """Small random weights for every parameterized layer (tests/examples)."""
     rng = np.random.default_rng(seed)
@@ -59,19 +82,15 @@ def random_weights(design: NetworkDesign, seed: int = 0) -> DesignWeights:
     for p in design.placements:
         spec = p.spec
         if isinstance(spec, ConvLayerSpec):
-            out[spec.name] = {
-                "weight": rng.uniform(
-                    -0.5, 0.5, (spec.out_fm, spec.in_fm, spec.kh, spec.kw)
-                ).astype(DTYPE),
-                "bias": rng.uniform(-0.1, 0.1, spec.out_fm).astype(DTYPE),
-            }
+            shape: Tuple[int, ...] = (spec.out_fm, spec.in_fm, spec.kh, spec.kw)
         elif isinstance(spec, FCLayerSpec):
-            out[spec.name] = {
-                "weight": rng.uniform(-0.5, 0.5, (spec.out_fm, spec.in_fm)).astype(
-                    DTYPE
-                ),
-                "bias": rng.uniform(-0.1, 0.1, spec.out_fm).astype(DTYPE),
-            }
+            shape = (spec.out_fm, spec.in_fm)
+        else:
+            continue
+        out[spec.name] = {
+            "weight": _uniform_rows(rng, -0.5, 0.5, shape),
+            "bias": _uniform_rows(rng, -0.1, 0.1, (spec.out_fm,)),
+        }
     return out
 
 
@@ -144,7 +163,11 @@ def interleave_images(batch: np.ndarray) -> np.ndarray:
     """
     if batch.ndim != 4:
         raise ShapeError(f"batch must be (N, C, H, W), got {batch.shape}")
-    return np.ascontiguousarray(batch.transpose(0, 2, 3, 1)).ravel().astype(DTYPE)
+    n, c, h, w = batch.shape
+    # One pass: transpose and cast straight into the stream the source owns.
+    stream = np.empty(batch.size, DTYPE)
+    stream.reshape(n, h, w, c)[...] = batch.transpose(0, 2, 3, 1)
+    return stream
 
 
 @dataclass

@@ -172,7 +172,7 @@ class ConvCoreActor(Actor):
                 # Model backpressure from the result queue: stall reads
                 # when the emitter has fallen queue_depth coordinates behind.
                 while len(results) >= queue_depth:
-                    yield self._gate.wait()
+                    yield self._gate
                 if in0 is not None:
                     wins[g, 0] = in0.pop().ravel()
                 else:
@@ -215,7 +215,7 @@ class ConvCoreActor(Actor):
         for _ in range(self.images * self.n_coords):
             while not self._results or self._results[0][0] > self.now:
                 if not self._results:
-                    yield self._gate.wait()
+                    yield self._gate
                 else:
                     yield WaitCycles(self._results[0][0] - self.now)
             if self._results[0][1] is None:

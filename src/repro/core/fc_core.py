@@ -104,7 +104,7 @@ class FCCoreActor(Actor):
                 while not in_ch.can_pop():
                     yield in_ch.pop_wait()
                 while len(self._results) >= self.queue_depth:
-                    yield self._gate.wait()
+                    yield self._gate
                 x[i] = in_ch.pop()
                 yield
             self._results.append(
@@ -132,7 +132,7 @@ class FCCoreActor(Actor):
         for _ in range(self.images):
             while not self._results or self._results[0][0] > self.now:
                 if not self._results:
-                    yield self._gate.wait()
+                    yield self._gate
                 else:
                     yield WaitCycles(self._results[0][0] - self.now)
             out = self._results.popleft()[1]

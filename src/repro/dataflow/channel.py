@@ -62,14 +62,23 @@ class ChannelStats:
         }
 
 
-class _NullClock:
-    """Stand-in clock for channels used outside an engine (cycle 0)."""
+class Clock:
+    """The cycle being executed, as one writable cell.
 
-    __slots__ = ()
-    cycle = 0
+    The engine that drives a channel owns the cell and writes ``cycle``
+    once per executed cycle; ``push`` / ``pop`` stamp first/last beats off
+    it with two attribute loads and no callback. A channel points at the
+    cell, never at the engine.
+    """
+
+    __slots__ = ("cycle",)
+
+    def __init__(self) -> None:
+        self.cycle = 0
 
 
-_NULL_CLOCK = _NullClock()
+#: Stand-in for channels used outside an engine (cycle 0, never written).
+_NULL_CLOCK = Clock()
 
 
 class Channel:
@@ -101,6 +110,7 @@ class Channel:
         "_push_wait_desc",
         "_fault",
         "_clock",
+        "__weakref__",
     )
 
     def __init__(self, name: str, capacity: Optional[int] = None):
@@ -118,11 +128,11 @@ class Channel:
         self.stats = ChannelStats()
         self.writer: Optional[str] = None
         self.reader: Optional[str] = None
-        # Event-scheduler hooks. `_touched` aliases the scheduler's
-        # active-channel set: every staged push / pop adds this channel so
-        # only touched channels get a begin_cycle() next cycle. The waiter
-        # lists hold parked (record, cond-index) pairs; both are (re)set by
-        # the engine, and None/empty under the lock-step scheduler.
+        # Engine hooks, set by `attach` and dropped by `detach`. `_touched`
+        # aliases the event scheduler's active-channel set: every staged
+        # push / pop adds this channel so only touched channels get a
+        # begin_cycle() next cycle. The waiter lists hold parked
+        # (record, cond-index) pairs. None/empty under lock-step.
         self._touched: Optional[set] = None
         self._pop_waiters: List[tuple] = []
         self._push_waiters: List[tuple] = []
@@ -134,10 +144,8 @@ class Channel:
         # or mutate the staged beats (corruption). None on the no-fault
         # hot path, like `_touched`.
         self._fault: Optional[object] = None
-        # Whoever owns the clock: both engines install themselves here so
-        # push/pop can stamp first/last beat cycles with two attribute
-        # loads and no callback. The null clock reads cycle 0 for channels
-        # exercised outside a simulation (unit tests).
+        # The driving engine's clock cell; the null clock reads cycle 0
+        # for channels exercised outside a simulation (unit tests).
         self._clock = _NULL_CLOCK
 
     # -- binding ---------------------------------------------------------
@@ -159,6 +167,37 @@ class Channel:
                 f"cannot also bind {actor_name!r}"
             )
         self.reader = actor_name
+
+    # -- engine hooks -----------------------------------------------------
+
+    def attach(self, clock: Clock, touched: Optional[set] = None) -> None:
+        """Hook this channel to the engine about to drive it.
+
+        ``clock`` is the engine's cycle cell, ``touched`` the event
+        scheduler's active-channel set (``None``: every channel gets a
+        ``begin_cycle()`` every cycle). Whatever a previous engine on the
+        same graph left parked here is dropped.
+        """
+        self._clock = clock
+        self._touched = touched
+        self._pop_waiters = []
+        self._push_waiters = []
+
+    def detach(self) -> None:
+        """Drop the active set, the parked records and the cached descriptors.
+
+        Each of them closes a reference cycle through this channel (the
+        active set holds the channels it is aliased by, a parked record
+        holds the process whose actor holds the channel, a cached
+        descriptor names the channel that caches it), so a run that is
+        over lets go of them all. The clock cell points nowhere and stays,
+        like the statistics.
+        """
+        self._touched = None
+        self._pop_waiters = []
+        self._push_waiters = []
+        self._pop_wait_desc = None
+        self._push_wait_desc = None
 
     # -- cycle protocol ---------------------------------------------------
 

@@ -10,7 +10,7 @@ The key identity the profiler builds on: under the lock-step contract a
 live process performs exactly one ``yield`` per executed cycle of its
 lifetime, and each yield is either a blocked descriptor
 (:class:`~repro.dataflow.events.ChannelWait` /
-:class:`~repro.dataflow.events.GateWait` /
+:class:`~repro.dataflow.events.Gate` /
 :class:`~repro.dataflow.events.WaitCycles`) or a bare ``yield`` ending a
 productive beat. Hence
 

@@ -14,9 +14,9 @@ actor yields carries that information:
   (a pop or a push) is satisfiable at the start of some cycle.
 * :class:`WaitCycles` — a fixed-latency sleep; the scheduler wakes the
   process via a wakeup heap keyed by cycle.
-* :class:`GateWait` — blocked on an intra-actor :class:`Gate` (an internal
-  result queue between two processes of the same actor); woken by
-  :meth:`Gate.notify`.
+* a :class:`Gate` — blocked on state shared between two processes of the
+  same actor (an internal result queue); woken by :meth:`Gate.notify`. The
+  gate itself is what the waiter yields.
 
 The descriptors are *hints with contracts*: an actor must re-check its
 firing rule after waking (the helper loops in :class:`Actor` do), so a
@@ -98,45 +98,39 @@ class WaitCycles:
         return f"WaitCycles({self.cycles})"
 
 
-class GateWait:
-    """Park until the gate's :meth:`Gate.notify` is called."""
-
-    __slots__ = ("gate",)
-
-    def __init__(self, gate: "Gate"):
-        self.gate = gate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "GateWait()"
-
-
 class Gate:
     """Wakeup gate for state shared between processes of one actor.
 
     The compute cores couple their compute and emit processes through an
     internal result queue; the consumer of that queue cannot be woken by a
-    channel commit, so the producer calls :meth:`notify` after mutating
-    the queue. Wake timing mirrors lock-step shared-memory visibility: a
-    waiter whose process index is *after* the notifier's sees the mutation
-    in the same cycle, an earlier one in the next cycle.
+    channel commit, so it yields the gate while the guarded condition is
+    false and the producer calls :meth:`notify` after mutating the queue.
+    Wake timing mirrors lock-step shared-memory visibility: a waiter whose
+    process index is *after* the notifier's sees the mutation in the same
+    cycle, an earlier one in the next cycle.
 
     Under the lock-step scheduler the gate is inert: ``notify`` is a no-op
-    (no engine ever attaches) and the :class:`GateWait` descriptor is
-    ignored, so the waiting loop simply spins as before.
+    (no engine ever attaches) and the yielded gate is only counted, so the
+    waiting loop simply spins as before.
+
+    The event engine attaches itself when a process first parks here: an
+    attached gate is the one object an engine owns that points back up at
+    it, until the run's end-of-life step
+    (``repro.dataflow.scheduler._end_of_life``) detaches it.
     """
 
-    __slots__ = ("_engine", "_waiters", "_wait")
+    __slots__ = ("_engine", "_waiters")
 
     def __init__(self):
         self._engine = None
         self._waiters = []
-        self._wait = GateWait(self)
-
-    def wait(self) -> GateWait:
-        """Descriptor to ``yield`` while the guarded condition is false."""
-        return self._wait
 
     def notify(self) -> None:
         """Wake every parked waiter (spurious wakeups are fine)."""
         if self._engine is not None and self._waiters:
             self._engine._gate_notify(self)
+
+    def detach(self) -> None:
+        """Let go of the engine and of the processes parked here."""
+        self._engine = None
+        self._waiters = []

@@ -55,6 +55,7 @@ from heapq import heappop, heappush
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.dataflow.actor import Actor
+from repro.dataflow.channel import Channel, Clock
 from repro.dataflow.counters import ProcCounters, actor_stats_dict
 from repro.dataflow.events import (
     CHARGE_EACH,
@@ -62,7 +63,7 @@ from repro.dataflow.events import (
     CHARGE_NONE,
     POP,
     ChannelWait,
-    GateWait,
+    Gate,
     WaitCycles,
 )
 from repro.errors import DeadlockError, SimulationError
@@ -71,16 +72,15 @@ from repro.errors import DeadlockError, SimulationError
 class _Proc:
     """One live generator: its actor, stable resumption rank, liveness."""
 
-    __slots__ = ("actor", "gen", "seq", "alive", "key", "cnt", "wait")
+    __slots__ = ("actor", "gen", "seq", "alive", "cnt", "wait")
 
     def __init__(self, actor: Actor, gen: Generator, seq: int):
         self.actor = actor
         self.gen = gen
+        #: Index into the engine's roster: run lists hold this number, not
+        #: the process, so sorting them compares ints and builds no tuple.
         self.seq = seq
         self.alive = True
-        #: Preallocated run-list entry; scheduling containers reuse it so
-        #: the hot loop never builds tuples.
-        self.key = (seq, self)
         self.cnt = ProcCounters()
         #: The value this process last yielded: what a deadlock report says
         #: it is waiting on.
@@ -150,7 +150,7 @@ def _deadlock_error(cycle: int, procs: Iterable[_Proc]) -> DeadlockError:
                 part = ", ".join(conds)
         elif type(y) is WaitCycles:
             part = f"timer({y.cycles})"
-        elif type(y) is GateWait:
+        elif type(y) is Gate:
             part = "gate"
         if not p.actor.daemon:
             blocked.setdefault(name, []).append(part)
@@ -174,6 +174,26 @@ def _actor_plan_of(sim) -> Optional[object]:
     return None if armed is None else armed.actor_plan
 
 
+def _end_of_life(channels: Iterable[Channel], gates: Iterable[Gate] = ()) -> None:
+    """The one end-of-life step of an interpreted run.
+
+    An engine owns its actors, channels and processes and nothing it owns
+    points back at it or at the simulator, with the exceptions a running
+    engine cannot do without: the hooks :meth:`Channel.attach` installs,
+    the records parked on them, the channels' cached wait descriptors and
+    the gates that learnt their engine when a process parked there. Every
+    one of them is dropped here, so that a run that is over is freed by
+    reference count the moment its owner lets go of it. The simulator
+    calls this (through ``engine.release()``) when a run finishes or
+    raises, never after ``run(until=...)`` / ``run_cycles``, which may go
+    on. Counters and channel statistics are untouched.
+    """
+    for ch in channels:
+        ch.detach()
+    for gate in gates:
+        gate.detach()
+
+
 class LockstepEngine:
     """The original O(cycles x (actors + channels)) reference loop.
 
@@ -183,29 +203,34 @@ class LockstepEngine:
     """
 
     def __init__(self, sim):
-        self.sim = sim
+        # What the engine reads of the simulator, copied: the simulator
+        # owns the engine, never the other way round.
+        self.actors = sim.actors
+        self.channels = sim.channels
+        self.stall_limit = sim.stall_limit
+        self.tracer = sim.tracer
         self.cycle = 0
+        self._clock = Clock()
         self._stall = 0
         self._actor_plan = _actor_plan_of(sim)
         #: Full roster, surviving process completion, for the end-of-run
         #: actor_stats report; ``_live`` is the still-running subset.
-        self._procs: List[_Proc] = _spawn(sim.actors)
+        self._procs: List[_Proc] = _spawn(self.actors)
         self._live: List[_Proc] = list(self._procs)
-        # Make sure no event-engine hooks linger from a previous engine on
-        # the same graph: descriptors must be inert under lock-step.
-        for ch in sim.channels:
-            ch._touched = None
-            ch._pop_waiters.clear()
-            ch._push_waiters.clear()
-            ch._clock = self
+        # No active set: descriptors must be inert under lock-step.
+        for ch in self.channels:
+            ch.attach(self._clock)
+
+    def release(self) -> None:
+        _end_of_life(self.channels)
 
     def _nondaemon_live(self) -> bool:
         return any(not p.actor.daemon for p in self._live)
 
     def _step(self) -> None:
         """One cycle: commit all channels, resume all processes, trace."""
-        sim = self.sim
-        for ch in sim.channels:
+        self._clock.cycle = self.cycle
+        for ch in self.channels:
             ch.begin_cycle()
         still: List[_Proc] = []
         plan = self._actor_plan
@@ -231,12 +256,12 @@ class LockstepEngine:
                     charge_blocked_cycle(y)
                 elif t is WaitCycles:
                     p.cnt.stalled_timer += 1
-                elif t is GateWait:
+                elif t is Gate:
                     p.cnt.stalled_gate += 1
             still.append(p)
         self._live = still
-        if sim.tracer is not None:
-            sim.tracer.record(self.cycle, sim.actors, sim.channels)
+        if self.tracer is not None:
+            self.tracer.record(self.cycle, self.actors, self.channels)
         self.cycle += 1
 
     def actor_stats(self) -> Dict[str, List[dict]]:
@@ -260,17 +285,17 @@ class LockstepEngine:
             return
         activity = sum(
             ch._pushed_this_cycle + ch._popped_this_cycle
-            for ch in self.sim.channels
+            for ch in self.channels
         )
         if activity == 0:
             self._stall += 1
-            if self._stall >= self.sim.stall_limit:
+            if self._stall >= self.stall_limit:
                 raise _deadlock_error(self.cycle, self._live)
         else:
             self._stall = 0
 
-    def run(self, max_cycles: int, until):
-        sim = self.sim
+    def run(self, max_cycles: int, until) -> Tuple[int, bool]:
+        """Run on; returns ``(cycles, finished)`` for the simulator."""
         while self._nondaemon_live():
             if self.cycle >= max_cycles:
                 raise SimulationError(
@@ -279,9 +304,9 @@ class LockstepEngine:
                 )
             self._step()
             if until is not None and until():
-                return sim._result(self.cycle, False)
+                return self.cycle, False
             self._check_stall()
-        return sim._result(self.cycle, True)
+        return self.cycle, True
 
     def run_cycles(self, n: int) -> int:
         for _ in range(int(n)):
@@ -326,10 +351,10 @@ class EventEngine:
     State (all cycle numbers refer to ``self.cycle``, the next cycle to
     execute):
 
-    * ``_current`` — sorted ``(seq, proc)`` run list for the cycle being
-      executed (built, sorted once, then consumed by index; mid-cycle gate
-      wakes are bisect-inserted past the consumption point). Empty between
-      cycles;
+    * ``_current`` — sorted run list of the cycle being executed, as
+      ``seq`` numbers (= indices into ``_procs``; built, sorted once, then
+      consumed by index; mid-cycle gate wakes are bisect-inserted past the
+      consumption point). Empty between cycles;
     * ``_next_ready`` — processes runnable next cycle (a bare ``yield``);
     * ``_timers`` — min-heap of ``(wake_cycle, seq, proc)`` fixed waits;
     * ``_active`` — channels touched last cycle, needing ``begin_cycle()``
@@ -343,14 +368,20 @@ class EventEngine:
     """
 
     def __init__(self, sim):
-        self.sim = sim
+        # What the engine reads of the simulator, copied: the simulator
+        # owns the engine, never the other way round.
+        self.actors = sim.actors
+        self.channels = sim.channels
+        self.stall_limit = sim.stall_limit
+        self.tracer = sim.tracer
         self.cycle = 0
+        self._clock = Clock()
         self._stall = 0
         self._in_cycle = False
         self._cur_seq = -1
         self._actor_plan = _actor_plan_of(sim)
         self._active: set = set()
-        self._current: List[Tuple[int, _Proc]] = []
+        self._current: List[int] = []
         self._next_ready: List[_Proc] = []
         # Timer heap entries are (wake_cycle, seq, proc, park_cycle); the
         # park cycle pays the proc's stalled_timer charge when the timer
@@ -364,20 +395,20 @@ class EventEngine:
         self._executed = 0
         self._parks = 0
         self._wakeups = 0
-        self._procs: List[_Proc] = _spawn(sim.actors)
+        self._procs: List[_Proc] = _spawn(self.actors)
         self._live_total = len(self._procs)
         self._live_nondaemon = sum(
             1 for p in self._procs if not p.actor.daemon
         )
         self._next_ready.extend(self._procs)
-        for ch in sim.channels:
-            ch._touched = self._active
-            ch._pop_waiters.clear()
-            ch._push_waiters.clear()
-            ch._clock = self
+        for ch in self.channels:
+            ch.attach(self._clock, self._active)
         # Cycle 0 commits every channel (pre-staged values, initial
         # high-water marks), exactly like the lock-step loop's first cycle.
-        self._active.update(sim.channels)
+        self._active.update(self.channels)
+
+    def release(self) -> None:
+        _end_of_life(self.channels, self._gates)
 
     # -- cycle execution ---------------------------------------------------
 
@@ -386,11 +417,13 @@ class EventEngine:
         # every benchmark passes through here, hence the inlined dispatch,
         # exact type checks and local bindings.
         # Publish the executing cycle before any channel work: push/pop
-        # stamp their first/last beats off this attribute (the caller sets
-        # cycle back to c + 1 on return, preserving "next to execute").
-        self.cycle = c
+        # stamp their first/last beats off the clock cell, a gate notify
+        # reads this attribute (the caller sets cycle back to c + 1 on
+        # return, preserving "next to execute").
+        self.cycle = self._clock.cycle = c
         self._executed += 1
         current = self._current
+        procs = self._procs
         active = self._active
         if active:
             # Snapshot-then-clear: a channel whose fault hook *holds* its
@@ -412,7 +445,7 @@ class EventEngine:
         nr = self._next_ready
         if nr:
             for p in nr:
-                current.append(p.key)
+                current.append(p.seq)
             nr.clear()
         timers = self._timers
         if timers and timers[0][0] <= c:
@@ -421,14 +454,15 @@ class EventEngine:
                 if park is not None:
                     p.cnt.stalled_timer += c - park
                     self._wakeups += 1
-                current.append(p.key)
+                current.append(p.seq)
         current.sort()
         nr_append = nr.append
         plan = self._actor_plan
         self._in_cycle = True
         pos = 0
         while pos < len(current):
-            seq, p = current[pos]
+            seq = current[pos]
+            p = procs[seq]
             pos += 1
             if plan is not None:
                 # Injected actor slow-down: defer resumption to the first
@@ -457,20 +491,19 @@ class EventEngine:
                 n = y.cycles
                 heappush(timers, (c + (n if n >= 1 else 1), seq, p, c))
                 self._parks += 1
-            elif type(y) is GateWait:
-                gate = y.gate
-                if gate._engine is not self:
-                    gate._engine = self
-                    self._gates.add(gate)
-                gate._waiters.append((p, c))
+            elif type(y) is Gate:
+                if y._engine is not self:
+                    y._engine = self
+                    self._gates.add(y)
+                y._waiters.append((p, c))
                 self._parks += 1
             else:
                 self._reject(p, y)
         self._in_cycle = False
         current.clear()
-        tracer = self.sim.tracer
+        tracer = self.tracer
         if tracer is not None:
-            tracer.record(c, self.sim.actors, self.sim.channels)
+            tracer.record(c, self.actors, self.channels)
 
     def _reject(self, p: _Proc, y) -> None:
         raise SimulationError(
@@ -516,7 +549,7 @@ class EventEngine:
                     # cycle of the park span (the wake cycle itself fires).
                     rec.proc.cnt.stalled_channel += c - rec.apark
                     self._wakeups += 1
-                    self._current.append(rec.proc.key)
+                    self._current.append(rec.proc.seq)
 
     def _gate_notify(self, gate) -> None:
         """Wake gate waiters; same-cycle iff they resume after the notifier.
@@ -524,7 +557,7 @@ class EventEngine:
         Mirrors lock-step shared-memory visibility: a process later in the
         resumption order sees this cycle's mutation in its own slice, an
         earlier one only next cycle. The stall charge mirrors that split:
-        a same-cycle waker's lock-step twin last yielded ``GateWait`` at
+        a same-cycle waker's lock-step twin last yielded the gate at
         ``c - 1`` (at ``c`` it runs after the notifier and proceeds), so
         it owes ``c - park`` yields; a next-cycle waker ran *before* the
         notifier at ``c``, yielded once more, and owes ``c + 1 - park``.
@@ -541,7 +574,7 @@ class EventEngine:
                 # Insert into the still-unconsumed tail of the run list
                 # (every consumed entry has seq <= cur < p.seq).
                 p.cnt.stalled_gate += c - park
-                insort(self._current, p.key)
+                insort(self._current, p.seq)
             else:
                 p.cnt.stalled_gate += c + 1 - park
                 self._next_ready.append(p)
@@ -664,15 +697,15 @@ class EventEngine:
             self._stall = 0
         else:
             self._stall += 1
-            if self._stall >= self.sim.stall_limit:
+            if self._stall >= self.stall_limit:
                 raise self._deadlock()
 
     # -- public API --------------------------------------------------------
 
-    def run(self, max_cycles: int, until):
-        sim = self.sim
-        tick = sim.tracer is not None or until is not None
-        stall_limit = sim.stall_limit
+    def run(self, max_cycles: int, until) -> Tuple[int, bool]:
+        """Run on; returns ``(cycles, finished)`` for the simulator."""
+        tick = self.tracer is not None or until is not None
+        stall_limit = self.stall_limit
         exec_cycle = self._exec_cycle
         timers = self._timers
         while self._live_nondaemon > 0:
@@ -699,7 +732,7 @@ class EventEngine:
             self.cycle = c + 1
             if until is not None and until():
                 self._flush(self.cycle)
-                return sim._result(self.cycle, False)
+                return self.cycle, False
             # Inlined _check_stall(): backstop for bare-``yield`` pollers.
             if self._active:
                 self._stall = 0
@@ -708,12 +741,11 @@ class EventEngine:
                 if self._stall >= stall_limit:
                     raise self._deadlock()
         self._flush(self.cycle)
-        return sim._result(self.cycle, True)
+        return self.cycle, True
 
     def run_cycles(self, n: int) -> int:
-        sim = self.sim
         target = self.cycle + int(n)
-        tick = sim.tracer is not None
+        tick = self.tracer is not None
         while self.cycle < target:
             if self._live_total == 0:
                 break
@@ -725,7 +757,7 @@ class EventEngine:
                 self.cycle = target
                 if self._live_nondaemon > 0:
                     self._stall += gap
-                    if self._stall >= sim.stall_limit:
+                    if self._stall >= self.stall_limit:
                         raise self._deadlock()
                 break
             self._exec_cycle(c)

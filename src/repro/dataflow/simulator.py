@@ -212,21 +212,16 @@ class Simulator:
         return self._engine.cycle if self._engine is not None else 0
 
     def _start(self):
-        """Create the engine (starting every actor process) on first use."""
+        """Create the engine (starting every actor process) on first use.
+
+        The engine copies what it reads of this simulator (actors,
+        channels, stall limit, tracer, faults, design provenance) and keeps
+        no reference to it: ownership runs simulator -> engine -> actors /
+        channels / processes only.
+        """
         if self._engine is None:
             self._engine = SCHEDULERS[self.scheduler](self)
         return self._engine
-
-    def _result(self, cycles: int, finished: bool) -> SimulationResult:
-        """Engine callback packaging the run outcome with channel stats."""
-        engine = self._engine
-        return SimulationResult(
-            cycles=cycles,
-            finished=finished,
-            channel_stats={ch.name: ch.stats.as_dict() for ch in self.channels},
-            actor_stats=engine.actor_stats(),
-            scheduler_stats=engine.scheduler_stats(),
-        )
 
     def run(self, max_cycles: int = 10_000_000, until=None) -> SimulationResult:
         """Run until completion, a deadlock, ``until()``, or ``max_cycles``.
@@ -243,8 +238,27 @@ class Simulator:
         SimulationResult
             ``finished`` is True when all non-daemon processes completed
             (not when stopped early by ``until``).
+
+        A run that finished or raised is over: the engine's end-of-life
+        step (:func:`repro.dataflow.scheduler._end_of_life`) has dropped
+        what it hung on channels and gates, so the whole run is freed when
+        its last owner lets go of it. A run stopped by ``until`` may go on.
         """
-        return self._start().run(int(max_cycles), until)
+        engine = self._start()
+        try:
+            cycles, finished = engine.run(int(max_cycles), until)
+        except BaseException:
+            engine.release()
+            raise
+        if finished:
+            engine.release()
+        return SimulationResult(
+            cycles=cycles,
+            finished=finished,
+            channel_stats={ch.name: ch.stats.as_dict() for ch in self.channels},
+            actor_stats=engine.actor_stats(),
+            scheduler_stats=engine.scheduler_stats(),
+        )
 
     def run_cycles(self, n: int) -> int:
         """Advance the simulation by exactly ``n`` cycles (step debugging).
@@ -253,4 +267,9 @@ class Simulator:
         :meth:`run`, so stats, tracing, and deadlock detection all behave
         as in a full run. Returns the number of still-live processes.
         """
-        return self._start().run_cycles(int(n))
+        engine = self._start()
+        try:
+            return engine.run_cycles(int(n))
+        except BaseException:
+            engine.release()
+            raise

@@ -248,7 +248,10 @@ def run_built(
         cycles, finished = result.cycles, result.finished
         scheduler = str(result.scheduler_stats["scheduler"])
     except DeadlockError as err:
-        deadlock, cycles, finished = err, err.cycle, False
+        # Kept for its report, not for where it was raised: the traceback
+        # runs through this very frame, whose `deadlock` would close a
+        # reference cycle around the whole built network.
+        deadlock, cycles, finished = err.with_traceback(None), err.cycle, False
     return RunOutcome(
         cycles=cycles,
         finished=finished,

@@ -318,7 +318,7 @@ class BlockSplitActor(Actor):
         ready = self._ready
         for _ in range(self.images):
             while not ready:
-                yield self._gate.wait()
+                yield self._gate
             buf = ready.popleft()
             for bi in range(plan.gh):
                 oy = bi * plan.th * stride - pad
@@ -410,7 +410,7 @@ class BlockMergeActor(Actor):
         ready = self._ready
         for _ in range(self.images):
             while not ready:
-                yield self._gate.wait()
+                yield self._gate
             buf = ready.popleft()
             for y in range(plan.oh):
                 for x in range(plan.ow):

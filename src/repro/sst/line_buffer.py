@@ -173,7 +173,7 @@ class SlidingWindowActor(Actor):
         sent = 0
         while sent < total:
             while not emit_queue:
-                yield self._gate.wait()
+                yield self._gate
             while not out_ch.can_push():
                 yield push_wait
             out_ch.push(emit_queue.popleft())

@@ -35,6 +35,20 @@ class TestInterleave:
         with pytest.raises(ShapeError):
             interleave_images(np.zeros((2, 2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 5), (2, 1, 8, 8), (1, 6, 1, 1)])
+    def test_one_copy_that_never_aliases_the_callers_batch(self, shape, dtype, rng):
+        batch = rng.uniform(-1, 1, shape).astype(dtype)
+        # The expression this replaced: it copied a float32 batch twice.
+        expected = (
+            np.ascontiguousarray(batch.transpose(0, 2, 3, 1)).ravel().astype(np.float32)
+        )
+        stream = interleave_images(batch)
+        assert stream.dtype == np.float32 and stream.shape == (batch.size,)
+        assert stream.tobytes() == expected.tobytes()
+        # (N, 1, H, W) transposes to a contiguous view: still not the batch.
+        assert stream.flags.owndata and not np.shares_memory(stream, batch)
+
 
 class TestSeededBatch:
     @pytest.mark.parametrize(
@@ -59,6 +73,47 @@ class TestWeights:
         w = random_weights(d)
         assert set(w) == {"conv1", "fc1"}
         assert w["conv1"]["weight"].shape == (2, 1, 3, 3)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            tiny_design,
+            usps_design,
+            cifar10_design,
+            # 1.2 M float64 draws: more than one block of rows, then a
+            # second layer that only matches from the same generator state.
+            lambda: NetworkDesign(
+                "wide-fc",
+                (8, 16, 16),
+                [
+                    FCLayerSpec(name="fc1", in_fm=2048, out_fm=600),
+                    FCLayerSpec(name="fc2", in_fm=600, out_fm=10),
+                ],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_random_weights_are_the_one_shot_draws_bit_for_bit(self, factory, seed):
+        d = factory()
+        rng = np.random.default_rng(seed)
+        got = random_weights(d, seed)
+        for spec in d.specs:
+            if isinstance(spec, ConvLayerSpec):
+                shape = (spec.out_fm, spec.in_fm, spec.kh, spec.kw)
+            elif isinstance(spec, FCLayerSpec):
+                shape = (spec.out_fm, spec.in_fm)
+            else:
+                assert spec.name not in got
+                continue
+            # Drawn the old way: whole, as float64, then cast.
+            weight = rng.uniform(-0.5, 0.5, shape).astype(np.float32)
+            bias = rng.uniform(-0.1, 0.1, spec.out_fm).astype(np.float32)
+            layer = got.pop(spec.name)
+            assert layer["weight"].dtype == layer["bias"].dtype == np.float32
+            assert layer["weight"].tobytes() == weight.tobytes()
+            assert layer["bias"].tobytes() == bias.tobytes()
+            assert layer["weight"].shape == shape
+        assert not got
 
     def test_extract_matches_shapes(self):
         d = tiny_design()
