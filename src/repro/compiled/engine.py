@@ -3,8 +3,9 @@
 The second user engine, next to the interpreted ``"event"`` engine and
 its ``"lockstep"`` test oracle (:mod:`repro.dataflow.scheduler`):
 instead of interpreting actor processes cycle by cycle, it compiles a
-*verified* design graph down to a handful of fused numpy kernels and
-executes whole streams at once.
+*verified* design graph down to a handful of fused kernels (numpy, and
+a small C product tree for the conv cores) and executes whole streams at
+once.
 
 Two passes keep the fallback contract clean:
 
@@ -14,9 +15,11 @@ Two passes keep the fallback contract clean:
   (:func:`repro.analysis.analyze_design`) must pass — followed by
   :func:`~repro.analysis.steady_state.extract_schedule`, which solves
   rates, closed-form fires, and the analytic timing frame. Everything
-  that can refuse, refuses here, before any actor or channel state is
-  touched, so the simulator can transparently fall back to the event
-  engine on :class:`~repro.errors.CompilationError`.
+  that can refuse, refuses here — a host that cannot build or load the
+  conv kernel's C object (:mod:`repro.compiled.native`) included — before
+  any actor or channel state is touched, so the simulator can
+  transparently fall back to the event engine on
+  :class:`~repro.errors.CompilationError`.
 * **execute** (at :meth:`run`): the fused kernels
   (:mod:`repro.compiled.kernels`) stream every channel's full beat
   sequence through the pipeline in topological order; only then are the
@@ -40,6 +43,7 @@ from repro.analysis.steady_state import (
     extract_schedule,
     port_maps,
 )
+from repro.compiled import native
 from repro.compiled.kernels import run_kernels
 from repro.compiled.plan_cache import (
     GLOBAL_PLAN_CACHE,
@@ -123,6 +127,8 @@ class CompiledEngine:
                 f"{first.name!r}; the compiled engine's fill-latency model "
                 f"is not exact for a leading pool stage"
             )
+        if any(type(a) is ConvCoreActor for a in sim.actors):
+            native.conv_tree()  # built once per cache, loaded once per process
         cache = GLOBAL_PLAN_CACHE
         digest = design_digest(design)
         verdict = cache.get_verdict(digest)
@@ -209,7 +215,6 @@ class CompiledEngine:
     def scheduler_stats(self) -> Dict[str, object]:
         return {
             "scheduler": "compiled",
-            "backend": "numpy",
             "executed_cycles": 0,
             "skipped_cycles": self.cycle,
             "parks": 0,

@@ -20,34 +20,28 @@ reproducing the per-beat association order exactly:
 
 * the conv kernel runs the same product tree
   (``tree_reduce(w_all * wins)``) and the same sequential per-group
-  accumulation chain the actor runs per coordinate — only the
-  coordinate axis is batched, and float32 elementwise ops are
-  bit-identical across broadcast shapes. Its product slab is
-  ``(K, o, c)``: the ``K = P*kh*kw`` tree inputs lead, ``c``
-  coordinates ("lanes") are minor, so the multiply is one weight times
-  a long contiguous lane row and every tree level adds whole rows. A
-  lane block is a slice of whole images (or whole output rows) of the
-  port views, gathered into the lanes-minor ``(G, K, c)`` window buffer
-  by one strided assignment per port.
-  The multiply runs with numpy's ufunc buffer shrunk for the block
-  loop: under the default one, any row of up to 4096 lanes takes the
-  buffered path, which expands the stride-0 weight operand and runs at
-  a third of the streaming rate. The tree reduces the slab in place
-  (level ``l`` adds rows ``2**l * (2i+1)`` into rows ``2**l * 2i``) and
-  is *not* padded to a power of two: an odd level's last row is carried
-  as ``row + 0.0``, which is what the padded tree computes for it
-  (``-0.0`` becomes ``+0.0`` on the first carry; further pad zeros
-  change nothing, so it is carried once), and 25 row-adds do the work
-  of 31 for ``K = 25``. ``np.dot``/BLAS stays out: it accumulates in an
-  order of its own choosing (blocked, FMA-fused), which is not the
-  hardware tree's;
+  accumulation chain the actor runs per coordinate, in C
+  (``conv_tree.c``, built and loaded by :mod:`repro.compiled.native`):
+  for a tile of 16 coordinates ("lanes") it gathers the ``(G, K)``
+  windows from the port views once, lanes minor, and then runs every
+  output map's ``K = P*kh*kw`` products, tree and bias-first group chain
+  on 16-lane vectors. The tree is *not* padded to a power of two: an odd
+  level's last node is carried as ``node + 0.0``, which is what the
+  padded tree computes for it (``-0.0`` becomes ``+0.0`` on the first
+  carry; further pad zeros change nothing, so it is carried once). The
+  object is built without FMA contraction or fast-math, and where two
+  NaN payloads can have met (an output is NaN) the pass is redone keeping
+  the first operand's, as numpy does. ``np.dot``/BLAS stays out: it
+  accumulates in an order of its own choosing (blocked, FMA-fused),
+  which is not the hardware tree's;
 * the FC kernel keeps the interleaved-accumulator order (input ``i``
   feeds lane ``i % acc_lanes``; each lane adds its terms one after the
   other from zero, rounding to float32 at every step; the lanes meet in
   one tree) but lays the terms out ``(steps, lanes, images, outputs)``,
   so a chain step of every lane is one row of an outer-axis
   ``np.add.reduce`` (a one-element row is summed by hand: numpy would
-  reduce it pairwise) and the lane tree is the conv kernel's;
+  reduce it pairwise) and the lanes meet in :func:`_tree_reduce_inplace`,
+  the conv kernel's unpadded tree over whole rows;
 * max pooling is a chain of ``np.maximum`` over the window elements in
   raster order, each a strided slice of the view — comparisons are
   exact, so only a maximum that is a zero (a ``-0.0``/``+0.0`` tie) or
@@ -67,13 +61,13 @@ was not in steady state after all).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Dict, List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.compiled import native
 from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
@@ -85,14 +79,11 @@ from repro.errors import CompilationError
 from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
 
-#: Target size of one conv product slab (bytes): coordinates and output
-#: maps are blocked so the slab (which its product tree reduces in place)
-#: and one group's windows stay cache-resident. Blocking is bit-neutral
-#: (the product tree is elementwise per coordinate and output map) — it
-#: only sets how much one vectorized pass carries (TC2's two conv layers:
-#: 58 / 54 / 48 / 47 / 52 ms at 256 / 384 / 512 / 768 / 1024 KiB). The FC
-#: kernel blocks its term array (outputs, then images) to the same size.
-_CONV_BLOCK_BYTES = 1 << 19
+#: Target size of one FC term block (bytes): the term array is blocked
+#: over outputs, then images, so one block and its partial sums stay
+#: cache-resident. Blocking is bit-neutral (every chain is elementwise per
+#: image and output); it only sets how much one vectorized pass carries.
+_FC_BLOCK_BYTES = 1 << 19
 
 Streams = Dict[str, np.ndarray]
 
@@ -260,18 +251,6 @@ def k_block_merge(actor: BlockMergeActor, ins: Streams) -> Streams:
 # -- computation cores ---------------------------------------------------
 
 
-def _aligned_empty(n: int) -> np.ndarray:
-    """``n`` uninitialized float32 starting on a 64-byte cache line.
-
-    numpy only promises 16-byte alignment, and where a buffer happens to
-    land decides whether every SIMD load/store of its rows straddles two
-    lines: the same tree level measured 28 or 45 us on identical data.
-    """
-    buf = np.empty(n + 15, dtype=DTYPE)
-    skip = -buf.ctypes.data % 64 // buf.itemsize
-    return buf[skip : skip + n]
-
-
 def _tree_reduce_inplace(slab: np.ndarray) -> np.ndarray:
     """:func:`~repro.hls.tree_adder.tree_reduce` over the *leading* axis.
 
@@ -319,94 +298,39 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
                 f"{actor.name!r}: in{p} window geometry {arr.shape} is not "
                 f"{win_shape} windows over {ports[0].shape[:3]}"
             )
-    out_t = np.empty((actor.out_fm, n_lanes), dtype=DTYPE)
-    # numpy's ufuncs buffer any operation whose inner row fits half their
-    # buffer (8192 elements by default), and on that path the stride-0
-    # weight column of the slab multiply is expanded element by element:
-    # a third of the streaming rate for every row of <= 4096 lanes, which
-    # is every AlexNet/VGG layer at batch 1 and the tail block of a large
-    # batch. The smallest buffer numpy takes leaves no row under it. It is
-    # shrunk around the block loop only — the setting is per thread, and
-    # k_fc's outer-axis reduce runs AlexNet's fc6 2.6x slower under it —
-    # and put back whatever the loop raises.
-    bufsize = np.setbufsize(16)
-    try:
-        _conv_blocks(actor, ports, out_t)
-    finally:
-        np.setbufsize(bufsize)
-    out = actor._act(np.ascontiguousarray(out_t.T))  # (lanes, OUT_FM)
+    conv_tree, lanes = native.conv_tree()
+    w_all = np.ascontiguousarray(actor._w_all, dtype=DTYPE)  # (G, OUT_FM, K)
+    bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
+    kk_all = w_all.shape[2]  # K = P*kh*kw, the tree width
+    bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
+    strides = np.array([p.strides for p in ports], dtype=np.int64)
+    scratch = np.empty(
+        (groups * kk_all + kk_all // 8 + actor.out_fm + 2) * lanes, DTYPE
+    )
+    out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
+
+    def run(nan_rule: bool) -> None:
+        conv_tree(
+            bases.ctypes.data, strides.ctypes.data, actor.in_ports,
+            *ports[0].shape[:3], groups, actor.kh, actor.kw, actor.out_fm,
+            w_all.ctypes.data, bias.ctypes.data, nan_rule,
+            out.ctypes.data, scratch.ctypes.data,
+        )
+
+    run(False)
+    # A NaN reaches the output of every add it enters, so only where an
+    # output is NaN can two NaN payloads have met in one add, and which
+    # one plain compiled code keeps is the compiler's choice. Then the
+    # pass is redone keeping the first operand's, as numpy does.
+    if np.isnan(out).any():
+        run(True)
+    out = actor._act(out)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
     return {
         f"out{p}": np.ascontiguousarray(out[:, p :: actor.out_ports]).reshape(-1)
         for p in range(actor.out_ports)
     }
-
-
-def _conv_blocks(
-    actor: ConvCoreActor, ports: List[np.ndarray], out_t: np.ndarray
-) -> None:
-    """Fill ``out_t`` — ``(OUT_FM, lanes)``, before the activation — from
-    the ``(images, rows, cols, G, kh, kw)`` port views, block by block."""
-    groups = actor.in_groups
-    out_fm = actor.out_fm
-    n_images, n_rows, n_cols = ports[0].shape[:3]
-    w_t = np.ascontiguousarray(actor._w_all.transpose(0, 2, 1))  # (G, K, OUT_FM)
-    kk_all = w_t.shape[1]  # K = P*kh*kw, the tree width
-    bias = actor.bias[:, None]
-    # One product slab is (K, o, c): c lanes (coordinates) minor, o output
-    # maps. `row` = o*c is what _CONV_BLOCK_BYTES allows; lanes take it
-    # first (the multiply's inner loop is one weight times c lanes) and
-    # output maps fill what a short block leaves. A lane block is as many
-    # whole images as the budget holds or, when one image is over the
-    # budget, whole output rows of one image, so every block is one slice
-    # of the port views.
-    # Blocking is bit-neutral: every op is elementwise per (lane, map).
-    row = _CONV_BLOCK_BYTES // (kk_all * DTYPE(0).nbytes)
-    budget = max(16, row - row % 16)
-    if n_rows * n_cols <= budget:
-        i_step, r_step = min(n_images, budget // (n_rows * n_cols)), n_rows
-    else:
-        i_step, r_step = 1, min(n_rows, max(1, budget // n_cols))
-    chunk = i_step * r_step * n_cols
-    row = max(row, chunk)
-    wins_buf = _aligned_empty(groups * kk_all * chunk)
-    slab_buf = _aligned_empty(kk_all * row)
-    for i0, r0 in itertools.product(
-        range(0, n_images, i_step), range(0, n_rows, r_step)
-    ):
-        ni = min(i_step, n_images - i0)
-        nr = min(r_step, n_rows - r0)
-        s = (i0 * n_rows + r0) * n_cols
-        c = ni * nr * n_cols
-        # The block's windows, lanes minor, gathered straight from the
-        # port views; per group the K rows are the raveled windows of
-        # every port in port order (the actor's `wins[g, 0]`).
-        wins = wins_buf[: groups * kk_all * c].reshape(groups, kk_all, c)
-        dst = wins.reshape(
-            groups, actor.in_ports, actor.kh, actor.kw, ni, nr, n_cols
-        )
-        for p, port in enumerate(ports):
-            dst[:, p] = port[i0 : i0 + ni, r0 : r0 + nr].transpose(
-                3, 4, 5, 0, 1, 2
-            )
-        o_block = max(1, min(out_fm, row // c))
-        # Same product tree + sequential group chain as the actor (bias +
-        # tree[0] + tree[1] + ...); groups outermost so one group's
-        # windows stay cache-resident across the output blocks.
-        for g in range(groups):
-            for o0 in range(0, out_fm, o_block):
-                o = min(o_block, out_fm - o0)
-                slab = slab_buf[: kk_all * o * c].reshape(kk_all, o, c)
-                np.multiply(
-                    wins[g, :, None, :], w_t[g, :, o0 : o0 + o, None], out=slab
-                )
-                acc = out_t[o0 : o0 + o, s : s + c]
-                np.add(
-                    acc if g else bias[o0 : o0 + o],
-                    _tree_reduce_inplace(slab),
-                    out=acc,
-                )
 
 
 def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
@@ -463,7 +387,7 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     # out_fm takes the block budget first, batch what is left; the weight
     # block is re-laid once per output block, while it is cache-hot,
     # never the whole matrix at once.
-    room = max(1, _CONV_BLOCK_BYTES // (steps * lanes * DTYPE(0).nbytes))
+    room = max(1, _FC_BLOCK_BYTES // (steps * lanes * DTYPE(0).nbytes))
     o_block = min(out_fm, room)
     b_block = min(batch, max(1, room // o_block))
     w_buf = np.empty(steps * lanes * o_block, dtype=DTYPE)
@@ -485,8 +409,12 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
                 np.add.reduce(terms, axis=0, initial=DTYPE(0), out=partial)
             else:
                 # One lane, image and output: numpy would make the chain
-                # its inner loop and sum it pairwise. Add it in sequence.
-                partial[...] = sum(terms.ravel(), DTYPE(0))
+                # its inner loop and sum it pairwise. Add it in sequence,
+                # as an accumulate from zero (a Python sum of scalars
+                # would keep the second of two NaN payloads that meet).
+                partial[...] = np.add.accumulate(
+                    np.append(DTYPE(0), terms.ravel())
+                )[-1]
             np.add(
                 _tree_reduce_inplace(partial),
                 actor.bias[o0 : o0 + o],

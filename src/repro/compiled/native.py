@@ -1,0 +1,146 @@
+"""Build, cache and load the conv kernel's C body (``conv_tree.c``).
+
+The object is built on first use by the system C compiler ``cc`` and
+cached in this package's ``__pycache__`` (a private temporary directory
+when that is read-only) as ``conv_tree.<source key>.<object digest>.so``:
+the source key hashes the source text and the flags, so an edited
+kernel is never served a stale object, and the object digest hashes the
+object's own bytes, so a truncated or damaged file is deleted and
+rebuilt instead of loaded. A new object is written under a temporary
+name and renamed into place, so concurrent builders never expose a
+partial file. It is loaded with :mod:`ctypes`, whose calls release the
+GIL.
+
+Anything that stops the kernel from loading — no compiler, a failed
+build, an object that will not load — is a
+:class:`~repro.errors.CompilationError`; the compiled engine raises it
+while lowering, so such a host runs the event engine instead.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from pathlib import Path
+
+from repro.errors import CompilationError
+
+SOURCE = Path(__file__).with_name("conv_tree.c")
+COMPILER = "cc"
+#: ``-ffp-contract=off``: no multiply-add may be fused into one rounding.
+#: Never ``-ffast-math``/``-Ofast``: besides re-associating the tree, they
+#: link ``crtfastmath.o``, whose constructor sets FTZ/DAZ for the whole
+#: process when the object loads, and every numpy op after it would flush
+#: subnormals to zero.
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+_lock = threading.Lock()
+#: ``(function, lanes)`` once loaded, or the message of the refusal.
+_loaded = None
+
+
+def conv_tree():
+    """The ``conv_tree`` C function and its tile width in lanes.
+
+    Builds (once per cache) and loads (once per process) on first use;
+    a refusal is remembered and raised again as a fresh
+    :class:`~repro.errors.CompilationError`.
+    """
+    global _loaded
+    if _loaded is None:
+        with _lock:
+            if _loaded is None:
+                try:
+                    _loaded = _load(_cache_dir())
+                except CompilationError as exc:
+                    _loaded = str(exc)
+                except OSError as exc:
+                    _loaded = f"cannot build or load {SOURCE.name}: {exc}"
+    if isinstance(_loaded, str):
+        raise CompilationError(_loaded)
+    return _loaded
+
+
+def _cache_dir() -> Path:
+    cache = SOURCE.with_name("__pycache__")
+    try:
+        cache.mkdir(exist_ok=True)
+        if os.access(cache, os.W_OK):
+            return cache
+    except OSError:
+        pass
+    import atexit
+    import shutil
+    import tempfile
+
+    private = Path(tempfile.mkdtemp(prefix="repro-conv-tree-"))
+    atexit.register(shutil.rmtree, private, True)
+    return private
+
+
+def _find_compiler():
+    import shutil
+
+    return shutil.which(COMPILER)
+
+
+def _compile(compiler: str, out: Path) -> None:
+    import subprocess
+
+    proc = subprocess.run(
+        [compiler, *FLAGS, "-o", str(out), str(SOURCE)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    if proc.returncode:
+        raise CompilationError(
+            f"{COMPILER!r} could not build {SOURCE.name} "
+            f"(exit {proc.returncode}): {proc.stdout.strip()[-2000:]}"
+        )
+
+
+def _digest(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _load(cache: Path):
+    import platform
+
+    key = _digest(
+        repr((FLAGS, COMPILER, platform.machine())).encode()
+        + SOURCE.read_bytes()
+    )
+    for path in sorted(cache.glob(f"conv_tree.{key}.*.so")):
+        if path.name.split(".")[2] == _digest(path.read_bytes()):
+            return _open(path)
+        path.unlink(missing_ok=True)
+    compiler = _find_compiler()
+    if compiler is None:
+        raise CompilationError(
+            f"no C compiler: {COMPILER!r} is not on PATH, and the compiled "
+            f"engine builds its conv kernel ({SOURCE.name}) with it"
+        )
+    tmp = cache / f".conv_tree.{key}.{os.getpid()}.{threading.get_ident()}.so"
+    try:
+        _compile(compiler, tmp)
+        path = cache / f"conv_tree.{key}.{_digest(tmp.read_bytes())}.so"
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return _open(path)
+
+
+def _open(path: Path):
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(str(path))
+        fn = lib.conv_tree
+        lanes = ctypes.c_int.in_dll(lib, "conv_tree_lanes").value
+    except (OSError, AttributeError, ValueError) as exc:
+        raise CompilationError(f"cannot load {path.name}: {exc}") from None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.restype = None
+    fn.argtypes = [ptr, ptr] + [i64] * 8 + [ptr, ptr, ctypes.c_int, ptr, ptr]
+    return fn, lanes

@@ -57,8 +57,11 @@ def interleaved_sum(values: np.ndarray, lanes: int) -> np.ndarray:
         partial = np.add.reduce(terms, axis=0, initial=DTYPE(0))
     else:
         # One lane, one sum: numpy would make the chain its inner loop
-        # and add it pairwise. Add it in sequence.
-        partial = np.reshape(sum(terms.ravel(), DTYPE(0)), (1,) + lead)
+        # and add it pairwise. Add it in sequence, as an accumulate from
+        # zero: a Python sum of scalars would keep the second of two NaN
+        # payloads that meet, where array arithmetic keeps the first.
+        chain = np.add.accumulate(np.append(DTYPE(0), terms.ravel()))
+        partial = np.reshape(chain[-1], (1,) + lead)
     return tree_reduce(np.moveaxis(partial, 0, -1))
 
 

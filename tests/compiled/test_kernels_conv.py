@@ -1,14 +1,16 @@
 """The compiled conv kernel against the actor's own arithmetic, bit for bit.
 
-``k_conv`` reorders memory (lanes minor, blocked slabs, an unpadded
-in-place product tree) and shrinks numpy's ufunc buffer while it runs, but
-may not reorder a single float32 operation or leave the buffer changed.
-These tests pin that down below the engine level: the tree helper
+``k_conv`` runs the product tree in C (``repro/compiled/conv_tree.c``):
+16-lane tiles gathered straight from the window views, every output map's
+products, the unpadded tree and the bias-first group chain in one pass. It
+may reorder memory but not a single float32 operation. These tests pin
+that down below the engine level: the tree helper ``k_fc`` still uses
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the kernel against the per-coordinate formulation of
-``ConvCoreActor._compute`` over a port/kernel/blocking grid — every case
-fed both the zero-copy ``k_window`` views and the gathered ``(n, kh, kw)``
-beat stacks of the same pixels.
+``ConvCoreActor._compute`` over a port/kernel/tiling grid, special values
+and the largest zoo shapes — every case fed both the zero-copy
+``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of the
+same pixels.
 """
 
 import threading
@@ -36,6 +38,15 @@ from repro.sst import SlidingWindowActor, WindowSpec
 
 def bits(arr):
     return np.ascontiguousarray(arr, dtype=DTYPE).view(np.uint32)
+
+
+#: The quiet NaN ``np.nan`` and the default NaN ``inf - inf`` makes: the
+#: two payloads (they differ in the sign bit) a run can hold.
+NAN, DEFAULT_NAN = np.array([0x7FC00000, 0xFFC00000], np.uint32).view(DTYPE)
+SPECIALS = np.array(
+    [-0.0, 0.0, 1e-45, -1e-45, 1e-39, np.inf, -np.inf, NAN, DEFAULT_NAN],
+    dtype=DTYPE,
+)
 
 
 def carried_rows(n):
@@ -67,8 +78,9 @@ def special_rows(n, cols=24):
 
 
 class TestTreeReducePingpong:
-    """``_tree_reduce_inplace``. (The class keeps the name its test ids
-    were recorded under; the ping-pong tree it first covered is gone.)"""
+    """``_tree_reduce_inplace``, ``k_fc``'s lane tree. (The class keeps the
+    name its test ids were recorded under; the ping-pong tree it first
+    covered is gone.)"""
 
     @pytest.mark.parametrize("n", range(1, 131))
     def test_bit_equal_to_tree_reduce(self, n):
@@ -127,19 +139,29 @@ def grid_shape(n_coords):
     return oh, n_coords // oh
 
 
-def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None):
+def sprinkle(rng, arr, share):
+    """Overwrite about ``share`` of ``arr`` with :data:`SPECIALS`."""
+    hit = rng.random(arr.shape) < share
+    arr[hit] = rng.choice(SPECIALS, int(hit.sum()))
+
+
+def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None,
+              groups=2, out_fm=6, special=None):
     """A conv core plus the same windows in both stream representations.
 
     Returns ``(actor, views, beats)``: per in-port the zero-copy
     ``k_window`` view of seeded pixels and its gathered ``(n, k, k)``
-    beat stack (what ``k_window`` used to emit).
+    beat stack. ``special`` (a dict of share per ``"pixels"``,
+    ``"weights"``, ``"bias"``) sprinkles :data:`SPECIALS` over them.
     """
+    special = special or {}
     rng = np.random.default_rng(seed)
-    groups, out_fm = 2, 6
     in_fm = in_ports * groups
     weight = rng.standard_normal((out_fm, in_fm, k, k)).astype(DTYPE)
     weight[rng.random(weight.shape) < 0.05] = -0.0
+    sprinkle(rng, weight, special.get("weights", 0))
     bias = rng.standard_normal(out_fm).astype(DTYPE)
+    sprinkle(rng, bias, special.get("bias", 0))
     if images is None:
         images = 2 if n_lanes % 2 == 0 else 1
     oh, ow = grid_shape(n_lanes // images)
@@ -152,6 +174,7 @@ def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None):
     for p in range(in_ports):
         px = rng.standard_normal(images * h * w * groups).astype(DTYPE)
         px[rng.random(px.shape) < 0.05] = 0.0
+        sprinkle(rng, px, special.get("pixels", 0))
         win = SlidingWindowActor(
             f"win{p}", WindowSpec(k, k), h, w, group=groups, images=images
         )
@@ -199,16 +222,11 @@ def assert_both_forms_bit_equal(actor, views, beats, want=None):
     return want
 
 
-#: Tree rows of 150 lanes: the lane budget is 144 (whole cache lines), and
-#: a block of 36 lanes gets an output block of 4 of the 6 output maps.
-ROW = 150
-
-
-def set_row(monkeypatch, lanes, tree_width):
-    monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", lanes * tree_width * 4)
-
-
 class TestConvKernelBlocking:
+    """Lanes go through the kernel in tiles of 16 consecutive coordinates
+    that cross output rows and images wherever those end; the last tile
+    of a call may be partial."""
+
     @pytest.mark.parametrize("n_lanes", [36, 144, 324])
     @pytest.mark.parametrize("k", [1, 3, 5, 6, 11])
     @pytest.mark.parametrize(
@@ -216,52 +234,40 @@ class TestConvKernelBlocking:
     )
     @pytest.mark.parametrize("in_ports", [1, 2, 4])
     def test_bit_equal_to_actor_formulation(
-        self, monkeypatch, in_ports, out_ports, activation, k, n_lanes
+        self, in_ports, out_ports, activation, k, n_lanes
     ):
-        # K = in_ports*k*k covers 1, 9, 25, 36, 121 and their multiples.
-        # Two images of 18 / 72 / 162 coordinates: as beats, 36 lanes sit
-        # below the budget, 144 equal it, 324 = 144+144+36; as views, both
-        # images in one block, twice, and 162 = 9 rows of 18 > budget, so
-        # each image goes in row blocks of 8 + 1.
-        set_row(monkeypatch, ROW, in_ports * k * k)
+        # K = in_ports*k*k covers 1, 9, 25, 36, 121 and their multiples:
+        # whole 8-leaf blocks only, a partial block only, and both. Two
+        # images of 18 / 72 / 162 coordinates: tiles straddle the images,
+        # and 36 = 16 + 16 + 4, 324 = 20 * 16 + 4 end on a partial tile.
         actor, views, beats = make_case(in_ports, out_ports, k, n_lanes, activation)
         assert_both_forms_bit_equal(actor, views, beats)
 
-    @pytest.mark.parametrize("block_bytes", [1, 64, 1 << 12, 1 << 19, 1 << 24])
-    def test_blocking_is_bit_neutral(self, monkeypatch, block_bytes):
-        actor, views, beats = make_case(2, 2, 3, 330, "tanh", seed=3)
-        want = k_conv(actor, beats)
-        monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", block_bytes)
-        assert_both_forms_bit_equal(actor, views, beats, want)
-
-    def test_ragged_last_image_block(self, monkeypatch):
-        # 5 images of 4x5 coordinates, budget 48 lanes: blocks of 2, 2, 1.
-        set_row(monkeypatch, 50, 2 * 9)
+    def test_ragged_last_image_block(self):
+        # 5 images of 4x5 coordinates: 100 lanes, tiles across images, a
+        # last tile of 4.
         actor, views, beats = make_case(2, 2, 3, 100, "relu", seed=5, images=5)
         assert_both_forms_bit_equal(actor, views, beats)
 
-    def test_row_blocks_when_one_image_exceeds_the_budget(self, monkeypatch):
-        # 3 images of 7x11 = 77 coordinates, budget 32 lanes: each image in
-        # row blocks of 2, 2, 2, 1 rows (22 and 11 lanes), never across images.
-        set_row(monkeypatch, 40, 2 * 9)
+    def test_row_blocks_when_one_image_exceeds_the_budget(self):
+        # 3 images of 7x11 = 77 coordinates: rows of 11, so every tile
+        # holds the end of one row and the start of the next.
         actor, views, beats = make_case(2, 1, 3, 231, "tanh", seed=6, images=3)
         assert views["in0"].shape[:3] == (3, 7, 11)
         assert_both_forms_bit_equal(actor, views, beats)
 
     @pytest.mark.parametrize("n_coords", [1, 6, 15, 16])
-    def test_blocks_of_at_most_sixteen_lanes(self, monkeypatch, n_coords):
-        # The budget never drops under 16 lanes; images of <= 16
-        # coordinates then go one whole image per block.
-        set_row(monkeypatch, 1, 9)
+    def test_blocks_of_at_most_sixteen_lanes(self, n_coords):
+        # Images of <= 16 coordinates: one tile holds several whole images
+        # (1, 6, 15) or exactly one (16).
         actor, views, beats = make_case(
             1, 3, 3, 3 * n_coords, None, seed=n_coords, images=3
         )
         assert_both_forms_bit_equal(actor, views, beats)
 
-    def test_row_wider_than_the_budget_is_one_block(self, monkeypatch):
-        # 1x40 coordinates against a 16-lane budget: a block is at least
-        # one whole output row.
-        set_row(monkeypatch, 1, 9)
+    def test_row_wider_than_the_budget_is_one_block(self):
+        # 1x40 coordinates per image: tiles of 16, 16, then 8 + 8 across
+        # the two images.
         actor, views, beats = make_case(1, 1, 3, 80, "relu", seed=8)
         views = {"in0": views["in0"].reshape(2, 1, 40, 2, 3, 3)}
         assert_both_forms_bit_equal(actor, views, beats)
@@ -296,7 +302,7 @@ class TestConvKernelBlocking:
             k_conv(actor, views)
 
     def test_ports_must_share_one_geometry(self):
-        # Same beat count, different (images, rows, cols): one block slice
+        # Same beat count, different (images, rows, cols): one lane index
         # could not address both ports.
         actor, views, beats = make_case(2, 1, 3, 40, None)
         views["in1"] = beats["in1"]
@@ -304,140 +310,146 @@ class TestConvKernelBlocking:
             k_conv(actor, views)
 
 
-def spy_on_slabs(monkeypatch):
-    """Record the shape of every product slab ``k_conv`` reduces."""
-    shapes = []
-    tree = kernels._tree_reduce_inplace
-
-    def spy(slab):
-        shapes.append(slab.shape)
-        return tree(slab)
-
-    monkeypatch.setattr(kernels, "_tree_reduce_inplace", spy)
-    return shapes
-
-
 class TestConvKernelLaneCounts:
-    """Both sides of numpy's buffered-iterator threshold (an inner row of
-    4096 elements under the default buffer) and the output-blocked slab of
-    a short tail block, at the real block size, pinned by value."""
+    """Lane counts around a whole number of tiles, and the tails of TC2's
+    two conv layers at batch 10 and 64, at their real shapes."""
 
     @pytest.mark.parametrize("n_lanes", [4095, 4096, 4097])
-    def test_lane_rows_around_the_buffer_threshold(self, monkeypatch, n_lanes):
-        # One image of 63x65 / 64x64 / 17x241 coordinates, K = 25: one
-        # block of one output map, as a view and as a beat stack.
-        shapes = spy_on_slabs(monkeypatch)
+    def test_lane_rows_around_the_buffer_threshold(self, n_lanes):
+        # One image of 63x65 / 64x64 / 17x241 coordinates, K = 25: a last
+        # tile of 15 lanes, none, and 1. (The ids keep the name of the
+        # numpy buffer size these counts used to straddle.)
         actor, views, beats = make_case(1, 2, 5, n_lanes, "relu", seed=n_lanes)
         assert_both_forms_bit_equal(actor, views, beats)
-        assert set(shapes) == {(25, 1, n_lanes)}
 
     @pytest.mark.parametrize(
-        "images,n_coords,view_slabs,beat_slabs",
-        [
-            # TC2 conv2, 64 images of 10x10: 52 + 12 images, the tail's
-            # six output maps in blocks of 4 + 2.
-            (64, 100, {(25, 1, 5200), (25, 4, 1200), (25, 2, 1200)},
-             {(25, 1, 5232), (25, 4, 1168), (25, 2, 1168)}),
-            # TC2 conv1's last ten images of 28x28: 6 + 4.
-            (10, 784, {(25, 1, 4704), (25, 1, 3136)},
-             {(25, 1, 5232), (25, 2, 2608)}),
-        ],
+        "images,n_coords",
+        [(64, 100), (10, 784)],  # TC2 conv2 at batch 64, conv1 at 10
         ids=["conv2-tail", "conv1-tail"],
     )
-    def test_short_tail_block(
-        self, monkeypatch, images, n_coords, view_slabs, beat_slabs
-    ):
-        # A view is cut at whole images, a stack at the 5232-lane budget
-        # wherever that falls; either way the tail is under 4096 lanes.
+    def test_short_tail_block(self, images, n_coords):
         actor, views, beats = make_case(
             1, 1, 5, images * n_coords, "tanh", seed=images, images=images
         )
         want = actor_formulation(actor, beats)
-        shapes = spy_on_slabs(monkeypatch)
-        for ins, slabs in ((views, view_slabs), (beats, beat_slabs)):
-            shapes.clear()
+        for ins in (views, beats):
             got = k_conv(actor, ins)
-            assert set(shapes) == slabs
             assert np.array_equal(bits(got["out0"]), bits(want["out0"]))
 
 
-class TestUfuncBufferScope:
-    """``k_conv`` shrinks numpy's ufunc buffer around its block loop and
-    nowhere else; the caller's setting is back whatever happens."""
+class TestConvSpecialValues:
+    """Signed zeros, subnormals, infinities and both NaN payloads in the
+    windows, the weights and the bias. ``inf * 0`` and ``inf - inf`` make
+    the default NaN, which then meets ``np.nan`` in the tree: which of the
+    two an add keeps depends on its operand order, and the kernel must
+    keep the first operand's, as the actor's numpy does."""
 
-    @pytest.fixture
-    def caller_bufsize(self):
-        # Not numpy's default, so "restored" cannot be "reset".
-        old = np.setbufsize(2048)
-        yield 2048
-        np.setbufsize(old)
+    @pytest.mark.parametrize("share", [0.02, 0.3])
+    @pytest.mark.parametrize(
+        "where", ["pixels", "weights", "bias", "all"]
+    )
+    @pytest.mark.parametrize("in_ports,k", [(2, 3), (1, 5)])
+    def test_bit_equal_to_actor_formulation(self, in_ports, k, where, share):
+        special = (
+            {"pixels": share, "weights": share, "bias": share}
+            if where == "all" else {where: share}
+        )
+        actor, views, beats = make_case(
+            in_ports, 2, k, 72, None, seed=sum(map(ord, where)) + int(share * 100),
+            special=special,
+        )
+        with np.errstate(invalid="ignore"):
+            want = assert_both_forms_bit_equal(actor, views, beats)
+        out = np.concatenate(list(want.values()))
+        if where == "all" and share > 0.1:
+            # Both payloads reach the output: the test exercises both.
+            nans = out[np.isnan(out)]
+            assert set(np.signbit(nans)) == {False, True}
 
-    def test_small_buffer_spans_the_block_loop_only(
-        self, monkeypatch, caller_bufsize
-    ):
-        actor, views, beats = make_case(2, 2, 3, 40, "relu")
-        seen = {}
-        tree, act = kernels._tree_reduce_inplace, actor._act
+    @pytest.mark.parametrize(
+        "in_ports,k",
+        [(1, 1), (8, 1), (1, 2), (2, 4), (5, 1), (3, 3), (6, 2), (1, 3),
+         (2, 3), (1, 5), (1, 11)],
+    )
+    def test_negative_zero_products_are_carried_once(self, in_ports, k):
+        # Every product -0.0: a tree of K = 1, 8, 4, 32 (powers of two)
+        # adds no pad and stays -0.0; any other K carries a node, inside
+        # the last partial block of 8 (5, 27), among the block sums (24),
+        # or on the partial block's way up to the block level (9, 18, 25,
+        # 121), and comes out +0.0. The bias is -0.0 too, so the output
+        # shows which.
+        actor, views, beats = make_case(in_ports, 1, k, 40, None)
+        actor = ConvCoreActor(
+            "core", np.full_like(actor.weight, -0.0), np.full_like(actor.bias, -0.0),
+            in_ports, 1, n_coords=actor.n_coords, images=actor.images,
+        )
+        views = {p: np.abs(v) for p, v in views.items()}
+        beats = {p: np.abs(b) for p, b in beats.items()}
+        want = assert_both_forms_bit_equal(actor, views, beats)
+        n = in_ports * k * k
+        assert set(bits(want["out0"])) == {0x80000000 if n & (n - 1) == 0 else 0}
 
-        def tree_spy(slab):
-            seen["tree"] = np.getbufsize()
-            return tree(slab)
+    def test_subnormals_are_not_flushed(self):
+        # A build with -ffast-math would set FTZ/DAZ for the process.
+        actor, views, beats = make_case(1, 1, 3, 32, None, seed=1)
+        tiny = {p: np.full_like(b, 1e-39) for p, b in beats.items()}
+        got = k_conv(actor, tiny)["out0"]
+        assert np.array_equal(bits(got), bits(actor_formulation(actor, tiny)["out0"]))
+        assert DTYPE(1e-39) * DTYPE(0.5) != 0
 
-        def act_spy(x):
-            seen["act"] = np.getbufsize()
-            return act(x)
 
-        monkeypatch.setattr(kernels, "_tree_reduce_inplace", tree_spy)
-        monkeypatch.setattr(actor, "_act", act_spy)
-        for ins in (views, beats):
-            seen.clear()
-            k_conv(actor, ins)
-            assert seen == {"tree": 16, "act": caller_bufsize}
-            assert np.getbufsize() == caller_bufsize
+class TestConvShapes:
+    """The largest trees and layers of the zoo's networks."""
 
-    @pytest.mark.parametrize("where", ["length", "geometry", "block loop"])
-    def test_restored_when_the_kernel_raises(
-        self, monkeypatch, caller_bufsize, where
-    ):
-        actor, views, beats = make_case(2, 1, 3, 40, None)
-        if where == "length":
-            views["in1"] = views["in1"][:, :-1]
-        elif where == "geometry":
-            views["in1"] = beats["in1"]
-        else:
-            def jam(slab):
-                assert np.getbufsize() == 16
-                raise CompilationError("mid-run")
+    def test_k_121(self):
+        # AlexNet conv1: 11x11 windows, one port.
+        actor, views, beats = make_case(1, 1, 11, 24, "relu", groups=3)
+        assert actor._w_all.shape[2] == 121
+        assert_both_forms_bit_equal(actor, views, beats)
 
-            monkeypatch.setattr(kernels, "_tree_reduce_inplace", jam)
-        with pytest.raises(CompilationError):
-            k_conv(actor, views)
-        assert np.getbufsize() == caller_bufsize
+    @pytest.mark.parametrize("in_ports", [8, 64, 512])
+    def test_multi_port_k_up_to_vgg_largest(self, in_ports):
+        # VGG-16's widest layers take 512 maps: on 512 ports a 3x3 tree
+        # has K = 4608 leaves.
+        actor, views, beats = make_case(
+            in_ports, 1, 3, 20, None, seed=in_ports, groups=1
+        )
+        assert actor._w_all.shape[2] == in_ports * 9
+        assert_both_forms_bit_equal(actor, views, beats)
 
-    def test_second_thread_keeps_its_own_and_leaves_ours(self, caller_bufsize):
-        # Serve's replicas run kernels off the main thread; numpy keeps
-        # the buffer size per thread.
-        actor, views, beats = make_case(2, 2, 3, 40, "relu")
-        want = k_conv(actor, views)
-        seen = {}
+    def test_out_fm_512(self):
+        actor, views, beats = make_case(1, 2, 3, 40, "tanh", out_fm=512)
+        assert_both_forms_bit_equal(actor, views, beats)
 
-        def replica():
-            np.setbufsize(1024)
-            seen["out"] = k_conv(actor, beats)
-            seen["after"] = np.getbufsize()
 
-        thread = threading.Thread(target=replica)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert seen["after"] == 1024
-        assert np.getbufsize() == caller_bufsize
-        for port, arr in want.items():
-            assert np.array_equal(bits(seen["out"][port]), bits(arr))
+def test_two_threads_at_once():
+    # The C kernel runs without the GIL, from any number of threads.
+    cases = [make_case(2, 2, 5, 2048, "relu", seed=s) for s in (1, 2)]
+    want = [k_conv(actor, views) for actor, views, _ in cases]
+    got = [None, None]
+    start = threading.Barrier(2)
 
-    def test_other_kernels_never_touch_the_buffer(self, monkeypatch):
+    def run(i):
+        actor, views, _ = cases[i]
+        start.wait()
+        got[i] = [k_conv(actor, views) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for i in (0, 1):
+        for outs in got[i]:
+            for port, arr in want[i].items():
+                assert np.array_equal(bits(outs[port]), bits(arr))
+
+
+class TestNumpyState:
+    def test_kernels_never_touch_the_buffer(self, monkeypatch):
         def refuse(size):
-            raise AssertionError(f"np.setbufsize({size}) outside k_conv")
+            raise AssertionError(f"np.setbufsize({size}) in a kernel")
 
         monkeypatch.setattr(np, "setbufsize", refuse)
         rng = np.random.default_rng(0)
@@ -447,7 +459,8 @@ class TestUfuncBufferScope:
             acc_lanes=4, images=3, activation="tanh",
         )
         k_fc(fc, {"in": rng.standard_normal(3 * 29).astype(DTYPE)})
-        _, views, beats = make_case(1, 1, 3, 40, None)
+        actor, views, beats = make_case(1, 1, 3, 40, None)
+        k_conv(actor, views)
         for mode in ("max", "mean"):
             pool = PoolCoreActor("pool", mode, count=len(beats["in0"]))
             k_pool(pool, {"in": views["in0"]})

@@ -60,7 +60,7 @@ def set_room(monkeypatch, actor, elems):
     """Budget for ``elems`` (image, output) pairs per term block."""
     steps = -(-actor.in_fm // actor.acc_lanes)
     monkeypatch.setattr(
-        kernels, "_CONV_BLOCK_BYTES", elems * steps * actor.acc_lanes * 4
+        kernels, "_FC_BLOCK_BYTES", elems * steps * actor.acc_lanes * 4
     )
 
 
@@ -127,7 +127,7 @@ class TestFCKernel:
 
     def test_budget_below_one_term_column_still_runs(self, monkeypatch):
         actor, x = make_case(29, 12, 2)
-        monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_FC_BLOCK_BYTES", 1)
         got = k_fc(actor, {"in": x.reshape(-1)})["out"]
         assert np.array_equal(bits(got), bits(actor_formulation(actor, x)))
 
