@@ -4,7 +4,7 @@ The second user engine, next to the interpreted ``"event"`` engine and
 its ``"lockstep"`` test oracle (:mod:`repro.dataflow.scheduler`):
 instead of interpreting actor processes cycle by cycle, it compiles a
 *verified* design graph down to a handful of fused kernels (numpy, and
-a small C product tree for the conv cores) and executes whole streams at
+small C passes for the conv and FC cores) and executes whole streams at
 once.
 
 Two passes keep the fallback contract clean:
@@ -16,7 +16,7 @@ Two passes keep the fallback contract clean:
   :func:`~repro.analysis.steady_state.extract_schedule`, which solves
   rates, closed-form fires, and the analytic timing frame. Everything
   that can refuse, refuses here — a host that cannot build or load the
-  conv kernel's C object (:mod:`repro.compiled.native`) included — before
+  cores' C object (:mod:`repro.compiled.native`) included — before
   any actor or channel state is touched, so the simulator can
   transparently fall back to the event engine on
   :class:`~repro.errors.CompilationError`.
@@ -53,6 +53,7 @@ from repro.compiled.plan_cache import (
     plan_key,
 )
 from repro.core.compute_core import ConvCoreActor
+from repro.core.fc_core import FCCoreActor
 from repro.dataflow.actors import ArraySource, ListSink
 from repro.errors import CompilationError, ConfigurationError, SimulationError
 from repro.profiling.synthesis import (
@@ -127,8 +128,8 @@ class CompiledEngine:
                 f"{first.name!r}; the compiled engine's fill-latency model "
                 f"is not exact for a leading pool stage"
             )
-        if any(type(a) is ConvCoreActor for a in sim.actors):
-            native.conv_tree()  # built once per cache, loaded once per process
+        if any(type(a) in (ConvCoreActor, FCCoreActor) for a in sim.actors):
+            native.cores()  # built once per cache, loaded once per process
         cache = GLOBAL_PLAN_CACHE
         digest = design_digest(design)
         verdict = cache.get_verdict(digest)

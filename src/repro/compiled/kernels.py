@@ -21,7 +21,8 @@ reproducing the per-beat association order exactly:
 * the conv kernel runs the same product tree
   (``tree_reduce(w_all * wins)``) and the same sequential per-group
   accumulation chain the actor runs per coordinate, in C
-  (``conv_tree.c``, built and loaded by :mod:`repro.compiled.native`):
+  (``conv_tree`` in ``cores.c``, built and loaded by
+  :mod:`repro.compiled.native`):
   for a tile of 16 coordinates ("lanes") it gathers the ``(G, K)``
   windows from the port views once, lanes minor, and then runs every
   output map's ``K = P*kh*kw`` products, tree and bias-first group chain
@@ -35,13 +36,13 @@ reproducing the per-beat association order exactly:
   accumulates in an order of its own choosing (blocked, FMA-fused),
   which is not the hardware tree's;
 * the FC kernel keeps the interleaved-accumulator order (input ``i``
-  feeds lane ``i % acc_lanes``; each lane adds its terms one after the
-  other from zero, rounding to float32 at every step; the lanes meet in
-  one tree) but lays the terms out ``(steps, lanes, images, outputs)``,
-  so a chain step of every lane is one row of an outer-axis
-  ``np.add.reduce`` (a one-element row is summed by hand: numpy would
-  reduce it pairwise) and the lanes meet in :func:`_tree_reduce_inplace`,
-  the conv kernel's unpadded tree over whole rows;
+  feeds lane ``i % acc_lanes``; each lane adds its terms ``w[o, i] *
+  x[i]`` one after the other from zero, rounding to float32 at every
+  step; the lanes meet in one tree, then the bias), in the same C object
+  (``fc_chains``): per image and group of 4 output rows it reads each
+  weight row and the image in place, runs the lane chains side by side
+  in 16-lane vectors, and meets them in the conv kernel's unpadded,
+  carry-once tree. Its NaN rule is the conv kernel's;
 * max pooling is a chain of ``np.maximum`` over the window elements in
   raster order, each a strided slice of the view — comparisons are
   exact, so only a maximum that is a zero (a ``-0.0``/``+0.0`` tie) or
@@ -78,12 +79,6 @@ from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.errors import CompilationError
 from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
-
-#: Target size of one FC term block (bytes): the term array is blocked
-#: over outputs, then images, so one block and its partial sums stay
-#: cache-resident. Blocking is bit-neutral (every chain is elementwise per
-#: image and output); it only sets how much one vectorized pass carries.
-_FC_BLOCK_BYTES = 1 << 19
 
 Streams = Dict[str, np.ndarray]
 
@@ -251,35 +246,6 @@ def k_block_merge(actor: BlockMergeActor, ins: Streams) -> Streams:
 # -- computation cores ---------------------------------------------------
 
 
-def _tree_reduce_inplace(slab: np.ndarray) -> np.ndarray:
-    """:func:`~repro.hls.tree_adder.tree_reduce` over the *leading* axis.
-
-    Same association tree (``t_i = a_{2i} + a_{2i+1}`` level by level),
-    without the pad to a power of two and without a second buffer: level
-    ``l`` adds rows ``step*(2i+1)`` into rows ``step*2i``, ``step = 2**l``,
-    so ``slab`` is destroyed and the result is ``slab[0]``. Every level
-    writes rows it has just read — an out-of-place level pays a
-    write-allocate for each destination line on top. An odd level's last
-    row is carried as ``row + 0.0`` — precisely what pairing it with a
-    pad zero computes, ``-0.0 -> +0.0`` included — and only the first
-    time: every later odd last row is that value or a sum holding it,
-    neither of which can be ``-0.0``, so the zeros ``tree_reduce`` adds
-    there change no bit; all-pad pairs never reach the result.
-    """
-    n, step, carried = slab.shape[0], 1, False
-    while n > 1:
-        half = n >> 1
-        even = slab[0 : 2 * half * step : 2 * step]
-        np.add(even, slab[step : 2 * half * step : 2 * step], out=even)
-        if n & 1 and not carried:
-            last = slab[(n - 1) * step]
-            np.add(last, DTYPE(0.0), out=last)
-            carried = True
-        n -= half
-        step *= 2
-    return slab[0]
-
-
 def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     n_lanes = actor.images * actor.n_coords
     groups = actor.in_groups
@@ -298,7 +264,8 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
                 f"{actor.name!r}: in{p} window geometry {arr.shape} is not "
                 f"{win_shape} windows over {ports[0].shape[:3]}"
             )
-    conv_tree, lanes = native.conv_tree()
+    cores = native.cores()
+    lanes = cores.lanes
     w_all = np.ascontiguousarray(actor._w_all, dtype=DTYPE)  # (G, OUT_FM, K)
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
     kk_all = w_all.shape[2]  # K = P*kh*kw, the tree width
@@ -310,7 +277,7 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
 
     def run(nan_rule: bool) -> None:
-        conv_tree(
+        cores.conv_tree(
             bases.ctypes.data, strides.ctypes.data, actor.in_ports,
             *ports[0].shape[:3], groups, actor.kh, actor.kw, actor.out_fm,
             w_all.ctypes.data, bias.ctypes.data, nan_rule,
@@ -369,57 +336,27 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
 
 def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     batch, in_fm, out_fm = actor.images, actor.in_fm, actor.out_fm
-    lanes = actor.acc_lanes
-    arr = np.asarray(ins["in"], dtype=DTYPE)
-    _expect(actor.name, "in", len(arr), batch * in_fm)
-    # The actor feeds input i into accumulator lane i % lanes, so lane l
-    # runs the *sequential* float32 chain ((0 + t_l) + t_{l+L}) + ... over
-    # its terms t_i = w[:, i] * x_i, and the lanes meet in one tree per
-    # image. Laid out (steps, lanes, b, o), chain step j of every lane,
-    # image and output is one row of an outer-axis add.reduce, which numpy
-    # runs in exactly that order. The ragged last step is padded with
-    # 0 * 0 = +0.0 terms: a chain that took `0 + t` is never -0.0, so
-    # adding +0.0 changes no bit, and a lane with no input stays +0.0.
-    steps = -(-in_fm // lanes)
-    x_t = np.zeros((steps * lanes, batch), dtype=DTYPE)
-    x_t[:in_fm] = arr.reshape(batch, in_fm).T
-    x_t = x_t.reshape(steps, lanes, batch, 1)
-    # out_fm takes the block budget first, batch what is left; the weight
-    # block is re-laid once per output block, while it is cache-hot,
-    # never the whole matrix at once.
-    room = max(1, _FC_BLOCK_BYTES // (steps * lanes * DTYPE(0).nbytes))
-    o_block = min(out_fm, room)
-    b_block = min(batch, max(1, room // o_block))
-    w_buf = np.empty(steps * lanes * o_block, dtype=DTYPE)
-    terms_buf = np.empty(steps * lanes * b_block * o_block, dtype=DTYPE)
-    partial_buf = np.empty(lanes * b_block * o_block, dtype=DTYPE)
+    x = np.ascontiguousarray(ins["in"], dtype=DTYPE)
+    _expect(actor.name, "in", len(x), batch * in_fm)
+    cores = native.cores()
+    # Row-major, so every weight row is read in place (a no-op for the
+    # C-ordered matrices the builder hands over).
+    weight = np.ascontiguousarray(actor.weight, dtype=DTYPE)
+    bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
+    scratch = np.empty((batch * actor.acc_lanes + 1) * cores.lanes, DTYPE)
     out = np.empty((batch, out_fm), dtype=DTYPE)
-    for o0 in range(0, out_fm, o_block):
-        o = min(o_block, out_fm - o0)
-        w_blk = w_buf[: steps * lanes * o].reshape(steps * lanes, o)
-        w_blk[:in_fm] = actor.weight[o0 : o0 + o].T
-        w_blk[in_fm:] = 0
-        w_blk = w_blk.reshape(steps, lanes, 1, o)
-        for b0 in range(0, batch, b_block):
-            b = min(b_block, batch - b0)
-            terms = terms_buf[: steps * lanes * b * o].reshape(steps, lanes, b, o)
-            partial = partial_buf[: lanes * b * o].reshape(lanes, b, o)
-            np.multiply(w_blk, x_t[:, :, b0 : b0 + b], out=terms)
-            if partial.size > 1:
-                np.add.reduce(terms, axis=0, initial=DTYPE(0), out=partial)
-            else:
-                # One lane, image and output: numpy would make the chain
-                # its inner loop and sum it pairwise. Add it in sequence,
-                # as an accumulate from zero (a Python sum of scalars
-                # would keep the second of two NaN payloads that meet).
-                partial[...] = np.add.accumulate(
-                    np.append(DTYPE(0), terms.ravel())
-                )[-1]
-            np.add(
-                _tree_reduce_inplace(partial),
-                actor.bias[o0 : o0 + o],
-                out=out[b0 : b0 + b, o0 : o0 + o],
-            )
+
+    def run(nan_rule: bool) -> None:
+        cores.fc_chains(
+            weight.ctypes.data, x.ctypes.data, batch, in_fm, out_fm,
+            actor.acc_lanes, bias.ctypes.data, nan_rule,
+            out.ctypes.data, scratch.ctypes.data,
+        )
+
+    run(False)
+    # Only where an output is NaN can two NaN payloads have met (k_conv).
+    if np.isnan(out).any():
+        run(True)
     return {"out": actor._act(out).reshape(-1)}
 
 

@@ -1,20 +1,23 @@
-"""Build, cache and load the conv kernel's C body (``conv_tree.c``).
+"""Build, cache and load the compiled cores' C body (``cores.c``).
 
-The object is built on first use by the system C compiler ``cc`` and
-cached in this package's ``__pycache__`` (a private temporary directory
-when that is read-only) as ``conv_tree.<source key>.<object digest>.so``:
-the source key hashes the source text and the flags, so an edited
-kernel is never served a stale object, and the object digest hashes the
-object's own bytes, so a truncated or damaged file is deleted and
-rebuilt instead of loaded. A new object is written under a temporary
-name and renamed into place, so concurrent builders never expose a
-partial file. It is loaded with :mod:`ctypes`, whose calls release the
-GIL.
+One object holds both kernels that do float arithmetic in C: the conv
+core's product tree (``conv_tree``, for ``k_conv``) and the FC core's
+interleaved lane chains (``fc_chains``, for ``k_fc``). It is built on
+first use by the system C compiler ``cc`` and cached in this package's
+``__pycache__`` (a private temporary directory when that is read-only)
+as ``cores.<source key>.<object digest>.so``: the source key hashes the
+source text and the flags, so an edited kernel is never served a stale
+object, and the object digest hashes the object's own bytes, so a
+truncated or damaged file is deleted and rebuilt instead of loaded. A
+new object is written under a temporary name and renamed into place, so
+concurrent builders never expose a partial file. It is loaded with
+:mod:`ctypes`, whose calls release the GIL.
 
-Anything that stops the kernel from loading — no compiler, a failed
+Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
 :class:`~repro.errors.CompilationError`; the compiled engine raises it
-while lowering, so such a host runs the event engine instead.
+while lowering any design with a conv or FC core, so such a host runs
+the event engine instead.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 
 from repro.errors import CompilationError
 
-SOURCE = Path(__file__).with_name("conv_tree.c")
+SOURCE = Path(__file__).with_name("cores.c")
 COMPILER = "cc"
 #: ``-ffp-contract=off``: no multiply-add may be fused into one rounding.
 #: Never ``-ffast-math``/``-Ofast``: besides re-associating the tree, they
@@ -35,12 +38,13 @@ COMPILER = "cc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _lock = threading.Lock()
-#: ``(function, lanes)`` once loaded, or the message of the refusal.
+#: The loaded kernels (see :func:`_open`), or the message of the refusal.
 _loaded = None
 
 
-def conv_tree():
-    """The ``conv_tree`` C function and its tile width in lanes.
+def cores():
+    """The C kernels: ``.conv_tree``, ``.fc_chains`` and ``.lanes``, the
+    width of their float vectors.
 
     Builds (once per cache) and loads (once per process) on first use;
     a refusal is remembered and raised again as a fresh
@@ -73,7 +77,7 @@ def _cache_dir() -> Path:
     import shutil
     import tempfile
 
-    private = Path(tempfile.mkdtemp(prefix="repro-conv-tree-"))
+    private = Path(tempfile.mkdtemp(prefix="repro-cores-"))
     atexit.register(shutil.rmtree, private, True)
     return private
 
@@ -111,7 +115,7 @@ def _load(cache: Path):
         repr((FLAGS, COMPILER, platform.machine())).encode()
         + SOURCE.read_bytes()
     )
-    for path in sorted(cache.glob(f"conv_tree.{key}.*.so")):
+    for path in sorted(cache.glob(f"cores.{key}.*.so")):
         if path.name.split(".")[2] == _digest(path.read_bytes()):
             return _open(path)
         path.unlink(missing_ok=True)
@@ -119,12 +123,12 @@ def _load(cache: Path):
     if compiler is None:
         raise CompilationError(
             f"no C compiler: {COMPILER!r} is not on PATH, and the compiled "
-            f"engine builds its conv kernel ({SOURCE.name}) with it"
+            f"engine builds its conv and FC kernels ({SOURCE.name}) with it"
         )
-    tmp = cache / f".conv_tree.{key}.{os.getpid()}.{threading.get_ident()}.so"
+    tmp = cache / f".cores.{key}.{os.getpid()}.{threading.get_ident()}.so"
     try:
         _compile(compiler, tmp)
-        path = cache / f"conv_tree.{key}.{_digest(tmp.read_bytes())}.so"
+        path = cache / f"cores.{key}.{_digest(tmp.read_bytes())}.so"
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -133,14 +137,16 @@ def _load(cache: Path):
 
 def _open(path: Path):
     import ctypes
+    from types import SimpleNamespace
 
     try:
         lib = ctypes.CDLL(str(path))
-        fn = lib.conv_tree
-        lanes = ctypes.c_int.in_dll(lib, "conv_tree_lanes").value
+        conv, fc = lib.conv_tree, lib.fc_chains
+        lanes = ctypes.c_int.in_dll(lib, "cores_lanes").value
     except (OSError, AttributeError, ValueError) as exc:
         raise CompilationError(f"cannot load {path.name}: {exc}") from None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.restype = None
-    fn.argtypes = [ptr, ptr] + [i64] * 8 + [ptr, ptr, ctypes.c_int, ptr, ptr]
-    return fn, lanes
+    conv.restype = fc.restype = None
+    conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr, ptr, ctypes.c_int, ptr, ptr]
+    fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr, ctypes.c_int, ptr, ptr]
+    return SimpleNamespace(conv_tree=conv, fc_chains=fc, lanes=lanes)

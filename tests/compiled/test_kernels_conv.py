@@ -1,12 +1,13 @@
 """The compiled conv kernel against the actor's own arithmetic, bit for bit.
 
-``k_conv`` runs the product tree in C (``repro/compiled/conv_tree.c``):
-16-lane tiles gathered straight from the window views, every output map's
-products, the unpadded tree and the bias-first group chain in one pass. It
-may reorder memory but not a single float32 operation. These tests pin
-that down below the engine level: the tree helper ``k_fc`` still uses
-against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
-and the kernel against the per-coordinate formulation of
+``k_conv`` runs the product tree in C (``conv_tree`` in
+``repro/compiled/cores.c``): 16-lane tiles gathered straight from the
+window views, every output map's products, the unpadded tree and the
+bias-first group chain in one pass. It may reorder memory but not a
+single float32 operation. These tests pin that down below the engine
+level: the unpadded tree, as ``k_fc``'s lane tree, against
+:func:`repro.hls.tree_adder.tree_reduce` on adversarial values, and the
+conv kernel against the per-coordinate formulation of
 ``ConvCoreActor._compute`` over a port/kernel/tiling grid, special values
 and the largest zoo shapes — every case fed both the zero-copy
 ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of the
@@ -18,15 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.compiled import kernels
-from repro.compiled.kernels import (
-    _beats,
-    _tree_reduce_inplace,
-    k_conv,
-    k_fc,
-    k_pool,
-    k_window,
-)
+from repro.compiled.kernels import _beats, k_conv, k_fc, k_pool, k_window
 from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
@@ -77,60 +70,58 @@ def special_rows(n, cols=24):
     return arr
 
 
+def lane_tree(arr):
+    """``k_fc``'s lane tree over the rows of ``arr``, one column an output.
+
+    With ``in_fm = acc_lanes`` and every input 1, each lane holds one
+    term, so lane ``l``'s partial sum is ``0 + w[o, l]``; a ``-0.0`` bias
+    then leaves the tree's bits as they are (``t + -0.0`` is ``t``).
+    """
+    n, cols = arr.shape
+    actor = FCCoreActor(
+        "fc", arr.T.copy(), np.full(cols, -0.0, dtype=DTYPE), acc_lanes=n
+    )
+    return k_fc(actor, {"in": np.ones(n, dtype=DTYPE)})["out"]
+
+
 class TestTreeReducePingpong:
-    """``_tree_reduce_inplace``, ``k_fc``'s lane tree. (The class keeps the
-    name its test ids were recorded under; the ping-pong tree it first
-    covered is gone.)"""
+    """The unpadded, carry-once tree both C kernels share, mostly as
+    ``k_fc``'s lane tree. (The class keeps the name its test ids were
+    recorded under; the ping-pong tree it first covered, and the numpy
+    tree after it, are gone.)"""
 
     @pytest.mark.parametrize("n", range(1, 131))
     def test_bit_equal_to_tree_reduce(self, n):
         arr = special_rows(n)
-        want = tree_reduce(arr.T)
-        slab = arr.copy()
-        got = _tree_reduce_inplace(slab)
+        got = lane_tree(arr)
         assert got.dtype == DTYPE
-        assert np.array_equal(bits(got), bits(want))
-        # In place: the result is the slab's first row.
-        assert got.base is slab and np.shares_memory(got, slab[0])
+        assert np.array_equal(bits(got), bits(tree_reduce(DTYPE(0) + arr.T)))
 
     def test_negative_zero_is_canonicalized_only_by_a_carry(self):
-        neg = np.full((3, 1), -0.0, dtype=DTYPE)
-        # n = 3: (-0 + -0) + (-0 + 0.0) = -0 + 0 = +0
-        assert bits(_tree_reduce_inplace(neg.copy()))[0] == 0
-        # n = 2: no carry, -0 + -0 stays -0; n = 1: returned untouched
-        assert bits(_tree_reduce_inplace(neg[:2].copy()))[0] == 0x80000000
-        assert bits(_tree_reduce_inplace(neg[:1].copy()))[0] == 0x80000000
-
-    def test_no_second_buffer_is_taken(self, monkeypatch):
-        # Every level's destination is a slice of the slab itself.
-        slab = special_rows(25)
-        outs = []
-        real_add = np.add
-
-        def spy(a, b, out):
-            outs.append(out)
-            return real_add(a, b, out=out)
-
-        monkeypatch.setattr(kernels.np, "add", spy)
-        _tree_reduce_inplace(slab)
-        monkeypatch.undo()
-        assert len(outs) == 6  # five levels and one carry
-        assert all(np.shares_memory(out, slab) for out in outs)
+        # A lane partial is never -0.0, so this is the conv tree: K = 3
+        # -0.0 products give (-0 + -0) + (-0 + 0.0) = +0; K = 2 adds no
+        # carry, -0 + -0 = -0; K = 1 is the product itself. The -0.0 bias
+        # shows the tree's sign.
+        for in_ports, want in ((3, 0), (2, 0x80000000), (1, 0x80000000)):
+            actor, views, _ = make_case(in_ports, 1, 1, 16, None)
+            actor = ConvCoreActor(
+                "core", np.full_like(actor.weight, -0.0),
+                np.full_like(actor.bias, -0.0), in_ports, 1,
+                n_coords=actor.n_coords, images=actor.images,
+            )
+            views = {p: np.abs(v) for p, v in views.items()}
+            assert set(bits(k_conv(actor, views)["out0"])) == {want}
 
     @pytest.mark.parametrize("last", [-0.0, 0.0, -1e-45, np.nan, 1.5])
     def test_row_carried_once_survives_three_more_odd_levels(self, last):
-        # K = 25: 25 -> 13 -> 7 -> 4. Row 24 is the odd last row of the
+        # 25 lanes: 25 -> 13 -> 7 -> 4. Lane 24 is the odd last node of the
         # first three levels; it is carried (+ 0.0) at the first only, and
         # the padded tree's two further + 0.0 change no bit of it.
         arr = special_rows(25)
         arr[24] = last
         arr[24, 0] = -0.0
-        slab = arr.copy()
-        got = _tree_reduce_inplace(slab)
-        assert np.array_equal(bits(got), bits(tree_reduce(arr.T)))
-        # Row 24 is only read after its carry (into row 16, at the 4-wide
-        # level): it still holds the value carried once.
-        assert np.array_equal(bits(slab[24]), bits(arr[24] + DTYPE(0.0)))
+        got = lane_tree(arr)
+        assert np.array_equal(bits(got), bits(tree_reduce(DTYPE(0) + arr.T)))
 
 
 def grid_shape(n_coords):

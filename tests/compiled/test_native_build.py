@@ -1,4 +1,4 @@
-"""Building, caching and refusing the conv kernel's C object.
+"""Building, caching and refusing the conv and FC kernels' C object.
 
 The object is built by ``cc`` on first use, cached under a name that
 hashes the source and the object's own bytes, and loaded once per
@@ -18,12 +18,19 @@ import pytest
 
 import repro
 from repro.compiled import CompiledFallbackWarning, native
-from repro.compiled.kernels import k_conv
-from repro.core import cifar10_design, random_weights, tiny_design
+from repro.compiled.kernels import k_conv, k_fc
+from repro.core import (
+    FCLayerSpec,
+    NetworkDesign,
+    cifar10_design,
+    random_weights,
+    tiny_design,
+)
 from repro.core.builder import build_network, seeded_batch
 from repro.dataflow import stable_digest
 from repro.errors import CompilationError
 from tests.compiled.test_kernels_conv import bits, make_case
+from tests.compiled.test_kernels_fc import make_case as make_fc_case
 
 
 @pytest.fixture
@@ -43,10 +50,24 @@ def cold(monkeypatch, tmp_path):
 
 
 def cached(cache):
-    return sorted(cache.glob("conv_tree.*.so"))
+    return sorted(cache.glob("cores.*.so"))
 
 
-@pytest.mark.parametrize("design_fn", [tiny_design, cifar10_design])
+def fc_only_design():
+    """No conv core: the object is still needed, for the FC cores."""
+    return NetworkDesign(
+        "fc-only",
+        input_shape=(16, 1, 1),
+        specs=[
+            FCLayerSpec(name="fc1", in_fm=16, out_fm=8, activation="tanh"),
+            FCLayerSpec(name="fc2", in_fm=8, out_fm=4),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "design_fn", [tiny_design, cifar10_design, fc_only_design]
+)
 def test_no_compiler_falls_back_to_event(monkeypatch, tmp_path, design_fn):
     design = design_fn()
     weights = random_weights(design, 3)
@@ -63,19 +84,22 @@ def test_no_compiler_falls_back_to_event(monkeypatch, tmp_path, design_fn):
         got = built.run(scheduler="compiled")
     assert got.scheduler_stats["scheduler"] == "event"
     assert stable_digest(built.outputs()) == stable_digest(want.outputs())
-    # The refusal is remembered, and k_conv itself refuses the same way.
+    # The refusal is remembered, and both kernels refuse the same way.
     actor, views, _ = make_case(1, 1, 3, 32, None)
     with pytest.raises(CompilationError, match="no C compiler"):
         k_conv(actor, views)
+    fc, x = make_fc_case(29, 12, 2)
+    with pytest.raises(CompilationError, match="no C compiler"):
+        k_fc(fc, {"in": x.reshape(-1)})
 
 
 def test_failed_build_is_a_compilation_error(cold, monkeypatch):
     cache, builds = cold
     monkeypatch.setattr(native, "FLAGS", native.FLAGS + ("-fno-such-flag",))
-    with pytest.raises(CompilationError, match="could not build conv_tree.c"):
-        native.conv_tree()
+    with pytest.raises(CompilationError, match="could not build cores.c"):
+        native.cores()
     with pytest.raises(CompilationError, match="could not build"):
-        native.conv_tree()
+        native.cores()
     assert len(builds) == 1
     assert not list(cache.iterdir())  # no object, no temporary left behind
 
@@ -87,7 +111,7 @@ def test_cold_cache_builds_once_and_a_second_process_loads_it(cold):
 
     def first_use():
         start.wait()
-        loaded.append(native.conv_tree())
+        loaded.append(native.cores())
 
     threads = [threading.Thread(target=first_use) for _ in range(4)]
     for t in threads:
@@ -102,8 +126,7 @@ def test_cold_cache_builds_once_and_a_second_process_loads_it(cold):
         "from repro.compiled import native\n"
         f"native._cache_dir = lambda: pathlib.Path({str(cache)!r})\n"
         "native._find_compiler = lambda: sys.exit('looked for a compiler')\n"
-        "fn, lanes = native.conv_tree()\n"
-        "print(lanes)\n"
+        "print(native.cores().lanes)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     proc = subprocess.run(
@@ -111,7 +134,7 @@ def test_cold_cache_builds_once_and_a_second_process_loads_it(cold):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(loaded[0][1])]
+    assert proc.stdout.split() == [str(loaded[0].lanes)]
     assert len(builds) == 1 and len(cached(cache)) == 1
 
 
@@ -136,5 +159,5 @@ def test_truncated_object_is_rebuilt_not_loaded(cold, monkeypatch):
 def test_read_only_package_builds_in_a_private_directory(monkeypatch):
     monkeypatch.setattr(native.os, "access", lambda path, mode: False)
     private = native._cache_dir()
-    assert private.name.startswith("repro-conv-tree-")
+    assert private.name.startswith("repro-cores-")
     assert private.stat().st_mode & 0o777 == 0o700

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.compiled import CompiledFallbackWarning
-from repro.core import random_weights
+from repro.config import DTYPE
+from repro.core import FCLayerSpec, NetworkDesign, random_weights
 from repro.core.builder import build_network
 from repro.core.models import cifar10_design, tiny_design, usps_design
 from repro.dataflow import stable_digest
@@ -38,12 +39,14 @@ DESIGNS = {
 }
 
 
-def run_three_way(design, images, seed):
-    weights = random_weights(design, seed=seed)
-    rng = np.random.default_rng(seed)
-    batch = rng.uniform(
-        0, 1, (images,) + design.input_shape
-    ).astype(np.float32)
+def run_three_way(design, images, seed, weights=None, batch=None):
+    if weights is None:
+        weights = random_weights(design, seed=seed)
+    if batch is None:
+        rng = np.random.default_rng(seed)
+        batch = rng.uniform(
+            0, 1, (images,) + design.input_shape
+        ).astype(np.float32)
     out = {}
     for engine in ENGINES:
         built = build_network(design, weights, batch)
@@ -55,6 +58,7 @@ def run_three_way(design, images, seed):
             for actor, procs in res.actor_stats.items()
         }
         out[engine] = {
+            "outputs": built.outputs(),
             "digest": stable_digest(built.outputs()),
             "fires": fires,
             "finished": res.finished,
@@ -72,6 +76,38 @@ class TestZooDesigns:
             assert out[engine]["digest"] == ref["digest"], engine
             assert out[engine]["fires"] == ref["fires"], engine
             assert out[engine]["finished"]
+
+
+class TestFCSpecialValues:
+    def test_zeros_subnormals_and_one_nan_pattern(self):
+        # The compiled FC core is C, the interpreted one numpy: they agree
+        # bit for bit on signed zeros and subnormals, and on NaN while
+        # every NaN of the run has one bit pattern (where two payloads
+        # meet, which one survives is each implementation's own choice;
+        # DESIGN.md section 12).
+        design = NetworkDesign(
+            "fc-specials",
+            input_shape=(40, 1, 1),
+            specs=[
+                FCLayerSpec(name="fc1", in_fm=40, out_fm=9, activation="tanh"),
+                FCLayerSpec(name="fc2", in_fm=9, out_fm=5),
+            ],
+        )
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-39], dtype=DTYPE)
+        weights = random_weights(design, seed=7)
+        batch = rng.standard_normal((3,) + design.input_shape).astype(DTYPE)
+        for arr in [batch] + [a for layer in weights.values()
+                              for a in layer.values()]:
+            hit = rng.random(arr.shape) < 0.25
+            arr[hit] = rng.choice(specials, int(hit.sum()))
+        weights["fc2"]["weight"][1, 4] = np.nan
+        batch[2, 11] = np.nan
+        out = run_three_way(design, 3, 7, weights=weights, batch=batch)
+        got = out["compiled"]["outputs"].view(np.uint32)
+        assert set(got[np.isnan(out["compiled"]["outputs"])]) == {0x7FC00000}
+        for engine in ("event", "lockstep"):
+            assert out[engine]["digest"] == out["compiled"]["digest"], engine
 
 
 class TestProfilerAgreement:
