@@ -16,7 +16,9 @@
  * + ..., and the lanes meet in the same unpadded tree, then the bias.
  *
  * Build with -ffp-contract=off and never -ffast-math: a fused multiply-add
- * or a re-associated sum changes bits.
+ * or a re-associated sum changes bits. Where two NaNs meet, either payload
+ * may come out, as in the interpreted cores' numpy: the engines' digest
+ * (repro.dataflow.stable_digest) counts every NaN as one value.
  */
 #include <stdint.h>
 #include <string.h>
@@ -38,19 +40,6 @@ const int cores_lanes = LANES;
 #endif
 #define INLINE static inline __attribute__((always_inline))
 
-/* isnan(a) ? a : b. Where two NaNs meet, a + b keeps the payload of
- * whichever operand the compiler put first; a + first(a, b) keeps a's
- * whatever the order. The NaN test is integer arithmetic (|a| > inf as
- * bits): a float compare wider than the target's registers would be
- * lowered lane by lane. */
-INLINE vf first(vf a, vf b)
-{
-    vi m = (0x7f800000 - ((vi)a & 0x7fffffff)) >> 31;
-    return (vf)(((vi)a & m) | ((vi)b & ~m));
-}
-
-INLINE vf add(vf a, vf b, int nan) { return nan ? a + first(a, b) : a + b; }
-
 /* *s in every lane, bit for bit (0.0 + *s would turn -0.0 into +0.0). */
 INLINE vf splat(const float *s)
 {
@@ -59,21 +48,16 @@ INLINE vf splat(const float *s)
     return (vf)((vi){0} | bits);
 }
 
-/* w * x, the weight leading. */
-INLINE vf mul(const float *w, vf x, int nan)
-{
-    return nan ? *w * first(splat(w), x) : *w * x;
-}
-
-#define PAIR(j) add(mul(w + j, x[j], nan), mul(w + j + 1, x[j + 1], nan), nan)
+/* The first tree level over leaves j and j + 1. */
+#define PAIR(j) (w[j] * x[j] + w[j + 1] * x[j + 1])
 
 /* The unpadded tree over v[0..width), in place, into v[0]. */
-INLINE void reduce(vf *v, int64_t width, int *carried, int nan)
+INLINE void reduce(vf *v, int64_t width, int *carried)
 {
     while (width > 1) {
         int64_t half = width >> 1;
         for (int64_t i = 0; i < half; i++)
-            v[i] = add(v[2 * i], v[2 * i + 1], nan);
+            v[i] = v[2 * i] + v[2 * i + 1];
         if (width & 1) {
             v[half] = *carried ? v[width - 1] : v[width - 1] + 0.0f;
             *carried = 1;
@@ -85,28 +69,27 @@ INLINE void reduce(vf *v, int64_t width, int *carried, int nan)
 /* acc + tree_reduce(w * x) over the K leaves of one group; `node` holds
  * K / 8 + 1 vectors. */
 INLINE void group_tree(vf *acc, vf *node, const vf *x, const float *w,
-                       int64_t K, int nan)
+                       int64_t K)
 {
     int64_t n = 0, k = 0;
     int carried = 0;
     for (; k + 8 <= K; k += 8, x += 8, w += 8)
-        node[n++] = add(add(PAIR(0), PAIR(2), nan), add(PAIR(4), PAIR(6), nan),
-                        nan);
+        node[n++] = (PAIR(0) + PAIR(2)) + (PAIR(4) + PAIR(6));
     if (k < K) {
         /* The last, partial block: its own tree, then carried up to the
          * block level unless it is the whole tree. */
         vf p[8];
         for (int64_t j = 0; j < K - k; j++)
-            p[j] = mul(w + j, x[j], nan);
-        reduce(p, K - k, &carried, nan);
+            p[j] = w[j] * x[j];
+        reduce(p, K - k, &carried);
         if (n && !carried) {
             p[0] = p[0] + 0.0f;
             carried = 1;
         }
         node[n++] = p[0];
     }
-    reduce(node, n, &carried, nan);
-    *acc = add(*acc, node[0], nan);
+    reduce(node, n, &carried);
+    *acc += node[0];
 }
 
 /* Gather the windows of lanes [lane, lane + LANES) into x[(g, k)], one
@@ -149,15 +132,21 @@ INLINE void gather(vf *x, const float *const *ports, const int64_t *strides,
     }
 }
 
-INLINE void tiles(const float *const *ports, const int64_t *strides,
-                  int64_t n_ports, int64_t lanes, int64_t rows, int64_t cols,
-                  int64_t G, int64_t kh, int64_t kw, int64_t O, const float *w,
-                  const float *bias, float *out, vf *x, int nan)
+/* out[lane, o] for every lane (images x rows x cols, row-major) and
+ * output map o, before the activation. w is (G, O, K) with K =
+ * n_ports*kh*kw, port-major. `scratch` holds G*K + K/8 + 1 + O vectors of
+ * LANES floats, plus LANES floats to align them. */
+CLONES void conv_tree(const float *const *ports, const int64_t *strides,
+                      int64_t n_ports, int64_t images, int64_t rows,
+                      int64_t cols, int64_t G, int64_t kh, int64_t kw,
+                      int64_t O, const float *w, const float *bias,
+                      float *out, float *scratch)
 {
-    int64_t K = n_ports * kh * kw;
+    int64_t lanes = images * rows * cols, K = n_ports * kh * kw;
     /* Groups go in chunks of about 16 KiB of windows, every output map
      * through one chunk before the next, so the chunk stays in L1. */
     int64_t chunk = K < 256 ? 256 / K : 1;
+    vf *x = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
     vf *node = x + G * K, *acc = node + K / 8 + 1;
     for (int64_t lane = 0; lane < lanes; lane += LANES) {
         gather(x, ports, strides, n_ports, lane, lanes, rows, cols, G, kh, kw);
@@ -166,34 +155,11 @@ INLINE void tiles(const float *const *ports, const int64_t *strides,
         for (int64_t g0 = 0; g0 < G; g0 += chunk)
             for (int64_t o = 0; o < O; o++)
                 for (int64_t g = g0; g < G && g < g0 + chunk; g++)
-                    group_tree(acc + o, node, x + g * K, w + (g * O + o) * K, K,
-                               nan);
+                    group_tree(acc + o, node, x + g * K, w + (g * O + o) * K, K);
         for (int64_t t = 0; t < LANES && lane + t < lanes; t++)
             for (int64_t o = 0; o < O; o++)
                 out[(lane + t) * O + o] = acc[o][t];
     }
-}
-
-/* out[lane, o] for every lane (images x rows x cols, row-major) and
- * output map o, before the activation. w is (G, O, K) with K =
- * n_ports*kh*kw, port-major. `scratch` holds G*K + K/8 + 1 + O vectors of
- * LANES floats, plus LANES floats to align them. `nan_rule` makes every
- * add and multiply keep its first operand's NaN payload; without it a NaN
- * meeting another NaN comes out of either operand. */
-CLONES void conv_tree(const float *const *ports, const int64_t *strides,
-                      int64_t n_ports, int64_t images, int64_t rows,
-                      int64_t cols, int64_t G, int64_t kh, int64_t kw,
-                      int64_t O, const float *w, const float *bias,
-                      int nan_rule, float *out, float *scratch)
-{
-    int64_t lanes = images * rows * cols;
-    vf *x = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
-    if (nan_rule)
-        tiles(ports, strides, n_ports, lanes, rows, cols, G, kh, kw, O, w,
-              bias, out, x, 1);
-    else
-        tiles(ports, strides, n_ports, lanes, rows, cols, G, kh, kw, O, w,
-              bias, out, x, 0);
 }
 
 /* -- FC ------------------------------------------------------------------ */
@@ -211,12 +177,6 @@ INLINE vf load(const float *p, int64_t n)
     return v;
 }
 
-/* w * x (the weight leading), then acc + that (the chain leading). */
-INLINE vf mac(vf acc, vf w, vf x, int nan)
-{
-    return add(acc, nan ? w * first(w, x) : w * x, nan);
-}
-
 /* Lanes [c, c + n) of the chains of ROWS output rows, row r's weights at
  * w[r]: acc[r][t] = lane c + t's chain over inputs c + t, c + t + L, ...
  * A step whose LANES floats all lie inside the row is read with one
@@ -225,7 +185,7 @@ INLINE vf mac(vf acc, vf w, vf x, int nan)
  * +0.0: a chain that began 0 + t is never -0.0, so adding 0 * 0 = +0.0
  * changes no bit, and a lane that gets no input stays +0.0. */
 INLINE void chains(vf *acc, const float *const *w, const float *x, int64_t I,
-                   int64_t L, int64_t c, int64_t n, int nan)
+                   int64_t L, int64_t c, int64_t n)
 {
     static const vi iota = {0, 1, 2,  3,  4,  5,  6,  7,
                             8, 9, 10, 11, 12, 13, 14, 15};
@@ -240,25 +200,31 @@ INLINE void chains(vf *acc, const float *const *w, const float *x, int64_t I,
         for (int r = 0; r < ROWS; r++) {
             vf wv;
             memcpy(&wv, w[r] + i, sizeof wv);
-            acc[r] = mac(acc[r], wv, xv, nan);
+            acc[r] += wv * xv;
         }
     }
     for (; i < I; i += L) {
         int64_t m = I - i < n ? I - i : n;
         vf xv = load(x + i, m);
         for (int r = 0; r < ROWS; r++)
-            acc[r] = mac(acc[r], load(w[r] + i, m), xv, nan);
+            acc[r] += load(w[r] + i, m) * xv;
     }
 }
 
-/* LANES outputs at a time: output o0 + r's lane l partial for image b goes
+/* out[b, o] for every image b and output o, before the activation: the
+ * lane tree of o's L chains over image b's x, plus bias[o]. w is (O, I),
+ * x (images, I) and out (images, O), all row-major. `scratch` holds
+ * images * L vectors of LANES floats, plus LANES floats to align them.
+ *
+ * LANES outputs at a time: output o0 + r's lane l partial for image b goes
  * to lane r of part[b * L + l], so the lane trees of LANES outputs are one
  * reduce. Each group of ROWS weight rows runs over every image while it is
  * in L1; the rows past the last repeat it, and their sums are dropped. */
-INLINE void fc_images(const float *w, const float *x, int64_t images,
+CLONES void fc_chains(const float *w, const float *x, int64_t images,
                       int64_t I, int64_t O, int64_t L, const float *bias,
-                      float *out, vf *part, int nan)
+                      float *out, float *scratch)
 {
+    vf *part = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
     for (int64_t o0 = 0; o0 < O; o0 += LANES) {
         int64_t rows = O - o0 < LANES ? O - o0 : LANES;
         for (int64_t o = 0; o < rows; o += ROWS) {
@@ -269,7 +235,7 @@ INLINE void fc_images(const float *w, const float *x, int64_t images,
                 for (int64_t c = 0; c < L; c += LANES) {
                     int64_t n = L - c < LANES ? L - c : LANES;
                     vf acc[ROWS];
-                    chains(acc, wr, x + b * I, I, L, c, n, nan);
+                    chains(acc, wr, x + b * I, I, L, c, n);
                     for (int r = 0; r < ROWS && o + r < rows; r++)
                         for (int64_t t = 0; t < n; t++)
                             part[b * L + c + t][o + r] = acc[r][t];
@@ -277,25 +243,9 @@ INLINE void fc_images(const float *w, const float *x, int64_t images,
         }
         for (int64_t b = 0; b < images; b++) {
             int carried = 0;
-            reduce(part + b * L, L, &carried, nan);
-            vf sum = add(part[b * L], load(bias + o0, rows), nan);
+            reduce(part + b * L, L, &carried);
+            vf sum = part[b * L] + load(bias + o0, rows);
             memcpy(out + b * O + o0, &sum, rows * sizeof(float));
         }
     }
-}
-
-/* out[b, o] for every image b and output o, before the activation: the
- * lane tree of o's L chains over image b's x, plus bias[o]. w is (O, I),
- * x (images, I) and out (images, O), all row-major. `scratch` holds
- * images * L vectors of LANES floats, plus LANES floats to align them.
- * `nan_rule` as for conv_tree. */
-CLONES void fc_chains(const float *w, const float *x, int64_t images,
-                      int64_t I, int64_t O, int64_t L, const float *bias,
-                      int nan_rule, float *out, float *scratch)
-{
-    vf *part = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
-    if (nan_rule)
-        fc_images(w, x, images, I, O, L, bias, out, part, 1);
-    else
-        fc_images(w, x, images, I, O, L, bias, out, part, 0);
 }

@@ -15,8 +15,10 @@ beats (sink, demux, interleave) gather the ``(n, kh, kw)`` stack
 of beats first, through :func:`_beats`, and a stack is accepted
 wherever a view is.
 
-Bit-exactness with the interpreted engines is a hard contract, kept by
-reproducing the per-beat association order exactly:
+Bit-exactness with the interpreted engines is a hard contract, every NaN
+counting as one value (which payload survives where two NaNs meet is
+not a computed result; :func:`repro.dataflow.stable_digest`). It is
+kept by reproducing the per-beat association order exactly:
 
 * the conv kernel runs the same product tree
   (``tree_reduce(w_all * wins)``) and the same sequential per-group
@@ -30,11 +32,9 @@ reproducing the per-beat association order exactly:
   level's last node is carried as ``node + 0.0``, which is what the
   padded tree computes for it (``-0.0`` becomes ``+0.0`` on the first
   carry; further pad zeros change nothing, so it is carried once). The
-  object is built without FMA contraction or fast-math, and where two
-  NaN payloads can have met (an output is NaN) the pass is redone keeping
-  the first operand's, as numpy does. ``np.dot``/BLAS stays out: it
-  accumulates in an order of its own choosing (blocked, FMA-fused),
-  which is not the hardware tree's;
+  object is built without FMA contraction or fast-math. ``np.dot``/BLAS
+  stays out: it accumulates in an order of its own choosing (blocked,
+  FMA-fused), which is not the hardware tree's;
 * the FC kernel keeps the interleaved-accumulator order (input ``i``
   feeds lane ``i % acc_lanes``; each lane adds its terms ``w[o, i] *
   x[i]`` one after the other from zero, rounding to float32 at every
@@ -42,13 +42,13 @@ reproducing the per-beat association order exactly:
   (``fc_chains``): per image and group of 4 output rows it reads each
   weight row and the image in place, runs the lane chains side by side
   in 16-lane vectors, and meets them in the conv kernel's unpadded,
-  carry-once tree. Its NaN rule is the conv kernel's;
+  carry-once tree;
 * max pooling is a chain of ``np.maximum`` over the window elements in
   raster order, each a strided slice of the view — comparisons are
-  exact, so only a maximum that is a zero (a ``-0.0``/``+0.0`` tie) or
-  NaN (which of several) depends on the order, and the actor's
-  ``w.max()`` settles those in numpy's SIMD lane order: exactly those
-  windows are gathered and reduced like the actor's, contiguously.
+  exact, so only a zero maximum (a ``-0.0``/``+0.0`` tie) depends on the
+  order, and the actor's ``w.max()`` settles it in numpy's SIMD lane
+  order: exactly those windows are gathered and reduced like the
+  actor's, contiguously.
   Mean pooling gathers every beat: numpy's float64 pairwise order over
   ``kh*kw`` contiguous elements is not the order of a strided chain;
 * activation/softmax are elementwise or per-row reductions whose
@@ -275,22 +275,12 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
         (groups * kk_all + kk_all // 8 + actor.out_fm + 2) * lanes, DTYPE
     )
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
-
-    def run(nan_rule: bool) -> None:
-        cores.conv_tree(
-            bases.ctypes.data, strides.ctypes.data, actor.in_ports,
-            *ports[0].shape[:3], groups, actor.kh, actor.kw, actor.out_fm,
-            w_all.ctypes.data, bias.ctypes.data, nan_rule,
-            out.ctypes.data, scratch.ctypes.data,
-        )
-
-    run(False)
-    # A NaN reaches the output of every add it enters, so only where an
-    # output is NaN can two NaN payloads have met in one add, and which
-    # one plain compiled code keeps is the compiler's choice. Then the
-    # pass is redone keeping the first operand's, as numpy does.
-    if np.isnan(out).any():
-        run(True)
+    cores.conv_tree(
+        bases.ctypes.data, strides.ctypes.data, actor.in_ports,
+        *ports[0].shape[:3], groups, actor.kh, actor.kw, actor.out_fm,
+        w_all.ctypes.data, bias.ctypes.data, out.ctypes.data,
+        scratch.ctypes.data,
+    )
     out = actor._act(out)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
@@ -316,14 +306,15 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
         for tap in taps[1:]:
             np.maximum(out, tap, out=out)
         # Comparisons round nothing, so a non-zero maximum has one bit
-        # pattern whatever the order. The order shows only in a tie
-        # between -0.0 and +0.0 and in which of several NaNs comes out,
-        # and numpy's contiguous reduce settles those in SIMD lane order
-        # (by window length and host), not raster order: the windows
-        # whose maximum is a zero or NaN are gathered and reduced the
-        # way the actor reduces one, over kh*kw contiguous elements.
+        # pattern whatever the order, and a window holding a NaN has a NaN
+        # maximum either way (stable_digest counts every NaN as one). The
+        # order shows only in a tie between -0.0 and +0.0, which numpy's
+        # contiguous reduce settles in SIMD lane order (by window length
+        # and host), not raster order: the windows whose maximum is a zero
+        # are gathered and reduced the way the actor reduces one, over
+        # kh*kw contiguous elements.
         out = out.reshape(-1)
-        redo = np.flatnonzero(~(np.abs(out) > 0))
+        redo = np.flatnonzero(out == 0)
         if len(redo):
             wins = arr[np.unravel_index(redo, arr.shape[:-2])]
             out[redo] = np.ascontiguousarray(wins).max(axis=(1, 2))
@@ -345,18 +336,11 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
     scratch = np.empty((batch * actor.acc_lanes + 1) * cores.lanes, DTYPE)
     out = np.empty((batch, out_fm), dtype=DTYPE)
-
-    def run(nan_rule: bool) -> None:
-        cores.fc_chains(
-            weight.ctypes.data, x.ctypes.data, batch, in_fm, out_fm,
-            actor.acc_lanes, bias.ctypes.data, nan_rule,
-            out.ctypes.data, scratch.ctypes.data,
-        )
-
-    run(False)
-    # Only where an output is NaN can two NaN payloads have met (k_conv).
-    if np.isnan(out).any():
-        run(True)
+    cores.fc_chains(
+        weight.ctypes.data, x.ctypes.data, batch, in_fm, out_fm,
+        actor.acc_lanes, bias.ctypes.data, out.ctypes.data,
+        scratch.ctypes.data,
+    )
     return {"out": actor._act(out).reshape(-1)}
 
 

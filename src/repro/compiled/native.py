@@ -147,6 +147,6 @@ def _open(path: Path):
         raise CompilationError(f"cannot load {path.name}: {exc}") from None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     conv.restype = fc.restype = None
-    conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr, ptr, ctypes.c_int, ptr, ptr]
-    fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr, ctypes.c_int, ptr, ptr]
+    conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr] * 4
+    fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr] * 3
     return SimpleNamespace(conv_tree=conv, fc_chains=fc, lanes=lanes)

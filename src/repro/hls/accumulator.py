@@ -58,8 +58,7 @@ def interleaved_sum(values: np.ndarray, lanes: int) -> np.ndarray:
     else:
         # One lane, one sum: numpy would make the chain its inner loop
         # and add it pairwise. Add it in sequence, as an accumulate from
-        # zero: a Python sum of scalars would keep the second of two NaN
-        # payloads that meet, where array arithmetic keeps the first.
+        # zero.
         chain = np.add.accumulate(np.append(DTYPE(0), terms.ravel()))
         partial = np.reshape(chain[-1], (1,) + lead)
     return tree_reduce(np.moveaxis(partial, 0, -1))

@@ -30,7 +30,10 @@ from repro.sst import SlidingWindowActor, WindowSpec
 
 
 def bits(arr):
-    return np.ascontiguousarray(arr, dtype=DTYPE).view(np.uint32)
+    """float32 bit patterns with every NaN as ``np.nan``'s, the rule
+    :func:`repro.dataflow.stable_digest` compares outputs by."""
+    arr = np.ascontiguousarray(arr, dtype=DTYPE)
+    return np.where(np.isnan(arr), DTYPE(np.nan), arr).view(np.uint32)
 
 
 #: The quiet NaN ``np.nan`` and the default NaN ``inf - inf`` makes: the
@@ -331,9 +334,9 @@ class TestConvKernelLaneCounts:
 class TestConvSpecialValues:
     """Signed zeros, subnormals, infinities and both NaN payloads in the
     windows, the weights and the bias. ``inf * 0`` and ``inf - inf`` make
-    the default NaN, which then meets ``np.nan`` in the tree: which of the
-    two an add keeps depends on its operand order, and the kernel must
-    keep the first operand's, as the actor's numpy does."""
+    the default NaN, which then meets ``np.nan`` in the tree; which of the
+    two an add keeps is nobody's contract, so :func:`bits` counts every
+    NaN as one, and the NaNs must sit where the actor's do."""
 
     @pytest.mark.parametrize("share", [0.02, 0.3])
     @pytest.mark.parametrize(

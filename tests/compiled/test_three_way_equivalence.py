@@ -21,10 +21,11 @@ import pytest
 
 from repro.compiled import CompiledFallbackWarning
 from repro.config import DTYPE
-from repro.core import FCLayerSpec, NetworkDesign, random_weights
+from repro.core import ConvLayerSpec, FCLayerSpec, NetworkDesign, random_weights
 from repro.core.builder import build_network
 from repro.core.models import cifar10_design, tiny_design, usps_design
 from repro.dataflow import stable_digest
+from tests.compiled.test_kernels_conv import sprinkle
 
 ENGINES = ("event", "lockstep", "compiled")
 
@@ -78,36 +79,47 @@ class TestZooDesigns:
             assert out[engine]["finished"]
 
 
-class TestFCSpecialValues:
-    def test_zeros_subnormals_and_one_nan_pattern(self):
-        # The compiled FC core is C, the interpreted one numpy: they agree
-        # bit for bit on signed zeros and subnormals, and on NaN while
-        # every NaN of the run has one bit pattern (where two payloads
-        # meet, which one survives is each implementation's own choice;
-        # DESIGN.md section 12).
-        design = NetworkDesign(
-            "fc-specials",
-            input_shape=(40, 1, 1),
-            specs=[
-                FCLayerSpec(name="fc1", in_fm=40, out_fm=9, activation="tanh"),
-                FCLayerSpec(name="fc2", in_fm=9, out_fm=5),
-            ],
-        )
-        rng = np.random.default_rng(7)
-        specials = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-39], dtype=DTYPE)
-        weights = random_weights(design, seed=7)
+#: One conv and one FC layer for :class:`TestSpecialValues`.
+SPECIAL_DESIGNS = {
+    "conv": NetworkDesign(
+        "conv-specials",
+        input_shape=(3, 8, 8),
+        specs=[ConvLayerSpec(name="conv1", in_fm=3, out_fm=4, kh=3)],
+    ),
+    "fc": NetworkDesign(
+        "fc-specials",
+        input_shape=(40, 1, 1),
+        specs=[FCLayerSpec(name="fc1", in_fm=40, out_fm=40)],
+    ),
+}
+
+
+class TestSpecialValues:
+    # Seeds on which a digest of raw NaN bits tells the engines apart:
+    # the interpreted cores' numpy picks a NaN payload by an element's
+    # position in its array, the C cores by their operand order.
+    @pytest.mark.parametrize(
+        "name,seed", [("conv", 0), ("conv", 1), ("conv", 2), ("fc", 1), ("fc", 12)]
+    )
+    def test_every_nan_digests_as_one(self, name, seed):
+        # ±0.0, ±1e-45, 1e-39, ±inf and both NaN payloads in the batch,
+        # the weights and the bias. The engines agree on every bit but a
+        # NaN's payload, which is not a computed value.
+        design = SPECIAL_DESIGNS[name]
+        rng = np.random.default_rng(seed)
+        weights = random_weights(design, seed=seed)
         batch = rng.standard_normal((3,) + design.input_shape).astype(DTYPE)
         for arr in [batch] + [a for layer in weights.values()
                               for a in layer.values()]:
-            hit = rng.random(arr.shape) < 0.25
-            arr[hit] = rng.choice(specials, int(hit.sum()))
-        weights["fc2"]["weight"][1, 4] = np.nan
-        batch[2, 11] = np.nan
-        out = run_three_way(design, 3, 7, weights=weights, batch=batch)
-        got = out["compiled"]["outputs"].view(np.uint32)
-        assert set(got[np.isnan(out["compiled"]["outputs"])]) == {0x7FC00000}
-        for engine in ("event", "lockstep"):
-            assert out[engine]["digest"] == out["compiled"]["digest"], engine
+            sprinkle(rng, arr, 0.08)
+        with np.errstate(invalid="ignore"):
+            out = run_three_way(design, 3, seed, weights=weights, batch=batch)
+        ref = out["event"]["outputs"]
+        assert set(np.signbit(ref[np.isnan(ref)])) == {False, True}
+        for engine in ("lockstep", "compiled"):
+            got = out[engine]["outputs"]
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), engine
+            assert out[engine]["digest"] == out["event"]["digest"], engine
 
 
 class TestProfilerAgreement:
