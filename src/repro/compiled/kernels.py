@@ -28,7 +28,8 @@ kept by reproducing the per-beat association order exactly:
   for a tile of 16 coordinates ("lanes") it gathers the ``(G, K)``
   windows from the port views once, lanes minor, and then runs every
   output map's ``K = P*kh*kw`` products, tree and bias-first group chain
-  on 16-lane vectors. The tree is *not* padded to a power of two: an odd
+  on 16-lane vectors, in blocks of maps that share each loaded window
+  vector. The tree is *not* padded to a power of two: an odd
   level's last node is carried as ``node + 0.0``, which is what the
   padded tree computes for it (``-0.0`` becomes ``+0.0`` on the first
   carry; further pad zeros change nothing, so it is carried once). The
@@ -53,7 +54,9 @@ kept by reproducing the per-beat association order exactly:
   ``kh*kw`` contiguous elements is not the order of a strided chain;
 * activation/softmax are elementwise or per-row reductions whose
   numpy reduction order over the trailing axis is the same for one row
-  or a batch of rows.
+  or a batch of rows. The conv and FC kernels apply the activation in
+  place, to the output their C pass filled (``actor._act(out, out=out)``),
+  so a call allocates one output-sized array.
 
 Kernels validate stream lengths against the extracted schedule as they
 go; a mismatch is a :class:`~repro.errors.CompilationError` (the graph
@@ -265,14 +268,13 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
                 f"{win_shape} windows over {ports[0].shape[:3]}"
             )
     cores = native.cores()
-    lanes = cores.lanes
-    w_all = np.ascontiguousarray(actor._w_all, dtype=DTYPE)  # (G, OUT_FM, K)
+    # (G, OUT_FM, K), K = P*kh*kw the tree width
+    w_all = np.ascontiguousarray(actor._w_all, dtype=DTYPE)
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
-    kk_all = w_all.shape[2]  # K = P*kh*kw, the tree width
     bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
     strides = np.array([p.strides for p in ports], dtype=np.int64)
     scratch = np.empty(
-        (groups * kk_all + kk_all // 8 + actor.out_fm + 2) * lanes, DTYPE
+        cores.conv_scratch(groups, w_all.shape[2], actor.out_fm), DTYPE
     )
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
     cores.conv_tree(
@@ -281,7 +283,8 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
         w_all.ctypes.data, bias.ctypes.data, out.ctypes.data,
         scratch.ctypes.data,
     )
-    out = actor._act(out)
+    # In place: the op holds one output-sized array, not two.
+    actor._act(out, out=out)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
     return {
@@ -334,14 +337,15 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     # C-ordered matrices the builder hands over).
     weight = np.ascontiguousarray(actor.weight, dtype=DTYPE)
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
-    scratch = np.empty((batch * actor.acc_lanes + 1) * cores.lanes, DTYPE)
+    scratch = np.empty(cores.fc_scratch(batch, actor.acc_lanes), DTYPE)
     out = np.empty((batch, out_fm), dtype=DTYPE)
     cores.fc_chains(
         weight.ctypes.data, x.ctypes.data, batch, in_fm, out_fm,
         actor.acc_lanes, bias.ctypes.data, out.ctypes.data,
         scratch.ctypes.data,
     )
-    return {"out": actor._act(out).reshape(-1)}
+    actor._act(out, out=out)
+    return {"out": out.reshape(-1)}
 
 
 def k_norm(actor: NormalizationActor, ins: Streams) -> Streams:

@@ -43,8 +43,9 @@ _loaded = None
 
 
 def cores():
-    """The C kernels: ``.conv_tree``, ``.fc_chains`` and ``.lanes``, the
-    width of their float vectors.
+    """The C kernels: ``.conv_tree`` and ``.fc_chains``, and the float32
+    counts of the scratch each needs, ``.conv_scratch(G, K, O)`` and
+    ``.fc_scratch(images, acc_lanes)``.
 
     Builds (once per cache) and loads (once per process) on first use;
     a refusal is remembered and raised again as a fresh
@@ -142,11 +143,17 @@ def _open(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
         conv, fc = lib.conv_tree, lib.fc_chains
-        lanes = ctypes.c_int.in_dll(lib, "cores_lanes").value
-    except (OSError, AttributeError, ValueError) as exc:
+        conv_scratch, fc_scratch = lib.conv_scratch, lib.fc_scratch
+    except (OSError, AttributeError) as exc:
         raise CompilationError(f"cannot load {path.name}: {exc}") from None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     conv.restype = fc.restype = None
     conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr] * 4
     fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr] * 3
-    return SimpleNamespace(conv_tree=conv, fc_chains=fc, lanes=lanes)
+    conv_scratch.restype = fc_scratch.restype = i64
+    conv_scratch.argtypes = [i64] * 3
+    fc_scratch.argtypes = [i64] * 2
+    return SimpleNamespace(
+        conv_tree=conv, fc_chains=fc,
+        conv_scratch=conv_scratch, fc_scratch=fc_scratch,
+    )

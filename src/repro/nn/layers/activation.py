@@ -58,13 +58,20 @@ class ReLU(Layer):
 
 
 def activation_fn(name: Optional[str]):
-    """Scalar/ndarray activation callable by name (for dataflow cores)."""
+    """Scalar/ndarray activation callable by name (for dataflow cores).
+
+    ``f(v, out=v)`` applies it to a float32 array in place, as a ufunc's
+    ``out=`` does, and returns ``v``; the compiled kernels call it so on
+    the output buffer their C pass just filled.
+    """
     if name is None or name == "identity":
-        return lambda v: v
+        return lambda v, out=None: v
     if name == "tanh":
-        return lambda v: np.tanh(v).astype(DTYPE, copy=False)
+        return lambda v, out=None: np.tanh(v, out=out).astype(DTYPE, copy=False)
     if name == "relu":
-        return lambda v: np.maximum(v, 0).astype(DTYPE, copy=False)
+        return lambda v, out=None: np.maximum(v, 0, out=out).astype(
+            DTYPE, copy=False
+        )
     raise ValueError(f"unknown activation {name!r}")
 
 

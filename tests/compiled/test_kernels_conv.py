@@ -3,22 +3,27 @@
 ``k_conv`` runs the product tree in C (``conv_tree`` in
 ``repro/compiled/cores.c``): 16-lane tiles gathered straight from the
 window views, every output map's products, the unpadded tree and the
-bias-first group chain in one pass. It may reorder memory but not a
-single float32 operation. These tests pin that down below the engine
-level: the unpadded tree, as ``k_fc``'s lane tree, against
-:func:`repro.hls.tree_adder.tree_reduce` on adversarial values, and the
-conv kernel against the per-coordinate formulation of
-``ConvCoreActor._compute`` over a port/kernel/tiling grid, special values
-and the largest zoo shapes — every case fed both the zero-copy
-``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of the
-same pixels.
+bias-first group chain in one pass, blocks of maps side by side. It may
+reorder memory but not a single float32 operation. These tests pin that
+down below the engine level: the unpadded tree, as ``k_fc``'s lane tree,
+against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
+and the conv kernel against the per-coordinate formulation of
+``ConvCoreActor._compute`` over a port/kernel/tiling/map-block grid,
+special values and the largest zoo shapes — every case fed both the
+zero-copy ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks
+of the same pixels. ``TestOutputAllocation`` checks that ``k_conv`` and
+``k_fc`` apply the activation in place.
 """
 
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.compiled import native
 from repro.compiled.kernels import _beats, k_conv, k_fc, k_pool, k_window
 from repro.config import DTYPE
 from repro.core.compute_core import ConvCoreActor
@@ -35,6 +40,10 @@ def bits(arr):
     arr = np.ascontiguousarray(arr, dtype=DTYPE)
     return np.where(np.isnan(arr), DTYPE(np.nan), arr).view(np.uint32)
 
+
+#: Output maps whose trees ``conv_tree`` runs side by side (``MAPS`` in
+#: ``cores.c``).
+MAPS = int(re.search(r"#define MAPS (\d+)", native.SOURCE.read_text())[1])
 
 #: The quiet NaN ``np.nan`` and the default NaN ``inf - inf`` makes: the
 #: two payloads (they differ in the sign bit) a run can hold.
@@ -304,6 +313,72 @@ class TestConvKernelBlocking:
             k_conv(actor, views)
 
 
+class TestConvKernelMapBlocks:
+    """Output maps go through the kernel in blocks of :data:`MAPS` that
+    share each window vector; the last block of a layer may be short, and
+    the tree widths and view strides around it must not matter."""
+
+    @pytest.mark.parametrize("out_fm", range(1, 2 * MAPS + 2))
+    def test_every_remainder_of_the_map_block(self, out_fm):
+        # K = 18: two 8-leaf blocks and a partial one; two groups, so the
+        # chain adds a second tree to every map of the block.
+        actor, views, beats = make_case(
+            2, 1, 3, 40, "tanh", seed=out_fm, out_fm=out_fm
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize(
+        "in_ports,k", [(1, 1), (8, 1), (1, 3)], ids=["K1", "K8", "K9"]
+    )
+    def test_tree_widths_around_one_leaf_block(self, in_ports, k):
+        # One group: a one-leaf tree, one whole block of 8, and a block
+        # plus one leaf carried up to it, each over 2 blocks of maps + 1.
+        actor, views, beats = make_case(
+            in_ports, 1, k, 40, "relu", seed=k, groups=1, out_fm=2 * MAPS + 1
+        )
+        assert actor._w_all.shape[::2] == (1, in_ports * k * k)
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize("in_ports,k", [(8, 1), (5, 1), (1, 3), (6, 2)])
+    def test_negative_zero_carry_in_every_map_of_the_block(self, in_ports, k):
+        # TestConvSpecialValues' all -0.0 products over 2 blocks of maps
+        # + 1: K = 8 carries nothing and stays -0.0; K = 5 carries inside
+        # the partial block, 9 on its way up to the block level, 24 among
+        # the block sums, each in every map of every block, to +0.0.
+        actor, views, beats = make_case(
+            in_ports, 1, k, 40, None, out_fm=2 * MAPS + 1
+        )
+        actor = ConvCoreActor(
+            "core", np.full_like(actor.weight, -0.0), np.full_like(actor.bias, -0.0),
+            in_ports, 1, n_coords=actor.n_coords, images=actor.images,
+        )
+        views = {p: np.abs(v) for p, v in views.items()}
+        beats = {p: np.abs(b) for p, b in beats.items()}
+        want = assert_both_forms_bit_equal(actor, views, beats)
+        n = in_ports * k * k
+        assert set(bits(want["out0"])) == {0x80000000 if n == 8 else 0}
+
+    def test_image_stride_is_the_largest_stride(self):
+        # 8 images of 1x5 coordinates, each the top 3 pixel rows of a slab
+        # of 40: tiles of 16 lanes cross up to four images, and the lanes'
+        # offsets from a tile's first lane jump by whole slabs. The rows
+        # no window covers are NaN, so a stray read shows.
+        actor, views, beats = make_case(2, 1, 3, 40, "relu", images=8)
+        for port, view in views.items():
+            images, oh, ow, groups, k, _ = view.shape
+            slab = np.full((images, 40, ow + k - 1, groups), np.nan, DTYPE)
+            wins = beats[port].reshape(view.shape)
+            for ky in range(k):
+                for kx in range(k):
+                    slab[:, ky : ky + oh, kx : kx + ow] = wins[..., ky, kx]
+            views[port] = sliding_window_view(
+                slab[:, : oh + k - 1], (k, k), axis=(1, 2)
+            )
+            assert views[port].strides[0] == max(views[port].strides)
+            assert views[port].strides[0] > 10 * views[port].strides[1]
+        assert_both_forms_bit_equal(actor, views, beats)
+
+
 class TestConvKernelLaneCounts:
     """Lane counts around a whole number of tiles, and the tails of TC2's
     two conv layers at batch 10 and 64, at their real shapes."""
@@ -438,6 +513,43 @@ def test_two_threads_at_once():
         for outs in got[i]:
             for port, arr in want[i].items():
                 assert np.array_equal(bits(outs[port]), bits(arr))
+
+
+class TestOutputAllocation:
+    """``k_conv`` and ``k_fc`` apply the activation in place, to the
+    output buffer the C pass filled: a call allocates one output-sized
+    array, not a second one for the activation's result."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("kernel", ["k_conv", "k_fc"])
+    def test_one_output_sized_array(self, kernel, activation):
+        rng = np.random.default_rng(0)
+        if kernel == "k_conv":
+            actor, views, _ = make_case(
+                1, 1, 3, 2048, activation, groups=1, out_fm=64
+            )
+
+            def call():
+                return k_conv(actor, views)["out0"]
+        else:
+            fc = FCCoreActor(
+                "fc", rng.standard_normal((2048, 16)).astype(DTYPE),
+                rng.standard_normal(2048).astype(DTYPE),
+                acc_lanes=4, images=64, activation=activation,
+            )
+            x = rng.standard_normal(64 * 16).astype(DTYPE)
+
+            def call():
+                return k_fc(fc, {"in": x})["out"]
+        call()  # the C object is loaded before tracing starts
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 512 * 1024
+        assert out.nbytes <= peak < 1.5 * out.nbytes
 
 
 class TestNumpyState:

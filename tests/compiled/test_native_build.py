@@ -126,7 +126,7 @@ def test_cold_cache_builds_once_and_a_second_process_loads_it(cold):
         "from repro.compiled import native\n"
         f"native._cache_dir = lambda: pathlib.Path({str(cache)!r})\n"
         "native._find_compiler = lambda: sys.exit('looked for a compiler')\n"
-        "print(native.cores().lanes)\n"
+        "print(native.cores().conv_scratch(3, 25, 12))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     proc = subprocess.run(
@@ -134,7 +134,7 @@ def test_cold_cache_builds_once_and_a_second_process_loads_it(cold):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(loaded[0].lanes)]
+    assert proc.stdout.split() == [str(loaded[0].conv_scratch(3, 25, 12))]
     assert len(builds) == 1 and len(cached(cache)) == 1
 
 
