@@ -25,11 +25,15 @@ kept by reproducing the per-beat association order exactly:
   accumulation chain the actor runs per coordinate, in C
   (``conv_tree`` in ``cores.c``, built and loaded by
   :mod:`repro.compiled.native`):
-  for a tile of 16 coordinates ("lanes") it gathers the ``(G, K)``
-  windows from the port views once, lanes minor, and then runs every
+  a tile is 16 output rows ("lanes"), one vector lane each. A whole block
+  of 16 images runs as those images at one coordinate, every window
+  vector read in place from a copy of the block laid out image-minor;
+  the images past the last whole block (all of a call with fewer than
+  16) run as 16 consecutive coordinates, whose ``(G, K)`` windows are
+  gathered from the port views once, lanes minor. Either way every
   output map's ``K = P*kh*kw`` products, tree and bias-first group chain
-  on 16-lane vectors, in blocks of maps that share each loaded window
-  vector. The tree is *not* padded to a power of two: an odd
+  run on 16-lane vectors, in blocks of maps that share each loaded
+  window vector. The tree is *not* padded to a power of two: an odd
   level's last node is carried as ``node + 0.0``, which is what the
   padded tree computes for it (``-0.0`` becomes ``+0.0`` on the first
   carry; further pad zeros change nothing, so it is carried once). The
@@ -273,15 +277,17 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
     bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
     strides = np.array([p.strides for p in ports], dtype=np.int64)
-    scratch = np.empty(
-        cores.conv_scratch(groups, w_all.shape[2], actor.out_fm), DTYPE
+    # The geometry conv_tree walks; cores.c alone decides how, and sizes
+    # the scratch for it.
+    geometry = (
+        strides.ctypes.data, actor.in_ports, *ports[0].shape[:3], groups,
+        actor.kh, actor.kw, actor.out_fm,
     )
+    scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
     cores.conv_tree(
-        bases.ctypes.data, strides.ctypes.data, actor.in_ports,
-        *ports[0].shape[:3], groups, actor.kh, actor.kw, actor.out_fm,
-        w_all.ctypes.data, bias.ctypes.data, out.ctypes.data,
-        scratch.ctypes.data,
+        bases.ctypes.data, *geometry, w_all.ctypes.data, bias.ctypes.data,
+        out.ctypes.data, scratch.ctypes.data,
     )
     # In place: the op holds one output-sized array, not two.
     actor._act(out, out=out)

@@ -44,8 +44,9 @@ _loaded = None
 
 def cores():
     """The C kernels: ``.conv_tree`` and ``.fc_chains``, and the float32
-    counts of the scratch each needs, ``.conv_scratch(G, K, O)`` and
-    ``.fc_scratch(images, acc_lanes)``.
+    counts of the scratch each needs, ``.conv_scratch`` (``conv_tree``'s
+    geometry arguments: strides, ports, images, rows, cols, G, kh, kw, O)
+    and ``.fc_scratch(images, acc_lanes)``.
 
     Builds (once per cache) and loads (once per process) on first use;
     a refusal is remembered and raised again as a fresh
@@ -151,7 +152,7 @@ def _open(path: Path):
     conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr] * 4
     fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr] * 3
     conv_scratch.restype = fc_scratch.restype = i64
-    conv_scratch.argtypes = [i64] * 3
+    conv_scratch.argtypes = [ptr] + [i64] * 8
     fc_scratch.argtypes = [i64] * 2
     return SimpleNamespace(
         conv_tree=conv, fc_chains=fc,

@@ -1,23 +1,33 @@
 """The compiled conv kernel against the actor's own arithmetic, bit for bit.
 
 ``k_conv`` runs the product tree in C (``conv_tree`` in
-``repro/compiled/cores.c``): 16-lane tiles gathered straight from the
-window views, every output map's products, the unpadded tree and the
+``repro/compiled/cores.c``): 16-lane tiles, either 16 images at one
+coordinate read in place from an image-minor copy (whole blocks of 16
+images) or 16 consecutive coordinates gathered straight from the window
+views (the rest); every output map's products, the unpadded tree and the
 bias-first group chain in one pass, blocks of maps side by side. It may
 reorder memory but not a single float32 operation. These tests pin that
 down below the engine level: the unpadded tree, as ``k_fc``'s lane tree,
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the conv kernel against the per-coordinate formulation of
-``ConvCoreActor._compute`` over a port/kernel/tiling/map-block grid,
-special values and the largest zoo shapes — every case fed both the
-zero-copy ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks
-of the same pixels. ``TestOutputAllocation`` checks that ``k_conv`` and
-``k_fc`` apply the activation in place.
+``ConvCoreActor._compute`` over a port/kernel/tiling/map-block grid, both
+walks, special values and the largest zoo shapes — every case fed both
+the ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of
+the same pixels. ``TestOverRead`` runs both walks up to a guard page, and
+``TestOutputAllocation`` checks that ``k_conv`` and ``k_fc`` apply the
+activation in place.
 """
 
+import ctypes
+import mmap
+import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +50,8 @@ def bits(arr):
     arr = np.ascontiguousarray(arr, dtype=DTYPE)
     return np.where(np.isnan(arr), DTYPE(np.nan), arr).view(np.uint32)
 
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: Output maps whose trees ``conv_tree`` runs side by side (``MAPS`` in
 #: ``cores.c``).
@@ -149,13 +161,15 @@ def sprinkle(rng, arr, share):
 
 
 def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None,
-              groups=2, out_fm=6, special=None):
+              groups=2, out_fm=6, special=None, stride=1, pad=0, place=None):
     """A conv core plus the same windows in both stream representations.
 
-    Returns ``(actor, views, beats)``: per in-port the zero-copy
-    ``k_window`` view of seeded pixels and its gathered ``(n, k, k)``
-    beat stack. ``special`` (a dict of share per ``"pixels"``,
-    ``"weights"``, ``"bias"``) sprinkles :data:`SPECIALS` over them.
+    Returns ``(actor, views, beats)``: per in-port the ``k_window`` view
+    of seeded pixels (zero-copy unless padded) and its gathered
+    ``(n, k, k)`` beat stack. ``special`` (a dict of share per
+    ``"pixels"``, ``"weights"``, ``"bias"``) sprinkles :data:`SPECIALS`
+    over them; ``place`` (pixels -> an array of the same values) decides
+    where the pixel stream lives.
     """
     special = special or {}
     rng = np.random.default_rng(seed)
@@ -168,7 +182,7 @@ def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None,
     if images is None:
         images = 2 if n_lanes % 2 == 0 else 1
     oh, ow = grid_shape(n_lanes // images)
-    h, w = oh + k - 1, ow + k - 1
+    h, w = (oh - 1) * stride + k - 2 * pad, (ow - 1) * stride + k - 2 * pad
     actor = ConvCoreActor(
         "core", weight, bias, in_ports, out_ports,
         n_coords=oh * ow, images=images, activation=activation,
@@ -178,8 +192,11 @@ def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None,
         px = rng.standard_normal(images * h * w * groups).astype(DTYPE)
         px[rng.random(px.shape) < 0.05] = 0.0
         sprinkle(rng, px, special.get("pixels", 0))
+        if place is not None:
+            px = place(px)
         win = SlidingWindowActor(
-            f"win{p}", WindowSpec(k, k), h, w, group=groups, images=images
+            f"win{p}", WindowSpec(k, k, stride, pad), h, w, group=groups,
+            images=images,
         )
         views[f"in{p}"] = k_window(win, {"in": px})["out"]
         beats[f"in{p}"] = _beats(views[f"in{p}"])
@@ -226,9 +243,11 @@ def assert_both_forms_bit_equal(actor, views, beats, want=None):
 
 
 class TestConvKernelBlocking:
-    """Lanes go through the kernel in tiles of 16 consecutive coordinates
-    that cross output rows and images wherever those end; the last tile
-    of a call may be partial."""
+    """Calls of fewer than 16 images, as here, take the coordinate walk
+    throughout: lanes go through the kernel in tiles of 16 consecutive
+    coordinates that cross output rows and images wherever those end, and
+    the last tile of a call may be partial. (:class:`TestConvImageWalk`
+    covers 16 images or more.)"""
 
     @pytest.mark.parametrize("n_lanes", [36, 144, 324])
     @pytest.mark.parametrize("k", [1, 3, 5, 6, 11])
@@ -313,6 +332,26 @@ class TestConvKernelBlocking:
             k_conv(actor, views)
 
 
+def slab_views(views, beats):
+    """The windows of ``views`` re-cut from per-image slabs of 40 pixel
+    rows, of which the windows cover the top ones: the image stride is
+    the views' largest by far, and every row no window covers is NaN."""
+    out = {}
+    for port, view in views.items():
+        images, oh, ow, groups, k, _ = view.shape
+        slab = np.full((images, 40, ow + k - 1, groups), np.nan, DTYPE)
+        wins = beats[port].reshape(view.shape)
+        for ky in range(k):
+            for kx in range(k):
+                slab[:, ky : ky + oh, kx : kx + ow] = wins[..., ky, kx]
+        out[port] = sliding_window_view(
+            slab[:, : oh + k - 1], (k, k), axis=(1, 2)
+        )
+        assert out[port].strides[0] == max(out[port].strides)
+        assert out[port].strides[0] > 10 * out[port].strides[1]
+    return out
+
+
 class TestConvKernelMapBlocks:
     """Output maps go through the kernel in blocks of :data:`MAPS` that
     share each window vector; the last block of a layer may be short, and
@@ -364,19 +403,7 @@ class TestConvKernelMapBlocks:
         # offsets from a tile's first lane jump by whole slabs. The rows
         # no window covers are NaN, so a stray read shows.
         actor, views, beats = make_case(2, 1, 3, 40, "relu", images=8)
-        for port, view in views.items():
-            images, oh, ow, groups, k, _ = view.shape
-            slab = np.full((images, 40, ow + k - 1, groups), np.nan, DTYPE)
-            wins = beats[port].reshape(view.shape)
-            for ky in range(k):
-                for kx in range(k):
-                    slab[:, ky : ky + oh, kx : kx + ow] = wins[..., ky, kx]
-            views[port] = sliding_window_view(
-                slab[:, : oh + k - 1], (k, k), axis=(1, 2)
-            )
-            assert views[port].strides[0] == max(views[port].strides)
-            assert views[port].strides[0] > 10 * views[port].strides[1]
-        assert_both_forms_bit_equal(actor, views, beats)
+        assert_both_forms_bit_equal(actor, slab_views(views, beats), beats)
 
 
 class TestConvKernelLaneCounts:
@@ -493,7 +520,12 @@ class TestConvShapes:
 
 def test_two_threads_at_once():
     # The C kernel runs without the GIL, from any number of threads.
-    cases = [make_case(2, 2, 5, 2048, "relu", seed=s) for s in (1, 2)]
+    run_in_two_threads([make_case(2, 2, 5, 2048, "relu", seed=s) for s in (1, 2)])
+
+
+def run_in_two_threads(cases):
+    """Two ``(actor, views, beats)`` cases, each in its own thread five
+    times at once, against one call of each on this thread."""
     want = [k_conv(actor, views) for actor, views, _ in cases]
     got = [None, None]
     start = threading.Barrier(2)
@@ -513,6 +545,171 @@ def test_two_threads_at_once():
         for outs in got[i]:
             for port, arr in want[i].items():
                 assert np.array_equal(bits(outs[port]), bits(arr))
+
+
+#: Image counts around whole blocks of 16: none (15), one exactly (16), one
+#: and a remainder of 1 (17) or 15 (31), two (32), two and 1 (33), three.
+IMAGE_COUNTS = [15, 16, 17, 31, 32, 33, 48]
+
+
+class TestConvImageWalk:
+    """A call of 16 or more images runs each whole block of 16 images as
+    16 lanes at one output coordinate, every window vector read in place
+    from an image-minor copy of the block; the images past the last whole
+    block, and every call of fewer than 16, take the coordinate walk of
+    :class:`TestConvKernelBlocking`. A beat stack is one image, so its
+    call takes the coordinate walk throughout and checks the view's."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("in_ports", [1, 2, 4])
+    @pytest.mark.parametrize("images", IMAGE_COUNTS)
+    def test_bit_equal_to_actor_formulation(self, images, in_ports, k):
+        # 3x4 coordinates, two groups: port p's copy starts after the
+        # extents of the ports before it; K = 1 ... 100.
+        actor, views, beats = make_case(
+            in_ports, 2, k, images * 12, "tanh", seed=images * 16 + in_ports * 4 + k,
+            images=images,
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize("out_fm", range(1, 2 * MAPS + 2))
+    def test_every_remainder_of_the_map_block(self, out_fm):
+        actor, views, beats = make_case(
+            2, 1, 3, 32 * 6, "tanh", seed=out_fm, images=32, out_fm=out_fm
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize("share", [0.02, 0.3])
+    @pytest.mark.parametrize("where", ["pixels", "weights", "bias", "all"])
+    @pytest.mark.parametrize("in_ports,k", [(2, 3), (1, 5)])
+    def test_special_values(self, in_ports, k, where, share):
+        # TestConvSpecialValues' draw over 32 images of 2x3 coordinates.
+        special = (
+            {"pixels": share, "weights": share, "bias": share}
+            if where == "all" else {where: share}
+        )
+        actor, views, beats = make_case(
+            in_ports, 2, k, 32 * 6, None,
+            seed=sum(map(ord, where)) + int(share * 100), images=32,
+            special=special,
+        )
+        with np.errstate(invalid="ignore"):
+            assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize(
+        "in_ports,k",
+        [(1, 1), (8, 1), (1, 2), (2, 4), (5, 1), (3, 3), (6, 2), (1, 3),
+         (2, 3), (1, 5), (1, 11)],
+    )
+    def test_negative_zero_products_are_carried_once(self, in_ports, k):
+        actor, views, beats = make_case(in_ports, 1, k, 32 * 2, None, images=32)
+        actor = ConvCoreActor(
+            "core", np.full_like(actor.weight, -0.0), np.full_like(actor.bias, -0.0),
+            in_ports, 1, n_coords=actor.n_coords, images=actor.images,
+        )
+        views = {p: np.abs(v) for p, v in views.items()}
+        beats = {p: np.abs(b) for p, b in beats.items()}
+        want = assert_both_forms_bit_equal(actor, views, beats)
+        n = in_ports * k * k
+        assert set(bits(want["out0"])) == {0x80000000 if n & (n - 1) == 0 else 0}
+
+    @pytest.mark.parametrize(
+        "k,stride,pad", [(3, 1, 1), (5, 1, 2), (3, 2, 0), (3, 2, 1), (5, 2, 2)]
+    )
+    def test_padded_and_strided_windows(self, k, stride, pad):
+        # A padded view reads np.pad's copy of the pixels; a stride-2 view
+        # has row and column strides of two pixels, and its last rows or
+        # columns may lie past every window.
+        actor, views, beats = make_case(
+            2, 1, k, 32 * 12, "relu", seed=k * 10 + stride * 3 + pad,
+            images=32, stride=stride, pad=pad,
+        )
+        assert views["in0"].strides[2] == stride * views["in0"].strides[5]
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    def test_image_stride_is_the_largest_stride(self):
+        # The slab case of TestConvKernelBlocking over 32 images: each
+        # image's copied extent holds 3 rows of its slab, and the NaN rows
+        # between the extents are never copied.
+        actor, views, beats = make_case(2, 1, 3, 32 * 5, "relu", images=32)
+        assert_both_forms_bit_equal(actor, slab_views(views, beats), beats)
+
+    def test_two_threads_at_once(self):
+        cases = [
+            make_case(2, 2, 5, 32 * 36, "relu", seed=s, images=32) for s in (1, 2)
+        ]
+        for case in cases:
+            assert_both_forms_bit_equal(*case)
+        run_in_two_threads(cases)
+
+
+def before_guard_page(px):
+    """A copy of ``px`` whose last byte is the last before a ``PROT_NONE``
+    page, so a read past its end faults (Linux: ``mmap``, ``mprotect``)."""
+    page = mmap.PAGESIZE
+    size = -(-px.nbytes // page) * page
+    buf = mmap.mmap(-1, size + page)
+    addr = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    if libc.mprotect(ctypes.c_void_p(addr + size), page, 0):  # PROT_NONE
+        raise OSError(ctypes.get_errno(), "mprotect")
+    out = np.frombuffer(buf, px.dtype, px.size, size - px.nbytes)
+    out[:] = px
+    return out
+
+
+def run_up_to_a_guard_page(images):
+    """Both forms of a two-port case whose pixel streams each end on a
+    guard page (this runs in a child process: an over-read kills it)."""
+    actor, views, beats = make_case(
+        2, 1, 3, images * 12, "relu", seed=images, images=images,
+        place=before_guard_page,
+    )
+    assert_both_forms_bit_equal(actor, views, beats)
+
+
+def in_child(code):
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT)]
+        )),
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mmap guard pages")
+class TestOverRead:
+    """The last image's windows end on the last pixel, so the image walk's
+    copy (16 images) and the coordinate walk's gather (3, and the 17th
+    image of 17) each read up to the end of a pixel stream placed right
+    before a page that faults on any access."""
+
+    def test_the_guard_page_faults(self):
+        # The placement is exact: the last float reads, one more faults.
+        # (An image extent one float too long reads exactly that float.)
+        code = (
+            "import ctypes, numpy as np\n"
+            "from tests.compiled.test_kernels_conv import before_guard_page\n"
+            "px = before_guard_page(np.arange(1000, dtype=np.float32))\n"
+            "end = px.ctypes.data + px.nbytes\n"
+            "assert ctypes.string_at(end - 4, 4) == np.float32(999).tobytes()\n"
+            "print('read', flush=True)\n"
+            "ctypes.string_at(end, 4)\n"
+        )
+        proc = in_child(code)
+        assert proc.stdout == "read\n"
+        assert proc.returncode == -signal.SIGSEGV, proc.stderr
+
+    @pytest.mark.parametrize("images", [3, 16, 17])
+    def test_kernel_reads_up_to_the_page(self, images):
+        proc = in_child(
+            "from tests.compiled.test_kernels_conv import run_up_to_a_guard_page\n"
+            f"run_up_to_a_guard_page({images})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOutputAllocation:
