@@ -70,12 +70,13 @@ class CompiledEngine:
     """Steady-state execution of one verified design graph.
 
     Satisfies the engine protocol of
-    :class:`~repro.dataflow.simulator.Simulator` (``cycle``, ``run``,
-    ``run_cycles``, ``release``, ``actor_stats``, ``scheduler_stats``) with two
-    restrictions, both rejected with :class:`ConfigurationError`:
-    ``run_cycles`` / ``run(until=...)`` (no partial execution — the run
-    is a single fused pass) and armed faults (checked by the factory in
-    :mod:`repro.dataflow.simulator` before this class is reached).
+    :class:`~repro.dataflow.simulator.Simulator` (the constructor plus
+    ``run``, ``actor_stats``, ``scheduler_stats``) with two restrictions,
+    both rejected with :class:`ConfigurationError`: ``run(until=...)``
+    (no partial execution — the run is a single fused pass) and armed
+    faults (checked by the factory in :mod:`repro.dataflow.simulator`
+    before this class is reached). Its end of life is empty: a compiled
+    run starts no process and hooks no channel or gate.
     """
 
     name = "compiled"
@@ -85,8 +86,6 @@ class CompiledEngine:
         # owns the engine, never the other way round.
         self._actors = sim.actors
         self._channels = sim.channels
-        self.cycle = 0
-        self._ran = False
 
         if sim.tracer is not None:
             raise CompilationError(
@@ -169,7 +168,7 @@ class CompiledEngine:
 
     # -- engine protocol ---------------------------------------------------
 
-    def run(self, max_cycles: int = 10_000_000, until=None):
+    def run(self, max_cycles: int, until):
         if until is not None:
             raise ConfigurationError(
                 "the compiled engine runs to completion in one pass and "
@@ -183,32 +182,15 @@ class CompiledEngine:
                 f"{sched.cycles} modeled cycles, exceeding "
                 f"max_cycles={max_cycles}"
             )
-        if not self._ran:
-            run_kernels(
-                self._actors, self._in_ports, self._out_ports, sched.order
-            )
-            # Modeled output timing: each image's last beat lands at its
-            # perf-model completion cycle, earlier beats back-to-back.
-            # interval >= per-image output beats, so images never overlap.
-            ts = self._sink.timestamps
-            for done in sched.completions:
-                ts.extend(range(done - sched.per_image_out + 1, done + 1))
-            synthesize_channel_stats(
-                sched, self._channels, self._source.name
-            )
-            self.cycle = sched.cycles
-            self._ran = True
-        return self.cycle, True
-
-    def run_cycles(self, n: int) -> int:
-        raise ConfigurationError(
-            "the compiled engine cannot single-step; use the 'event' "
-            "engine for run_cycles debugging"
-        )
-
-    def release(self) -> None:
-        """Nothing to let go of: a compiled run starts no process and
-        hooks no channel or gate."""
+        run_kernels(self._actors, self._in_ports, self._out_ports, sched.order)
+        # Modeled output timing: each image's last beat lands at its
+        # perf-model completion cycle, earlier beats back-to-back.
+        # interval >= per-image output beats, so images never overlap.
+        ts = self._sink.timestamps
+        for done in sched.completions:
+            ts.extend(range(done - sched.per_image_out + 1, done + 1))
+        synthesize_channel_stats(sched, self._channels, self._source.name)
+        return sched.cycles, True
 
     def actor_stats(self) -> Dict[str, list]:
         return synthesize_actor_stats(self.schedule)
@@ -217,7 +199,7 @@ class CompiledEngine:
         return {
             "scheduler": "compiled",
             "executed_cycles": 0,
-            "skipped_cycles": self.cycle,
+            "skipped_cycles": self.schedule.cycles,
             "parks": 0,
             "wakeups": 0,
         }

@@ -250,7 +250,6 @@ def build_network(
     memory_system: str = "behavioral",
     loop_overhead: int = 0,
     normalize: bool = False,
-    strict: bool = False,
     depth_plan: Optional["DepthPlan"] = None,
     multi_plan: Optional["MultiFpgaPlan"] = None,
 ) -> BuiltNetwork:
@@ -273,16 +272,12 @@ def build_network(
     normalize: append the Eq. 3 normalization operator after the last
         layer (requires the design to end in a 1x1-spatial stage), so the
         sink collects class probabilities instead of logits.
-    strict: run the static verifier (:mod:`repro.analysis`) over the
-        design and the elaborated graph, raising
-        :class:`~repro.errors.AnalysisError` (carrying the full report)
-        if any rule finds an error — catch rate/adapter/buffering bugs
-        here instead of as a mid-simulation deadlock.
     depth_plan: a certified :class:`~repro.analysis.depths.DepthPlan`
         to apply to the elaborated graph (shrinks every bounded channel
         to its certificate depth; the plan must match this elaboration's
         ``memory_system``). The plan stays attached as
-        ``graph.depth_plan`` so ``strict`` runs the BUFFER.DEPTH_* rules.
+        ``graph.depth_plan`` so :func:`repro.analysis.analyze_graph` runs
+        the BUFFER.DEPTH_* rules.
     multi_plan: a :class:`~repro.core.multi_fpga.MultiFpgaPlan` from
         :func:`~repro.core.multi_fpga.plan_split`. The graph is cut at
         the planned segment boundaries: each cut becomes a
@@ -481,14 +476,6 @@ def build_network(
         from repro.analysis.depths import apply_depth_plan
 
         apply_depth_plan(g, depth_plan)
-    if strict:
-        # Imported lazily: repro.analysis drives this builder itself.
-        from repro.analysis import analyze_design, analyze_graph
-        from repro.errors import AnalysisError
-
-        report = analyze_design(design).merge(analyze_graph(g, design))
-        if not report.ok:
-            raise AnalysisError(report)
     return BuiltNetwork(design=design, graph=g, source=source, sink=sink, images=images)
 
 

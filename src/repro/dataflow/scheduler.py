@@ -46,6 +46,12 @@ Equivalence notes (why the event engine is exact, not approximate):
 * With a tracer or an ``until`` predicate attached the engine still parks
   and tracks active channels but executes every cycle sequentially (no bulk
   skipping), so per-cycle samples and early-stop checks match exactly.
+
+An engine runs once. Its ``run`` goes to completion, a deadlock,
+``max_cycles`` or an ``until`` stop and ends, whichever it was, in the
+one end-of-life step (:func:`_end_of_life`). The protocol the
+:class:`~repro.dataflow.simulator.Simulator` relies on is the constructor
+plus ``run``, ``actor_stats`` and ``scheduler_stats``.
 """
 
 from __future__ import annotations
@@ -183,10 +189,10 @@ def _end_of_life(channels: Iterable[Channel], gates: Iterable[Gate] = ()) -> Non
     the records parked on them, the channels' cached wait descriptors and
     the gates that learnt their engine when a process parked there. Every
     one of them is dropped here, so that a run that is over is freed by
-    reference count the moment its owner lets go of it. The simulator
-    calls this (through ``engine.release()``) when a run finishes or
-    raises, never after ``run(until=...)`` / ``run_cycles``, which may go
-    on. Counters and channel statistics are untouched.
+    reference count the moment its owner lets go of it. Each engine calls
+    this in a ``finally`` of its ``run``: when the run returns (finished
+    or stopped by ``until``) or raises. Counters and channel statistics
+    are untouched.
     """
     for ch in channels:
         ch.detach()
@@ -220,9 +226,6 @@ class LockstepEngine:
         # No active set: descriptors must be inert under lock-step.
         for ch in self.channels:
             ch.attach(self._clock)
-
-    def release(self) -> None:
-        _end_of_life(self.channels)
 
     def _nondaemon_live(self) -> bool:
         return any(not p.actor.daemon for p in self._live)
@@ -295,26 +298,21 @@ class LockstepEngine:
             self._stall = 0
 
     def run(self, max_cycles: int, until) -> Tuple[int, bool]:
-        """Run on; returns ``(cycles, finished)`` for the simulator."""
-        while self._nondaemon_live():
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={max_cycles} with "
-                    f"{len(self._live)} live processes"
-                )
-            self._step()
-            if until is not None and until():
-                return self.cycle, False
-            self._check_stall()
-        return self.cycle, True
-
-    def run_cycles(self, n: int) -> int:
-        for _ in range(int(n)):
-            if not self._live:
-                break
-            self._step()
-            self._check_stall()
-        return len(self._live)
+        """Run once; returns ``(cycles, finished)`` for the simulator."""
+        try:
+            while self._nondaemon_live():
+                if self.cycle >= max_cycles:
+                    raise SimulationError(
+                        f"simulation exceeded max_cycles={max_cycles} with "
+                        f"{len(self._live)} live processes"
+                    )
+                self._step()
+                if until is not None and until():
+                    return self.cycle, False
+                self._check_stall()
+            return self.cycle, True
+        finally:
+            _end_of_life(self.channels)
 
 
 class _WaitRec:
@@ -325,20 +323,13 @@ class _WaitRec:
     blocked); ``pending`` counts the ``None`` entries. The record wakes when
     ``pending`` hits zero, at which point the stall cycles the lock-step
     loop would have recorded are charged retroactively from ``ready``.
-
-    ``park`` and ``apark`` start equal but rebase differently at an
-    end-of-run flush: channel charging owes ``ready - park - 1``
-    (:meth:`EventEngine._park` charged the park cycle itself) and
-    rebases to ``end - 1``, while the actor's own stall counter owes the
-    full ``wake - apark`` span and rebases to ``end``.
     """
 
-    __slots__ = ("proc", "park", "apark", "conds", "charge", "ready", "pending")
+    __slots__ = ("proc", "park", "conds", "charge", "ready", "pending")
 
     def __init__(self, proc: _Proc, park: int, conds, charge: int):
         self.proc = proc
         self.park = park
-        self.apark = park
         self.conds = conds
         self.charge = charge
         self.ready: List[Optional[int]] = [None] * len(conds)
@@ -406,9 +397,6 @@ class EventEngine:
         # Cycle 0 commits every channel (pre-staged values, initial
         # high-water marks), exactly like the lock-step loop's first cycle.
         self._active.update(self.channels)
-
-    def release(self) -> None:
-        _end_of_life(self.channels, self._gates)
 
     # -- cycle execution ---------------------------------------------------
 
@@ -547,7 +535,7 @@ class EventEngine:
                     self._apply_charges(rec, c)
                     # The lock-step loop yielded the descriptor on every
                     # cycle of the park span (the wake cycle itself fires).
-                    rec.proc.cnt.stalled_channel += c - rec.apark
+                    rec.proc.cnt.stalled_channel += c - rec.park
                     self._wakeups += 1
                     self._current.append(rec.proc.seq)
 
@@ -618,42 +606,23 @@ class EventEngine:
                     m = r
 
     def _flush(self, end: int) -> None:
-        """Bring stall stats of still-parked actors up to cycle ``end - 1``.
+        """Charge the stalls still owed at the end of the run, cycle ``end``.
 
-        Under lock-step, parked daemons (and actors observed mid-run via
-        ``run_cycles``) keep recording stalls every executed cycle; charge
-        those now, then rebase each record's park cycle so a later
-        continuation charges only cycles from ``end`` on.
+        Under lock-step, parked daemons (and actors caught mid-wait by an
+        ``until`` stop) record a stall on every executed cycle up to
+        ``end - 1``; charge those spans once, as the run ends.
         """
-        rebase = end - 1
         for rec in self._parked:
             self._apply_charges(rec, end)
-            rec.park = rebase
-            # Actor-side counter: a lock-step twin yielded the descriptor
-            # on every executed cycle apark..end-1; rebase to end so a
-            # continuation charges from there.
-            rec.proc.cnt.stalled_channel += end - rec.apark
-            rec.apark = end
+            rec.proc.cnt.stalled_channel += end - rec.park
         for gate in self._gates:
-            waiters = gate._waiters
-            if waiters:
-                gate._waiters = [
-                    (p, end) for p, park in waiters if p.alive
-                ]
-                for p, park in waiters:
-                    if p.alive:
-                        p.cnt.stalled_gate += end - park
-        if self._timers:
-            # Rebase pending timer parks; the (wake, seq) heap keys are
-            # untouched, so the list stays a valid heap. Plan-deferral
-            # entries (park=None) are never charged.
-            timers = []
-            for wake, seq, p, park in self._timers:
-                if park is not None:
-                    p.cnt.stalled_timer += end - park
-                    park = end
-                timers.append((wake, seq, p, park))
-            self._timers = timers
+            for p, park in gate._waiters:
+                if p.alive:
+                    p.cnt.stalled_gate += end - park
+        for _wake, _seq, p, park in self._timers:
+            # Plan-deferral entries (park=None) are never charged.
+            if park is not None:
+                p.cnt.stalled_timer += end - park
 
     # -- counter reports ---------------------------------------------------
 
@@ -673,95 +642,51 @@ class EventEngine:
             "wakeups": self._wakeups,
         }
 
-    # -- clock advance and stall/deadlock policy ---------------------------
-
-    def _advance(self, tick: bool) -> Optional[int]:
-        """Next cycle to execute; ``None`` if no process can ever run again."""
-        if self._next_ready or self._current or self._active:
-            return self.cycle
-        if self._timers:
-            if tick:
-                return self.cycle
-            wake = self._timers[0][0]
-            return wake if wake > self.cycle else self.cycle
-        return None
+    # -- running -----------------------------------------------------------
 
     def _deadlock(self) -> DeadlockError:
         return _deadlock_error(self.cycle, (p for p in self._procs if p.alive))
 
-    def _check_stall(self) -> None:
-        """Lock-step-compatible backstop for bare-``yield`` pollers."""
-        if self._live_nondaemon <= 0:
-            return
-        if self._active:
-            self._stall = 0
-        else:
-            self._stall += 1
-            if self._stall >= self.stall_limit:
-                raise self._deadlock()
-
-    # -- public API --------------------------------------------------------
-
     def run(self, max_cycles: int, until) -> Tuple[int, bool]:
-        """Run on; returns ``(cycles, finished)`` for the simulator."""
+        """Run once; returns ``(cycles, finished)`` for the simulator."""
         tick = self.tracer is not None or until is not None
         stall_limit = self.stall_limit
         exec_cycle = self._exec_cycle
         timers = self._timers
-        while self._live_nondaemon > 0:
-            # Inlined _advance(tick): this header runs once per cycle.
-            if self._next_ready or self._active or self._current:
-                c = self.cycle
-            elif timers:
-                wake = timers[0][0]
-                c = self.cycle if tick or wake <= self.cycle else wake
-            elif until is not None:
-                # A cycle-based ``until`` may still fire: keep ticking empty
-                # cycles; the stall backstop below bounds this.
-                c = self.cycle
-            else:
-                # Exact and immediate: nothing is runnable, no wakeups
-                # are pending, and no channel committed anything.
-                raise self._deadlock()
-            if c >= max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={max_cycles} with "
-                    f"{self._live_total} live processes"
-                )
-            exec_cycle(c)
-            self.cycle = c + 1
-            if until is not None and until():
-                self._flush(self.cycle)
-                return self.cycle, False
-            # Inlined _check_stall(): backstop for bare-``yield`` pollers.
-            if self._active:
-                self._stall = 0
-            elif self._live_nondaemon > 0:
-                self._stall += 1
-                if self._stall >= stall_limit:
+        try:
+            while self._live_nondaemon > 0:
+                # The clock advance: this header runs once per cycle.
+                if self._next_ready or self._active or self._current:
+                    c = self.cycle
+                elif timers:
+                    wake = timers[0][0]
+                    c = self.cycle if tick or wake <= self.cycle else wake
+                elif until is not None:
+                    # A cycle-based ``until`` may still fire: keep ticking
+                    # empty cycles; the stall backstop below bounds this.
+                    c = self.cycle
+                else:
+                    # Exact and immediate: nothing is runnable, no wakeups
+                    # are pending, and no channel committed anything.
                     raise self._deadlock()
-        self._flush(self.cycle)
-        return self.cycle, True
-
-    def run_cycles(self, n: int) -> int:
-        target = self.cycle + int(n)
-        tick = self.tracer is not None
-        while self.cycle < target:
-            if self._live_total == 0:
-                break
-            c = self._advance(tick)
-            if c is None or c >= target:
-                # Nothing can run before the target: the gap is pure stall
-                # time for the lock-step accounting.
-                gap = target - self.cycle
-                self.cycle = target
-                if self._live_nondaemon > 0:
-                    self._stall += gap
-                    if self._stall >= self.stall_limit:
+                if c >= max_cycles:
+                    raise SimulationError(
+                        f"simulation exceeded max_cycles={max_cycles} with "
+                        f"{self._live_total} live processes"
+                    )
+                exec_cycle(c)
+                self.cycle = c + 1
+                if until is not None and until():
+                    self._flush(self.cycle)
+                    return self.cycle, False
+                # Lock-step-compatible backstop for bare-``yield`` pollers.
+                if self._active:
+                    self._stall = 0
+                elif self._live_nondaemon > 0:
+                    self._stall += 1
+                    if self._stall >= stall_limit:
                         raise self._deadlock()
-                break
-            self._exec_cycle(c)
-            self.cycle = c + 1
-            self._check_stall()
-        self._flush(self.cycle)
-        return self._live_total
+            self._flush(self.cycle)
+            return self.cycle, True
+        finally:
+            _end_of_life(self.channels, self._gates)

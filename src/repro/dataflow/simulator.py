@@ -22,6 +22,10 @@ and reports deadlocks immediately (no runnable process, no pending wakeup,
 no channel activity) instead of after ``stall_limit`` idle cycles.
 ``"lockstep"`` is the test and ledger oracle: :data:`SCHEDULERS` keeps it,
 the user-facing surfaces offer :data:`USER_SCHEDULERS` only.
+
+A simulation runs once: :meth:`Simulator.run` creates the engine, runs it
+to completion, a deadlock, ``max_cycles`` or an ``until`` stop, and
+returns. A stop is the end of that run, like the other three.
 """
 
 from __future__ import annotations
@@ -174,11 +178,10 @@ class Simulator:
         #: the compiled engine folds its link stages into the timing frame.
         self.multi_plan = multi_plan
         #: Optional :class:`repro.faults.ArmedFaults`. Set (by
-        #: ``BuiltNetwork.run(faults=...)``) *before* the first ``run`` /
-        #: ``run_cycles`` call; engines read it once at creation. None on
-        #: the no-fault hot path.
+        #: ``BuiltNetwork.run(faults=...)``) *before* ``run``; the engine
+        #: reads it once at creation. None on the no-fault hot path.
         self.faults: Optional[Any] = None
-        self._engine = None
+        self._ran = False
         self._validate()
 
     def _validate(self) -> None:
@@ -206,32 +209,13 @@ class Simulator:
 
     # -- running -----------------------------------------------------------
 
-    @property
-    def cycle(self) -> int:
-        """Current simulation cycle (next cycle to execute)."""
-        return self._engine.cycle if self._engine is not None else 0
-
-    def _start(self):
-        """Create the engine (starting every actor process) on first use.
-
-        The engine copies what it reads of this simulator (actors,
-        channels, stall limit, tracer, faults, design provenance) and keeps
-        no reference to it: ownership runs simulator -> engine -> actors /
-        channels / processes only.
-        """
-        if self._engine is None:
-            self._engine = SCHEDULERS[self.scheduler](self)
-        return self._engine
-
     def run(self, max_cycles: int = 10_000_000, until=None) -> SimulationResult:
-        """Run until completion, a deadlock, ``until()``, or ``max_cycles``.
+        """Run once: to completion, a deadlock, ``until()``, or ``max_cycles``.
 
         Completion means every process of every *non-daemon* actor has
         finished; free-running daemon actors (routing stages, adapters) do
         not keep the simulation alive. ``until`` is an optional nullary
         predicate checked at the end of each cycle for early stopping.
-        Continues from the current cycle if the simulation was already
-        started (e.g. by :meth:`run_cycles`).
 
         Returns
         -------
@@ -239,19 +223,24 @@ class Simulator:
             ``finished`` is True when all non-daemon processes completed
             (not when stopped early by ``until``).
 
-        A run that finished or raised is over: the engine's end-of-life
-        step (:func:`repro.dataflow.scheduler._end_of_life`) has dropped
-        what it hung on channels and gates, so the whole run is freed when
-        its last owner lets go of it. A run stopped by ``until`` may go on.
+        A simulator runs once; a second call raises
+        :class:`~repro.errors.SimulationError`. The engine is created here
+        (starting every actor process) and copies what it reads of this
+        simulator (actors, channels, stall limit, tracer, faults, design
+        provenance), keeping no reference to it. Whether the run finished,
+        stopped or raised, the engine's end-of-life step
+        (:func:`repro.dataflow.scheduler._end_of_life`) has dropped what it
+        hung on channels and gates before this returns, so the whole run is
+        freed when its last owner lets go of it.
         """
-        engine = self._start()
-        try:
-            cycles, finished = engine.run(int(max_cycles), until)
-        except BaseException:
-            engine.release()
-            raise
-        if finished:
-            engine.release()
+        if self._ran:
+            raise SimulationError(
+                "this simulator has already run; build a new one to run "
+                "the graph again"
+            )
+        self._ran = True
+        engine = SCHEDULERS[self.scheduler](self)
+        cycles, finished = engine.run(int(max_cycles), until)
         return SimulationResult(
             cycles=cycles,
             finished=finished,
@@ -259,17 +248,3 @@ class Simulator:
             actor_stats=engine.actor_stats(),
             scheduler_stats=engine.scheduler_stats(),
         )
-
-    def run_cycles(self, n: int) -> int:
-        """Advance the simulation by exactly ``n`` cycles (step debugging).
-
-        Starts the processes on first use and shares the engine with
-        :meth:`run`, so stats, tracing, and deadlock detection all behave
-        as in a full run. Returns the number of still-live processes.
-        """
-        engine = self._start()
-        try:
-            return engine.run_cycles(int(n))
-        except BaseException:
-            engine.release()
-            raise

@@ -75,24 +75,6 @@ class ChannelProtocolError(SimulationError):
     """A channel was used outside its single-reader/single-writer contract."""
 
 
-class AnalysisError(ReproError):
-    """The static verifier found errors (``build_network(strict=True)``).
-
-    Attributes
-    ----------
-    report:
-        The :class:`repro.analysis.AnalysisReport` with the findings.
-    """
-
-    def __init__(self, report):
-        self.report = report
-        rules = ", ".join(report.error_rules())
-        super().__init__(
-            f"static check of {report.design_name!r} failed: "
-            f"{len(report.errors)} error(s) [{rules}]"
-        )
-
-
 class CompilationError(ReproError):
     """A graph cannot be lowered to the compiled steady-state engine.
 

@@ -1,5 +1,5 @@
-"""The static verifier over valid designs: zoo cleanliness, perf agreement,
-report plumbing and the strict builder gate."""
+"""The static verifier over valid designs: zoo cleanliness, perf agreement
+and report plumbing."""
 
 import json
 
@@ -29,7 +29,7 @@ from repro.core.zoo import (
     vgg16_blocked_design,
     vgg16_design,
 )
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 from tests.analysis.bad_designs import under_buffered_tiny
 
 #: What a plain ``check`` runs (the two BUFFER.DEPTH_* rules need a depth plan).
@@ -186,30 +186,6 @@ class TestDictFrontend:
                                     "layers": []})
         assert not report.ok
         assert report.error_rules() == ["SPEC.VALID"]
-
-
-class TestStrictBuilder:
-    def test_strict_build_passes_on_valid_design(self, rng):
-        d = usps_design()
-        built = build_network(
-            d, random_weights(d),
-            rng.uniform(0, 1, (1,) + d.input_shape).astype(np.float32),
-            strict=True,
-        )
-        assert built.graph.actors  # built normally
-
-    def test_strict_build_rejects_lying_ii(self, rng):
-        from tests.analysis.bad_designs import ii_inconsistent_design
-
-        d = ii_inconsistent_design()
-        with pytest.raises(AnalysisError) as exc:
-            build_network(
-                d, random_weights(d),
-                rng.uniform(0, 1, (1,) + d.input_shape).astype(np.float32),
-                strict=True,
-            )
-        assert exc.value.report.error_rules() == ["II.EQ4"]
-        assert "II.EQ4" in str(exc.value)
 
 
 class TestGraphOnly:

@@ -3,8 +3,8 @@
 The compiled engine only accepts graphs that carry a NetworkDesign which
 passes the static analyzer cleanly. Everything else must fall back to the
 event engine with a :class:`CompiledFallbackWarning` — never a wrong
-answer, never a crash. Faults, tracers, ``until`` predicates and
-``run_cycles`` are interpreter-only features and are rejected explicitly.
+answer, never a crash. Faults, tracers and ``until`` predicates are
+interpreter-only features and are rejected explicitly.
 """
 
 import warnings
@@ -188,9 +188,3 @@ class TestRefusals:
         sim = built.graph.build_simulator(scheduler="compiled")
         with pytest.raises(ConfigurationError, match="until"):
             sim.run(until=lambda: True)
-
-    def test_run_cycles_rejected(self, rng):
-        built = tiny_built(rng)
-        sim = built.graph.build_simulator(scheduler="compiled")
-        with pytest.raises(ConfigurationError):
-            sim.run_cycles(10)

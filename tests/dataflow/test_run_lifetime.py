@@ -3,11 +3,10 @@
 Ownership of a run is one-directional (``BuiltNetwork -> graph -> actors /
 channels``, ``Simulator -> engine -> actors / channels / processes``), and
 the one end-of-life step (``repro.dataflow.scheduler._end_of_life``) drops
-the hooks a running engine hangs on channels and gates. So a run that
-finished or raised is freed by reference count, with the cycle collector
-switched off, the moment its last owner lets go of it — and a run that
-was only stopped (``until=``) is still whole and goes on to the recorded
-cycle count.
+the hooks a running engine hangs on channels and gates. A simulation runs
+once, so a run that finished, raised or was stopped (``until=``) is over,
+and is freed by reference count, with the cycle collector switched off,
+the moment its last owner lets go of it.
 """
 
 import gc
@@ -20,15 +19,10 @@ import pytest
 from repro.core import cifar10_design, random_weights, tiny_design, usps_design
 from repro.core.builder import build_network, seeded_batch
 from repro.core.compute_core import ConvCoreActor
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.faults import FaultScenario, FifoShrink, arm_faults
 from repro.faults.harness import resolve_shrink, run_design
-from tests.dataflow.test_golden_timing import (
-    CASES,
-    CHANNEL_FIELDS,
-    GOLDEN,
-    PROCESS_FIELDS,
-)
+from tests.dataflow.test_golden_timing import CASES, GOLDEN
 
 DESIGNS = {"tiny": tiny_design, "usps": usps_design, "cifar10": cifar10_design}
 ENGINES = ("event", "lockstep", "compiled")
@@ -148,23 +142,29 @@ def test_harness_outcome_of_a_deadlock_is_freed_with_its_run(no_collector):
 
 @pytest.mark.parametrize("scheduler", ["event", "lockstep"])
 @pytest.mark.parametrize("name", ["tiny", "cifar10"])
-def test_stopped_run_goes_on_to_the_recorded_end(name, scheduler):
-    """``until=`` is not an end of life: nothing was detached early."""
-    want = json.loads(GOLDEN.read_text())["designs"][name]
-    built = build(name, images=CASES[name][1])
-    sink = built.sink
-    half = sink.count // 2
-    sim = built.graph.build_simulator(scheduler=scheduler)
-    stopped = sim.run(until=lambda: len(sink.received) >= half)
-    assert not stopped.finished and 0 < stopped.cycles < want["cycles"]
-    result = sim.run()
-    assert result.finished and result.cycles == want["cycles"]
-    assert built.image_completion_cycles() == want["image_completion_cycles"]
-    assert {
-        actor: [[p[f] for f in PROCESS_FIELDS] for p in procs]
-        for actor, procs in result.actor_stats.items()
-    } == want["processes"]
-    assert {
-        channel: [stats[f] for f in CHANNEL_FIELDS]
-        for channel, stats in result.channel_stats.items()
-    } == want["channels"]
+def test_stopped_run_is_freed_without_the_collector(no_collector, name, scheduler):
+    """An ``until`` stop ends the run: its live generators go with it."""
+    recorded = json.loads(GOLDEN.read_text())["designs"][name]["cycles"]
+
+    def stop():
+        built = build(name, images=CASES[name][1])
+        sink = built.sink
+        half = sink.count // 2
+        sim = built.graph.build_simulator(scheduler=scheduler)
+        stopped = sim.run(until=lambda: len(sink.received) >= half)
+        assert not stopped.finished and 0 < stopped.cycles < recorded
+        return weakref.ref(built.graph), weakref.ref(a_core(built.graph))
+
+    stop()
+    gc.collect()
+    graph, core = stop()
+    assert graph() is None and core() is None
+    assert not cyclic_garbage()
+
+
+@pytest.mark.parametrize("scheduler", ENGINES)
+def test_a_simulator_runs_once(scheduler):
+    sim = build("tiny").graph.build_simulator(scheduler=scheduler)
+    assert sim.run().finished
+    with pytest.raises(SimulationError, match="already run"):
+        sim.run()

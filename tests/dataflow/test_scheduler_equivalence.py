@@ -11,6 +11,8 @@ complete observable outcome.
 import numpy as np
 import pytest
 
+from repro.core import random_weights
+from repro.core.builder import build_network, seeded_batch
 from repro.dataflow import (
     Actor,
     ArraySource,
@@ -23,6 +25,7 @@ from repro.dataflow import (
     ScheduleDemux,
 )
 from repro.errors import ConfigurationError, DeadlockError
+from tests.dataflow.test_golden_timing import CASES
 
 SCHEDULERS = ("lockstep", "event")
 
@@ -120,32 +123,40 @@ class TestPrimitives:
         assert_identical(*run_both(factory))
 
     def test_until_stops_at_same_point(self):
-        for sched in SCHEDULERS:
+        """An ``until`` stop ends both engines' runs on the same cycle, with
+        the same values, channel and process counters: a primitive chain
+        stopped at 7 beats and each zoo build stopped at half its sink."""
+        def chain():
             g = DataflowGraph("u", default_capacity=4)
             src = g.add_actor(ArraySource("src", list(range(50))))
             snk = g.add_actor(ListSink("snk", count=50))
             g.connect(src, "out", snk, "in")
-            res = g.build_simulator(scheduler=sched).run(
-                until=lambda: len(snk.received) >= 7
-            )
-            if sched == "lockstep":
-                ref = (res.cycles, list(snk.received), res.channel_stats)
-            else:
-                assert (res.cycles, list(snk.received), res.channel_stats) == ref
+            return g, snk, 7
 
-    def test_run_cycles_interleaved_with_run(self):
-        outcomes = {}
-        for sched in SCHEDULERS:
-            g = DataflowGraph("rc", default_capacity=2)
-            src = g.add_actor(ArraySource("src", list(range(20)), interval=3))
-            snk = g.add_actor(ListSink("snk", count=20))
-            g.connect(src, "out", snk, "in")
-            sim = g.build_simulator(scheduler=sched)
-            sim.run_cycles(11)
-            mid = (sim.cycle, list(snk.received))
-            res = sim.run()
-            outcomes[sched] = (mid, res.cycles, snk.timestamps, res.channel_stats)
-        assert outcomes["event"] == outcomes["lockstep"]
+        def zoo(name):
+            def factory():
+                design_factory, images = CASES[name]
+                design = design_factory()
+                built = build_network(
+                    design, random_weights(design, 0),
+                    seeded_batch(design, 0, images),
+                )
+                return built.graph, built.sink, built.sink.count // 2
+            return factory
+
+        for factory in [chain] + [zoo(name) for name in CASES]:
+            outcomes = {}
+            for sched in SCHEDULERS:
+                g, snk, stop = factory()
+                res = g.build_simulator(scheduler=sched).run(
+                    until=lambda: len(snk.received) >= stop
+                )
+                assert not res.finished
+                outcomes[sched] = (
+                    res.cycles, list(snk.received),
+                    res.channel_stats, res.actor_stats,
+                )
+            assert outcomes["event"] == outcomes["lockstep"]
 
 
 class TestNetworks:

@@ -61,15 +61,6 @@ class TestRun:
         assert not res.finished
         assert 5 <= len(snk.received) <= 6
 
-    def test_run_cycles_steps_exactly(self):
-        g, _, snk = simple_graph(n=10, capacity=4)
-        sim = g.build_simulator()
-        sim.run_cycles(3)
-        assert sim.cycle == 3
-        n3 = len(snk.received)
-        sim.run_cycles(3)
-        assert len(snk.received) > n3
-
 
 class TestDeadlock:
     def test_sink_wanting_more_than_produced_deadlocks(self):
