@@ -15,7 +15,9 @@
  * aligned block of 8 leaves are one expression; the levels above reduce
  * the block sums in place. Up to MAPS output maps run side by side, so
  * each window vector is loaded once per block of maps; every map's own
- * association is unchanged.
+ * association is unchanged. A tile's sums, one vector per map, are
+ * transposed in registers, 16 maps at a time, into one vector per output
+ * row, and each row gets its maps as vector stores.
  *
  * fc_chains: the interleaved accumulators of the FC core. Input i feeds
  * lane i mod L; each lane is the sequential chain ((0 + w x_l) + w x_{l+L})
@@ -25,6 +27,10 @@
  * or a re-associated sum changes bits. Where two NaNs meet, either payload
  * may come out, as in the interpreted cores' numpy: the engines' digest
  * (repro.dataflow.stable_digest) counts every NaN as one value.
+ *
+ * The object is built for one instruction set, the host's: with -mavx512f
+ * a 16-lane vector is one zmm register; the baseline build lowers it to
+ * narrower pieces. Nothing here dispatches at run time.
  */
 #include <stdint.h>
 #include <string.h>
@@ -35,15 +41,6 @@
 typedef float vf __attribute__((vector_size(LANES * 4)));
 typedef int32_t vi __attribute__((vector_size(LANES * 4)));
 
-/* One 16-lane vector is one AVX-512 register. On a 256-bit target GCC
- * moves such vectors through the stack in pieces: an AVX2 clone measured
- * slower than the baseline build, which is what such hosts get. Clones
- * dispatch through an ifunc, which needs glibc. */
-#if defined(__x86_64__) && defined(__GLIBC__)
-#define CLONES __attribute__((target_clones("avx512f", "default")))
-#else
-#define CLONES
-#endif
 #define INLINE static inline __attribute__((always_inline))
 
 /* *s in every lane, bit for bit (0.0 + *s would turn -0.0 into +0.0). */
@@ -278,6 +275,67 @@ INLINE void copy_block(vf *restrict c, const float *const *ports,
     }
 }
 
+/* Lane t of v[j] and lane j of v[t] trade places, for every j and t: four
+ * butterfly stages, the stage of bit d swapping element (j, t) with
+ * (j ^ d, t ^ d) wherever bit d of j and t differ. Shuffle indices past
+ * LANES - 1 pick from the second vector. */
+#define LO(d, t) ((t) & (d) ? LANES + (t) - (d) : (t))
+#define HI(d, t) ((t) & (d) ? LANES + (t) : (t) + (d))
+#define MASK(f, d)                                                           \
+    ((vi){f(d, 0), f(d, 1), f(d, 2), f(d, 3), f(d, 4), f(d, 5), f(d, 6),    \
+          f(d, 7), f(d, 8), f(d, 9), f(d, 10), f(d, 11), f(d, 12), f(d, 13), \
+          f(d, 14), f(d, 15)})
+#define BUTTERFLY(v, d)                                                      \
+    for (int j = 0; j < LANES; j++)                                          \
+        if (!(j & (d))) {                                                    \
+            vf a = v[j], b = v[j + (d)];                                     \
+            v[j] = __builtin_shuffle(a, b, MASK(LO, d));                     \
+            v[j + (d)] = __builtin_shuffle(a, b, MASK(HI, d));               \
+        }
+
+INLINE void transpose(vf *v)
+{
+    BUTTERFLY(v, 8);
+    BUTTERFLY(v, 4);
+    BUTTERFLY(v, 2);
+    BUTTERFLY(v, 1);
+}
+
+/* Tile lane t's sums, lane t of acc[0..O), to out row first + t * step for
+ * t < n: LANES maps at a time, transposed in registers, one vector store
+ * per row. The chunks go last to first, so a last chunk of m < LANES maps
+ * may be stored whole: its extra floats land on the rows after, which the
+ * pass stores later (the chunks before it, this tile's or a later tile's
+ * rows), as long as they end by float `end` of out, up to which the pass
+ * stores every float after the tile's last row. Every row of a tile has
+ * as much room as its last row or more, so where the last row's extra
+ * floats would pass `end`, every row stores just its m floats. A partial
+ * chunk's missing maps repeat its last one, so the extra floats hold sums
+ * of other maps until their own rows are stored. Not inlined: the store
+ * gets the registers to itself. */
+static __attribute__((noinline)) void
+store(float *out, const vf *acc, int64_t O, int64_t first, int64_t step,
+      int64_t n, int64_t end)
+{
+    for (int64_t o0 = (O - 1) / LANES * LANES; o0 >= 0; o0 -= LANES) {
+        int64_t m = O - o0 < LANES ? O - o0 : LANES;
+        float *row = out + first * O + o0;
+        vf r[LANES];
+        for (int j = 0; j < LANES; j++)
+            r[j] = acc[o0 + (j < m ? j : m - 1)];
+        transpose(r);
+        if ((first + (n - 1) * step) * O + o0 + LANES <= end) {
+#pragma GCC unroll 16
+            for (int t = 0; t < LANES; t++)
+                if (t < n)
+                    memcpy(row + t * step * O, &r[t], sizeof(vf));
+        } else {
+            for (int64_t t = 0; t < n; t++)
+                memcpy(row + t * step * O, &r[t], m * sizeof(float));
+        }
+    }
+}
+
 /* Floats of scratch conv_tree needs for the same geometry: the image
  * walk's copy of one block of LANES images or the coordinate walk's
  * gathered windows, whichever is larger (one walk follows the other); the
@@ -305,11 +363,10 @@ int64_t conv_scratch(const int64_t *strides, int64_t n_ports, int64_t images,
  * tile's coordinate, read in place. The coordinate walk takes the other
  * images: a tile is LANES consecutive lanes, across rows and images,
  * gathered into x, and the last tile repeats its last lane. */
-CLONES void conv_tree(const float *const *ports, const int64_t *strides,
-                      int64_t n_ports, int64_t images, int64_t rows,
-                      int64_t cols, int64_t G, int64_t kh, int64_t kw,
-                      int64_t O, const float *w, const float *bias,
-                      float *out, float *scratch)
+void conv_tree(const float *const *ports, const int64_t *strides,
+               int64_t n_ports, int64_t images, int64_t rows, int64_t cols,
+               int64_t G, int64_t kh, int64_t kw, int64_t O, const float *w,
+               const float *bias, float *out, float *scratch)
 {
     int64_t C = rows * cols, lanes = images * C, K = n_ports * kh * kw,
             F = image_floats(strides, n_ports, images, rows, cols, G, kh, kw),
@@ -332,9 +389,11 @@ CLONES void conv_tree(const float *const *ports, const int64_t *strides,
     /* Tiles [0, walked) are the image walk's, block i / C at coordinate
      * i % C; they cover lanes [0, walked * LANES), so every later tile i
      * starts at lane i * LANES. Lane t of a tile is output row first +
-     * t * step. */
+     * t * step. After the tile's last row, the pass stores the rest of
+     * that row's image in the image walk, the rest of the call in the
+     * coordinate walk: up to float `end`. */
     for (int64_t i = 0; i * LANES < lanes; i++) {
-        int64_t first, step, n;
+        int64_t first, step, n, end;
         if (i < walked) {
             int64_t c = i % C, i0 = i / C * LANES;
             if (c == 0)
@@ -347,6 +406,7 @@ CLONES void conv_tree(const float *const *ports, const int64_t *strides,
             first = i0 * C + c;
             step = C;
             n = LANES;
+            end = (i0 + LANES) * C * O;
         } else {
             first = i * LANES;
             gather(x, ports, strides, n_ports, first, lanes, rows, cols, G,
@@ -354,10 +414,9 @@ CLONES void conv_tree(const float *const *ports, const int64_t *strides,
             tile(acc, node, (const char *)x, NULL, w, bias, G, K, O);
             step = 1;
             n = lanes - first < LANES ? lanes - first : LANES;
+            end = lanes * O;
         }
-        for (int64_t t = 0; t < n; t++)
-            for (int64_t o = 0; o < O; o++)
-                out[(first + t * step) * O + o] = acc[o][t];
+        store(out, acc, O, first, step, n, end);
     }
 }
 
@@ -426,9 +485,9 @@ int64_t fc_scratch(int64_t images, int64_t L)
  * to lane r of part[b * L + l], so the lane trees of LANES outputs are one
  * reduce. Each group of ROWS weight rows runs over every image while it is
  * in L1; the rows past the last repeat it, and their sums are dropped. */
-CLONES void fc_chains(const float *w, const float *x, int64_t images,
-                      int64_t I, int64_t O, int64_t L, const float *bias,
-                      float *out, float *scratch)
+void fc_chains(const float *w, const float *x, int64_t images, int64_t I,
+               int64_t O, int64_t L, const float *bias, float *out,
+               float *scratch)
 {
     vf *part = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
     for (int64_t o0 = 0; o0 < O; o0 += LANES) {

@@ -3,15 +3,19 @@
 One object holds both kernels that do float arithmetic in C: the conv
 core's product tree (``conv_tree``, for ``k_conv``) and the FC core's
 interleaved lane chains (``fc_chains``, for ``k_fc``). It is built on
-first use by the system C compiler ``cc`` and cached in this package's
-``__pycache__`` (a private temporary directory when that is read-only)
-as ``cores.<source key>.<object digest>.so``: the source key hashes the
-source text and the flags, so an edited kernel is never served a stale
-object, and the object digest hashes the object's own bytes, so a
-truncated or damaged file is deleted and rebuilt instead of loaded. A
-new object is written under a temporary name and renamed into place, so
-concurrent builders never expose a partial file. It is loaded with
-:mod:`ctypes`, whose calls release the GIL.
+first use by the system C compiler ``cc``, for one instruction set, this
+host's: with ``-mavx512f`` where numpy reports AVX-512F, the baseline
+build elsewhere; there is no second variant and no run-time dispatch.
+It is cached in this package's ``__pycache__`` (a private temporary
+directory when that is read-only) as
+``cores.<source key>.<object digest>.so``: the source key hashes the
+source text and the flags, instruction set included, so an edited
+kernel or another instruction set is never served a stale object, and
+the object digest hashes the object's own bytes, so a truncated or
+damaged file is deleted and rebuilt instead of loaded. A new object is
+written under a temporary name and renamed into place, so concurrent
+builders never expose a partial file. It is loaded with :mod:`ctypes`,
+whose calls release the GIL.
 
 Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
@@ -30,12 +34,28 @@ from repro.errors import CompilationError
 
 SOURCE = Path(__file__).with_name("cores.c")
 COMPILER = "cc"
+
+
+def _isa() -> tuple[str, ...]:
+    """``("-mavx512f",)`` when this host runs AVX-512F, as numpy's own
+    dispatch probe reports it, else ``()``: the baseline build."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        try:
+            from numpy.core._multiarray_umath import __cpu_features__
+        except ImportError:
+            return ()
+    return ("-mavx512f",) if __cpu_features__.get("AVX512F") else ()
+
+
 #: ``-ffp-contract=off``: no multiply-add may be fused into one rounding.
 #: Never ``-ffast-math``/``-Ofast``: besides re-associating the tree, they
 #: link ``crtfastmath.o``, whose constructor sets FTZ/DAZ for the whole
 #: process when the object loads, and every numpy op after it would flush
-#: subnormals to zero.
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+#: subnormals to zero. The last flags pick the one instruction set the
+#: object is built for, this host's (:func:`_isa`).
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared") + _isa()
 
 _lock = threading.Lock()
 #: The loaded kernels (see :func:`_open`), or the message of the refusal.
@@ -110,13 +130,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _load(cache: Path):
+def _key() -> str:
+    """The source key: the flags (so the instruction set), the compiler,
+    the machine and the source text."""
     import platform
 
-    key = _digest(
+    return _digest(
         repr((FLAGS, COMPILER, platform.machine())).encode()
         + SOURCE.read_bytes()
     )
+
+
+def _load(cache: Path):
+    key = _key()
     for path in sorted(cache.glob(f"cores.{key}.*.so")):
         if path.name.split(".")[2] == _digest(path.read_bytes()):
             return _open(path)

@@ -164,9 +164,12 @@ def interleave_images(batch: np.ndarray) -> np.ndarray:
     if batch.ndim != 4:
         raise ShapeError(f"batch must be (N, C, H, W), got {batch.shape}")
     n, c, h, w = batch.shape
-    # One pass: transpose and cast straight into the stream the source owns.
+    # One plane at a time, cast straight into the stream the source owns:
+    # each copy runs over a whole plane, not over the c maps of one pixel.
     stream = np.empty(batch.size, DTYPE)
-    stream.reshape(n, h, w, c)[...] = batch.transpose(0, 2, 3, 1)
+    planes = stream.reshape(n, h, w, c)
+    for ci in range(c):
+        planes[..., ci] = batch[:, ci]
     return stream
 
 

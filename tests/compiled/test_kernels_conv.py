@@ -5,15 +5,19 @@
 coordinate read in place from an image-minor copy (whole blocks of 16
 images) or 16 consecutive coordinates gathered straight from the window
 views (the rest); every output map's products, the unpadded tree and the
-bias-first group chain in one pass, blocks of maps side by side. It may
-reorder memory but not a single float32 operation. These tests pin that
+bias-first group chain in one pass, blocks of maps side by side, and
+each output row's maps stored as vectors after a transpose in registers
+(16 maps at a time, a last partial chunk whole where the pass stores the
+floats after it later). It may reorder memory but not a single float32
+operation. These tests pin that
 down below the engine level: the unpadded tree, as ``k_fc``'s lane tree,
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the conv kernel against the per-coordinate formulation of
 ``ConvCoreActor._compute`` over a port/kernel/tiling/map-block grid, both
 walks, special values and the largest zoo shapes — every case fed both
 the ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of
-the same pixels. ``TestOverRead`` runs both walks up to a guard page, and
+the same pixels. ``TestOverRead`` runs both walks' reads up to a guard
+page, ``TestOverWrite`` their transposed stores, and
 ``TestOutputAllocation`` checks that ``k_conv`` and ``k_fc`` apply the
 activation in place.
 """
@@ -28,6 +32,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +61,11 @@ ROOT = Path(__file__).resolve().parents[2]
 #: Output maps whose trees ``conv_tree`` runs side by side (``MAPS`` in
 #: ``cores.c``).
 MAPS = int(re.search(r"#define MAPS (\d+)", native.SOURCE.read_text())[1])
+
+#: Output map counts: every remainder of the map block, and around the
+#: store's chunks of 16 maps: one, a partial chunk (12, 15), whole chunks
+#: (16, 32), a whole chunk and a partial one (17, 31, 33, 36 = TC2 conv2).
+OUT_FMS = sorted(set(range(1, 2 * MAPS + 2)) | {15, 16, 17, 31, 32, 33, 36})
 
 #: The quiet NaN ``np.nan`` and the default NaN ``inf - inf`` makes: the
 #: two payloads (they differ in the sign bit) a run can hold.
@@ -354,13 +364,15 @@ def slab_views(views, beats):
 
 class TestConvKernelMapBlocks:
     """Output maps go through the kernel in blocks of :data:`MAPS` that
-    share each window vector; the last block of a layer may be short, and
-    the tree widths and view strides around it must not matter."""
+    share each window vector, and are stored in chunks of 16 per row; the
+    last block or chunk of a layer may be short, and the tree widths and
+    view strides around it must not matter."""
 
-    @pytest.mark.parametrize("out_fm", range(1, 2 * MAPS + 2))
+    @pytest.mark.parametrize("out_fm", OUT_FMS)
     def test_every_remainder_of_the_map_block(self, out_fm):
         # K = 18: two 8-leaf blocks and a partial one; two groups, so the
-        # chain adds a second tree to every map of the block.
+        # chain adds a second tree to every map of the block. 40 lanes:
+        # the last tile holds 8, and its last row is the call's.
         actor, views, beats = make_case(
             2, 1, 3, 40, "tanh", seed=out_fm, out_fm=out_fm
         )
@@ -572,11 +584,24 @@ class TestConvImageWalk:
         )
         assert_both_forms_bit_equal(actor, views, beats)
 
-    @pytest.mark.parametrize("out_fm", range(1, 2 * MAPS + 2))
+    @pytest.mark.parametrize("out_fm", OUT_FMS)
     def test_every_remainder_of_the_map_block(self, out_fm):
         actor, views, beats = make_case(
             2, 1, 3, 32 * 6, "tanh", seed=out_fm, images=32, out_fm=out_fm
         )
+        assert_both_forms_bit_equal(actor, views, beats)
+
+    @pytest.mark.parametrize("out_fm", [1, 12, 16, 36])
+    @pytest.mark.parametrize("images", [16, 33])
+    def test_every_tile_at_the_images_last_coordinate(self, images, out_fm):
+        # One coordinate per image: every image-walk tile is at its images'
+        # last coordinate, where a row's next row belongs to the next image
+        # (stored earlier in the block, or by a later block). 33 images
+        # end on the coordinate walk's one-lane tile, 16 on the image walk.
+        actor, views, beats = make_case(
+            2, 1, 3, images, "relu", seed=out_fm, images=images, out_fm=out_fm
+        )
+        assert views["in0"].shape[:3] == (images, 1, 1)
         assert_both_forms_bit_equal(actor, views, beats)
 
     @pytest.mark.parametrize("share", [0.02, 0.3])
@@ -710,6 +735,68 @@ class TestOverRead:
             f"run_up_to_a_guard_page({images})\n"
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def store_up_to_a_guard_page(images):
+    """``k_conv`` into an output that ends right before a guard page, on
+    views and beat stacks and for map counts that end a row on a partial
+    chunk of 16 (this runs in a child process: an over-write kills it)."""
+    real_empty = np.empty
+
+    def empty(shape, dtype=float):
+        # k_conv's one output array, (lanes, OUT_FM); its scratch is 1-D.
+        arr = real_empty(shape, dtype)
+        if isinstance(shape, tuple) and len(shape) == 2:
+            arr = before_guard_page(arr.reshape(-1)).reshape(shape)
+            placed.append(arr)
+        return arr
+
+    for out_fm in (1, 12, 16, 17, 36):
+        actor, views, beats = make_case(
+            2, 1, 3, images * 12, "relu", seed=out_fm, images=images,
+            out_fm=out_fm,
+        )
+        want = actor_formulation(actor, beats)["out0"]
+        for ins in (views, beats):
+            placed = []
+            with mock.patch.object(np, "empty", empty):
+                got = k_conv(actor, ins)["out0"]
+            assert len(placed) == 1 and np.shares_memory(got, placed[0])
+            assert np.array_equal(bits(got), bits(want)), out_fm
+    print("stored", flush=True)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mmap guard pages")
+class TestOverWrite:
+    """The kernel's output ends right before a ``PROT_NONE`` page, so a
+    row's store may not run past the call's last float: a whole vector
+    stored for the last row's partial chunk of maps would fault. The
+    image walk ends the call at 16 images, the coordinate walk at 3 and
+    17 (the image walk's rows then end one image short of the page)."""
+
+    def test_the_guard_page_faults_a_store(self):
+        code = (
+            "import ctypes, numpy as np\n"
+            "from tests.compiled.test_kernels_conv import before_guard_page\n"
+            "out = before_guard_page(np.zeros(1000, dtype=np.float32))\n"
+            "end = out.ctypes.data + out.nbytes\n"
+            "ctypes.memmove(end - 4, np.float32(1).tobytes(), 4)\n"
+            "assert out[-1] == 1\n"
+            "print('stored', flush=True)\n"
+            "ctypes.memmove(end, np.float32(1).tobytes(), 4)\n"
+        )
+        proc = in_child(code)
+        assert proc.stdout == "stored\n"
+        assert proc.returncode == -signal.SIGSEGV, proc.stderr
+
+    @pytest.mark.parametrize("images", [3, 16, 17])
+    def test_kernel_stores_up_to_the_page(self, images):
+        proc = in_child(
+            "from tests.compiled.test_kernels_conv import store_up_to_a_guard_page\n"
+            f"store_up_to_a_guard_page({images})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "stored\n"
 
 
 class TestOutputAllocation:

@@ -1,12 +1,14 @@
 """Building, caching and refusing the conv and FC kernels' C object.
 
-The object is built by ``cc`` on first use, cached under a name that
-hashes the source and the object's own bytes, and loaded once per
-process. A host that cannot build it runs the compiled engine's designs
-on the event engine, with the same digests.
+The object is built by ``cc`` on first use, for this host's instruction
+set only, cached under a name that hashes the source, the flags and the
+object's own bytes, and loaded once per process. A host that cannot
+build it runs the compiled engine's designs on the event engine, with
+the same digests.
 """
 
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -161,3 +163,52 @@ def test_read_only_package_builds_in_a_private_directory(monkeypatch):
     private = native._cache_dir()
     assert private.name.startswith("repro-cores-")
     assert private.stat().st_mode & 0o777 == 0o700
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"),
+    reason="-mavx512f is an x86-64 flag",
+)
+def test_each_instruction_set_is_its_own_object(cold, monkeypatch):
+    cache, builds = cold
+    # The host's flags are the baseline set plus its own choice, nothing
+    # or -mavx512f. Here both choices are built at -O0, which keeps each
+    # build under a second: the instruction set is all that differs.
+    base = tuple(
+        "-O0" if flag == "-O3" else flag
+        for flag in native.FLAGS if flag != "-mavx512f"
+    )
+    assert native.FLAGS == (
+        tuple("-O3" if flag == "-O0" else flag for flag in base) + native._isa()
+    )
+    choices = ((), ("-mavx512f",))
+    keys, objects = [], []
+    for isa in choices:
+        monkeypatch.setattr(native, "FLAGS", base + isa)
+        monkeypatch.setattr(native, "_loaded", None)
+        native.cores()
+        keys.append(native._key())
+        (path,) = cache.glob(f"cores.{keys[-1]}.*.so")
+        objects.append(path.read_bytes())
+    assert len(builds) == 2 and len(cached(cache)) == 2
+    assert keys[0] != keys[1] and objects[0] != objects[1]
+    # A second process with the same choice and no compiler at all finds
+    # that choice's object. (It only loads it: this host may not run it.)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    for isa, key in zip(choices, keys):
+        script = (
+            "import pathlib, sys\n"
+            "from repro.compiled import native\n"
+            f"native.FLAGS = {base + isa!r}\n"
+            f"native._cache_dir = lambda: pathlib.Path({str(cache)!r})\n"
+            "native._find_compiler = lambda: sys.exit('looked for a compiler')\n"
+            "native.cores()\n"
+            "print(native._key())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [key]
+    assert len(builds) == 2 and len(cached(cache)) == 2

@@ -49,6 +49,28 @@ class TestInterleave:
         # (N, 1, H, W) transposes to a contiguous view: still not the batch.
         assert stream.flags.owndata and not np.shares_memory(stream, batch)
 
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 3, 4, 12])
+    def test_plane_copies_are_the_transpose_bit_for_bit(self, c, dtype, strided, rng):
+        # Written one map plane at a time, the stream is still the
+        # transposed batch cast to float32, whatever the input's dtype and
+        # strides, signed zeros, subnormals, infinities and NaN included.
+        batch = rng.standard_normal((3, 2 * c, 5, 14)).astype(dtype)
+        every7 = batch.reshape(-1)[::7]
+        every7[:] = np.resize([-0.0, 1e-40, np.inf, -np.inf, np.nan], every7.size)
+        # Every second map and column, or a contiguous copy of the same.
+        batch = batch[:, ::2, :, ::2]
+        if not strided:
+            batch = np.ascontiguousarray(batch)
+        assert batch.flags.c_contiguous != strided
+        before = batch.tobytes()
+        stream = interleave_images(batch)
+        want = batch.transpose(0, 2, 3, 1).astype(np.float32)
+        assert stream.dtype == np.float32 and stream.shape == (batch.size,)
+        assert stream.tobytes() == want.tobytes()
+        assert batch.tobytes() == before  # the caller's array is untouched
+
 
 class TestSeededBatch:
     @pytest.mark.parametrize(
