@@ -17,7 +17,8 @@
  * each window vector is loaded once per block of maps; every map's own
  * association is unchanged. A tile's sums, one vector per map, are
  * transposed in registers, 16 maps at a time, into one vector per output
- * row, and each row gets its maps as vector stores.
+ * row, and each row gets its maps as vector stores. The image walk claims
+ * the lines of a tile's rows AHEAD tiles before it stores them.
  *
  * fc_chains: the interleaved accumulators of the FC core. Input i feeds
  * lane i mod L; each lane is the sequential chain ((0 + w x_l) + w x_{l+L})
@@ -336,6 +337,27 @@ store(float *out, const vf *acc, int64_t O, int64_t first, int64_t step,
     }
 }
 
+/* The image walk claims the output lines of tile i + AHEAD for writing
+ * before it stores tile i: a tile's LANES rows lie C * O floats apart,
+ * each in lines no store has touched yet, a pattern the hardware
+ * prefetcher does not follow. The coordinate walk's rows are contiguous,
+ * and the prefetcher streams them. */
+#define AHEAD 2
+
+/* Ask for write ownership of every cache line of the LANES rows of O
+ * floats at out row first + t * step. A prefetch never faults, and it
+ * changes no value. */
+INLINE void own_rows(const float *out, int64_t O, int64_t first,
+                     int64_t step)
+{
+    for (int t = 0; t < LANES; t++) {
+        const float *row = out + (first + t * step) * O;
+        for (uintptr_t line = (uintptr_t)row & -(uintptr_t)64;
+             line < (uintptr_t)(row + O); line += 64)
+            __builtin_prefetch((const void *)line, 1, 3);
+    }
+}
+
 /* Floats of scratch conv_tree needs for the same geometry: the image
  * walk's copy of one block of LANES images or the coordinate walk's
  * gathered windows, whichever is larger (one walk follows the other); the
@@ -407,6 +429,9 @@ void conv_tree(const float *const *ports, const int64_t *strides,
             step = C;
             n = LANES;
             end = (i0 + LANES) * C * O;
+            if (i + AHEAD < walked)
+                own_rows(out, O, (i + AHEAD) / C * LANES * C + (i + AHEAD) % C,
+                         C);
         } else {
             first = i * LANES;
             gather(x, ports, strides, n_ports, first, lanes, rows, cols, G,

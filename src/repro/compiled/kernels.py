@@ -3,8 +3,8 @@
 Each kernel consumes an actor's *entire* input streams as numpy arrays
 and produces its entire output streams in one pass, batching over the
 ``images x coordinates`` lanes of the steady-state schedule. A scalar
-stream is an ``(n,)`` float32 array. A window stream is the zero-copy
-``sliding_window_view`` of the pixel array it was cut from, shape
+stream is an ``(n,)`` float32 array. A window stream is a zero-copy,
+read-only strided view of the pixel array it was cut from, shape
 ``(images, out_h, out_w, group, kh, kw)``: its leading four axes flatten
 to the actor's emission order (coordinate-major, FM-minor) and its
 ``nbytes`` is the logical stream size, but the ``kh*kw``-times-expanded
@@ -73,7 +73,6 @@ import math
 from typing import Callable, Dict, List
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.compiled import native
 from repro.config import DTYPE
@@ -128,9 +127,10 @@ def k_sink(actor: ListSink, ins: Streams) -> Streams:
     arr = _beats(ins[actor.port])
     if actor.count is not None:
         _expect(actor.name, "sink input", len(arr), actor.count)
-    # received gets the per-beat values (numpy scalars / window arrays),
-    # matching what the interpreted engines would have appended.
-    actor.received.extend(list(arr))
+    # received becomes one float32 array, a row per beat (the interpreted
+    # engines append the beats one by one). A copy: the stream itself is
+    # freed once its reader has run, like every other stream.
+    actor.received = np.array(arr, dtype=DTYPE)
     return {}
 
 
@@ -172,24 +172,31 @@ def k_interleave(actor: Interleaver, ins: Streams) -> Streams:
 def k_window(actor: SlidingWindowActor, ins: Streams) -> Streams:
     spec = actor.spec
     n_in = actor.images * actor.h * actor.w * actor.group
-    arr = np.asarray(ins["in"], dtype=DTYPE)
+    arr = np.ascontiguousarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "pixel stream", len(arr), n_in)
     # The raster-ordered FM-minor stream *is* the (images, h, w, group)
     # pixel array; only padding copies it (once, not kh*kw times).
     px = arr.reshape(actor.images, actor.h, actor.w, actor.group)
     if spec.pad:
         px = np.pad(px, ((0, 0), (spec.pad,) * 2, (spec.pad,) * 2, (0, 0)))
-    # (images, out_h, out_w, group, kh, kw), read-only, nothing copied.
-    # The leading four axes flatten to the actor's emission order:
-    # coordinate-major, FM-minor.
-    wins = sliding_window_view(px, (spec.kh, spec.kw), axis=(1, 2))
-    wins = wins[:, :: spec.stride, :: spec.stride]
-    if wins.shape[1:3] != (actor.out_h, actor.out_w):
+    s = spec.stride
+    out_h = (px.shape[1] - spec.kh) // s + 1
+    out_w = (px.shape[2] - spec.kw) // s + 1
+    if (out_h, out_w) != (actor.out_h, actor.out_w):
         raise CompilationError(
             f"{actor.name!r}: window geometry mismatch "
-            f"({wins.shape[1]}x{wins.shape[2]} vs "
-            f"{actor.out_h}x{actor.out_w})"
+            f"({out_h}x{out_w} vs {actor.out_h}x{actor.out_w})"
         )
+    # (images, out_h, out_w, group, kh, kw), read-only, nothing copied:
+    # sliding_window_view(px, (kh, kw), axis=(1, 2))[:, ::s, ::s], built
+    # as one array over px. The leading four axes flatten to the actor's
+    # emission order: coordinate-major, FM-minor.
+    si, sy, sx, sg = px.strides
+    wins = np.ndarray(
+        (actor.images, out_h, out_w, actor.group, spec.kh, spec.kw), DTYPE,
+        px, 0, (si, sy * s, sx * s, sg, sy, sx),
+    )
+    wins.flags.writeable = False
     return {"out": wins}
 
 
@@ -394,7 +401,8 @@ def run_kernels(actors, in_ports_of, out_ports_of, order) -> None:
     reader, so each input stream is popped as it is handed to its kernel
     and is freed when the kernel's outputs no longer refer to it (a window
     stream is a view of the pixel stream; see :func:`k_window`). Values
-    leave through the sink kernel, which fills ``ListSink.received``.
+    leave through the sink kernel, which sets ``ListSink.received`` to one
+    float32 array, a row per beat.
     """
     by_name = {a.name: a for a in actors}
     streams: Streams = {}

@@ -43,12 +43,17 @@ def design_digest(design: NetworkDesign) -> str:
 
     Two designs digest identically iff their serialized descriptions
     (name, input shape, every layer spec field) are identical — the same
-    round-trip form ``repro.core.serialize`` persists.
+    round-trip form ``repro.core.serialize`` persists. A design never
+    changes once built, so each design object is serialised and hashed
+    once and keeps its digest.
     """
-    from repro.core.serialize import design_to_json
+    digest = design._digest
+    if digest is None:
+        from repro.core.serialize import design_to_json
 
-    h = hashlib.sha256(design_to_json(design, indent=0).encode())
-    return f"sha256:{h.hexdigest()}"
+        h = hashlib.sha256(design_to_json(design, indent=0).encode())
+        digest = design._digest = f"sha256:{h.hexdigest()}"
+    return digest
 
 
 def _structure_crc(actors, channels) -> int:

@@ -111,25 +111,19 @@ class ConvCoreActor(Actor):
         #: Extra stall cycles between coordinates, modeling imperfect HLS
         #: loop flattening (the calibration constant of docs/calibration.md).
         self.coord_overhead = int(coord_overhead)
-        # Per input-port FM index lists: port p carries FMs p, p+P, p+2P...
-        self._port_fms = [
-            list(range(p, self.in_fm, self.in_ports)) for p in range(self.in_ports)
-        ]
         self.in_groups = self.in_fm // self.in_ports
         self.out_groups = self.out_fm // self.out_ports
-        # Group g of the window stream multiplies weight[:, fms_of_g, :, :];
-        # pre-flattening those slices to one contiguous (G, OUT_FM, P*kh*kw)
-        # stack removes a fancy-index weight gather from every compute beat
-        # and lets one vectorised pass per coordinate do all G product trees.
-        # The element order matches the original (P, kh, kw) broadcast exactly.
-        self._w_all = np.stack(
-            [
-                np.ascontiguousarray(
-                    weight[:, [self._port_fms[p][g] for p in range(self.in_ports)]]
-                ).reshape(self.out_fm, -1)
-                for g in range(self.in_groups)
-            ]
-        )
+        # Port p carries FMs p, p+P, p+2P...: group g of the window stream
+        # multiplies weight[:, g*P : (g+1)*P]. One transpose lays those
+        # slices out as a contiguous (G, OUT_FM, P*kh*kw) stack, which
+        # removes a weight gather from every compute beat and lets one
+        # vectorised pass per coordinate do all G product trees. The
+        # element order matches the original (P, kh, kw) broadcast exactly.
+        self._w_all = np.ascontiguousarray(
+            weight.reshape(
+                self.out_fm, self.in_groups, self.in_ports, self.kh, self.kw
+            ).transpose(1, 0, 2, 3, 4)
+        ).reshape(self.in_groups, self.out_fm, -1)
 
     def processes(self):
         #: ``[ready_cycle, values]`` per finished coordinate; ``values`` is

@@ -227,6 +227,10 @@ class NetworkDesign:
     specs: the layer chain, feature extraction first, classifier last.
     """
 
+    #: ``sha256:`` digest of the design's JSON form, computed on first use
+    #: by :func:`repro.compiled.plan_cache.design_digest`.
+    _digest: Optional[str] = None
+
     def __init__(
         self,
         name: str,
@@ -239,12 +243,15 @@ class NetworkDesign:
         self.name = str(name)
         c, h, w = input_shape
         self.input_shape: Shape = (int(c), int(h), int(w))
-        self.placements: List[LayerPlacement] = []
+        # A tuple of frozen placements: a design never changes once built,
+        # so a digest of it can be kept (compiled.plan_cache.design_digest).
+        placements: List[LayerPlacement] = []
         for lay in walk.layers:
             assert lay.out_shape is not None and lay.adapter is not None  # no errors
-            self.placements.append(
+            placements.append(
                 LayerPlacement(lay.spec, lay.in_shape, lay.out_shape, lay.adapter)
             )
+        self.placements: Tuple[LayerPlacement, ...] = tuple(placements)
 
     # -- convenience views ------------------------------------------------------
 

@@ -10,7 +10,7 @@ several producer ports onto one consumer port.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +75,11 @@ class ArraySource(Actor):
 class ListSink(Actor):
     """Collects values from one input port into :attr:`received`.
 
+    The interpreted engines append each beat to the list as it arrives;
+    the compiled engine sets :attr:`received` to one float32 array, a row
+    per beat, after its run. Either way ``len(received)`` is the beats
+    received and ``received[i]`` is beat ``i``.
+
     Parameters
     ----------
     count:
@@ -89,17 +94,22 @@ class ListSink(Actor):
             raise ConfigurationError(f"sink {name!r}: count must be >= 0")
         self.count = count
         self.port = port
-        self.received: List[Any] = []
+        #: Beats received: a list appended per beat (event / lockstep),
+        #: one float32 array after a compiled run.
+        self.received: Union[List[Any], np.ndarray] = []
         #: Cycle at which each value was received (same index as received).
         self.timestamps: List[int] = []
 
     def run(self) -> Generator:
         ch = self.input(self.port)
+        received = self.received
+        if not isinstance(received, list):  # left by a compiled run
+            received = self.received = list(received)
         n = 0
         while self.count is None or n < self.count:
             while not ch.can_pop():
                 yield ch.pop_wait()
-            self.received.append(ch.pop())
+            received.append(ch.pop())
             self.timestamps.append(self.now)
             n += 1
             yield

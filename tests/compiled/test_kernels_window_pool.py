@@ -1,16 +1,18 @@
 """Window streams as zero-copy views, and the kernels that read them.
 
-``k_window`` hands its consumers the ``sliding_window_view`` of the pixel
-stream, shape ``(images, out_h, out_w, group, kh, kw)``, instead of a
-gathered ``(n, kh, kw)`` stack; ``_beats`` is the one place that stack is
-still made, for the kernels that route single beats. These tests pin the
-view's emission order against :func:`repro.sst.reference_windows`, guard
-that the ``kh*kw``-fold copy is gone, and hold ``k_pool`` bitwise to the
-actor's per-beat arithmetic on both representations.
+``k_window`` hands its consumers a strided view of the pixel stream, the
+one ``sliding_window_view`` gives, shape ``(images, out_h, out_w, group,
+kh, kw)``, instead of a gathered ``(n, kh, kw)`` stack; ``_beats`` is the
+one place that stack is still made, for the kernels that route single
+beats. These tests pin the view's emission order against
+:func:`repro.sst.reference_windows`, guard that the ``kh*kw``-fold copy
+is gone, and hold ``k_pool`` bitwise to the actor's per-beat arithmetic
+on both representations.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.compiled.kernels import (
     _beats,
@@ -95,6 +97,45 @@ class TestWindowView:
         stack = rng.standard_normal((12, 2, 3)).astype(DTYPE)
         assert np.shares_memory(_beats(stack), stack)
         assert _beats(stack).shape == stack.shape
+
+
+def owner(arr):
+    """The array at the end of ``arr``'s base chain: the one holding the data."""
+    while getattr(arr, "base", None) is not None:
+        arr = arr.base
+    return arr
+
+
+class TestWindowViewIsTheSlidingView:
+    """``k_window`` builds, in one step, the view ``sliding_window_view``
+    would give: the ledger's byte counts and every reader see no change."""
+
+    @pytest.mark.parametrize("images", [1, 17])
+    @pytest.mark.parametrize("group", [1, 3, 12])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 9, 9), (5, 3, 7, 12)])
+    def test_same_view(self, rng, kh, kw, h, w, stride, pad, group, images):
+        spec = WindowSpec(kh, kw, stride=stride, pad=pad)
+        actor, px = window_case(spec, h, w, group, images, rng)
+        out = k_window(actor, {"in": px})["out"]
+        # The pixels the view reads: the stream itself, or its padded copy.
+        pixels = owner(out)
+        assert (pixels is px) == (pad == 0)
+        padded = np.pad(
+            px.reshape(images, h, w, group),
+            ((0, 0), (pad, pad), (pad, pad), (0, 0)),
+        )
+        assert np.array_equal(bits(pixels.reshape(padded.shape)), bits(padded))
+        want = sliding_window_view(
+            pixels.reshape(padded.shape), (kh, kw), axis=(1, 2)
+        )[:, ::stride, ::stride]
+        assert out.shape == want.shape
+        assert out.strides == want.strides
+        assert owner(want) is pixels
+        assert not out.flags.writeable and not want.flags.writeable
+        assert out.nbytes == want.nbytes
+        assert np.array_equal(bits(out), bits(want))
 
 
 class TestRoutingKernelsTakeViews:

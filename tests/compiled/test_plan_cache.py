@@ -47,6 +47,35 @@ class TestDesignDigest:
     def test_digest_format(self):
         assert design_digest(tiny_design()).startswith("sha256:")
 
+    def test_one_design_object_is_serialised_once(self, monkeypatch):
+        import repro.core.serialize as serialize
+
+        calls = []
+        real = serialize.design_to_json
+
+        def counting(design, indent=2):
+            calls.append(design)
+            return real(design, indent)
+
+        monkeypatch.setattr(serialize, "design_to_json", counting)
+        built = built_tiny()
+        built.run(scheduler="compiled")
+        again = build_network(
+            built.design, random_weights(built.design, seed=3),
+            np.zeros((2, 1, 8, 8), np.float32),
+        )
+        again.run(scheduler="compiled")
+        assert calls == [built.design]
+        # A design built separately, equal in content, digests equal.
+        assert design_digest(tiny_design()) == design_digest(built.design)
+        assert len(calls) == 2
+
+    def test_placements_cannot_change(self):
+        design = tiny_design()
+        assert isinstance(design.placements, tuple)
+        with pytest.raises(AttributeError):
+            design.placements.append(design.placements[0])
+
 
 class TestEngineIntegration:
     def test_second_build_hits(self):

@@ -145,6 +145,48 @@ class TestConvCore:
             ConvCoreActor("c", np.zeros((2, 3, 3, 3)), np.zeros(2), 2, 1, 1)
 
 
+def per_group_stack(weight, in_ports):
+    """``_w_all`` as it was built before: one fancy-indexed weight slice per
+    window group (port ``p`` carries FMs ``p, p+P, ...``), then a stack."""
+    out_fm, in_fm = weight.shape[:2]
+    port_fms = [list(range(p, in_fm, in_ports)) for p in range(in_ports)]
+    return np.stack([
+        np.ascontiguousarray(
+            weight[:, [port_fms[p][g] for p in range(in_ports)]]
+        ).reshape(out_fm, -1)
+        for g in range(in_fm // in_ports)
+    ])
+
+
+#: Weight shapes of TC2's conv1 and conv2 and of AlexNet's conv1.
+ZOO_CONV_WEIGHTS = [(12, 3, 5, 5), (36, 12, 5, 5), (96, 3, 11, 11)]
+
+
+class TestWeightStack:
+    """``_w_all`` is one transpose, bitwise the per-group stack it replaced."""
+
+    def check(self, rng, shape, in_ports):
+        w = rng.standard_normal(shape).astype(np.float32)
+        w.flat[:: 7] = -0.0
+        core = ConvCoreActor("core", w, np.zeros(shape[0], np.float32),
+                             in_ports, 1, n_coords=1)
+        want = per_group_stack(w, in_ports)
+        assert core._w_all.shape == want.shape
+        assert core._w_all.flags.c_contiguous
+        assert np.array_equal(bits(core._w_all), bits(want))
+
+    @pytest.mark.parametrize("in_ports", [1, 2, 3, 4, 6])
+    def test_every_port_count(self, rng, in_ports):
+        self.check(rng, (5, 12, 3, 2), in_ports)
+
+    @pytest.mark.parametrize("shape,in_ports", [
+        (shape, p) for shape in ZOO_CONV_WEIGHTS for p in (1, 2, 3, 4, 6)
+        if shape[1] % p == 0
+    ], ids=str)
+    def test_zoo_convs(self, rng, shape, in_ports):
+        self.check(rng, shape, in_ports)
+
+
 class TestPoolCore:
     def _run(self, mode, windows):
         g = DataflowGraph("t")
