@@ -525,16 +525,14 @@ def infer_depth_plan(
     )
 
 
-def apply_depth_plan(
-    graph: DataflowGraph, plan: DepthPlan, strict: bool = True
-) -> None:
+def apply_depth_plan(graph: DataflowGraph, plan: DepthPlan) -> None:
     """Re-provision a built graph's channels to the certified depths.
 
-    With ``strict`` (the default) the plan must cover every bounded
-    channel of the graph and name no unknown ones — a mismatch means
-    the plan was inferred from a different elaboration (wrong design or
-    memory system).  The plan is attached as ``graph.depth_plan`` so the
-    static verifier's BUFFER.DEPTH_* rules can see it.
+    The plan must cover every bounded channel of the graph and name no
+    unknown ones — a mismatch means the plan was inferred from a
+    different elaboration (wrong design or memory system).  The plan is
+    attached as ``graph.depth_plan`` so the static verifier's
+    BUFFER.DEPTH_* rules can see it.
     """
     unknown = [
         name for name in plan.certificates if name not in graph.channels
@@ -544,7 +542,7 @@ def apply_depth_plan(
         for name, ch in graph.channels.items()
         if ch.capacity is not None and name not in plan.certificates
     ]
-    if strict and (unknown or missing):
+    if unknown or missing:
         raise ConfigurationError(
             f"depth plan for {plan.design_name!r} does not match graph "
             f"{graph.name!r}: {len(unknown)} plan channels missing from "

@@ -85,12 +85,12 @@ INLINE vf vec(const char *base, const int64_t *off, int64_t k)
 }
 
 /* acc[b] + tree_reduce(w_b * x) over the K leaves of one group for the nb
- * maps whose weights are w_b = w + b * K, leaf k's vector the tile's
+ * maps whose weights are w_b = w + b * GK, leaf k's vector the tile's
  * vector k0 + k; `node` holds (K / 8 + 1) * nb vectors. */
 INLINE void group_trees(vf *restrict acc, vf *restrict node,
                         const char *restrict base, const int64_t *restrict off,
                         int64_t k0, const float *restrict w, int64_t K,
-                        const int nb)
+                        int64_t GK, const int nb)
 {
     int64_t n = 0, k = 0;
     int carried = 0;
@@ -99,7 +99,7 @@ INLINE void group_trees(vf *restrict acc, vf *restrict node,
         for (int j = 0; j < 8; j++)
             v[j] = vec(base, off, k0 + k + j);
         for (int b = 0; b < nb; b++) {
-            const float *wb = w + b * K + k;
+            const float *wb = w + b * GK + k;
             node[n * nb + b] = (PAIR(0) + PAIR(2)) + (PAIR(4) + PAIR(6));
         }
     }
@@ -110,7 +110,7 @@ INLINE void group_trees(vf *restrict acc, vf *restrict node,
         for (int64_t j = 0; j < K - k; j++) {
             vf v = vec(base, off, k0 + k + j);
             for (int b = 0; b < nb; b++)
-                p[j * nb + b] = w[b * K + k + j] * v;
+                p[j * nb + b] = w[b * GK + k + j] * v;
         }
         reduce(p, K - k, &carried, nb);
         int carry = n && !carried;
@@ -126,16 +126,16 @@ INLINE void group_trees(vf *restrict acc, vf *restrict node,
 
 /* Groups [0, gn) of the nb maps whose sums are acc[0..nb): group g's
  * leaves are the tile's vectors k0 + g * K + k, its weight rows at
- * w + g * OK. */
+ * w + g * K, one every GK floats. */
 INLINE void map_block(vf *acc, vf *node, const char *base, const int64_t *off,
-                      int64_t k0, const float *w, int64_t gn, int64_t OK,
+                      int64_t k0, const float *w, int64_t gn, int64_t GK,
                       int64_t K, const int nb)
 {
     vf a[MAPS];
     for (int b = 0; b < nb; b++)
         a[b] = acc[b];
     for (int64_t g = 0; g < gn; g++)
-        group_trees(a, node, base, off, k0 + g * K, w + g * OK, K, nb);
+        group_trees(a, node, base, off, k0 + g * K, w + g * K, K, GK, nb);
     for (int b = 0; b < nb; b++)
         acc[b] = a[b];
 }
@@ -155,9 +155,9 @@ INLINE void tile(vf *acc, vf *node, const char *base, const int64_t *off,
     for (int64_t g0 = 0; g0 < G; g0 += chunk) {
         int64_t gn = G - g0 < chunk ? G - g0 : chunk;
         for (int64_t o = 0; o < O; o += MAPS) {
-            const float *wg = w + (g0 * O + o) * K;
+            const float *wg = w + (o * G + g0) * K;
 #define MAP_BLOCK(nb) \
-    case nb: map_block(acc + o, node, base, off, g0 * K, wg, gn, O * K, K, \
+    case nb: map_block(acc + o, node, base, off, g0 * K, wg, gn, G * K, K, \
                        nb); break
             switch (O - o < MAPS ? O - o : MAPS) {
             MAP_BLOCK(1); MAP_BLOCK(2); MAP_BLOCK(3);
@@ -374,9 +374,11 @@ int64_t conv_scratch(const int64_t *strides, int64_t n_ports, int64_t images,
 }
 
 /* out[lane, o] for every lane (images x rows x cols, row-major) and
- * output map o, before the activation. w is (G, O, K) with K =
- * n_ports*kh*kw, port-major. `scratch` holds conv_scratch(strides, ...)
- * floats.
+ * output map o, before the activation. w is the layer's C-ordered
+ * (O, G * n_ports, kh, kw) weight, read in place as (O, G, K) with K =
+ * n_ports*kh*kw: port p carries maps p, p + n_ports, ..., so map o's
+ * group g is the K floats at w + (o * G + g) * K, port-major. `scratch`
+ * holds conv_scratch(strides, ...) floats.
  *
  * The image walk takes whole blocks of LANES images, when image_floats
  * allows: each block is copied, [float][LANES images] per port, and a tile

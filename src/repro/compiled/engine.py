@@ -110,10 +110,10 @@ class CompiledEngine:
     def _lower(sim, design, sources) -> CompiledPlan:
         """Verify and lower ``design``, through the per-process plan cache.
 
-        The verification verdict is cached per design digest; the solved
-        plan per (digest, stream geometry, graph structure) — see
-        :mod:`repro.compiled.plan_cache`. Cached failures re-raise the
-        same :class:`CompilationError` without re-running the analyzer.
+        The solved plan is cached per (digest, stream geometry, graph
+        structure) — see :mod:`repro.compiled.plan_cache`. A plan miss
+        runs the static verifier first; a design that fails it raises the
+        same :class:`CompilationError` on every attempt.
         """
         first = design.placements[0].spec
         if first.kind == "pool":
@@ -129,19 +129,6 @@ class CompiledEngine:
             )
         if any(type(a) in (ConvCoreActor, FCCoreActor) for a in sim.actors):
             native.cores()  # built once per cache, loaded once per process
-        cache = GLOBAL_PLAN_CACHE
-        digest = design_digest(design)
-        verdict = cache.get_verdict(digest)
-        if verdict is None:
-            report = analyze_design(design)
-            verdict = tuple(report.error_rules()) if not report.ok else ()
-            cache.put_verdict(digest, verdict)
-        if verdict:
-            raise CompilationError(
-                f"design {design.name!r} fails static verification "
-                f"(error rule(s) [{', '.join(verdict)}]); only designs "
-                f"that pass `repro check` compile"
-            )
         overhead = max(
             (a.coord_overhead for a in sim.actors
              if type(a) is ConvCoreActor),
@@ -149,21 +136,28 @@ class CompiledEngine:
         )
         multi_plan = sim.multi_plan
         key = plan_key(
-            digest,
+            design_digest(design),
             sources[0].n_values if sources else -1,
             sources[0].interval if sources else -1,
             int(overhead),
             _structure_crc(sim.actors, sim.channels),
             multi_plan.link.beat_interval() if multi_plan is not None else 0,
         )
-        plan = cache.get_plan(key)
+        plan = GLOBAL_PLAN_CACHE.get_plan(key)
         if plan is None:
+            report = analyze_design(design)
+            if not report.ok:
+                raise CompilationError(
+                    f"design {design.name!r} fails static verification "
+                    f"(error rule(s) [{', '.join(report.error_rules())}]); "
+                    f"only designs that pass `repro check` compile"
+                )
             schedule = extract_schedule(
                 sim.actors, sim.channels, design, multi_plan=multi_plan
             )
             in_ports, out_ports = port_maps(sim.actors, sim.channels)
             plan = CompiledPlan(schedule, in_ports, out_ports)
-            cache.put_plan(key, plan)
+            GLOBAL_PLAN_CACHE.put_plan(key, plan)
         return plan
 
     # -- engine protocol ---------------------------------------------------

@@ -21,7 +21,8 @@ not a computed result; :func:`repro.dataflow.stable_digest`). It is
 kept by reproducing the per-beat association order exactly:
 
 * the conv kernel runs the same product tree
-  (``tree_reduce(w_all * wins)``) and the same sequential per-group
+  (``tree_reduce(weight * wins)``, the weight read in place as
+  ``(OUT_FM, G, P*kh*kw)``) and the same sequential per-group
   accumulation chain the actor runs per coordinate, in C
   (``conv_tree`` in ``cores.c``, built and loaded by
   :mod:`repro.compiled.native`):
@@ -279,8 +280,8 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
                 f"{win_shape} windows over {ports[0].shape[:3]}"
             )
     cores = native.cores()
-    # (G, OUT_FM, K), K = P*kh*kw the tree width
-    w_all = np.ascontiguousarray(actor._w_all, dtype=DTYPE)
+    # The actor's own C-ordered float32 weight, read in place as
+    # (OUT_FM, G, K), K = P*kh*kw the tree width.
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
     bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
     strides = np.array([p.strides for p in ports], dtype=np.int64)
@@ -293,8 +294,8 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
     cores.conv_tree(
-        bases.ctypes.data, *geometry, w_all.ctypes.data, bias.ctypes.data,
-        out.ctypes.data, scratch.ctypes.data,
+        bases.ctypes.data, *geometry, actor.weight.ctypes.data,
+        bias.ctypes.data, out.ctypes.data, scratch.ctypes.data,
     )
     # In place: the op holds one output-sized array, not two.
     actor._act(out, out=out)

@@ -8,14 +8,13 @@ steady-state schedule extraction
 functions of the design (plus the batch geometry), yet serving workloads
 build the *same* design once per request batch — replica workers,
 repeated loadtests, warm restarts. This module memoizes the lowering:
-
-* the **verification verdict** is cached per design digest (the design
-  alone decides it);
-* the **plan** — schedule plus port routing tables — is cached per
-  ``(design digest, stream geometry, graph structure)`` key, because the
-  solved fires/beat counts depend on the batch size and the elaborated
-  actor set (``normalize=True`` adds an actor; ``loop_overhead`` shifts
-  the timing frame).
+the **plan** — schedule plus port routing tables — is cached per
+``(design digest, stream geometry, graph structure)`` key, because the
+solved fires/beat counts depend on the batch size and the elaborated
+actor set (``normalize=True`` adds an actor; ``loop_overhead`` shifts
+the timing frame). Only a plan miss runs the verifier; nothing else is
+cached, so a design that fails verification fails it again, the same
+way, on every attempt.
 
 Entries are immutable-by-convention (:class:`SteadySchedule` is frozen;
 the port maps are only ever read by the engine), so one cached plan is
@@ -109,24 +108,16 @@ def plan_key(
 
 
 class PlanCache:
-    """A bounded LRU over compiled plans + verification verdicts.
-
-    ``hits``/``misses`` count plan lookups; ``analysis_hits``/
-    ``analysis_misses`` count verdict lookups (a plan hit implies the
-    verdict was never consulted, so the two pairs move independently).
-    """
+    """A bounded LRU over compiled plans; ``hits``/``misses`` count
+    lookups."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._plans: "OrderedDict[PlanKey, CompiledPlan]" = OrderedDict()
-        #: digest -> tuple of error-rule ids (empty tuple == verified ok).
-        self._verdicts: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.analysis_hits = 0
-        self.analysis_misses = 0
 
     # -- plans ------------------------------------------------------------
 
@@ -145,40 +136,15 @@ class PlanCache:
         while len(self._plans) > self.maxsize:
             self._plans.popitem(last=False)
 
-    # -- verification verdicts -------------------------------------------
-
-    def get_verdict(self, digest: str) -> Optional[Tuple[str, ...]]:
-        verdict = self._verdicts.get(digest)
-        if verdict is None:
-            self.analysis_misses += 1
-            return None
-        self._verdicts.move_to_end(digest)
-        self.analysis_hits += 1
-        return verdict
-
-    def put_verdict(self, digest: str, error_rules: Tuple[str, ...]) -> None:
-        self._verdicts[digest] = tuple(error_rules)
-        self._verdicts.move_to_end(digest)
-        while len(self._verdicts) > self.maxsize:
-            self._verdicts.popitem(last=False)
-
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
         """JSON-friendly counters (what serving replicas report back)."""
-        return {
-            "plans": len(self._plans),
-            "hits": self.hits,
-            "misses": self.misses,
-            "analysis_hits": self.analysis_hits,
-            "analysis_misses": self.analysis_misses,
-        }
+        return {"plans": len(self._plans), "hits": self.hits, "misses": self.misses}
 
     def clear(self) -> None:
         self._plans.clear()
-        self._verdicts.clear()
         self.hits = self.misses = 0
-        self.analysis_hits = self.analysis_misses = 0
 
 
 #: The per-process cache the compiled engine uses.
@@ -191,5 +157,5 @@ def plan_cache_stats() -> Dict[str, int]:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and verdict (tests, memory pressure)."""
+    """Drop every cached plan (tests, memory pressure)."""
     GLOBAL_PLAN_CACHE.clear()

@@ -30,7 +30,7 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.link import LinkRxActor, LinkTxActor
 from repro.dataflow.simulator import SimulationResult
 from repro.dataflow.trace import Tracer
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, ShapeError, SimulationError
 from repro.fpga.dma import PAPER_DMA
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.linear import Linear
@@ -184,6 +184,7 @@ class BuiltNetwork:
     images: int
     #: Set after run(): the simulation result.
     result: Optional[SimulationResult] = None
+    _ran: bool = field(default=False, init=False, repr=False)
 
     def run(
         self,
@@ -200,10 +201,21 @@ class BuiltNetwork:
         selects the simulation engine (``"event"`` or ``"compiled"``).
         ``faults`` is an :class:`~repro.faults.ArmedFaults` armed on this
         graph; only the interpreted engines accept one.
+
+        A built network runs once, like a simulator: its actors and sink
+        keep what the run did to them, so a second call raises
+        :class:`~repro.errors.SimulationError`. Build the network again
+        to rerun it.
         """
+        if self._ran:
+            raise SimulationError(
+                f"network {self.design.name!r} has already run; build it "
+                f"again to run it again"
+            )
         sim = self.graph.build_simulator(
             stall_limit=stall_limit, tracer=tracer, scheduler=scheduler
         )
+        self._ran = True
         sim.faults = faults
         self.result = sim.run(max_cycles=max_cycles)
         return self.result

@@ -70,7 +70,9 @@ class ConvCoreActor(Actor):
         coord_overhead: int = 0,
     ):
         super().__init__(name)
-        weight = np.asarray(weight, dtype=DTYPE)
+        # Both engines read the weight in place, as (OUT_FM, G, P*kh*kw):
+        # copied only when it is not C-ordered float32 (the builder's is).
+        weight = np.ascontiguousarray(weight, dtype=DTYPE)
         bias = np.asarray(bias, dtype=DTYPE)
         if weight.ndim != 4:
             raise ShapeError(f"{name!r}: weight must be 4-D, got {weight.shape}")
@@ -113,17 +115,6 @@ class ConvCoreActor(Actor):
         self.coord_overhead = int(coord_overhead)
         self.in_groups = self.in_fm // self.in_ports
         self.out_groups = self.out_fm // self.out_ports
-        # Port p carries FMs p, p+P, p+2P...: group g of the window stream
-        # multiplies weight[:, g*P : (g+1)*P]. One transpose lays those
-        # slices out as a contiguous (G, OUT_FM, P*kh*kw) stack, which
-        # removes a weight gather from every compute beat and lets one
-        # vectorised pass per coordinate do all G product trees. The
-        # element order matches the original (P, kh, kw) broadcast exactly.
-        self._w_all = np.ascontiguousarray(
-            weight.reshape(
-                self.out_fm, self.in_groups, self.in_ports, self.kh, self.kw
-            ).transpose(1, 0, 2, 3, 4)
-        ).reshape(self.in_groups, self.out_fm, -1)
 
     def processes(self):
         #: ``[ready_cycle, values]`` per finished coordinate; ``values`` is
@@ -143,14 +134,14 @@ class ConvCoreActor(Actor):
         win_park = ChannelWait(tuple((POP, ch) for ch in ins), CHARGE_EACH)
         results = self._results
         queue_depth = self.queue_depth
-        w_all = self._w_all
         in_groups = self.in_groups
         pipeline_depth = self.pipeline_depth
         pending = self._pending
-        block_shape = (in_groups, 1, w_all.shape[2])
+        block_shape = (1, in_groups, self.in_ports * self.kh * self.kw)
         for _ in range(self.images * self.n_coords):
-            # Window beats of this coordinate, one row per group (the middle
-            # axis broadcasts OUT_FM in the batched product of _evaluate).
+            # Window beats of this coordinate, one row per group (the
+            # leading axis broadcasts OUT_FM in the batched product of
+            # _evaluate).
             wins = np.empty(block_shape, DTYPE)
             for g in range(in_groups):
                 # One group per cycle: read IN_PORTS windows in parallel
@@ -168,9 +159,9 @@ class ConvCoreActor(Actor):
                 while len(results) >= queue_depth:
                     yield self._gate
                 if in0 is not None:
-                    wins[g, 0] = in0.pop().ravel()
+                    wins[0, g] = in0.pop().ravel()
                 else:
-                    wins[g, 0] = np.concatenate([ch.pop().ravel() for ch in ins])
+                    wins[0, g] = np.concatenate([ch.pop().ravel() for ch in ins])
                 yield
             # Result leaves the datapath pipeline_depth cycles from now;
             # what it is gets worked out when the emitter reads it.
@@ -186,19 +177,27 @@ class ConvCoreActor(Actor):
         Called when the head of the result queue has no value yet. Values
         are only ever filled in for the whole queue, so then no queued
         coordinate has one and ``_pending`` is their window blocks in
-        order. One product ``(B, G, OUT_FM, P*kh*kw)`` — ``B`` is at most
+        order. One product ``(B, OUT_FM, G, P*kh*kw)`` — ``B`` is at most
         ``queue_depth``, which bounds the scratch — goes through every
         coordinate's and group's product tree at once, then the
         accumulation chain adds the per-group sums in Algorithm 1's order.
         Every operation is elementwise over the leading ``B`` axis, so each
         coordinate's bits are those of evaluating it alone.
+
+        Port ``p`` carries maps ``p, p+P, ...``, so group ``g`` multiplies
+        ``weight[:, g*P : (g+1)*P]``: in the C-ordered weight the
+        ``P*kh*kw`` weights of map ``o`` and group ``g`` are already
+        contiguous, in the order of the group's windows, and the
+        ``(OUT_FM, G, P*kh*kw)`` reshape is a view.
         """
         stack = np.stack(self._pending)
         self._pending.clear()
-        trees = tree_reduce(self._w_all * stack)
+        trees = tree_reduce(
+            self.weight.reshape(self.out_fm, self.in_groups, -1) * stack
+        )
         acc = self.bias
         for g in range(self.in_groups):
-            acc = acc + trees[:, g]
+            acc = acc + trees[:, :, g]
         for entry, values in zip(self._results, self._act(acc)):
             entry[1] = values
 

@@ -103,8 +103,6 @@ class ListSink(Actor):
     def run(self) -> Generator:
         ch = self.input(self.port)
         received = self.received
-        if not isinstance(received, list):  # left by a compiled run
-            received = self.received = list(received)
         n = 0
         while self.count is None or n < self.count:
             while not ch.can_pop():

@@ -46,9 +46,8 @@ from repro.faults.scenario import FaultScenario, FifoShrink
 from repro.report.base import MappingReport
 from repro.sst.sizing import capacity_one_jams
 
-if TYPE_CHECKING:  # import cycles: both modules call this harness
+if TYPE_CHECKING:  # import cycle: depths calls this harness
     from repro.analysis.depths import DepthPlan
-    from repro.core.multi_fpga import MultiFpgaPlan
 
 #: Above this many parameters a design is cycle-simulated as a pilot.
 PILOT_WEIGHT_LIMIT = 2_000_000
@@ -272,15 +271,15 @@ def run_design(
     memory_system: str = "behavioral",
     stall_limit: int = 10_000,
     depth_plan: Optional["DepthPlan"] = None,
-    multi_plan: Optional["MultiFpgaPlan"] = None,
 ) -> RunOutcome:
     """Build, (optionally) arm, and cycle-simulate one design.
 
-    The one seeded experiment every harness (faultsim, shrink validation
-    and bisect, shard throttles) is made of. Weights and the input batch
-    are derived from ``seed`` alone, so a clean and a faulted run with the
-    same seed process identical data — the precondition for digest
-    comparison. ``depth_plan`` / ``multi_plan`` pass through to
+    The one seeded experiment faultsim and shrink validation and bisect
+    are made of (the shard sweep builds its own networks and runs each
+    through :func:`run_built`). Weights and the input batch are derived
+    from ``seed`` alone, so a clean and a faulted run with the same seed
+    process identical data — the precondition for digest comparison.
+    ``depth_plan`` passes through to
     :func:`~repro.core.builder.build_network`.
     """
     built = build_network(
@@ -289,7 +288,6 @@ def run_design(
         seeded_batch(design, seed, images),
         memory_system=memory_system,
         depth_plan=depth_plan,
-        multi_plan=multi_plan,
     )
     return run_built(
         built, seed, scenario=scenario, scheduler=scheduler, stall_limit=stall_limit

@@ -216,7 +216,13 @@ def make_case(in_ports, out_ports, k, n_lanes, activation, seed=0, images=None,
 
 
 def actor_formulation(actor, ins):
-    """``ConvCoreActor._compute``/``_emit``, one coordinate at a time."""
+    """``ConvCoreActor._compute``/``_emit``, one coordinate at a time.
+
+    The weights come from the independent per-group slicing of
+    ``actor.weight``, not from the layout the core reads them in."""
+    from tests.core.test_cores import per_group_stack
+
+    w_stack = per_group_stack(actor.weight, actor.in_ports)
     n_lanes = actor.images * actor.n_coords
     groups = actor.in_groups
     outs = [[] for _ in range(actor.out_ports)]
@@ -228,7 +234,7 @@ def actor_formulation(actor, ins):
             ])
             for g in range(groups)
         ])[:, None, :]
-        trees = tree_reduce(actor._w_all * wins)
+        trees = tree_reduce(w_stack * wins)
         acc = actor.bias
         for g in range(groups):
             acc = acc + trees[g]
@@ -236,6 +242,11 @@ def actor_formulation(actor, ins):
         for p in range(actor.out_ports):
             outs[p].append(acc[p :: actor.out_ports])
     return {f"out{p}": np.concatenate(o) for p, o in enumerate(outs)}
+
+
+def weight_stack_shape(actor):
+    """``(OUT_FM, G, K)`` of the weight as the core reads it in place."""
+    return actor.weight.reshape(actor.out_fm, actor.in_groups, -1).shape
 
 
 def assert_both_forms_bit_equal(actor, views, beats, want=None):
@@ -387,7 +398,7 @@ class TestConvKernelMapBlocks:
         actor, views, beats = make_case(
             in_ports, 1, k, 40, "relu", seed=k, groups=1, out_fm=2 * MAPS + 1
         )
-        assert actor._w_all.shape[::2] == (1, in_ports * k * k)
+        assert weight_stack_shape(actor)[1:] == (1, in_ports * k * k)
         assert_both_forms_bit_equal(actor, views, beats)
 
     @pytest.mark.parametrize("in_ports,k", [(8, 1), (5, 1), (1, 3), (6, 2)])
@@ -512,7 +523,7 @@ class TestConvShapes:
     def test_k_121(self):
         # AlexNet conv1: 11x11 windows, one port.
         actor, views, beats = make_case(1, 1, 11, 24, "relu", groups=3)
-        assert actor._w_all.shape[2] == 121
+        assert weight_stack_shape(actor)[2] == 121
         assert_both_forms_bit_equal(actor, views, beats)
 
     @pytest.mark.parametrize("in_ports", [8, 64, 512])
@@ -522,7 +533,7 @@ class TestConvShapes:
         actor, views, beats = make_case(
             in_ports, 1, 3, 20, None, seed=in_ports, groups=1
         )
-        assert actor._w_all.shape[2] == in_ports * 9
+        assert weight_stack_shape(actor)[2] == in_ports * 9
         assert_both_forms_bit_equal(actor, views, beats)
 
     def test_out_fm_512(self):

@@ -18,7 +18,7 @@ from repro.core import (
     usps_design,
 )
 from repro.core.builder import seeded_batch
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, ShapeError, SimulationError
 from repro.nn import Conv2D, Flatten, Linear, MaxPool2D, Sequential, Tanh
 
 
@@ -194,6 +194,23 @@ class TestBuild:
         )
         with pytest.raises(ShapeError):
             built.outputs()
+
+    @pytest.mark.parametrize("second", ["event", "compiled"])
+    @pytest.mark.parametrize("first", ["event", "compiled"])
+    def test_a_built_network_runs_once(self, rng, first, second):
+        d = tiny_design()
+        built = build_network(
+            d, random_weights(d), rng.uniform(0, 1, (2, 1, 8, 8)).astype(np.float32)
+        )
+        result = built.run(scheduler=first)
+        assert result.scheduler_stats["scheduler"] == first
+        want = built.outputs()
+        with pytest.raises(SimulationError, match="already run"):
+            built.run(scheduler=second)
+        # The refused run added nothing to the sink.
+        assert built.result is result
+        assert len(built.sink.received) == want.size
+        assert np.array_equal(built.outputs(), want)
 
     def test_demux_adapter_network(self, rng):
         # First conv with 2 input ports forces a demux from the DMA stream.

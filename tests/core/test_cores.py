@@ -1,10 +1,19 @@
 """Unit tests for the compute-core actors against NumPy references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import ConvCoreActor, FCCoreActor, PoolCoreActor
-from repro.dataflow import ArraySource, DataflowGraph, ListSink
+from repro.core import (
+    ConvCoreActor,
+    FCCoreActor,
+    PoolCoreActor,
+    cifar10_design,
+    random_weights,
+)
+from repro.core.builder import build_network, seeded_batch
+from repro.dataflow import ArraySource, DataflowGraph, ListSink, stable_digest
 from repro.errors import ConfigurationError, ShapeError
 from repro.hls import interleaved_sum, tree_reduce
 from tests.compiled.test_kernels_conv import bits
@@ -146,8 +155,10 @@ class TestConvCore:
 
 
 def per_group_stack(weight, in_ports):
-    """``_w_all`` as it was built before: one fancy-indexed weight slice per
-    window group (port ``p`` carries FMs ``p, p+P, ...``), then a stack."""
+    """The ``(G, OUT_FM, P*kh*kw)`` weights of every window group, sliced
+    group by group: one fancy-indexed weight slice per group (port ``p``
+    carries FMs ``p, p+P, ...``), then a stack. An independent reference
+    for the layout the cores read the weight in."""
     out_fm, in_fm = weight.shape[:2]
     port_fms = [list(range(p, in_fm, in_ports)) for p in range(in_ports)]
     return np.stack([
@@ -163,17 +174,21 @@ ZOO_CONV_WEIGHTS = [(12, 3, 5, 5), (36, 12, 5, 5), (96, 3, 11, 11)]
 
 
 class TestWeightStack:
-    """``_w_all`` is one transpose, bitwise the per-group stack it replaced."""
+    """The core reads the weight it is handed in place: its
+    ``(OUT_FM, G, P*kh*kw)`` reshape is a view, bitwise the per-group
+    stack."""
 
     def check(self, rng, shape, in_ports):
         w = rng.standard_normal(shape).astype(np.float32)
         w.flat[:: 7] = -0.0
         core = ConvCoreActor("core", w, np.zeros(shape[0], np.float32),
                              in_ports, 1, n_coords=1)
+        view = core.weight.reshape(core.out_fm, core.in_groups, -1)
+        assert np.shares_memory(view, w)
         want = per_group_stack(w, in_ports)
-        assert core._w_all.shape == want.shape
-        assert core._w_all.flags.c_contiguous
-        assert np.array_equal(bits(core._w_all), bits(want))
+        # Row (o, g) of the view is group g's weights of map o.
+        assert view.shape == (want.shape[1], want.shape[0], want.shape[2])
+        assert np.array_equal(bits(view.transpose(1, 0, 2)), bits(want))
 
     @pytest.mark.parametrize("in_ports", [1, 2, 3, 4, 6])
     def test_every_port_count(self, rng, in_ports):
@@ -185,6 +200,54 @@ class TestWeightStack:
     ], ids=str)
     def test_zoo_convs(self, rng, shape, in_ports):
         self.check(rng, shape, in_ports)
+
+    @pytest.mark.parametrize("layout", ["fortran", "float64"])
+    def test_other_layouts_are_copied_once(self, rng, layout):
+        w = rng.standard_normal((6, 4, 3, 3)).astype(np.float32)
+        w.flat[:: 7] = -0.0
+        given = np.asfortranarray(w) if layout == "fortran" else w.astype(np.float64)
+        core = ConvCoreActor("core", given, np.zeros(6, np.float32), 2, 1,
+                             n_coords=1)
+        assert not np.shares_memory(core.weight, given)
+        assert core.weight.dtype == np.float32 and core.weight.flags.c_contiguous
+        assert np.array_equal(bits(core.weight), bits(w))
+
+    @pytest.mark.parametrize("layout", ["fortran", "float64"])
+    @pytest.mark.parametrize("scheduler", ["event", "compiled"])
+    def test_other_layouts_give_the_same_digest(self, layout, scheduler):
+        design = cifar10_design()
+        weights = random_weights(design, seed=4)
+        batch = seeded_batch(design, 4, 2)
+
+        def digest(ws):
+            built = build_network(design, ws, batch)
+            result = built.run(scheduler=scheduler)
+            assert result.scheduler_stats["scheduler"] == scheduler
+            return stable_digest(built.outputs())
+
+        convert = {
+            "fortran": np.asfortranarray,
+            "float64": lambda a: a.astype(np.float64),
+        }[layout]
+        other = {
+            name: {k: convert(v) if k == "weight" and v.ndim == 4 else v
+                   for k, v in layer.items()}
+            for name, layer in weights.items()
+        }
+        assert digest(other) == digest(weights)
+
+    def test_construction_allocates_no_weight_sized_array(self):
+        # AlexNet conv2: 256 x 96 x 5 x 5 float32 weights, 2,457,600 bytes.
+        w = np.zeros((256, 96, 5, 5), np.float32)
+        b = np.zeros(256, np.float32)
+        tracemalloc.start()
+        try:
+            ConvCoreActor("conv2.core", w, b, 1, 1, n_coords=27 * 27,
+                          activation="relu")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * w.nbytes
 
 
 class TestPoolCore:
