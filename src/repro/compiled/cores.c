@@ -1,6 +1,6 @@
-/* The compiled engine's conv and FC cores, one pass each
- * (repro.compiled.kernels.k_conv and k_fc; built, cached and loaded by
- * repro.compiled.native; DESIGN.md section 12).
+/* The compiled engine's conv, FC and max-pool cores, one pass each
+ * (repro.compiled.kernels.k_conv, k_fc and k_pool; built, cached and loaded
+ * by repro.compiled.native; DESIGN.md section 12).
  *
  * conv_tree: a tile is LANES output rows (image, coordinate), one vector
  * lane each. Whole blocks of LANES images run as the block's images at one
@@ -23,6 +23,13 @@
  * fc_chains: the interleaved accumulators of the FC core. Input i feeds
  * lane i mod L; each lane is the sequential chain ((0 + w x_l) + w x_{l+L})
  * + ..., and the lanes meet in the same unpadded tree, then the bias.
+ *
+ * max_pool: per output row, the maximum over the window's kh input rows
+ * along the whole row, LANES floats at a time whatever the map count, then
+ * per output column the maximum over its kw chunks of maps; NaN wins every
+ * comparison. Comparisons round nothing, so only a tie between -0.0 and
+ * +0.0 depends on the order; k_pool settles those in numpy, as the
+ * interpreted core does.
  *
  * Build with -ffp-contract=off and never -ffast-math: a fused multiply-add
  * or a re-associated sum changes bits. Where two NaNs meet, either payload
@@ -540,4 +547,104 @@ void fc_chains(const float *w, const float *x, int64_t images, int64_t I,
             memcpy(out + b * O + o0, &sum, rows * sizeof(float));
         }
     }
+}
+
+/* -- max pooling ---------------------------------------------------------- */
+
+/* The larger of a and b in every lane, NaN wherever either is: a where
+ * a >= b or a is a NaN, else b. A tie between -0.0 and +0.0 gives a. */
+INLINE vf vmax(vf a, vf b)
+{
+    vi a_wins = (a >= b) | (a != a);
+    return (vf)((a_wins & (vi)a) | (~a_wins & (vi)b));
+}
+
+/* Floats of one input row that the windows of an output row read: from
+ * the row's first window element to its last, for maps contiguous and
+ * byte strides s (see max_pool). */
+static int64_t pool_span(const int64_t *s, int64_t cols, int64_t G,
+                         int64_t kw)
+{
+    return ((cols - 1) * s[2] + (kw - 1) * s[5]) / 4 + G;
+}
+
+/* Floats of scratch max_pool needs for the same geometry: one row of
+ * vertical maxima, rounded up to whole vectors, and one vector past it
+ * that a last partial chunk of maps reads. */
+int64_t pool_scratch(const int64_t *strides, int64_t images, int64_t rows,
+                     int64_t cols, int64_t G, int64_t kh, int64_t kw)
+{
+    (void)images, (void)rows, (void)kh;
+    return (pool_span(strides, cols, G, kw) + 2 * LANES - 1) / LANES * LANES;
+}
+
+/* out[image, row, col, g] = the maximum of window (image, row, col, g),
+ * NaN-propagating; a zero maximum may be either zero (the caller settles
+ * those). Element (image, row, col, g, ky, kx) of the windows is at `in`
+ * plus the dot product with the six byte strides, which are whole,
+ * non-negative floats with the maps contiguous (strides[3] == 4, or
+ * G == 1). out is C-ordered (images, rows, cols, G); `scratch` holds
+ * pool_scratch(strides, ...) floats.
+ *
+ * Each output row is two passes. The vertical pass takes the maximum over
+ * the kh input rows under it, LANES floats at a time along the span of
+ * the row its windows read, whatever G is. The horizontal pass takes, for
+ * each column and chunk of LANES maps, the maximum over the kw chunks of
+ * that result under the window. Columns, then rows, are stored in
+ * increasing order, so a last chunk of m < LANES maps is stored whole
+ * wherever that store ends inside out: its extra floats land on maps the
+ * pass stores later. Only where it would pass the end are just its m
+ * floats stored. */
+void max_pool(const float *in, const int64_t *strides, int64_t images,
+              int64_t rows, int64_t cols, int64_t G, int64_t kh, int64_t kw,
+              float *out, float *scratch)
+{
+    const int64_t *s = strides;
+    /* Column and window-column strides in floats. */
+    int64_t sx = s[2] / 4, sk = s[5] / 4, span = pool_span(s, cols, G, kw),
+            whole = (span + LANES - 1) / LANES * LANES;
+    const float *end = out + images * rows * cols * G;
+    float *v = scratch;
+    /* The vector past the row that a last chunk of maps reads: defined,
+     * though those lanes are never kept. */
+    memset(v + whole, 0, LANES * sizeof(float));
+    for (int64_t i = 0; i < images; i++)
+        for (int64_t y = 0; y < rows; y++) {
+            const char *row = (const char *)in + i * s[0] + y * s[1];
+            for (int64_t j = 0; j < span; j += LANES) {
+                int64_t n = span - j;
+                vf m, r;
+                if (n >= LANES)
+                    memcpy(&m, row + 4 * j, sizeof m);
+                else
+                    m = load((const float *)(row + 4 * j), n);
+                for (int64_t ky = 1; ky < kh; ky++) {
+                    const char *p = row + ky * s[4] + 4 * j;
+                    if (n >= LANES)
+                        memcpy(&r, p, sizeof r);
+                    else
+                        r = load((const float *)p, n);
+                    m = vmax(m, r);
+                }
+                memcpy(v + j, &m, sizeof m);
+            }
+            float *o = out + (i * rows + y) * cols * G;
+            for (int64_t x = 0; x < cols; x++, o += G)
+                for (int64_t g0 = 0; g0 < G; g0 += LANES) {
+                    const float *c = v + x * sx + g0;
+                    vf m, r;
+                    memcpy(&m, c, sizeof m);
+                    for (int64_t kx = 1; kx < kw; kx++) {
+                        memcpy(&r, c + kx * sk, sizeof r);
+                        m = vmax(m, r);
+                    }
+                    if (o + g0 + LANES <= end) {
+                        memcpy(o + g0, &m, sizeof m);
+                    } else {
+                        for (int t = 0; t < LANES; t++)
+                            if (g0 + t < G)
+                                o[g0 + t] = m[t];
+                    }
+                }
+        }
 }

@@ -4,8 +4,8 @@ The second user engine, next to the interpreted ``"event"`` engine and
 its ``"lockstep"`` test oracle (:mod:`repro.dataflow.scheduler`):
 instead of interpreting actor processes cycle by cycle, it compiles a
 *verified* design graph down to a handful of fused kernels (numpy, and
-small C passes for the conv and FC cores) and executes whole streams at
-once.
+small C passes for the conv, FC and max-pool cores) and executes whole
+streams at once.
 
 Two passes keep the fallback contract clean:
 

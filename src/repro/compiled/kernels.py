@@ -49,12 +49,15 @@ kept by reproducing the per-beat association order exactly:
   weight row and the image in place, runs the lane chains side by side
   in 16-lane vectors, and meets them in the conv kernel's unpadded,
   carry-once tree;
-* max pooling is a chain of ``np.maximum`` over the window elements in
-  raster order, each a strided slice of the view — comparisons are
-  exact, so only a zero maximum (a ``-0.0``/``+0.0`` tie) depends on the
-  order, and the actor's ``w.max()`` settles it in numpy's SIMD lane
-  order: exactly those windows are gathered and reduced like the
-  actor's, contiguously.
+* max pooling is one pass in the same C object (``max_pool``), reading
+  the view in place through its strides: per output row, the maximum
+  over the window's ``kh`` input rows along the whole row, 16 floats to
+  a vector whatever the map count, then per output column the maximum
+  over its ``kw`` chunks of ``group`` maps. Comparisons are exact and the
+  pass propagates NaN, so only a zero maximum (a ``-0.0``/``+0.0`` tie)
+  depends on the order, and the actor's ``w.max()`` settles it in
+  numpy's SIMD lane order: exactly those windows are gathered and
+  reduced like the actor's, contiguously.
   Mean pooling gathers every beat: numpy's float64 pairwise order over
   ``kh*kw`` contiguous elements is not the order of a strided chain;
 * activation/softmax are elementwise or per-row reductions whose
@@ -311,26 +314,34 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
     arr = np.asarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "window stream", _n_windows(arr), actor.count)
     if actor.mode == "max":
-        # One np.maximum per window element over the strided slices
-        # arr[..., dy, dx]; the windows are not gathered and the result,
-        # C-ordered over the leading axes, already is the output stream.
-        taps = [
-            arr[..., dy, dx]
-            for dy in range(arr.shape[-2]) for dx in range(arr.shape[-1])
-        ]
-        out = np.empty(arr.shape[:-2], dtype=DTYPE)
-        np.copyto(out, taps[0])
-        for tap in taps[1:]:
-            np.maximum(out, tap, out=out)
+        # One C pass reads the windows in place through their strides.
+        # It walks (images, rows, cols, group, kh, kw) windows whose maps
+        # are contiguous and whose strides are whole, non-negative floats,
+        # as every k_window view's are; a stack is n one-window rows of
+        # one map, and anything else is gathered into one first.
+        walk = arr
+        if arr.ndim == 3 or (arr.shape[3] > 1 and arr.strides[3] != 4) or any(
+            s < 0 or s % 4 for s in arr.strides
+        ):
+            stack = np.ascontiguousarray(_beats(arr))
+            walk = stack.reshape((len(stack), 1, 1, 1) + stack.shape[1:])
+        cores = native.cores()
+        strides = np.array(walk.strides, dtype=np.int64)
+        geometry = (strides.ctypes.data, *walk.shape)
+        scratch = np.empty(cores.pool_scratch(*geometry), DTYPE)
+        out = np.empty(walk.shape[:4], DTYPE)
+        cores.max_pool(
+            walk.ctypes.data, *geometry, out.ctypes.data, scratch.ctypes.data
+        )
+        out = out.reshape(-1)
         # Comparisons round nothing, so a non-zero maximum has one bit
         # pattern whatever the order, and a window holding a NaN has a NaN
         # maximum either way (stable_digest counts every NaN as one). The
         # order shows only in a tie between -0.0 and +0.0, which numpy's
         # contiguous reduce settles in SIMD lane order (by window length
-        # and host), not raster order: the windows whose maximum is a zero
-        # are gathered and reduced the way the actor reduces one, over
-        # kh*kw contiguous elements.
-        out = out.reshape(-1)
+        # and host), not in the C pass's: the windows whose maximum is a
+        # zero are gathered and reduced the way the actor reduces one,
+        # over kh*kw contiguous elements.
         redo = np.flatnonzero(out == 0)
         if len(redo):
             wins = arr[np.unravel_index(redo, arr.shape[:-2])]

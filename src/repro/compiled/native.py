@@ -1,8 +1,9 @@
 """Build, cache and load the compiled cores' C body (``cores.c``).
 
-One object holds both kernels that do float arithmetic in C: the conv
-core's product tree (``conv_tree``, for ``k_conv``) and the FC core's
-interleaved lane chains (``fc_chains``, for ``k_fc``). It is built on
+One object holds the kernels that run in C: the conv core's product
+tree (``conv_tree``, for ``k_conv``), the FC core's interleaved lane
+chains (``fc_chains``, for ``k_fc``) and the max pool's two passes
+(``max_pool``, for ``k_pool``). It is built on
 first use by the system C compiler ``cc``, for one instruction set, this
 host's: with ``-mavx512f`` where numpy reports AVX-512F, the baseline
 build elsewhere; there is no second variant and no run-time dispatch.
@@ -20,8 +21,8 @@ whose calls release the GIL.
 Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
 :class:`~repro.errors.CompilationError`; the compiled engine raises it
-while lowering any design with a conv or FC core, so such a host runs
-the event engine instead.
+while lowering any design with a conv or FC core (every design with a
+pool has one before it), so such a host runs the event engine instead.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ _loaded = None
 
 
 def cores():
-    """The C kernels: ``.conv_tree`` and ``.fc_chains``, and the float32
-    counts of the scratch each needs, ``.conv_scratch`` (``conv_tree``'s
-    geometry arguments: strides, ports, images, rows, cols, G, kh, kw, O)
-    and ``.fc_scratch(images, acc_lanes)``.
+    """The C kernels: ``.conv_tree``, ``.fc_chains`` and ``.max_pool``,
+    and the float32 counts of the scratch each needs, ``.conv_scratch``
+    (``conv_tree``'s geometry arguments: strides, ports, images, rows,
+    cols, G, kh, kw, O), ``.fc_scratch(images, acc_lanes)`` and
+    ``.pool_scratch`` (``max_pool``'s: strides, images, rows, cols, G,
+    kh, kw).
 
     Builds (once per cache) and loads (once per process) on first use;
     a refusal is remembered and raised again as a fresh
@@ -151,7 +154,8 @@ def _load(cache: Path):
     if compiler is None:
         raise CompilationError(
             f"no C compiler: {COMPILER!r} is not on PATH, and the compiled "
-            f"engine builds its conv and FC kernels ({SOURCE.name}) with it"
+            f"engine builds its conv, FC and pool kernels ({SOURCE.name}) "
+            f"with it"
         )
     tmp = cache / f".cores.{key}.{os.getpid()}.{threading.get_ident()}.so"
     try:
@@ -169,18 +173,22 @@ def _open(path: Path):
 
     try:
         lib = ctypes.CDLL(str(path))
-        conv, fc = lib.conv_tree, lib.fc_chains
+        conv, fc, pool = lib.conv_tree, lib.fc_chains, lib.max_pool
         conv_scratch, fc_scratch = lib.conv_scratch, lib.fc_scratch
+        pool_scratch = lib.pool_scratch
     except (OSError, AttributeError) as exc:
         raise CompilationError(f"cannot load {path.name}: {exc}") from None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    conv.restype = fc.restype = None
+    conv.restype = fc.restype = pool.restype = None
     conv.argtypes = [ptr, ptr] + [i64] * 8 + [ptr] * 4
     fc.argtypes = [ptr, ptr] + [i64] * 4 + [ptr] * 3
-    conv_scratch.restype = fc_scratch.restype = i64
+    pool.argtypes = [ptr, ptr] + [i64] * 6 + [ptr] * 2
+    conv_scratch.restype = fc_scratch.restype = pool_scratch.restype = i64
     conv_scratch.argtypes = [ptr] + [i64] * 8
     fc_scratch.argtypes = [i64] * 2
+    pool_scratch.argtypes = [ptr] + [i64] * 6
     return SimpleNamespace(
-        conv_tree=conv, fc_chains=fc,
+        conv_tree=conv, fc_chains=fc, max_pool=pool,
         conv_scratch=conv_scratch, fc_scratch=fc_scratch,
+        pool_scratch=pool_scratch,
     )

@@ -7,8 +7,14 @@ one place that stack is still made, for the kernels that route single
 beats. These tests pin the view's emission order against
 :func:`repro.sst.reference_windows`, guard that the ``kh*kw``-fold copy
 is gone, and hold ``k_pool`` bitwise to the actor's per-beat arithmetic
-on both representations.
+on both representations: max as one C pass over the windows in place
+(``max_pool`` in ``cores.c``), read and stored up to guard pages, mean in
+numpy.
 """
+
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +33,7 @@ from repro.core.pool_core import PoolCoreActor
 from repro.dataflow.actors import Interleaver, ListSink, ScheduleDemux
 from repro.errors import CompilationError
 from repro.sst import SlidingWindowActor, WindowSpec
-from tests.compiled.test_kernels_conv import bits
+from tests.compiled.test_kernels_conv import before_guard_page, bits, in_child
 from tests.sst.test_line_buffer import expected_windows
 
 #: Pixel values that make a window's maximum a tie between the two zeros
@@ -243,3 +249,156 @@ class TestPoolKernel:
         for wrong in {n - 1, n + 1, len(stream)} - {n}:
             with pytest.raises(CompilationError, match="window stream"):
                 k_pool(PoolCoreActor("pool", mode, count=wrong), {"in": stream})
+
+
+#: Map counts around the C pass's chunks of 16 maps: one map, partial
+#: chunks (4, 12 = TC2 pool1, 15), one whole chunk, a whole chunk and one
+#: map (17), and whole chunks with (36 = TC2 pool2) or without (96 =
+#: AlexNet pool1) a partial one.
+POOL_GROUPS = [1, 4, 12, 15, 16, 17, 36, 96]
+
+#: The zoo's max windows: 2x2/s2, AlexNet's 3x3/s2, a fully overlapping
+#: 3x3/s1, and padded windows, whose view reads np.pad's copy.
+MAX_SPECS = [
+    WindowSpec(2, 2, stride=2),
+    WindowSpec(3, 3, stride=2),
+    WindowSpec(3, 3, stride=1),
+    WindowSpec(3, 3, stride=2, pad=1),
+    WindowSpec(2, 2, stride=1, pad=1),
+]
+
+
+def actor_max(beats):
+    """The actor's per-beat maximum of every window of a stack."""
+    return np.array([DTYPE(w.max()) for w in beats])
+
+
+def max_case(spec, h, w, group, rng, ties):
+    """A max pool's view and its stack: at least 2 images, about 100 maps
+    in all, so few maps still give the specials' NaN and zero maxima."""
+    images = max(2, 96 // group)
+    actor, px = window_case(spec, h, w, group, images, rng, ties)
+    view = k_window(actor, {"in": px})["out"]
+    return view, np.ascontiguousarray(_beats(view))
+
+
+class TestMaxPoolPass:
+    """``k_pool`` max is one C pass over the windows in place (``max_pool``
+    in ``cores.c``): per output row the maximum over the window's input
+    rows along the whole row, 16 floats at a time, then per column the
+    maximum over its chunks of ``group`` maps. Held bitwise to the actor
+    across map counts around the 16-map chunks, the zoo's windows, odd
+    input widths (a last input column no window reads), views and
+    stacks."""
+
+    @pytest.mark.parametrize("form", ["view", "beats"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "specials"])
+    @pytest.mark.parametrize("h,w", [(7, 9), (8, 11)])
+    @pytest.mark.parametrize("spec", MAX_SPECS, ids=WindowSpec.describe)
+    @pytest.mark.parametrize("group", POOL_GROUPS)
+    def test_bitwise_the_actors_max(self, rng, group, spec, h, w, ties, form):
+        view, beats = max_case(spec, h, w, group, rng, ties)
+        want = actor_max(beats)
+        if ties:
+            assert np.isnan(want).any() and (want == 0).any()
+        actor = PoolCoreActor("pool", "max", count=len(beats))
+        stream = view if form == "view" else beats
+        got = k_pool(actor, {"in": stream})["out"]
+        assert got.dtype == DTYPE and got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("group", [1, 12, 17])
+    def test_views_the_pass_does_not_walk_are_gathered(self, rng, group):
+        # Every other map (maps 8 bytes apart) and rows and columns walked
+        # backwards (negative strides): gathered into a stack first.
+        view, _ = max_case(WindowSpec(3, 3, stride=2), 9, 11, 2 * group, rng, True)
+        for other in (view[:, :, :, ::2], view[:, ::-1, ::-1]):
+            want = actor_max(_beats(other))
+            actor = PoolCoreActor("pool", "max", count=len(want))
+            got = k_pool(actor, {"in": other})["out"]
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_two_threads_at_once(self, rng):
+        cases = [
+            max_case(WindowSpec(3, 3, stride=2), 33, 35, group, rng, True)
+            for group in (12, 36)
+        ]
+        want = [actor_max(beats) for _, beats in cases]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            view, beats = cases[i]
+            actor = PoolCoreActor("pool", "max", count=len(beats))
+            start.wait()
+            got[i] = [
+                k_pool(actor, {"in": stream})["out"]
+                for stream in (view, beats) * 3
+            ]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for i in (0, 1):
+            assert len(got[i]) == 6
+            for out in got[i]:
+                assert np.array_equal(bits(out), bits(want[i]))
+
+
+def pool_up_to_a_guard_page(group):
+    """``k_pool`` max with its input, then its output, ending right before
+    a guard page, on views and stacks (this runs in a child process: a read
+    or store past either end kills it). The last window ends on the last
+    pixel, so the pass reads the input up to its last float."""
+    real_empty = np.empty
+
+    def empty(shape, dtype=float):
+        # The pass's one output array, (images, rows, cols, group); its
+        # scratch is 1-D.
+        arr = real_empty(shape, dtype)
+        if isinstance(shape, tuple) and len(shape) == 4:
+            arr = before_guard_page(arr.reshape(-1)).reshape(shape)
+            placed.append(arr)
+        return arr
+
+    rng = np.random.default_rng(group)
+    for spec, h, w in [
+        (WindowSpec(2, 2, stride=2), 6, 10),
+        (WindowSpec(3, 3, stride=2), 7, 9),
+        (WindowSpec(3, 3, stride=1), 5, 6),
+    ]:
+        actor, px = window_case(spec, h, w, group, 3, rng, ties=True)
+        view = k_window(actor, {"in": before_guard_page(px)})["out"]
+        beats = _beats(view)
+        stack = before_guard_page(beats.reshape(-1)).reshape(beats.shape)
+        want = actor_max(beats)
+        pool = PoolCoreActor("pool", "max", count=len(beats))
+        for stream in (view, stack):
+            placed = []
+            with mock.patch.object(np, "empty", empty):
+                got = k_pool(pool, {"in": stream})["out"]
+            assert len(placed) == 1 and np.shares_memory(got, placed[0])
+            assert np.array_equal(bits(got), bits(want)), (spec, group)
+    print("pooled", flush=True)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mmap guard pages")
+class TestMaxPoolGuardPages:
+    """The vertical pass reads the last input row up to its last float,
+    and a last chunk of fewer than 16 maps is stored whole only where the
+    store ends inside the output: a whole-vector read or store past either
+    end faults on the ``PROT_NONE`` page (``test_kernels_conv.py``'s
+    ``TestOverRead`` / ``TestOverWrite`` show the placement is exact)."""
+
+    @pytest.mark.parametrize("group", [1, 12, 17, 36])
+    def test_kernel_stays_inside_its_input_and_output(self, group):
+        proc = in_child(
+            "from tests.compiled.test_kernels_window_pool import "
+            "pool_up_to_a_guard_page\n"
+            f"pool_up_to_a_guard_page({group})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "pooled\n"

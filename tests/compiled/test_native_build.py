@@ -7,8 +7,10 @@ build it runs the compiled engine's designs on the event engine, with
 the same digests.
 """
 
+import ctypes
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +22,7 @@ import pytest
 
 import repro
 from repro.compiled import CompiledFallbackWarning, native
-from repro.compiled.kernels import k_conv, k_fc
+from repro.compiled.kernels import k_conv, k_fc, k_pool
 from repro.core import (
     FCLayerSpec,
     NetworkDesign,
@@ -29,6 +31,7 @@ from repro.core import (
     tiny_design,
 )
 from repro.core.builder import build_network, seeded_batch
+from repro.core.pool_core import PoolCoreActor
 from repro.dataflow import stable_digest
 from repro.errors import CompilationError
 from tests.compiled.test_kernels_conv import bits, make_case
@@ -86,13 +89,16 @@ def test_no_compiler_falls_back_to_event(monkeypatch, tmp_path, design_fn):
         got = built.run(scheduler="compiled")
     assert got.scheduler_stats["scheduler"] == "event"
     assert stable_digest(built.outputs()) == stable_digest(want.outputs())
-    # The refusal is remembered, and both kernels refuse the same way.
-    actor, views, _ = make_case(1, 1, 3, 32, None)
+    # The refusal is remembered, and every kernel refuses the same way.
+    actor, views, beats = make_case(1, 1, 3, 32, None)
     with pytest.raises(CompilationError, match="no C compiler"):
         k_conv(actor, views)
     fc, x = make_fc_case(29, 12, 2)
     with pytest.raises(CompilationError, match="no C compiler"):
         k_fc(fc, {"in": x.reshape(-1)})
+    pool = PoolCoreActor("pool", "max", count=len(beats["in0"]))
+    with pytest.raises(CompilationError, match="no C compiler"):
+        k_pool(pool, {"in": views["in0"]})
 
 
 def test_failed_build_is_a_compilation_error(cold, monkeypatch):
@@ -212,3 +218,27 @@ def test_each_instruction_set_is_its_own_object(cold, monkeypatch):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [key]
     assert len(builds) == 2 and len(cached(cache)) == 2
+
+
+def test_every_export_declares_its_c_prototype():
+    """A ctypes function without ``argtypes`` passes each Python int as a
+    C ``int``, so a 64-bit pointer or count would arrive cut to 32 bits,
+    and its default ``restype`` is ``int``. Every function ``cores()``
+    exposes declares the argument and result types of its prototype in
+    ``cores.c`` (a pointer is ``c_void_p``, an ``int64_t`` ``c_int64``),
+    and every function ``cores.c`` exports is exposed."""
+    prototypes = {
+        name: (result, params.split(","))
+        for result, name, params in re.findall(
+            r"^(void|int64_t) (\w+)\(([^)]*)\)", native.SOURCE.read_text(), re.M
+        )
+    }
+    exposed = vars(native.cores())
+    assert set(exposed) == set(prototypes)
+    for name, fn in exposed.items():
+        result, params = prototypes[name]
+        assert fn.restype is (None if result == "void" else ctypes.c_int64)
+        assert fn.argtypes is not None, name
+        assert list(fn.argtypes) == [
+            ctypes.c_void_p if "*" in p else ctypes.c_int64 for p in params
+        ], name
