@@ -9,16 +9,19 @@
  * (G, K) windows are gathered once, lanes minor. Either way every output
  * map runs its K products, the unpadded product tree and the bias-first
  * group chain on LANES-wide vectors, in the association of the interpreted
- * core's tree_reduce:
- * level by level, left + right, an odd level's last node carried as
- * "node + 0.0" the first time only. The first three levels of every
- * aligned block of 8 leaves are one expression; the levels above reduce
- * the block sums in place. Up to MAPS output maps run side by side, so
- * each window vector is loaded once per block of maps; every map's own
- * association is unchanged. A tile's sums, one vector per map, are
- * transposed in registers, 16 maps at a time, into one vector per output
- * row, and each row gets its maps as vector stores. The image walk claims
- * the lines of a tile's rows AHEAD tiles before it stores them.
+ * core's tree_reduce: level by level, left + right, an odd level's last
+ * node carried as "node + 0.0" the first time only. The first four levels
+ * of every aligned pair of blocks of 8 leaves are one register expression,
+ * and only these pair sums go to memory; the leaves after the last pair
+ * are the aligned subtrees of their count's bits, added in registers right
+ * to left, and their sum stays in registers as the last node of every
+ * level above, while the pair sums before it pair up in place. Up to MAPS
+ * output maps run side by side, so each window vector is loaded once per
+ * block of maps; every map's own association is unchanged. A tile's sums,
+ * one vector per map, are transposed in registers, 16 maps at a time, into
+ * one vector per output row, and each row gets its maps as vector stores.
+ * The image walk claims the lines of a tile's rows AHEAD tiles before it
+ * stores them.
  *
  * fc_chains: the interleaved accumulators of the FC core. Input i feeds
  * lane i mod L; each lane is the sequential chain ((0 + w x_l) + w x_{l+L})
@@ -59,25 +62,30 @@ INLINE vf splat(const float *s)
     return (vf)((vi){0} | bits);
 }
 
-/* The first tree level over leaves j and j + 1 of map b. */
-#define PAIR(j) (wb[j] * v[j] + wb[j + 1] * v[j + 1])
+/* The aligned subtree of map b over 1, 2, 4 or 8 leaves from leaf j of
+ * the window vectors v (weights wb): the product tree's first levels, one
+ * register expression. */
+#define T1(j) (wb[j] * v[j])
+#define T2(j) (T1(j) + T1((j) + 1))
+#define T4(j) (T2(j) + T2((j) + 2))
+#define T8(j) (T4(j) + T4((j) + 4))
 
-/* The unpadded tree over nodes [0, width) of nb interleaved trees, in place:
- * tree b's node i is v[i * nb + b], and its sum ends in v[b]. */
-INLINE void reduce(vf *v, int64_t width, int *carried, const int nb)
+/* The unpadded trees of nb interleaved trees over n nodes in memory, tree
+ * b's node i at node[i * nb + b], and a last node t[b] after them, level
+ * by level: the nodes pair up in place, and t[b] is added to the node
+ * before it where a level is even, or carried where it is odd ("+ 0.0",
+ * unless a node below these levels was carried). Their sums end in t. */
+INLINE void spine(vf *t, vf *node, int64_t n, int carried, const int nb)
 {
-    while (width > 1) {
-        int64_t half = width >> 1;
-        for (int64_t i = 0; i < half; i++)
+    for (; n; n >>= 1) {
+        for (int64_t i = 0; i < n >> 1; i++)
             for (int b = 0; b < nb; b++)
-                v[i * nb + b] = v[2 * i * nb + b] + v[(2 * i + 1) * nb + b];
-        if (width & 1) {
-            for (int b = 0; b < nb; b++)
-                v[half * nb + b] = *carried ? v[(width - 1) * nb + b]
-                                            : v[(width - 1) * nb + b] + 0.0f;
-            *carried = 1;
-        }
-        width -= half;
+                node[i * nb + b] =
+                    node[2 * i * nb + b] + node[(2 * i + 1) * nb + b];
+        for (int b = 0; b < nb; b++)
+            t[b] = n & 1 ? node[(n - 1) * nb + b] + t[b]
+                         : carried ? t[b] : t[b] + 0.0f;
+        carried |= !(n & 1);
     }
 }
 
@@ -91,44 +99,76 @@ INLINE vf vec(const char *base, const int64_t *off, int64_t k)
     return v;
 }
 
+/* Tree nodes per map that group_trees stores for K leaves: one per aligned
+ * pair of whole blocks of 8 (conv_scratch and conv_tree size them). */
+INLINE int64_t tree_nodes(int64_t K)
+{
+    return K / 16;
+}
+
+/* The tail's aligned subtree of n leaves, if the tail's leaf count R has
+ * bit n: it follows the tail's larger subtrees, and it is added to the
+ * sums t of the tail's smaller ones, on its right. */
+#define SUBTREE(n)                                                           \
+    if (R & (n)) {                                                           \
+        int64_t j = k + (R & -(2 * (n)));                                    \
+        vf v[n];                                                             \
+        for (int i = 0; i < (n); i++)                                        \
+            v[i] = vec(base, off, k0 + j + i);                               \
+        for (int b = 0; b < nb; b++) {                                       \
+            const float *wb = w + b * GK + j;                                \
+            t[b] = T##n(0) + t[b];                                           \
+        }                                                                    \
+    }
+
 /* acc[b] + tree_reduce(w_b * x) over the K leaves of one group for the nb
  * maps whose weights are w_b = w + b * GK, leaf k's vector the tile's
- * vector k0 + k; `node` holds (K / 8 + 1) * nb vectors. */
+ * vector k0 + k; `node` holds tree_nodes(K) * nb vectors.
+ *
+ * Each aligned pair of whole blocks of 8 leaves is one level-4 node of the
+ * padded tree, summed in registers, and only these sums are stored. The
+ * R < 16 leaves after them, the tail, split into the aligned subtrees of
+ * R's set bits, largest first, and the padded tree adds those right to
+ * left: the smallest to a pad zero (its carry) unless the tail is the
+ * whole tree and a power of two wide, each other to the sum on its right.
+ * So the smallest is added to +0.0 or, changing no bit, to -0.0; a one-leaf
+ * tail is its product plus that zero. The tail's sum is the level-4 node
+ * after the pairs (with no tail, the last pair is), and it stays in
+ * registers up the spine. */
 INLINE void group_trees(vf *restrict acc, vf *restrict node,
                         const char *restrict base, const int64_t *restrict off,
                         int64_t k0, const float *restrict w, int64_t K,
                         int64_t GK, const int nb)
 {
     int64_t n = 0, k = 0;
-    int carried = 0;
-    for (; k + 8 <= K; k += 8, n++) {
-        vf v[8];
-        for (int j = 0; j < 8; j++)
+    for (; k + 16 <= K; k += 16, n++) {
+        vf v[16];
+        for (int j = 0; j < 16; j++)
             v[j] = vec(base, off, k0 + k + j);
         for (int b = 0; b < nb; b++) {
             const float *wb = w + b * GK + k;
-            node[n * nb + b] = (PAIR(0) + PAIR(2)) + (PAIR(4) + PAIR(6));
+            node[n * nb + b] = T8(0) + T8(8);
         }
     }
-    if (k < K) {
-        /* The last, partial block: its own trees, then carried up to the
-         * block level unless it is the whole tree. */
-        vf p[8 * MAPS];
-        for (int64_t j = 0; j < K - k; j++) {
-            vf v = vec(base, off, k0 + k + j);
-            for (int b = 0; b < nb; b++)
-                p[j * nb + b] = w[b * GK + k + j] * v;
-        }
-        reduce(p, K - k, &carried, nb);
-        int carry = n && !carried;
+    int64_t R = K - k;
+    int carried = R && (k || (R & (R - 1)));
+    vf t[MAPS];
+    if (R) {
+        const float pad = carried ? 0.0f : -0.0f;
         for (int b = 0; b < nb; b++)
-            node[n * nb + b] = carry ? p[b] + 0.0f : p[b];
-        carried |= n > 0;
-        n++;
+            t[b] = splat(&pad);
+        SUBTREE(1);
+        SUBTREE(2);
+        SUBTREE(4);
+        SUBTREE(8);
+    } else {
+        n--;
+        for (int b = 0; b < nb; b++)
+            t[b] = node[n * nb + b];
     }
-    reduce(node, n, &carried, nb);
+    spine(t, node, n, carried, nb);
     for (int b = 0; b < nb; b++)
-        acc[b] += node[b];
+        acc[b] += t[b];
 }
 
 /* Groups [0, gn) of the nb maps whose sums are acc[0..nb): group g's
@@ -376,7 +416,7 @@ int64_t conv_scratch(const int64_t *strides, int64_t n_ports, int64_t images,
 {
     int64_t K = n_ports * kh * kw,
             F = image_floats(strides, n_ports, images, rows, cols, G, kh, kw);
-    return ((F > G * K ? F : G * K) + (K / 8 + 1) * MAPS + O + 1) * LANES +
+    return ((F > G * K ? F : G * K) + tree_nodes(K) * MAPS + O + 1) * LANES +
            2 * G * K;
 }
 
@@ -403,7 +443,7 @@ void conv_tree(const float *const *ports, const int64_t *strides,
             F = image_floats(strides, n_ports, images, rows, cols, G, kh, kw),
             walked = F ? images / LANES * C : 0;
     vf *x = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
-    vf *node = x + (F > G * K ? F : G * K), *acc = node + (K / 8 + 1) * MAPS;
+    vf *node = x + (F > G * K ? F : G * K), *acc = node + tree_nodes(K) * MAPS;
     int64_t *off = (int64_t *)(acc + O);
     /* The image walk's offsets: port p's copy starts after the extents of
      * the ports before it. */
@@ -517,8 +557,9 @@ int64_t fc_scratch(int64_t images, int64_t L)
  *
  * LANES outputs at a time: output o0 + r's lane l partial for image b goes
  * to lane r of part[b * L + l], so the lane trees of LANES outputs are one
- * reduce. Each group of ROWS weight rows runs over every image while it is
- * in L1; the rows past the last repeat it, and their sums are dropped. */
+ * spine, its last lane the register node. Each group of ROWS weight rows
+ * runs over every image while it is in L1; the rows past the last repeat
+ * it, and their sums are dropped. */
 void fc_chains(const float *w, const float *x, int64_t images, int64_t I,
                int64_t O, int64_t L, const float *bias, float *out,
                float *scratch)
@@ -541,9 +582,9 @@ void fc_chains(const float *w, const float *x, int64_t images, int64_t I,
                 }
         }
         for (int64_t b = 0; b < images; b++) {
-            int carried = 0;
-            reduce(part + b * L, L, &carried, 1);
-            vf sum = part[b * L] + load(bias + o0, rows);
+            vf sum = part[b * L + L - 1];
+            spine(&sum, part + b * L, L - 1, 0, 1);
+            sum += load(bias + o0, rows);
             memcpy(out + b * O + o0, &sum, rows * sizeof(float));
         }
     }

@@ -56,8 +56,10 @@ kept by reproducing the per-beat association order exactly:
   over its ``kw`` chunks of ``group`` maps. Comparisons are exact and the
   pass propagates NaN, so only a zero maximum (a ``-0.0``/``+0.0`` tie)
   depends on the order, and the actor's ``w.max()`` settles it in
-  numpy's SIMD lane order: exactly those windows are gathered and
-  reduced like the actor's, contiguously.
+  numpy's SIMD lane order: the zero maxima of windows that hold a
+  ``-0.0`` are gathered and reduced like the actor's, contiguously (a
+  window without one has the maximum ``+0.0`` in any order, so a stream
+  without ``-0.0``, such as a ReLU's, gathers nothing).
   Mean pooling gathers every beat: numpy's float64 pairwise order over
   ``kh*kw`` contiguous elements is not the order of a strided chain;
 * activation/softmax are elementwise or per-row reductions whose
@@ -77,6 +79,7 @@ import math
 from typing import Callable, Dict, List
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.compiled import native
 from repro.config import DTYPE
@@ -310,6 +313,30 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     }
 
 
+def _negative_zero_windows(walk: np.ndarray):
+    """Which windows of ``walk`` (flat, in output order) hold a ``-0.0``;
+    ``None`` when the floats it reads hold none. Its strides are whole,
+    non-negative floats, so those floats lie in one span from its first."""
+    span = 1 + sum((n - 1) * s // 4 for n, s in zip(walk.shape, walk.strides))
+    flat = as_strided(walk, (span,), (4,), writeable=False)
+    neg = flat.view(np.uint32) == 0x80000000
+    if not neg.any():
+        return None
+    # The same windows over a mark per float, one byte each.
+    marks = as_strided(
+        neg, walk.shape, tuple(s // 4 for s in walk.strides), writeable=False
+    )
+    return marks.any(axis=(4, 5)).reshape(-1)
+
+
+def _settle_zero_maxima(arr: np.ndarray, out: np.ndarray, redo: np.ndarray):
+    """``out[redo]``, the maxima of windows ``redo`` of ``arr``, gathered
+    and reduced as the actor reduces one: over ``kh*kw`` contiguous
+    elements."""
+    wins = arr[np.unravel_index(redo, arr.shape[:-2])]
+    out[redo] = np.ascontiguousarray(wins).max(axis=(1, 2))
+
+
 def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
     arr = np.asarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "window stream", _n_windows(arr), actor.count)
@@ -339,13 +366,15 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
         # maximum either way (stable_digest counts every NaN as one). The
         # order shows only in a tie between -0.0 and +0.0, which numpy's
         # contiguous reduce settles in SIMD lane order (by window length
-        # and host), not in the C pass's: the windows whose maximum is a
-        # zero are gathered and reduced the way the actor reduces one,
-        # over kh*kw contiguous elements.
-        redo = np.flatnonzero(out == 0)
-        if len(redo):
-            wins = arr[np.unravel_index(redo, arr.shape[:-2])]
-            out[redo] = np.ascontiguousarray(wins).max(axis=(1, 2))
+        # and host), not in the C pass's. So a zero maximum over a window
+        # that holds a -0.0 is settled the way the actor settles it; one
+        # over a window without a -0.0 is +0.0 in any order. Padding is
+        # +0.0, so behind a ReLU, whose zeros are +0.0, nothing is
+        # gathered.
+        zero = np.flatnonzero(out == 0)
+        held = _negative_zero_windows(walk) if len(zero) else None
+        if held is not None:
+            _settle_zero_maxima(arr, out, zero[held[zero]])
     else:
         # Not fused: numpy's float64 pairwise order over kh*kw contiguous
         # elements is not the order of a strided per-element chain.

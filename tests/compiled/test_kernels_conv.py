@@ -14,7 +14,8 @@ down below the engine level: the unpadded tree, as ``k_fc``'s lane tree,
 against :func:`repro.hls.tree_adder.tree_reduce` on adversarial values,
 and the conv kernel against the per-coordinate formulation of
 ``ConvCoreActor._compute`` over a port/kernel/tiling/map-block grid, both
-walks, special values and the largest zoo shapes — every case fed both
+walks, special values, every tree width from 1 to 136
+(``TestEveryTreeWidth``) and the largest zoo shapes — every case fed both
 the ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of
 the same pixels. ``TestOverRead`` runs both walks' reads up to a guard
 page, ``TestOverWrite`` their transposed stores, and
@@ -539,6 +540,44 @@ class TestConvShapes:
     def test_out_fm_512(self):
         actor, views, beats = make_case(1, 2, 3, 40, "tanh", out_fm=512)
         assert_both_forms_bit_equal(actor, views, beats)
+
+
+def width_case(K, groups, draw, images=17):
+    """A one-port core with ``1 x K`` windows over ``images`` images of one
+    coordinate each, ``MAPS + 1`` output maps, and its windows as a view
+    and as a beat stack. ``draw`` is ``"random"`` (normals) or
+    ``"-0.0"``: every weight and the bias ``-0.0``, every pixel ``>= 0``,
+    so every product is ``-0.0``."""
+    rng = np.random.default_rng(K * 8 + groups)
+    weight = rng.standard_normal((MAPS + 1, groups, 1, K)).astype(DTYPE)
+    bias = rng.standard_normal(MAPS + 1).astype(DTYPE)
+    px = rng.standard_normal((images, 1, 1, groups, 1, K)).astype(DTYPE)
+    if draw == "-0.0":
+        weight[:], bias[:], px = -0.0, -0.0, np.abs(px)
+    actor = ConvCoreActor("core", weight, bias, 1, 1, n_coords=1, images=images)
+    return actor, {"in0": px}, {"in0": px.reshape(images * groups, 1, K)}
+
+
+class TestEveryTreeWidth:
+    """Every tree shape ``conv_tree`` has: ``K`` from 1 to 136 is 0 to 17
+    whole blocks of 8 leaves times every remainder 0 to 7, so every count
+    of pairs of blocks, every tail and every carry. Seventeen images run 16
+    on the image walk and the last on the coordinate walk; the beat stack
+    runs all 17 on the coordinate walk. One group is one tree per map,
+    three are a chain of three; ``MAPS + 1`` maps are a whole block of maps
+    and one more."""
+
+    @pytest.mark.parametrize("draw", ["random", "-0.0"])
+    @pytest.mark.parametrize("K", range(1, 137))
+    def test_bit_equal_to_actor_formulation(self, K, draw):
+        for groups in (1, 3):
+            actor, views, beats = width_case(K, groups, draw)
+            want = assert_both_forms_bit_equal(actor, views, beats)
+            if draw == "-0.0":
+                # -0.0 products sum to -0.0 in a tree that carries nothing,
+                # a power of two wide; any carry makes them +0.0.
+                power = K & (K - 1) == 0
+                assert set(bits(want["out0"])) == {0x80000000 if power else 0}
 
 
 def test_two_threads_at_once():

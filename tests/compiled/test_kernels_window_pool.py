@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.compiled import kernels
 from repro.compiled.kernels import (
     _beats,
     k_demux,
@@ -346,6 +347,59 @@ class TestMaxPoolPass:
             assert len(got[i]) == 6
             for out in got[i]:
                 assert np.array_equal(bits(out), bits(want[i]))
+
+
+def relu_case(spec, group, rng, planted):
+    """A max pool's view and stack over ReLU outputs, most of them +0.0,
+    with a share ``planted`` of the pixels overwritten with -0.0 (a conv
+    sum that is exactly -0.0 stays -0.0 through the ReLU)."""
+    h, w = 2 * spec.kh + 7, 2 * spec.kw + 9
+    actor, px = window_case(spec, h, w, group, 2, rng)
+    px = np.maximum(px - 1, 0).astype(DTYPE)
+    px[rng.random(px.size) < planted] = -0.0
+    view = k_window(actor, {"in": px})["out"]
+    return view, np.ascontiguousarray(_beats(view))
+
+
+class TestZeroMaximumTies:
+    """A zero maximum depends on the order of comparison only where its
+    window holds both zeros, so ``k_pool`` settles in numpy only the zero
+    maxima of windows that hold a -0.0; padding is +0.0, and a stream
+    with no -0.0 (a ReLU's, as a rule) settles none."""
+
+    @pytest.mark.parametrize("form", ["view", "beats"])
+    @pytest.mark.parametrize("spec", MAX_SPECS, ids=WindowSpec.describe)
+    @pytest.mark.parametrize("group", [1, 12, 17])
+    def test_planted_negative_zeros_are_settled_as_the_actor(
+        self, rng, group, spec, form
+    ):
+        view, beats = relu_case(spec, group, rng, planted=0.1)
+        want = actor_max(beats)
+        neg = (beats.view(np.uint32) == 0x80000000).any(axis=(1, 2))
+        # Ties happen, and the zero maxima of windows without a -0.0 too.
+        assert (neg & (want == 0)).sum() >= 5 and (~neg & (want == 0)).any()
+        actor = PoolCoreActor("pool", "max", count=len(beats))
+        with mock.patch.object(
+            kernels, "_settle_zero_maxima", wraps=kernels._settle_zero_maxima
+        ) as settle:
+            got = k_pool(actor, {"in": view if form == "view" else beats})["out"]
+        assert np.array_equal(bits(got), bits(want))
+        (_, _, redo), _ = settle.call_args
+        assert list(redo) == list(np.flatnonzero(neg & (want == 0)))
+
+    @pytest.mark.parametrize("form", ["view", "beats"])
+    @pytest.mark.parametrize("spec", MAX_SPECS, ids=WindowSpec.describe)
+    def test_a_stream_without_negative_zeros_gathers_nothing(
+        self, rng, spec, form
+    ):
+        view, beats = relu_case(spec, 12, rng, planted=0)
+        want = actor_max(beats)
+        assert (want == 0).sum() >= 5
+        actor = PoolCoreActor("pool", "max", count=len(beats))
+        with mock.patch.object(kernels, "_settle_zero_maxima") as settle:
+            got = k_pool(actor, {"in": view if form == "view" else beats})["out"]
+        settle.assert_not_called()
+        assert np.array_equal(bits(got), bits(want))
 
 
 def pool_up_to_a_guard_page(group):

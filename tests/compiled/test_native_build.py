@@ -22,7 +22,8 @@ import pytest
 
 import repro
 from repro.compiled import CompiledFallbackWarning, native
-from repro.compiled.kernels import k_conv, k_fc, k_pool
+from repro.compiled.kernels import k_conv, k_fc, k_pool, k_window
+from repro.config import DTYPE
 from repro.core import (
     FCLayerSpec,
     NetworkDesign,
@@ -34,8 +35,10 @@ from repro.core.builder import build_network, seeded_batch
 from repro.core.pool_core import PoolCoreActor
 from repro.dataflow import stable_digest
 from repro.errors import CompilationError
+from repro.sst import WindowSpec
 from tests.compiled.test_kernels_conv import bits, make_case
 from tests.compiled.test_kernels_fc import make_case as make_fc_case
+from tests.compiled.test_kernels_window_pool import window_case
 
 
 @pytest.fixture
@@ -218,6 +221,76 @@ def test_each_instruction_set_is_its_own_object(cold, monkeypatch):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [key]
     assert len(builds) == 2 and len(cached(cache)) == 2
+
+
+def raw_max_pool(cores, view):
+    """``cores.max_pool`` over a window view, as ``k_pool`` calls it, but
+    without the numpy pass that settles a zero maximum afterwards."""
+    strides = np.array(view.strides, dtype=np.int64)
+    geometry = (strides.ctypes.data, *view.shape)
+    scratch = np.empty(cores.pool_scratch(*geometry), DTYPE)
+    out = np.empty(view.shape[:4], DTYPE)
+    cores.max_pool(
+        view.ctypes.data, *geometry, out.ctypes.data, scratch.ctypes.data
+    )
+    return out
+
+
+def test_the_baseline_object_computes_the_hosts_bits(monkeypatch, tmp_path):
+    """The baseline instruction set's object, built at ``-O0`` as above,
+    runs ``conv_tree``, ``fc_chains`` and ``max_pool`` to the bits of the
+    object this host loads (every NaN one value): on an AVX-512 host the
+    variant CI only compiles otherwise. Conv: TC2's two layers and trees
+    of K = 9, 25 and 121 over 17 images (both walks) and as beat stacks,
+    and TestConvSpecialValues' draw; FC: TC2's two layers; max pool:
+    TC2's two windows over tie-heavy pixels."""
+    host = native.cores()
+    monkeypatch.setattr(native, "FLAGS", tuple(
+        "-O0" if flag == "-O3" else flag
+        for flag in native.FLAGS if flag != "-mavx512f"
+    ))
+    monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(native, "_loaded", None)
+    baseline = native.cores()
+    assert baseline is not host
+
+    def both(kernel, actor, ins):
+        outs = []
+        for cores in (host, baseline):
+            monkeypatch.setattr(native, "_loaded", cores)
+            outs.append(kernel(actor, ins))
+        assert sorted(outs[0]) == sorted(outs[1])
+        for port, arr in outs[0].items():
+            assert np.array_equal(bits(outs[1][port]), bits(arr)), actor.name
+
+    conv_cases = [
+        # TC2 conv1 and conv2: 28x28 and 10x10 coordinates, K = 25.
+        make_case(1, 1, 5, 17 * 784, "tanh", groups=3, out_fm=12, images=17),
+        make_case(1, 1, 5, 17 * 100, "tanh", groups=12, out_fm=36, images=17),
+    ] + [
+        make_case(1, 1, k, 17 * 4, "relu", seed=k, groups=3, images=17)
+        for k in (3, 5, 11)
+    ] + [
+        make_case(
+            2, 2, 3, 32 * 6, None, seed=s, images=32,
+            special={"pixels": 0.3, "weights": 0.3, "bias": 0.3},
+        )
+        for s in (1, 2)
+    ]
+    with np.errstate(invalid="ignore"):
+        for actor, views, beats in conv_cases:
+            both(k_conv, actor, views)
+            both(k_conv, actor, beats)
+    for in_fm, out_fm in ((900, 64), (64, 10)):
+        fc, x = make_fc_case(in_fm, 12, 17, out_fm=out_fm)
+        both(k_fc, fc, {"in": x.reshape(-1)})
+    rng = np.random.default_rng(0)
+    for h, group in ((28, 12), (10, 36)):
+        win, px = window_case(WindowSpec(2, 2, stride=2), h, h, group, 4, rng,
+                              ties=True)
+        view = k_window(win, {"in": px})["out"]
+        want, got = (raw_max_pool(cores, view) for cores in (host, baseline))
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_every_export_declares_its_c_prototype():
