@@ -177,10 +177,11 @@ class ConvCoreActor(Actor):
         Called when the head of the result queue has no value yet. Values
         are only ever filled in for the whole queue, so then no queued
         coordinate has one and ``_pending`` is their window blocks in
-        order. One product ``(B, OUT_FM, G, P*kh*kw)`` — ``B`` is at most
-        ``queue_depth``, which bounds the scratch — goes through every
-        coordinate's and group's product tree at once, then the
-        accumulation chain adds the per-group sums in Algorithm 1's order.
+        order. One product ``(B, OUT_FM, G, P*kh*kw)``, zero-padded to a
+        power-of-two width — ``B`` is at most ``queue_depth``, which bounds
+        the scratch — goes through every coordinate's and group's product
+        tree at once, then the accumulation chain adds the per-group sums
+        in Algorithm 1's order.
         Every operation is elementwise over the leading ``B`` axis, so each
         coordinate's bits are those of evaluating it alone.
 
@@ -190,11 +191,22 @@ class ConvCoreActor(Actor):
         contiguous, in the order of the group's windows, and the
         ``(OUT_FM, G, P*kh*kw)`` reshape is a view.
         """
-        stack = np.stack(self._pending)
+        wins = np.concatenate(self._pending)[:, None]
         self._pending.clear()
-        trees = tree_reduce(
-            self.weight.reshape(self.out_fm, self.in_groups, -1) * stack
+        # The product lands in the leading columns of a power-of-two wide
+        # block whose other columns are +0.0: the pad tree_reduce would
+        # otherwise concatenate on, with the same bits, so it pads nothing.
+        width = self.in_ports * self.kh * self.kw
+        prod = np.zeros(
+            wins.shape[:1] + (self.out_fm, self.in_groups,
+                              1 << (width - 1).bit_length()),
+            DTYPE,
         )
+        np.multiply(
+            self.weight.reshape(self.out_fm, self.in_groups, width), wins,
+            out=prod[..., :width],
+        )
+        trees = tree_reduce(prod)
         acc = self.bias
         for g in range(self.in_groups):
             acc = acc + trees[:, :, g]

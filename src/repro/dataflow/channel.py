@@ -12,6 +12,12 @@ protocol:
   at the start of the cycle, so a pop freeing space mid-cycle never unblocks
   a writer within the same cycle.
 
+Every beat lives in one deque: the committed beats at its left end, the
+staged ones at its right end, and a count of the staged tail. A push
+appends, a pop takes from the left (the snapshot guarantees a committed
+beat is there), and a commit only zeroes the count, so no beat is ever
+copied between containers.
+
 Channels are strictly single-writer / single-reader; the graph builder binds
 each endpoint exactly once and the channel itself enforces at most one push
 and one pop per cycle (one beat per port per cycle, as on real stream links).
@@ -96,7 +102,7 @@ class Channel:
         "name",
         "capacity",
         "_q",
-        "_staged",
+        "_n_staged",
         "_occ_at_cycle_start",
         "_pushed_this_cycle",
         "_popped_this_cycle",
@@ -120,8 +126,12 @@ class Channel:
             )
         self.name = str(name)
         self.capacity = capacity
+        # Every beat, oldest first; the last `_n_staged` of them were pushed
+        # since the last commit and are not yet visible to the reader.
         self._q: Deque[Any] = deque()
-        self._staged: List[Any] = []
+        self._n_staged = 0
+        # Committed occupancy as the cycle began: what can_pop / can_push
+        # answer against for the whole cycle.
         self._occ_at_cycle_start = 0
         self._pushed_this_cycle = 0
         self._popped_this_cycle = 0
@@ -139,10 +149,10 @@ class Channel:
         self._pop_wait_desc: Optional[ChannelWait] = None
         self._push_wait_desc: Optional[ChannelWait] = None
         # Fault-injection hook (repro.faults). When set, begin_cycle()
-        # consults it before committing staged values: the fault may hold
+        # consults it before committing the staged tail: the fault may hold
         # the commit for extra cycles (latency jitter, DMA burst stalls)
-        # or mutate the staged beats (corruption). None on the no-fault
-        # hot path, like `_touched`.
+        # or edit the staged beats (corruption). None on the no-fault hot
+        # path, where the event engine commits the channel inline.
         self._fault: Optional[object] = None
         # The driving engine's clock cell; the null clock reads cycle 0
         # for channels exercised outside a simulation (unit tests).
@@ -205,20 +215,34 @@ class Channel:
         """Commit staged pushes and snapshot occupancy for the new cycle.
 
         With a fault attached, the commit is gated by the fault's
-        ``on_commit`` hook: returning False holds the staged values for
+        ``on_commit(channel, staged)`` hook, ``staged`` being a list of
+        the staged beats, oldest first: returning False holds them for
         this cycle (the channel re-registers as touched so the event
-        scheduler keeps polling it); returning True commits, possibly
-        after mutating the staged beats in place (corruption faults).
+        scheduler keeps polling it); returning True commits them. Edits
+        the hook makes to the list (corruption faults) are written back
+        to the beats either way.
+
+        The event engine commits a fault-free channel inline instead
+        (:meth:`~repro.dataflow.scheduler.EventEngine.run`); the two
+        statements of the commit must stay the same.
         """
-        staged = self._staged
-        if staged:
+        n = self._n_staged
+        if n:
             fault = self._fault
-            if fault is None or fault.on_commit(self, staged):
-                self._q.extend(staged)
-                staged.clear()
-            elif self._touched is not None:
-                self._touched.add(self)
-        occ = len(self._q)
+            if fault is None:
+                self._n_staged = n = 0
+            else:
+                q = self._q
+                base = len(q) - n
+                staged = [q[base + i] for i in range(n)]
+                commit = fault.on_commit(self, staged)
+                for i, v in enumerate(staged):
+                    q[base + i] = v
+                if commit:
+                    self._n_staged = n = 0
+                elif self._touched is not None:
+                    self._touched.add(self)
+        occ = len(self._q) - n
         self._occ_at_cycle_start = occ
         stats = self.stats
         if occ > stats.high_water:
@@ -236,7 +260,7 @@ class Channel:
             return False
         if self.capacity is None:
             return True
-        return self._occ_at_cycle_start + len(self._staged) < self.capacity
+        return self._occ_at_cycle_start + self._n_staged < self.capacity
 
     def can_pop(self) -> bool:
         """Whether the reader may pop a value this cycle."""
@@ -247,13 +271,14 @@ class Channel:
         cap = self.capacity
         if self._pushed_this_cycle or (
             cap is not None
-            and self._occ_at_cycle_start + len(self._staged) >= cap
+            and self._occ_at_cycle_start + self._n_staged >= cap
         ):
             raise ChannelProtocolError(
                 f"push on channel {self.name!r} without can_push() "
                 f"(occupancy {self._occ_at_cycle_start}, capacity {cap})"
             )
-        self._staged.append(value)
+        self._q.append(value)
+        self._n_staged += 1
         self._pushed_this_cycle = 1
         stats = self.stats
         stats.total_pushed += 1
@@ -315,12 +340,12 @@ class Channel:
 
     def __len__(self) -> int:
         """Committed + staged occupancy (for debugging, not firing rules)."""
-        return len(self._q) + len(self._staged)
+        return len(self._q)
 
     @property
     def occupancy(self) -> int:
         """Number of committed, visible values."""
-        return len(self._q)
+        return len(self._q) - self._n_staged
 
     @property
     def ends(self) -> Tuple[Tuple[str, str], Tuple[str, str]]:
@@ -341,9 +366,9 @@ class Channel:
         Only intended for post-simulation inspection; never call this
         from an actor process.
         """
-        out = list(self._q) + list(self._staged)
+        out = list(self._q)
         self._q.clear()
-        self._staged.clear()
+        self._n_staged = 0
         self._occ_at_cycle_start = 0
         if self._touched is not None:
             self._touched.add(self)

@@ -11,8 +11,9 @@ Two interchangeable engines drive a :class:`~repro.dataflow.simulator.Simulator`
   on a channel register on its wait-list and are only re-examined when that
   channel commits a beat; fixed-latency waits go into a wakeup heap; when no
   process is runnable the clock jumps straight to the next wakeup; and
-  ``begin_cycle()`` runs only over the incrementally maintained set of
-  channels touched in the previous cycle.
+  only the channels touched in the previous cycle (an incrementally
+  maintained active set) are committed — inline in the cycle loop for a
+  fault-free channel, through ``begin_cycle()`` for one with a fault hook.
 
 Both engines produce bit-for-bit identical results on well-formed graphs:
 cycle counts, output values and timestamps, channel high-water marks, and
@@ -40,9 +41,13 @@ Equivalence notes (why the event engine is exact, not approximate):
   "became ready" cycle, which is what makes retroactive stall charging and
   wait-list wakeups sound.
 * Active-set invariant: a channel's per-cycle counters are nonzero only if
-  the channel is in the active set, so skipping ``begin_cycle()`` for
-  untouched channels never leaves a stale snapshot behind, and the tracer
-  reads consistent state.
+  the channel is in the active set, so skipping the commit of untouched
+  channels never leaves a stale snapshot behind, and the tracer reads
+  consistent state.
+* One commit, stated twice: the engine's inline commit of a fault-free
+  channel is ``Channel.begin_cycle()`` with the fault branch dropped. The
+  lock-step loop commits every channel through ``begin_cycle()``, so the
+  equivalence suites check the two statements against each other.
 * With a tracer or an ``until`` predicate attached the engine still parks
   and tracks active channels but executes every cycle sequentially (no bulk
   skipping), so per-cycle samples and early-stop checks match exactly.
@@ -346,10 +351,14 @@ class EventEngine:
       ``seq`` numbers (= indices into ``_procs``; built, sorted once, then
       consumed by index; mid-cycle gate wakes are bisect-inserted past the
       consumption point). Empty between cycles;
-    * ``_next_ready`` — processes runnable next cycle (a bare ``yield``);
-    * ``_timers`` — min-heap of ``(wake_cycle, seq, proc)`` fixed waits;
-    * ``_active`` — channels touched last cycle, needing ``begin_cycle()``
-      (each channel's ``_touched`` aliases this very set);
+    * ``_next_ready`` — ``seq`` numbers of the processes runnable next
+      cycle (a bare ``yield``, an already-satisfied park, a late gate
+      wake), joined onto the next run list with one ``extend``;
+    * ``_timers`` — min-heap of ``(wake_cycle, seq, proc, park_cycle)``
+      fixed waits;
+    * ``_active`` — channels touched last cycle, to be committed at the
+      start of the next one (each channel's ``_touched`` aliases this
+      very set);
     * ``_parked`` — outstanding channel wait records, for end-of-run stall
       flushing; gate waiters live on their :class:`Gate`.
 
@@ -368,12 +377,13 @@ class EventEngine:
         self.cycle = 0
         self._clock = Clock()
         self._stall = 0
-        self._in_cycle = False
+        #: ``seq`` of the process being resumed, -1 between resumption
+        #: loops: a gate notify wakes a waiter this cycle iff it is later.
         self._cur_seq = -1
         self._actor_plan = _actor_plan_of(sim)
         self._active: set = set()
         self._current: List[int] = []
-        self._next_ready: List[_Proc] = []
+        self._next_ready: List[int] = []
         # Timer heap entries are (wake_cycle, seq, proc, park_cycle); the
         # park cycle pays the proc's stalled_timer charge when the timer
         # fires. Entries pushed by the fault plan's resumption deferral
@@ -391,7 +401,7 @@ class EventEngine:
         self._live_nondaemon = sum(
             1 for p in self._procs if not p.actor.daemon
         )
-        self._next_ready.extend(self._procs)
+        self._next_ready.extend(range(len(self._procs)))
         for ch in self.channels:
             ch.attach(self._clock, self._active)
         # Cycle 0 commits every channel (pre-staged values, initial
@@ -399,99 +409,6 @@ class EventEngine:
         self._active.update(self.channels)
 
     # -- cycle execution ---------------------------------------------------
-
-    def _exec_cycle(self, c: int) -> None:
-        # The hottest loop in the whole reproduction: every simulated beat of
-        # every benchmark passes through here, hence the inlined dispatch,
-        # exact type checks and local bindings.
-        # Publish the executing cycle before any channel work: push/pop
-        # stamp their first/last beats off the clock cell, a gate notify
-        # reads this attribute (the caller sets cycle back to c + 1 on
-        # return, preserving "next to execute").
-        self.cycle = self._clock.cycle = c
-        self._executed += 1
-        current = self._current
-        procs = self._procs
-        active = self._active
-        if active:
-            # Snapshot-then-clear: a channel whose fault hook *holds* its
-            # staged commit re-adds itself to the active set from inside
-            # begin_cycle(), and that registration must survive into the
-            # next cycle rather than be wiped by a post-loop clear.
-            pending_chs = list(active)
-            active.clear()
-            for ch in pending_chs:
-                ch.begin_cycle()
-                if ch._pop_waiters and ch.can_pop():
-                    waiters = ch._pop_waiters
-                    ch._pop_waiters = []
-                    self._satisfy(waiters, c)
-                if ch._push_waiters and ch.can_push():
-                    waiters = ch._push_waiters
-                    ch._push_waiters = []
-                    self._satisfy(waiters, c)
-        nr = self._next_ready
-        if nr:
-            for p in nr:
-                current.append(p.seq)
-            nr.clear()
-        timers = self._timers
-        if timers and timers[0][0] <= c:
-            while timers and timers[0][0] <= c:
-                _w, _s, p, park = heappop(timers)
-                if park is not None:
-                    p.cnt.stalled_timer += c - park
-                    self._wakeups += 1
-                current.append(p.seq)
-        current.sort()
-        nr_append = nr.append
-        plan = self._actor_plan
-        self._in_cycle = True
-        pos = 0
-        while pos < len(current):
-            seq = current[pos]
-            p = procs[seq]
-            pos += 1
-            if plan is not None:
-                # Injected actor slow-down: defer resumption to the first
-                # fault-free cycle (lock-step skips the same resumptions,
-                # so both engines release the actor on the same cycle).
-                wake = plan.free_cycle(p.actor.name, c)
-                if wake > c:
-                    heappush(timers, (wake, seq, p, None))
-                    continue
-            self._cur_seq = seq
-            p.actor.now = c
-            try:
-                y = p.wait = next(p.gen)
-            except StopIteration:
-                p.alive = False
-                p.cnt.end_cycle = c
-                self._live_total -= 1
-                if not p.actor.daemon:
-                    self._live_nondaemon -= 1
-                continue
-            if y is None:
-                nr_append(p)
-            elif type(y) is ChannelWait:
-                self._park(p, y, c)
-            elif type(y) is WaitCycles:
-                n = y.cycles
-                heappush(timers, (c + (n if n >= 1 else 1), seq, p, c))
-                self._parks += 1
-            elif type(y) is Gate:
-                if y._engine is not self:
-                    y._engine = self
-                    self._gates.add(y)
-                y._waiters.append((p, c))
-                self._parks += 1
-            else:
-                self._reject(p, y)
-        self._in_cycle = False
-        current.clear()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(c, self.actors, self.channels)
 
     def _reject(self, p: _Proc, y) -> None:
         raise SimulationError(
@@ -518,7 +435,7 @@ class EventEngine:
             # (the actor's loop re-checks and proceeds next cycle). The
             # lock-step loop still saw one blocked-descriptor yield.
             p.cnt.stalled_channel += 1
-            self._next_ready.append(p)
+            self._next_ready.append(p.seq)
             return
         rec.pending = pending
         self._parked.add(rec)
@@ -552,7 +469,7 @@ class EventEngine:
         """
         waiters = gate._waiters
         gate._waiters = []
-        cur = self._cur_seq if self._in_cycle else -1
+        cur = self._cur_seq
         c = self.cycle
         for p, park in waiters:
             if not p.alive:
@@ -565,7 +482,7 @@ class EventEngine:
                 insort(self._current, p.seq)
             else:
                 p.cnt.stalled_gate += c + 1 - park
-                self._next_ready.append(p)
+                self._next_ready.append(p.seq)
 
     # -- retroactive stall accounting --------------------------------------
 
@@ -648,39 +565,141 @@ class EventEngine:
         return _deadlock_error(self.cycle, (p for p in self._procs if p.alive))
 
     def run(self, max_cycles: int, until) -> Tuple[int, bool]:
-        """Run once; returns ``(cycles, finished)`` for the simulator."""
-        tick = self.tracer is not None or until is not None
+        """Run once; returns ``(cycles, finished)`` for the simulator.
+
+        The hottest loop in the whole reproduction: every simulated beat
+        of every benchmark passes through it, hence one loop body per
+        cycle with the commit and the dispatch inlined, exact type checks
+        and local bindings.
+        """
+        tracer = self.tracer
+        tick = tracer is not None or until is not None
         stall_limit = self.stall_limit
-        exec_cycle = self._exec_cycle
+        clock = self._clock
+        procs = self._procs
+        current = self._current
+        nr = self._next_ready
+        nr_append = nr.append
+        active = self._active
         timers = self._timers
+        plan = self._actor_plan
+        satisfy = self._satisfy
         try:
             while self._live_nondaemon > 0:
-                # The clock advance: this header runs once per cycle.
-                if self._next_ready or self._active or self._current:
-                    c = self.cycle
-                elif timers:
-                    wake = timers[0][0]
-                    c = self.cycle if tick or wake <= self.cycle else wake
-                elif until is not None:
-                    # A cycle-based ``until`` may still fire: keep ticking
-                    # empty cycles; the stall backstop below bounds this.
-                    c = self.cycle
-                else:
-                    # Exact and immediate: nothing is runnable, no wakeups
-                    # are pending, and no channel committed anything.
-                    raise self._deadlock()
+                # The clock advance: with nothing runnable and nothing to
+                # commit, jump to the next timer unless every cycle is
+                # sampled.
+                c = self.cycle
+                if not (nr or active or current):
+                    if timers:
+                        if not tick and timers[0][0] > c:
+                            c = timers[0][0]
+                    elif until is None:
+                        # Exact and immediate: no wakeups are pending either.
+                        # (A cycle-based ``until`` may still fire: keep
+                        # ticking empty cycles; the stall backstop below
+                        # bounds this.)
+                        raise self._deadlock()
                 if c >= max_cycles:
                     raise SimulationError(
                         f"simulation exceeded max_cycles={max_cycles} with "
                         f"{self._live_total} live processes"
                     )
-                exec_cycle(c)
+                # Publish the executing cycle before any channel work:
+                # push/pop stamp their first/last beats off the clock cell,
+                # a gate notify reads this attribute.
+                self.cycle = clock.cycle = c
+                self._executed += 1
+                if active:
+                    # Snapshot-then-clear: a channel whose fault hook *holds*
+                    # its staged commit re-adds itself to the active set from
+                    # inside begin_cycle(), and that registration must
+                    # survive into the next cycle.
+                    pending_chs = list(active)
+                    active.clear()
+                    for ch in pending_chs:
+                        if ch._fault is None:
+                            # Channel.begin_cycle()'s fault-free commit,
+                            # inline: the two must stay the same.
+                            ch._n_staged = 0
+                            occ = ch._occ_at_cycle_start = len(ch._q)
+                            stats = ch.stats
+                            if occ > stats.high_water:
+                                stats.high_water = occ
+                            ch._pushed_this_cycle = 0
+                            ch._popped_this_cycle = 0
+                        else:
+                            ch.begin_cycle()
+                        if ch._pop_waiters and ch.can_pop():
+                            waiters = ch._pop_waiters
+                            ch._pop_waiters = []
+                            satisfy(waiters, c)
+                        if ch._push_waiters and ch.can_push():
+                            waiters = ch._push_waiters
+                            ch._push_waiters = []
+                            satisfy(waiters, c)
+                if nr:
+                    current.extend(nr)
+                    nr.clear()
+                if timers and timers[0][0] <= c:
+                    while timers and timers[0][0] <= c:
+                        _w, seq, p, park = heappop(timers)
+                        if park is not None:
+                            p.cnt.stalled_timer += c - park
+                            self._wakeups += 1
+                        current.append(seq)
+                current.sort()
+                pos = 0
+                while pos < len(current):
+                    seq = current[pos]
+                    p = procs[seq]
+                    pos += 1
+                    if plan is not None:
+                        # Injected actor slow-down: defer resumption to the
+                        # first fault-free cycle (lock-step skips the same
+                        # resumptions, so both engines release the actor on
+                        # the same cycle).
+                        wake = plan.free_cycle(p.actor.name, c)
+                        if wake > c:
+                            heappush(timers, (wake, seq, p, None))
+                            continue
+                    self._cur_seq = seq
+                    p.actor.now = c
+                    try:
+                        y = p.wait = next(p.gen)
+                    except StopIteration:
+                        p.alive = False
+                        p.cnt.end_cycle = c
+                        self._live_total -= 1
+                        if not p.actor.daemon:
+                            self._live_nondaemon -= 1
+                        continue
+                    if y is None:
+                        nr_append(seq)
+                    elif type(y) is ChannelWait:
+                        self._park(p, y, c)
+                    elif type(y) is WaitCycles:
+                        n = y.cycles
+                        heappush(timers, (c + (n if n >= 1 else 1), seq, p, c))
+                        self._parks += 1
+                    elif type(y) is Gate:
+                        if y._engine is not self:
+                            y._engine = self
+                            self._gates.add(y)
+                        y._waiters.append((p, c))
+                        self._parks += 1
+                    else:
+                        self._reject(p, y)
+                self._cur_seq = -1
+                current.clear()
+                if tracer is not None:
+                    tracer.record(c, self.actors, self.channels)
                 self.cycle = c + 1
                 if until is not None and until():
                     self._flush(self.cycle)
                     return self.cycle, False
                 # Lock-step-compatible backstop for bare-``yield`` pollers.
-                if self._active:
+                if active:
                     self._stall = 0
                 elif self._live_nondaemon > 0:
                     self._stall += 1

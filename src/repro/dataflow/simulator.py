@@ -4,7 +4,8 @@ The simulator advances a set of :class:`~repro.dataflow.actor.Actor`
 processes in clock cycles under a two-phase protocol:
 
 1. channels touched in the previous cycle commit their staged pushes and
-   snapshot occupancy (:meth:`Channel.begin_cycle`);
+   snapshot occupancy (:meth:`Channel.begin_cycle`, which the event engine
+   inlines for a channel without a fault hook);
 2. each runnable process is resumed once, in creation order; it performs at
    most one beat per port and then yields.
 

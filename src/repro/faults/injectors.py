@@ -5,9 +5,12 @@ FaultScenario` into live injector objects wired into a built
 :class:`~repro.dataflow.graph.DataflowGraph`:
 
 * channel faults implement the ``on_commit(channel, staged) -> bool``
-  hook that :meth:`Channel.begin_cycle` consults — returning False holds
-  the staged beats one more cycle, returning True commits (possibly after
-  mutating them, for corruption);
+  hook that :meth:`Channel.begin_cycle` consults. ``staged`` lists the
+  beats pushed since the last commit, oldest first (the uncommitted tail
+  of the channel's queue, listed only for a channel with a fault);
+  returning False holds them one more cycle, returning True commits them.
+  Whatever the hook writes into the list (corruption) is written back to
+  those beats;
 * actor faults become an :class:`ActorStallPlan` the schedulers consult
   before resuming a process;
 * FIFO shrinks mutate channel capacities in place, before simulation.

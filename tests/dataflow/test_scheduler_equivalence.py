@@ -57,21 +57,22 @@ def assert_identical(ref, got):
     assert got["stats"] == ref["stats"]
 
 
+def backpressured_chain():
+    g = DataflowGraph("chain", default_capacity=2)
+    src = g.add_actor(ArraySource("src", list(range(30))))
+    fifo = g.add_actor(FifoStage("fifo"))
+    # Slow mapper: capacity-1 output chokes the chain upstream.
+    mp = g.add_actor(MapActor("map", lambda v: v + 100))
+    snk = g.add_actor(ListSink("snk", count=30))
+    g.connect(src, "out", fifo, "in", capacity=2)
+    g.connect(fifo, "out", mp, "in", capacity=1)
+    g.connect(mp, "out", snk, "in", capacity=1)
+    return g, [snk]
+
+
 class TestPrimitives:
     def test_linear_chain_with_backpressure(self):
-        def factory():
-            g = DataflowGraph("chain", default_capacity=2)
-            src = g.add_actor(ArraySource("src", list(range(30))))
-            fifo = g.add_actor(FifoStage("fifo"))
-            # Slow mapper: capacity-1 output chokes the chain upstream.
-            mp = g.add_actor(MapActor("map", lambda v: v + 100))
-            snk = g.add_actor(ListSink("snk", count=30))
-            g.connect(src, "out", fifo, "in", capacity=2)
-            g.connect(fifo, "out", mp, "in", capacity=1)
-            g.connect(mp, "out", snk, "in", capacity=1)
-            return g, [snk]
-
-        assert_identical(*run_both(factory))
+        assert_identical(*run_both(backpressured_chain))
 
     def test_bursty_source_interval(self):
         def factory():
@@ -157,6 +158,34 @@ class TestPrimitives:
                     res.channel_stats, res.actor_stats,
                 )
             assert outcomes["event"] == outcomes["lockstep"]
+
+
+class TestTracerSamples:
+    """The tracer reads each channel's occupancy and per-cycle beat flags,
+    so both engines must leave the same of them behind every cycle: the
+    event engine's inline commit and ``Channel.begin_cycle()``, which the
+    lock-step loop calls, must agree on every sample."""
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["clean", "jitter"])
+    def test_activity_and_occupancy_samples_identical(self, jitter):
+        from repro.dataflow import Tracer
+        from repro.faults import ChannelJitter, FaultScenario, arm_faults
+
+        samples = {}
+        for sched in SCHEDULERS:
+            g, _ = backpressured_chain()
+            tracer = Tracer(sample_every=1)
+            sim = g.build_simulator(scheduler=sched, tracer=tracer)
+            if jitter:
+                sim.faults = arm_faults(
+                    g, FaultScenario("jitter", (ChannelJitter(max_delay=3),)), 5
+                )
+            res = sim.run()
+            if jitter:
+                assert sim.faults.hold_cycles() > 0  # the fault actually fired
+            assert tracer.cycles == list(range(res.cycles))
+            samples[sched] = (tracer.activity, tracer.occupancy)
+        assert samples["event"] == samples["lockstep"]
 
 
 class TestNetworks:
