@@ -16,6 +16,7 @@ full-size blocked designs are gated by ``static-check``, ``block-suite``
 and ``shard-suite`` (structure, compiled engine, bounded probes).
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -100,4 +101,8 @@ def test_gate(tmp_path_factory, suite, name, argv):
     out = tmp_path_factory.getbasetemp() / suite
     out.mkdir(exist_ok=True)
     argv = [a.format(dir=out) for a in argv]
-    assert main(argv + ["--json", str(out / f"{name}.json")]) == 0
+    report = out / f"{name}.json"
+    assert main(argv + ["--json", str(report)]) == 0
+    if argv[0] == "profile" and "compiled" in argv:
+        # A silent fallback to the event engine would gate the wrong engine.
+        assert json.loads(report.read_text())["scheduler"] == "compiled"

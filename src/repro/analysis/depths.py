@@ -1,12 +1,13 @@
 """Static FIFO depth inference and deadlock-freedom certification.
 
 The paper sizes every literal SST chain FIFO for worst-case *full
-buffering* (``sst/sizing.py``), which is exactly why large networks only
-run as pilot downscales.  Following *Memory-Efficient Dataflow Inference
-for Deep CNNs on FPGA* (arXiv:2011.07317), this module derives
-per-channel **lower-bound depths** from the closed-form steady-state
-structure of the elaborated graph and emits a :class:`DepthPlan` whose
-every entry carries a machine-checkable :class:`DepthCertificate`.
+buffering* (``sst/sizing.py``), which is exactly why the unblocked large
+networks cannot be simulated at full size. Following *Memory-Efficient
+Dataflow Inference for Deep CNNs on FPGA* (arXiv:2011.07317), this
+module derives per-channel **lower-bound depths** from the closed-form
+steady-state structure of the elaborated graph and emits a
+:class:`DepthPlan` whose every entry carries a machine-checkable
+:class:`DepthCertificate`.
 
 Prover model
 ------------
@@ -847,8 +848,6 @@ class ShrinkReport(MappingReport):
 
         d = self._data
         pairs: List[Tuple[str, Any]] = [
-            ("simulated design",
-             d["simulated_design"] + (" (pilot)" if d["pilot"] else "")),
             ("channels certified", d["prover"]["channels"]),
             ("methods", ", ".join(
                 f"{m}={n}" for m, n in d["prover"]["methods"].items()
@@ -913,36 +912,34 @@ def run_shrink(
 ) -> ShrinkReport:
     """The full ``repro shrink`` experiment for one design.
 
-    Infers the certified plan from a literal elaboration (huge designs
-    are swapped for their deterministic pilot downscale, like
-    ``faultsim``), computes the closed-form BRAM savings over the
-    original design, and — unless ``validate=False`` — replays the
-    certificates empirically.  ``probe_limit`` caps the depth-1 probe
-    count (the report records how many tight certificates went
-    unprobed — no silent truncation).  ``ok`` is False on any
-    certificate violation (the CLI exits nonzero on it).
+    Infers the certified plan from a literal elaboration (a design too
+    large to simulate is refused, like ``faultsim``), computes the
+    closed-form BRAM savings over the original design, and — unless
+    ``validate=False`` — replays the certificates empirically.
+    ``probe_limit`` caps the depth-1 probe count (the report records how
+    many tight certificates went unprobed — no silent truncation).
+    ``ok`` is False on any certificate violation (the CLI exits nonzero
+    on it).
     """
     from repro.core.builder import build_network, random_weights, seeded_batch
     from repro.core.resource_model import buffering_savings
     from repro.faults import simulable_design
 
-    sim_design, piloted = simulable_design(design)
+    simulable_design(design)
     built = build_network(
-        sim_design,
-        random_weights(sim_design, seed=seed),
-        seeded_batch(sim_design, seed, 1),
+        design,
+        random_weights(design, seed=seed),
+        seeded_batch(design, seed, 1),
         memory_system="literal",
     )
     import networkx  # noqa: F401 - its one-off ~0.1 s import is not prover time
 
     t0 = time.perf_counter()
-    plan = infer_depth_plan(built.graph, design_name=sim_design.name)
+    plan = infer_depth_plan(built.graph, design_name=design.name)
     runtime = time.perf_counter() - t0
     violations: List[str] = []
     data: Dict[str, Any] = {
         "design": design.name,
-        "simulated_design": sim_design.name,
-        "pilot": piloted,
         "seed": seed,
         "images": images,
         "dma_beat": plan.dma_beat,
@@ -975,7 +972,7 @@ def run_shrink(
             unprobed = len(targets) - probe_limit
             targets = targets[:probe_limit]
         val = validate_plan(
-            sim_design, plan, seed=seed, images=images,
+            design, plan, seed=seed, images=images,
             probe_channels=targets,
         )
         data["validation"] = val.to_dict()
@@ -1002,7 +999,7 @@ def run_shrink(
                     f"matched={probe.matched}"
                 )
     if bisect:
-        rows = bisect_plan(sim_design, plan, seed=seed, images=images)
+        rows = bisect_plan(design, plan, seed=seed, images=images)
         data["bisect"] = rows
         for name, row in rows.items():
             if not row["agrees"]:

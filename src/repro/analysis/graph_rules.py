@@ -211,15 +211,6 @@ def _check_block_split(
             f"[{actor.plan.describe()}] (group {actor.group}) but the "
             f"placement demands [{plan.describe()}] (group {group})",
         ))
-    if actor.shave_h or actor.shave_w:
-        report.add(make(
-            "BUFFER.FULL", Severity.ERROR, loc,
-            f"tile split {name!r} shaves {actor.shave_h}x{actor.shave_w} "
-            f"halo pixels: tiles no longer carry the full "
-            f"{plan.halo_h}x{plan.halo_w} overlap",
-            hint="halo widths are minimal (kh - stride); any narrower "
-                 "halo changes boundary windows and corrupts the output",
-        ))
 
 
 def _check_block_merge(

@@ -174,12 +174,11 @@ def _cmd_faultsim(args):
             summary.write_json(args.json)
         rows = [
             [r["design"], r["scenario"]["name"], r["seed"],
-             "pilot" if r["pilot"] else "full", r["verdict"],
-             "ok" if r["ok"] else "FAIL"]
+             r["verdict"], "ok" if r["ok"] else "FAIL"]
             for r in summary["runs"]
         ]
         text = format_table(
-            ["design", "scenario", "seed", "scale", "verdict", ""],
+            ["design", "scenario", "seed", "verdict", ""],
             rows,
             title=f"fault campaign: {summary['passed']}/"
                   f"{summary['experiments']} passed",
@@ -196,8 +195,6 @@ def _cmd_faultsim(args):
     pairs = [
         ("scenario", scenario.name),
         ("seed", report["seed"]),
-        ("simulated design",
-         report["simulated_design"] + (" (pilot)" if report["pilot"] else "")),
         ("clean cycles", report["clean"]["cycles"]),
         ("faulty cycles",
          report["faulty"]["cycles"]

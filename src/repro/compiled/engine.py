@@ -55,7 +55,7 @@ from repro.compiled.plan_cache import (
 from repro.core.compute_core import ConvCoreActor
 from repro.core.fc_core import FCCoreActor
 from repro.dataflow.actors import ArraySource, ListSink
-from repro.errors import CompilationError, ConfigurationError, SimulationError
+from repro.errors import CompilationError, SimulationError
 from repro.profiling.synthesis import (
     synthesize_actor_stats,
     synthesize_channel_stats,
@@ -71,12 +71,12 @@ class CompiledEngine:
 
     Satisfies the engine protocol of
     :class:`~repro.dataflow.simulator.Simulator` (the constructor plus
-    ``run``, ``actor_stats``, ``scheduler_stats``) with two restrictions,
-    both rejected with :class:`ConfigurationError`: ``run(until=...)``
-    (no partial execution — the run is a single fused pass) and armed
-    faults (checked by the factory in :mod:`repro.dataflow.simulator`
-    before this class is reached). Its end of life is empty: a compiled
-    run starts no process and hooks no channel or gate.
+    ``run``, ``actor_stats``, ``scheduler_stats``). The run is a single
+    fused pass to completion. Armed faults are rejected with
+    :class:`~repro.errors.ConfigurationError` by the factory in
+    :mod:`repro.dataflow.simulator`, before this class is reached. Its
+    end of life is empty: a compiled run starts no process and hooks no
+    channel or gate.
     """
 
     name = "compiled"
@@ -162,13 +162,7 @@ class CompiledEngine:
 
     # -- engine protocol ---------------------------------------------------
 
-    def run(self, max_cycles: int, until):
-        if until is not None:
-            raise ConfigurationError(
-                "the compiled engine runs to completion in one pass and "
-                "cannot stop on an `until` predicate; use the 'event' "
-                "engine for early stopping"
-            )
+    def run(self, max_cycles: int) -> int:
         sched = self.schedule
         if sched.cycles > max_cycles:
             raise SimulationError(
@@ -184,7 +178,7 @@ class CompiledEngine:
         for done in sched.completions:
             ts.extend(range(done - sched.per_image_out + 1, done + 1))
         synthesize_channel_stats(sched, self._channels, self._source.name)
-        return sched.cycles, True
+        return sched.cycles
 
     def actor_stats(self) -> Dict[str, list]:
         return synthesize_actor_stats(self.schedule)

@@ -235,13 +235,6 @@ def k_block_split(actor: BlockSplitActor, ins: Streams) -> Streams:
     rows = (np.arange(plan.gh) * plan.th * s)[:, None] + np.arange(plan.ih)
     cols = (np.arange(plan.gw) * plan.tw * s)[:, None] + np.arange(plan.iw)
     tiles = px[:, :, rows[:, None, :, None], cols[None, :, None, :]]
-    if actor.shave_h or actor.shave_w:
-        # Test hook parity with the actor: zero the shaved halo pixels.
-        tiles = tiles.copy()
-        if actor.shave_h:
-            tiles[..., plan.ih - actor.shave_h :, :] = 0
-        if actor.shave_w:
-            tiles[..., plan.iw - actor.shave_w :] = 0
     # Emission order: tile-major, raster within the tile, FM-minor.
     out = np.ascontiguousarray(tiles.transpose(0, 2, 3, 4, 5, 1)).reshape(-1)
     return {"out": out}

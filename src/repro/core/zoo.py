@@ -14,8 +14,8 @@ and all activations are ReLU as in the originals.
 Two tiers per model:
 
 * ``alexnet_design`` / ``vgg16_design`` — the unblocked references.
-  Above the pilot weight limit they are cycle-simulated as pilot
-  downscales; the full-size designs remain analytically checkable.
+  Too large to cycle-simulate, the simulation harnesses refuse them;
+  they remain analytically checkable.
 * ``alexnet_blocked_design`` / ``vgg16_blocked_design`` — the promoted
   full-size zoo members: block convolution
   (:mod:`repro.core.block_transform`) on every conv, with per-layer
@@ -139,8 +139,7 @@ def vgg16_design(
 def alexnet_blocked_design(name: str = "alexnet") -> NetworkDesign:
     """Full-size AlexNet promoted for cycle simulation.
 
-    :data:`ALEXNET_TILES` block convolution on every conv layer; never
-    swapped for a pilot by the simulation gates.
+    :data:`ALEXNET_TILES` block convolution on every conv layer.
     """
     return alexnet_design(name).with_blocking(ALEXNET_TILES)
 
@@ -148,8 +147,7 @@ def alexnet_blocked_design(name: str = "alexnet") -> NetworkDesign:
 def vgg16_blocked_design(name: str = "vgg16") -> NetworkDesign:
     """Full-size VGG-16 promoted for cycle simulation.
 
-    :data:`VGG16_TILES` block convolution on every conv layer; never
-    swapped for a pilot by the simulation gates.
+    :data:`VGG16_TILES` block convolution on every conv layer.
     """
     return vgg16_design(name).with_blocking(VGG16_TILES)
 

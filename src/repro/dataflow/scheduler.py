@@ -48,13 +48,13 @@ Equivalence notes (why the event engine is exact, not approximate):
   channel is ``Channel.begin_cycle()`` with the fault branch dropped. The
   lock-step loop commits every channel through ``begin_cycle()``, so the
   equivalence suites check the two statements against each other.
-* With a tracer or an ``until`` predicate attached the engine still parks
-  and tracks active channels but executes every cycle sequentially (no bulk
-  skipping), so per-cycle samples and early-stop checks match exactly.
+* With a tracer attached the engine still parks and tracks active
+  channels but executes every cycle sequentially (no bulk skipping), so
+  per-cycle samples match exactly.
 
-An engine runs once. Its ``run`` goes to completion, a deadlock,
-``max_cycles`` or an ``until`` stop and ends, whichever it was, in the
-one end-of-life step (:func:`_end_of_life`). The protocol the
+An engine runs once. Its ``run`` either finishes, returning the cycle
+count, or raises (a deadlock or ``max_cycles``), and ends either way in
+the one end-of-life step (:func:`_end_of_life`). The protocol the
 :class:`~repro.dataflow.simulator.Simulator` relies on is the constructor
 plus ``run``, ``actor_stats`` and ``scheduler_stats``.
 """
@@ -195,9 +195,8 @@ def _end_of_life(channels: Iterable[Channel], gates: Iterable[Gate] = ()) -> Non
     the gates that learnt their engine when a process parked there. Every
     one of them is dropped here, so that a run that is over is freed by
     reference count the moment its owner lets go of it. Each engine calls
-    this in a ``finally`` of its ``run``: when the run returns (finished
-    or stopped by ``until``) or raises. Counters and channel statistics
-    are untouched.
+    this in a ``finally`` of its ``run``: when the run returns or raises.
+    Counters and channel statistics are untouched.
     """
     for ch in channels:
         ch.detach()
@@ -302,8 +301,8 @@ class LockstepEngine:
         else:
             self._stall = 0
 
-    def run(self, max_cycles: int, until) -> Tuple[int, bool]:
-        """Run once; returns ``(cycles, finished)`` for the simulator."""
+    def run(self, max_cycles: int) -> int:
+        """Run once to completion; returns the cycle count."""
         try:
             while self._nondaemon_live():
                 if self.cycle >= max_cycles:
@@ -312,10 +311,8 @@ class LockstepEngine:
                         f"{len(self._live)} live processes"
                     )
                 self._step()
-                if until is not None and until():
-                    return self.cycle, False
                 self._check_stall()
-            return self.cycle, True
+            return self.cycle
         finally:
             _end_of_life(self.channels)
 
@@ -525,9 +522,8 @@ class EventEngine:
     def _flush(self, end: int) -> None:
         """Charge the stalls still owed at the end of the run, cycle ``end``.
 
-        Under lock-step, parked daemons (and actors caught mid-wait by an
-        ``until`` stop) record a stall on every executed cycle up to
-        ``end - 1``; charge those spans once, as the run ends.
+        Under lock-step, parked daemons record a stall on every executed
+        cycle up to ``end - 1``; charge those spans once, as the run ends.
         """
         for rec in self._parked:
             self._apply_charges(rec, end)
@@ -564,8 +560,8 @@ class EventEngine:
     def _deadlock(self) -> DeadlockError:
         return _deadlock_error(self.cycle, (p for p in self._procs if p.alive))
 
-    def run(self, max_cycles: int, until) -> Tuple[int, bool]:
-        """Run once; returns ``(cycles, finished)`` for the simulator.
+    def run(self, max_cycles: int) -> int:
+        """Run once to completion; returns the cycle count.
 
         The hottest loop in the whole reproduction: every simulated beat
         of every benchmark passes through it, hence one loop body per
@@ -573,7 +569,6 @@ class EventEngine:
         and local bindings.
         """
         tracer = self.tracer
-        tick = tracer is not None or until is not None
         stall_limit = self.stall_limit
         clock = self._clock
         procs = self._procs
@@ -588,18 +583,14 @@ class EventEngine:
             while self._live_nondaemon > 0:
                 # The clock advance: with nothing runnable and nothing to
                 # commit, jump to the next timer unless every cycle is
-                # sampled.
+                # sampled. No timer pending either is a deadlock, exact
+                # and immediate.
                 c = self.cycle
                 if not (nr or active or current):
-                    if timers:
-                        if not tick and timers[0][0] > c:
-                            c = timers[0][0]
-                    elif until is None:
-                        # Exact and immediate: no wakeups are pending either.
-                        # (A cycle-based ``until`` may still fire: keep
-                        # ticking empty cycles; the stall backstop below
-                        # bounds this.)
+                    if not timers:
                         raise self._deadlock()
+                    if tracer is None and timers[0][0] > c:
+                        c = timers[0][0]
                 if c >= max_cycles:
                     raise SimulationError(
                         f"simulation exceeded max_cycles={max_cycles} with "
@@ -695,9 +686,6 @@ class EventEngine:
                 if tracer is not None:
                     tracer.record(c, self.actors, self.channels)
                 self.cycle = c + 1
-                if until is not None and until():
-                    self._flush(self.cycle)
-                    return self.cycle, False
                 # Lock-step-compatible backstop for bare-``yield`` pollers.
                 if active:
                     self._stall = 0
@@ -706,6 +694,6 @@ class EventEngine:
                     if self._stall >= stall_limit:
                         raise self._deadlock()
             self._flush(self.cycle)
-            return self.cycle, True
+            return self.cycle
         finally:
             _end_of_life(self.channels, self._gates)

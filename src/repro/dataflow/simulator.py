@@ -24,9 +24,8 @@ no channel activity) instead of after ``stall_limit`` idle cycles.
 ``"lockstep"`` is the test and ledger oracle: :data:`SCHEDULERS` keeps it,
 the user-facing surfaces offer :data:`USER_SCHEDULERS` only.
 
-A simulation runs once: :meth:`Simulator.run` creates the engine, runs it
-to completion, a deadlock, ``max_cycles`` or an ``until`` stop, and
-returns. A stop is the end of that run, like the other three.
+A simulation runs once: :meth:`Simulator.run` creates the engine and runs
+it to completion, or raises on a deadlock or at ``max_cycles``.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ class SimulationResult(Report):
     kind: ClassVar[str] = "simulation"
 
     cycles: int = 0
-    finished: bool = False
     channel_stats: Dict[str, dict] = field(default_factory=dict)
     actor_stats: Dict[str, list] = field(default_factory=dict)
     scheduler_stats: Dict[str, object] = field(default_factory=dict)
@@ -106,7 +104,6 @@ class SimulationResult(Report):
     def to_dict(self) -> dict:
         return {
             "cycles": self.cycles,
-            "finished": self.finished,
             "channel_stats": self.channel_stats,
             "actor_stats": self.actor_stats,
             "scheduler_stats": self.scheduler_stats,
@@ -116,8 +113,7 @@ class SimulationResult(Report):
         return str(self)
 
     def __str__(self) -> str:
-        state = "finished" if self.finished else "stopped"
-        return f"SimulationResult({state} after {self.cycles} cycles)"
+        return f"SimulationResult({self.cycles} cycles)"
 
 
 class Simulator:
@@ -210,26 +206,22 @@ class Simulator:
 
     # -- running -----------------------------------------------------------
 
-    def run(self, max_cycles: int = 10_000_000, until=None) -> SimulationResult:
-        """Run once: to completion, a deadlock, ``until()``, or ``max_cycles``.
+    def run(self, max_cycles: int = 10_000_000) -> SimulationResult:
+        """Run once to completion.
 
         Completion means every process of every *non-daemon* actor has
         finished; free-running daemon actors (routing stages, adapters) do
-        not keep the simulation alive. ``until`` is an optional nullary
-        predicate checked at the end of each cycle for early stopping.
-
-        Returns
-        -------
-        SimulationResult
-            ``finished`` is True when all non-daemon processes completed
-            (not when stopped early by ``until``).
+        not keep the simulation alive. A run that cannot complete raises:
+        :class:`~repro.errors.DeadlockError` when no process can make
+        progress, :class:`~repro.errors.SimulationError` past
+        ``max_cycles``.
 
         A simulator runs once; a second call raises
         :class:`~repro.errors.SimulationError`. The engine is created here
         (starting every actor process) and copies what it reads of this
         simulator (actors, channels, stall limit, tracer, faults, design
-        provenance), keeping no reference to it. Whether the run finished,
-        stopped or raised, the engine's end-of-life step
+        provenance), keeping no reference to it. Whether the run finished
+        or raised, the engine's end-of-life step
         (:func:`repro.dataflow.scheduler._end_of_life`) has dropped what it
         hung on channels and gates before this returns, so the whole run is
         freed when its last owner lets go of it.
@@ -241,10 +233,8 @@ class Simulator:
             )
         self._ran = True
         engine = SCHEDULERS[self.scheduler](self)
-        cycles, finished = engine.run(int(max_cycles), until)
         return SimulationResult(
-            cycles=cycles,
-            finished=finished,
+            cycles=engine.run(int(max_cycles)),
             channel_stats={ch.name: ch.stats.as_dict() for ch in self.channels},
             actor_stats=engine.actor_stats(),
             scheduler_stats=engine.scheduler_stats(),

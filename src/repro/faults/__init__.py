@@ -7,7 +7,8 @@ Public surface:
 * :mod:`repro.faults.injectors` — runtime injectors and
   :func:`arm_faults`, which wires a scenario into a built graph;
 * :mod:`repro.faults.harness` — clean-vs-faulty experiments
-  (:func:`faultsim`), campaigns, digests and pilot downscales.
+  (:func:`faultsim`), campaigns, digests, the too-big refusal
+  (:func:`simulable_design`) and explicit pilot downscales.
 
 See DESIGN.md section 10 for the fault model and the two invariants
 this package machine-checks (latency insensitivity; analyzer/simulator

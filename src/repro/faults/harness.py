@@ -15,11 +15,12 @@ states about the reproduction:
 
 :func:`faultsim` runs one (design, scenario, seed) experiment and emits
 a JSON-ready report with the verdict; :func:`run_campaign` sweeps
-designs x scenarios x seeds, caching clean runs. Designs too large to
-cycle-simulate (AlexNet/VGG-16) are swapped for a deterministic *pilot*
-downscale (:func:`pilot_design`) that preserves the layer topology —
-every layer kind, kernel, stride and pad — while shrinking feature maps
-and input resolution to simulable size; reports carry ``"pilot": true``.
+designs x scenarios x seeds, caching clean runs. Every design runs as
+given. An unblocked design too large to cycle-simulate (the reference
+AlexNet/VGG-16) is refused (:func:`simulable_design`); the caller asks
+for its blocked form or for :func:`pilot_design`, a deterministic
+downscale that preserves the layer topology — every layer kind, kernel,
+stride and pad — while shrinking feature maps and input resolution.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.sst.sizing import capacity_one_jams
 if TYPE_CHECKING:  # import cycle: depths calls this harness
     from repro.analysis.depths import DepthPlan
 
-#: Above this many parameters a design is cycle-simulated as a pilot.
+#: Above this many parameters an unblocked design is not cycle-simulated.
 PILOT_WEIGHT_LIMIT = 2_000_000
 #: A pilot's feature maps per layer, classes, and largest input side tried.
 PILOT_MAX_FM = 4
@@ -128,16 +129,21 @@ def pilot_design(design: NetworkDesign) -> NetworkDesign:
     )
 
 
-def simulable_design(design: NetworkDesign) -> Tuple[NetworkDesign, bool]:
-    """The design a harness cycle-simulates, and whether it is the pilot.
+def simulable_design(design: NetworkDesign) -> NetworkDesign:
+    """``design`` itself, if a harness may cycle-simulate it.
 
-    A design above :data:`PILOT_WEIGHT_LIMIT` is piloted unless block
-    convolution already made it simulable at full size. To ask for a
-    downscale explicitly, pass :func:`pilot_design`'s result (the
-    ``<name>-pilot`` presets do).
+    An unblocked design above :data:`PILOT_WEIGHT_LIMIT` would take hours
+    of interpreted simulation and raises :class:`ConfigurationError`;
+    block convolution makes a design simulable at full size.
     """
-    pilot = design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design)
-    return (pilot_design(design), True) if pilot else (design, False)
+    if design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design):
+        raise ConfigurationError(
+            f"{design.name!r} has {design.weight_count():,} weights and no "
+            f"blocked conv layer, too large to cycle-simulate; pass "
+            f"pilot_design(design) for a downscale (the '-pilot' presets) "
+            f"or block its conv layers (with_blocking)"
+        )
+    return design
 
 
 # -- single runs -------------------------------------------------------------
@@ -244,13 +250,14 @@ def run_built(
         result = built.run(
             stall_limit=stall_limit, scheduler=scheduler, faults=armed,
         )
-        cycles, finished = result.cycles, result.finished
+        cycles = result.cycles
         scheduler = str(result.scheduler_stats["scheduler"])
     except DeadlockError as err:
         # Kept for its report, not for where it was raised: the traceback
         # runs through this very frame, whose `deadlock` would close a
         # reference cycle around the whole built network.
-        deadlock, cycles, finished = err.with_traceback(None), err.cycle, False
+        deadlock, cycles = err.with_traceback(None), err.cycle
+    finished = deadlock is None
     return RunOutcome(
         cycles=cycles,
         finished=finished,
@@ -406,14 +413,14 @@ def faultsim(
     execution). ``_clean_cache`` lets the campaign runner share clean
     runs across scenarios.
     """
-    sim_design, piloted = simulable_design(design)
+    simulable_design(design)
     # Shrink targets only exist in the literal SST chains.
     memory_system = "literal" if scenario.has_kind("shrink") else "behavioral"
     run = partial(
-        run_design, sim_design, seed=seed, images=images,
+        run_design, design, seed=seed, images=images,
         memory_system=memory_system,
     )
-    key = (sim_design.name, seed, images, memory_system)
+    key = (design.name, seed, images, memory_system)
     clean = _clean_cache.get(key) if _clean_cache is not None else None
     if clean is None:
         clean = run(scenario=None)
@@ -422,8 +429,6 @@ def faultsim(
     faulty = run(scenario=scenario)
     report: dict = {
         "design": design.name,
-        "simulated_design": sim_design.name,
-        "pilot": piloted,
         "scenario": scenario.to_dict(),
         "seed": seed,
         "images": images,
@@ -450,7 +455,7 @@ def faultsim(
         )
         report["ok"] = ok
     elif scenario.has_kind("shrink"):
-        info = _shrink_verdict(faulty, sim_design)
+        info = _shrink_verdict(faulty, design)
         report["invariant"] = "deadlock_matches_analysis"
         report.update(info)
     else:  # corruption (possibly mixed with timing faults)

@@ -25,7 +25,6 @@ from repro.core.layer_spec import ConvLayerSpec, FCLayerSpec
 from repro.core.network_design import NetworkDesign
 from repro.core.perf_model import network_perf
 from repro.dataflow.trace import Tracer, counter_busy_fractions
-from repro.errors import ConfigurationError
 from repro.faults.harness import simulable_design
 from repro.profiling.report import ProfileReport
 
@@ -109,9 +108,9 @@ def profile_design(
 
     Weights and inputs are derived from ``seed`` alone
     (:func:`~repro.core.builder.seeded_batch`, the fault harness's batch,
-    so profile and faultsim runs are comparable).
-    Designs above the pilot weight limit are profiled as their
-    deterministic pilot downscale (:func:`~repro.faults.simulable_design`).
+    so profile and faultsim runs are comparable). The design is simulated
+    as given; one too large to simulate is refused
+    (:func:`~repro.faults.simulable_design`).
     ``sample_every`` attaches the high-resolution
     :class:`~repro.dataflow.trace.Tracer` backend (disables the event
     engine's bulk cycle-skipping; counters are unaffected).
@@ -124,33 +123,28 @@ def profile_design(
     identity is untouched — cutting the pipeline never changes
     productive fire counts.
     """
-    sim_design, piloted = simulable_design(design)
-    if piloted and multi_plan is not None:
-        raise ConfigurationError(
-            "multi_plan profiles the full design (a plan names the real "
-            "layers, not the pilot downscale this design simulates as)"
-        )
+    simulable_design(design)
     built = build_network(
-        sim_design,
-        random_weights(sim_design, seed=seed),
-        seeded_batch(sim_design, seed, images),
+        design,
+        random_weights(design, seed=seed),
+        seeded_batch(design, seed, images),
         loop_overhead=loop_overhead,
         multi_plan=multi_plan,
     )
     tracer = Tracer(sample_every) if sample_every else None
     result = built.run(tracer=tracer, scheduler=scheduler)
     perf = network_perf(
-        sim_design,
+        design,
         loop_overhead=float(loop_overhead),
         links=multi_plan.link_perfs() if multi_plan is not None else (),
     )
 
-    analysis = AnalysisReport(design_name=sim_design.name)
+    analysis = AnalysisReport(design_name=design.name)
     analysis.note_rule("PROFILE.II_MISMATCH")
 
     # -- per-core measured II vs Eq. 4 ----------------------------------
     cores: List[dict] = []
-    for row in core_ii_rows(sim_design, result.actor_stats, images):
+    for row in core_ii_rows(design, result.actor_stats, images):
         within = row["rel_err"] <= tolerance
         cores.append({**row, "within_tolerance": within})
         if not within:
@@ -172,52 +166,48 @@ def profile_design(
             )
 
     # -- steady-state throughput and latency ----------------------------
+    completions = built.image_completion_cycles()
+    latency: Dict[str, object] = {
+        "fill_measured": completions[0],
+        "fill_predicted": perf.fill_latency,
+    }
+    dma_last = max(
+        (
+            st["last_push_cycle"]
+            for name, st in result.channel_stats.items()
+            if _stage_of_actor(built.graph.channels[name].writer) == "dma_in"
+        ),
+        default=-1,
+    )
+    if dma_last >= 0:
+        latency["drain_measured"] = result.cycles - dma_last
     throughput: Dict[str, object] = {}
-    latency: Dict[str, object] = {}
-    if result.finished:
-        completions = built.image_completion_cycles()
-        latency["fill_measured"] = completions[0]
-        latency["fill_predicted"] = perf.fill_latency
-        dma_last = max(
-            (
-                st["last_push_cycle"]
-                for name, st in result.channel_stats.items()
-                if _stage_of_actor(built.graph.channels[name].writer)
-                == "dma_in"
-            ),
-            default=-1,
-        )
-        if dma_last >= 0:
-            latency["drain_measured"] = result.cycles - dma_last
-        if len(completions) >= 2:
-            intervals = [
-                b - a for a, b in zip(completions, completions[1:])
-            ]
-            measured_iv = intervals[-1]
-            predicted_iv = perf.interval
-            iv_err = abs(measured_iv - predicted_iv) / max(predicted_iv, 1)
-            throughput = {
-                "interval_measured": measured_iv,
-                "interval_predicted": predicted_iv,
-                "interval_rel_err": iv_err,
-                "completion_cycles": completions,
-            }
-            if iv_err > INTERVAL_TOLERANCE:
-                analysis.add(
-                    make(
-                        "PROFILE.II_MISMATCH",
-                        Severity.WARNING,
-                        sim_design.name,
-                        f"steady-state pipeline interval {measured_iv} "
-                        f"deviates from the perf-model prediction "
-                        f"{predicted_iv} by {100.0 * iv_err:.1f}%",
-                        hint=(
-                            "per-core IIs agree but the pipeline-level "
-                            "cadence does not; look at DMA pacing and "
-                            "inter-layer buffer skew"
-                        ),
-                    )
+    if len(completions) >= 2:
+        measured_iv = completions[-1] - completions[-2]
+        predicted_iv = perf.interval
+        iv_err = abs(measured_iv - predicted_iv) / max(predicted_iv, 1)
+        throughput = {
+            "interval_measured": measured_iv,
+            "interval_predicted": predicted_iv,
+            "interval_rel_err": iv_err,
+            "completion_cycles": completions,
+        }
+        if iv_err > INTERVAL_TOLERANCE:
+            analysis.add(
+                make(
+                    "PROFILE.II_MISMATCH",
+                    Severity.WARNING,
+                    design.name,
+                    f"steady-state pipeline interval {measured_iv} "
+                    f"deviates from the perf-model prediction "
+                    f"{predicted_iv} by {100.0 * iv_err:.1f}%",
+                    hint=(
+                        "per-core IIs agree but the pipeline-level "
+                        "cadence does not; look at DMA pacing and "
+                        "inter-layer buffer skew"
+                    ),
                 )
+            )
 
     # -- bottleneck attribution -----------------------------------------
     busy_per_stage: Dict[str, int] = {}
@@ -237,13 +227,10 @@ def profile_design(
 
     return ProfileReport(
         design_name=design.name,
-        simulated_design=sim_design.name,
-        pilot=piloted,
         scheduler=result.scheduler_stats["scheduler"],
         images=images,
         seed=seed,
         cycles=result.cycles,
-        finished=result.finished,
         tolerance=tolerance,
         cores=cores,
         throughput=throughput,

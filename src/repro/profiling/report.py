@@ -32,13 +32,10 @@ class ProfileReport(Report):
     kind: ClassVar[str] = "profile"
 
     design_name: str = ""
-    simulated_design: str = ""
-    pilot: bool = False
     scheduler: str = "event"
     images: int = 0
     seed: int = 0
     cycles: int = 0
-    finished: bool = False
     tolerance: float = 0.05
     cores: List[dict] = field(default_factory=list)
     throughput: Dict[str, object] = field(default_factory=dict)
@@ -68,13 +65,10 @@ class ProfileReport(Report):
     def to_dict(self) -> dict:
         return {
             "design": self.design_name,
-            "simulated_design": self.simulated_design,
-            "pilot": self.pilot,
             "scheduler": self.scheduler,
             "images": self.images,
             "seed": self.seed,
             "cycles": self.cycles,
-            "finished": self.finished,
             "tolerance": self.tolerance,
             "ok": self.ok,
             "cores": self.cores,
@@ -115,15 +109,9 @@ class ProfileReport(Report):
             format_kv(
                 f"profile: {self.design_name}",
                 [
-                    (
-                        "simulated design",
-                        self.simulated_design
-                        + (" (pilot)" if self.pilot else ""),
-                    ),
                     ("scheduler", self.scheduler),
                     ("images", self.images),
                     ("cycles", self.cycles),
-                    ("finished", self.finished),
                 ],
             )
         ]

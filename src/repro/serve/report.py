@@ -1,6 +1,6 @@
 """The ServeReport: one JSON/text shape for every serving run.
 
-Joins the unified Report API (``{"schema_version": 1, "kind": "serve",
+Joins the unified Report API (``{"schema_version": 2, "kind": "serve",
 ...}``): tail-latency percentiles, throughput, the batch-size histogram,
 knee prediction vs. measured per-image cycles, per-request digest
 verification against single-shot simulation, and (chaos mode) the

@@ -26,9 +26,9 @@ with output ``oh x ow``:
   (zero padding or overhang) are zero-filled;
 * adjacent input blocks overlap by the halo ``max(0, kh - s)`` rows
   (``max(0, kw - s)`` columns) — exactly the pixels a window straddling
-  the tile boundary needs. Shrinking the halo by one row (see the
-  ``shave_h`` test hook on :class:`BlockSplitActor`) zero-fills real
-  pixels and provably changes the output digest.
+  the tile boundary needs. Zero-filling the last halo row or column of
+  every tile changes the output; the halo-minimality property test checks
+  this on :func:`reference_block_stream`.
 
 The split/merge actors model the off-chip staging a real block-conv
 accelerator performs in DDR: they double-buffer one full feature map and
@@ -195,14 +195,11 @@ def tile_coords(plan: BlockPlan) -> List[Optional[Tuple[int, int]]]:
     return out
 
 
-def reference_block_stream(
-    image: np.ndarray, plan: BlockPlan, shave_h: int = 0, shave_w: int = 0
-) -> List[float]:
+def reference_block_stream(image: np.ndarray, plan: BlockPlan) -> List[float]:
     """Golden split-stream for one single-FM image (tests only).
 
     Returns the pixel values a :class:`BlockSplitActor` emits for one
-    feature map, in emission order. ``shave_h``/``shave_w`` mirror the
-    actor's halo-shaving test hook.
+    feature map, in emission order.
     """
     img = np.asarray(image, dtype=DTYPE)
     if img.shape != (plan.h, plan.w):
@@ -219,8 +216,7 @@ def reference_block_stream(
                 for tx in range(plan.iw):
                     y = oy + ty - pad
                     x = ox + tx - pad
-                    shaved = ty >= plan.ih - shave_h or tx >= plan.iw - shave_w
-                    if shaved or not (0 <= y < plan.h and 0 <= x < plan.w):
+                    if not (0 <= y < plan.h and 0 <= x < plan.w):
                         out.append(0.0)
                     else:
                         out.append(float(img[y, x]))
@@ -239,37 +235,17 @@ class BlockSplitActor(Actor):
     Ports: ``in`` — ``h*w*group`` beats per image (raster, FM-minor);
     ``out`` — ``n_tiles*ih*iw*group`` beats per image (tile-major, raster
     within the tile, FM-minor).
-
-    ``shave_h``/``shave_w`` are a TEST-ONLY hook: they zero-fill the last
-    rows/columns of *every* emitted tile, simulating a halo narrowed by
-    that amount while keeping all rates (and thus liveness) intact — the
-    halo-minimality property test shows any shave changes the digest.
     """
 
-    def __init__(
-        self,
-        name: str,
-        plan: BlockPlan,
-        group: int = 1,
-        images: int = 1,
-        shave_h: int = 0,
-        shave_w: int = 0,
-    ):
+    def __init__(self, name: str, plan: BlockPlan, group: int = 1, images: int = 1):
         super().__init__(name)
         if group < 1:
             raise ConfigurationError(f"{name!r}: group must be >= 1, got {group}")
         if images < 1:
             raise ConfigurationError(f"{name!r}: images must be >= 1, got {images}")
-        if not (0 <= shave_h <= plan.ih and 0 <= shave_w <= plan.iw):
-            raise ConfigurationError(
-                f"{name!r}: shave {shave_h}x{shave_w} outside block "
-                f"{plan.ih}x{plan.iw}"
-            )
         self.plan = plan
         self.group = int(group)
         self.images = int(images)
-        self.shave_h = int(shave_h)
-        self.shave_w = int(shave_w)
 
     @property
     def beats_in_per_image(self) -> int:
@@ -313,8 +289,6 @@ class BlockSplitActor(Actor):
         pad = plan.window.pad
         stride = plan.window.stride
         h, w = plan.h, plan.w
-        shave_y = plan.ih - self.shave_h
-        shave_x = plan.iw - self.shave_w
         ready = self._ready
         for _ in range(self.images):
             while not ready:
@@ -326,10 +300,10 @@ class BlockSplitActor(Actor):
                     ox = bj * plan.tw * stride - pad
                     for ty in range(plan.ih):
                         y = oy + ty
-                        row_ok = 0 <= y < h and ty < shave_y
+                        row_ok = 0 <= y < h
                         for tx in range(plan.iw):
                             x = ox + tx
-                            if row_ok and 0 <= x < w and tx < shave_x:
+                            if row_ok and 0 <= x < w:
                                 row = buf[:, y, x]
                             else:
                                 row = None

@@ -49,8 +49,9 @@ def _swap_merge_plan(graph):
     graph.actors["conv3.merge0"].plan = graph.actors["conv2.merge0"].plan
 
 
-def _shave_split_halo(graph):
-    graph.actors["conv1.split0"].shave_h = 1
+def _resplit(graph):
+    # conv1's tile split carries conv2's plan.
+    graph.actors["conv1.split0"].plan = graph.actors["conv2.split0"].plan
 
 
 ZOO = {
@@ -90,7 +91,7 @@ class TestZooClean:
 
     @pytest.mark.parametrize("sabotage, location", [
         (_swap_merge_plan, "layer:conv3"),
-        (_shave_split_halo, "layer:conv1"),
+        (_resplit, "layer:conv1"),
     ])
     def test_bad_full_size_graph_is_flagged(self, monkeypatch, sabotage, location):
         import repro.analysis.checker as checker

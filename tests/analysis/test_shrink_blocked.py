@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.block_transform import without_blocking
 from repro.core.resource_model import buffering_savings
 from repro.core.zoo import alexnet_design, alexnet_pilot_design, vgg16_design
+from repro.errors import ConfigurationError
 from repro.faults import pilot_design
 
 
@@ -118,8 +119,7 @@ class TestPromotedFullSize:
         # runs per probe is too slow for tier-1).
         blocked = alexnet_blocked_design()
         rep = run_shrink(blocked, validate=False)
-        assert rep["ok"] and not rep["pilot"]
-        assert rep["simulated_design"] == blocked.name
+        assert rep["ok"]
         assert rep["prover"]["heuristic"] == 0
         assert rep["words"]["certified"] < rep["words"]["full"]
         assert (
@@ -136,19 +136,16 @@ class TestPromotedFullSize:
         pilot_rep = run_shrink(pilot_design(blocked), validate=False)
         preset_rep = run_shrink(alexnet_pilot_design(), validate=False)
         full_rep = run_shrink(blocked, validate=False)
-        # Asked for by name, so neither run is an *automatic* pilot.
-        assert not pilot_rep["pilot"] and not full_rep["pilot"]
-        assert pilot_rep["simulated_design"] == preset_rep["simulated_design"]
-        assert pilot_rep["simulated_design"] != full_rep["simulated_design"]
+        assert pilot_rep["design"] == preset_rep["design"]
+        assert pilot_rep["design"] != full_rep["design"]
         assert pilot_rep["words"]["full"] == preset_rep["words"]["full"]
         assert pilot_rep["words"]["full"] != full_rep["words"]["full"]
 
-    def test_unblocked_references_still_pilot(self):
-        # The unblocked factories keep the PR 6 behaviour: too large to
-        # simulate, so shrink falls back to the pilot downscale.
-        rep = run_shrink(vgg16_design(), validate=False)
-        assert rep["pilot"]
-        assert rep["simulated_design"] != "vgg16"
+    def test_unblocked_references_are_refused(self):
+        # Too large to simulate unblocked: shrink refuses instead of
+        # certifying a downscale under the full-size design's name.
+        with pytest.raises(ConfigurationError, match="too large"):
+            run_shrink(vgg16_design(), validate=False)
 
     def test_without_blocking_round_trip(self):
         blocked = vgg16_blocked_design()

@@ -3,8 +3,8 @@
 The compiled engine only accepts graphs that carry a NetworkDesign which
 passes the static analyzer cleanly. Everything else must fall back to the
 event engine with a :class:`CompiledFallbackWarning` — never a wrong
-answer, never a crash. Faults, tracers and ``until`` predicates are
-interpreter-only features and are rejected explicitly.
+answer, never a crash. Faults are an interpreter-only feature and are
+rejected explicitly.
 """
 
 import warnings
@@ -43,7 +43,6 @@ class TestStrictGate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CompiledFallbackWarning)
             res = built.run(scheduler="compiled")
-        assert res.finished
         assert res.scheduler_stats["scheduler"] == "compiled"
 
     def test_graph_without_design_falls_back(self):
@@ -53,7 +52,6 @@ class TestStrictGate:
         g.connect(src, "out", snk, "in")
         with pytest.warns(CompiledFallbackWarning, match="NetworkDesign"):
             res = g.build_simulator(scheduler="compiled").run()
-        assert res.finished
         assert res.scheduler_stats["scheduler"] == "event"
         assert list(snk.received) == list(range(8))
 
@@ -63,7 +61,6 @@ class TestStrictGate:
         built = tiny_built(rng)
         with pytest.warns(CompiledFallbackWarning):
             res = built.run(tracer=Tracer(1), scheduler="compiled")
-        assert res.finished
         assert res.scheduler_stats["scheduler"] == "event"
 
     def test_unknown_actor_subclass_falls_back(self, rng):
@@ -72,7 +69,6 @@ class TestStrictGate:
         built = tiny_built(rng, memory_system="literal")
         with pytest.warns(CompiledFallbackWarning):
             res = built.run(scheduler="compiled")
-        assert res.finished
         assert res.scheduler_stats["scheduler"] == "event"
 
     @pytest.mark.parametrize("glue", [
@@ -94,7 +90,6 @@ class TestStrictGate:
         g.design = design
         with pytest.warns(CompiledFallbackWarning, match="has no compiled kernel"):
             res = g.build_simulator(scheduler="compiled").run()
-        assert res.finished
         assert res.scheduler_stats["scheduler"] == "event"
 
     def test_kernel_table_is_exactly_what_the_builder_emits(self):
@@ -183,8 +178,3 @@ class TestRefusals:
             built.run(scheduler="compiled", faults=armed)
         assert built.result is None
 
-    def test_until_predicate_rejected(self, rng):
-        built = tiny_built(rng)
-        sim = built.graph.build_simulator(scheduler="compiled")
-        with pytest.raises(ConfigurationError, match="until"):
-            sim.run(until=lambda: True)

@@ -62,7 +62,6 @@ def run_three_way(design, images, seed, weights=None, batch=None):
             "outputs": built.outputs(),
             "digest": stable_digest(built.outputs()),
             "fires": fires,
-            "finished": res.finished,
         }
     return out
 
@@ -72,11 +71,9 @@ class TestZooDesigns:
     def test_digests_and_fires_identical(self, name):
         out = run_three_way(DESIGNS[name](), images=2, seed=5)
         ref = out["event"]
-        assert ref["finished"]
         for engine in ("lockstep", "compiled"):
             assert out[engine]["digest"] == ref["digest"], engine
             assert out[engine]["fires"] == ref["fires"], engine
-            assert out[engine]["finished"]
 
 
 #: One conv and one FC layer for :class:`TestSpecialValues`.
@@ -125,9 +122,9 @@ class TestSpecialValues:
 class TestProfilerAgreement:
     """`repro profile --scheduler compiled` must be a drop-in."""
 
-    # alexnet/vgg16 profile as their deterministic pilot downscales,
-    # which is exactly what `repro profile` runs — so this covers the
-    # full five-design zoo on the profiler surface.
+    # alexnet/vgg16 profile as their `-pilot` presets (the full-size
+    # blocked designs are the compiled-suite gate's), so this covers the
+    # five-design zoo on the profiler surface.
     @pytest.mark.parametrize(
         "preset", ["tiny", "usps", "cifar10", "alexnet", "vgg16"]
     )
@@ -137,12 +134,12 @@ class TestProfilerAgreement:
             tiny_design as _t,
             usps_design as _u,
         )
-        from repro.core.zoo import alexnet_design, vgg16_design
+        from repro.core.zoo import alexnet_pilot_design, vgg16_pilot_design
         from repro.profiling import profile_design
 
         factory = {
             "tiny": _t, "usps": _u, "cifar10": _c,
-            "alexnet": alexnet_design, "vgg16": vgg16_design,
+            "alexnet": alexnet_pilot_design, "vgg16": vgg16_pilot_design,
         }[preset]
         design = factory()
         reports = {}

@@ -43,7 +43,8 @@ class TestArraySource:
         src = g.add_actor(ArraySource("src", []))
         snk = g.add_actor(ListSink("snk", count=0))
         g.connect(src, "out", snk, "in")
-        assert g.build_simulator().run().finished
+        g.build_simulator().run()
+        assert snk.received == []
 
     def test_keeps_the_array_it_was_given(self):
         data = np.arange(6, dtype=np.float32)

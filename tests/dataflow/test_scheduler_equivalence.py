@@ -11,21 +11,20 @@ complete observable outcome.
 import numpy as np
 import pytest
 
-from repro.core import random_weights
-from repro.core.builder import build_network, seeded_batch
 from repro.dataflow import (
     Actor,
     ArraySource,
     DataflowGraph,
     FifoStage,
     Fork,
+    Gate,
     Interleaver,
     ListSink,
     MapActor,
     ScheduleDemux,
+    WaitCycles,
 )
 from repro.errors import ConfigurationError, DeadlockError
-from tests.dataflow.test_golden_timing import CASES
 
 SCHEDULERS = ("lockstep", "event")
 
@@ -38,7 +37,6 @@ def run_both(factory, **run_kwargs):
         res = g.build_simulator(scheduler=sched).run(**run_kwargs)
         out[sched] = {
             "cycles": res.cycles,
-            "finished": res.finished,
             "stats": res.channel_stats,
             "received": [list(s.received) for s in sinks],
             "timestamps": [list(s.timestamps) for s in sinks],
@@ -48,7 +46,6 @@ def run_both(factory, **run_kwargs):
 
 def assert_identical(ref, got):
     assert got["cycles"] == ref["cycles"]
-    assert got["finished"] == ref["finished"]
     assert got["timestamps"] == ref["timestamps"]
     for a, b in zip(ref["received"], got["received"]):
         assert len(a) == len(b)
@@ -123,41 +120,36 @@ class TestPrimitives:
 
         assert_identical(*run_both(factory))
 
-    def test_until_stops_at_same_point(self):
-        """An ``until`` stop ends both engines' runs on the same cycle, with
-        the same values, channel and process counters: a primitive chain
-        stopped at 7 beats and each zoo build stopped at half its sink."""
-        def chain():
-            g = DataflowGraph("u", default_capacity=4)
-            src = g.add_actor(ArraySource("src", list(range(50))))
-            snk = g.add_actor(ListSink("snk", count=50))
+    def test_daemons_parked_at_the_end_are_charged_alike(self):
+        """When the last non-daemon process ends, one daemon is still
+        parked on a ``Gate`` and another on a ``WaitCycles``: the event
+        engine charges both spans once, as the run ends, and must arrive
+        at the lock-step loop's per-cycle counts."""
+
+        class Idler(Actor):
+            def __init__(self, name, descriptor):
+                super().__init__(name)
+                self.daemon = True
+                self.descriptor = descriptor
+
+            def run(self):
+                while True:
+                    yield self.descriptor
+
+        outcomes = {}
+        for sched in SCHEDULERS:
+            g = DataflowGraph("idle", default_capacity=2)
+            src = g.add_actor(ArraySource("src", list(range(9))))
+            snk = g.add_actor(ListSink("snk", count=9))
             g.connect(src, "out", snk, "in")
-            return g, snk, 7
-
-        def zoo(name):
-            def factory():
-                design_factory, images = CASES[name]
-                design = design_factory()
-                built = build_network(
-                    design, random_weights(design, 0),
-                    seeded_batch(design, 0, images),
-                )
-                return built.graph, built.sink, built.sink.count // 2
-            return factory
-
-        for factory in [chain] + [zoo(name) for name in CASES]:
-            outcomes = {}
-            for sched in SCHEDULERS:
-                g, snk, stop = factory()
-                res = g.build_simulator(scheduler=sched).run(
-                    until=lambda: len(snk.received) >= stop
-                )
-                assert not res.finished
-                outcomes[sched] = (
-                    res.cycles, list(snk.received),
-                    res.channel_stats, res.actor_stats,
-                )
-            assert outcomes["event"] == outcomes["lockstep"]
+            g.add_actor(Idler("gated", Gate()))
+            g.add_actor(Idler("timed", WaitCycles(1_000_000)))
+            res = g.build_simulator(scheduler=sched).run()
+            outcomes[sched] = (res.cycles, res.actor_stats, res.channel_stats)
+        assert outcomes["event"] == outcomes["lockstep"]
+        _cycles, stats, _channels = outcomes["event"]
+        assert stats["gated"][0]["stalled_gate"] > 0
+        assert stats["timed"][0]["stalled_timer"] > 0
 
 
 class TestTracerSamples:
@@ -313,7 +305,6 @@ class TestFaultedEquivalence:
             res = sim.run()
             out[sched] = {
                 "cycles": res.cycles,
-                "finished": res.finished,
                 "stats": res.channel_stats,
                 "received": [list(s.received) for s in sinks],
                 "timestamps": [list(s.timestamps) for s in sinks],
@@ -381,7 +372,6 @@ class TestFaultedEquivalence:
         )
         ref, got = self.run_both_faulted(self.diamond_factory(), sc)
         assert got["cycles"] == ref["cycles"]
-        assert got["finished"] == ref["finished"]
         assert got["received"] == ref["received"]
         assert got["timestamps"] == ref["timestamps"]
         assert ref["cycles"] > 0

@@ -14,6 +14,7 @@ from repro.core.block_transform import design_is_blocked
 from repro.core.builder import build_network, seeded_batch
 from repro.core.shard import run_shard
 from repro.core.zoo import alexnet_blocked_design, alexnet_design
+from repro.errors import ConfigurationError
 from repro.faults import faultsim, load_scenario, run_design, simulable_design
 from repro.faults.harness import PILOT_WEIGHT_LIMIT
 from repro.profiling import profile_design
@@ -49,7 +50,7 @@ def test_harnesses_agree_on_one_seeded_run(factory):
 
 
 class TestSimulableDesign:
-    """The automatic pilot decision (there is no override)."""
+    """The one automatic "too big" decision: a refusal, never a swap."""
 
     SMALL = staticmethod(tiny_design)
     HUGE = staticmethod(alexnet_design)
@@ -63,15 +64,19 @@ class TestSimulableDesign:
         assert design_is_blocked(self.PROMOTED())
 
     @pytest.mark.parametrize(
-        "kind, piloted",
+        "kind, refused",
         [("SMALL", False), ("HUGE", True), ("PROMOTED", False)],
     )
-    def test_automatic_rule(self, kind, piloted):
+    def test_automatic_rule(self, kind, refused):
         design = getattr(self, kind)()
-        sim_design, was_piloted = simulable_design(design)
-        assert was_piloted is piloted
-        if piloted:
-            assert sim_design.name.startswith(f"{design.name}-pilot")
-            assert sim_design.weight_count() <= PILOT_WEIGHT_LIMIT
+        if refused:
+            with pytest.raises(
+                ConfigurationError, match=r"pilot_design\(design\).*with_blocking"
+            ):
+                simulable_design(design)
         else:
-            assert sim_design is design
+            assert simulable_design(design) is design
+
+    def test_faultsim_refuses_the_huge_design(self):
+        with pytest.raises(ConfigurationError, match="too large"):
+            faultsim(self.HUGE(), load_scenario("jitter"))

@@ -56,7 +56,6 @@ def run_once(design, seed, scenario, scheduler):
     sim = built.graph.build_simulator(stall_limit=20_000, scheduler=scheduler)
     sim.faults = armed
     result = sim.run()
-    assert result.finished
     built.result = result
     return result.cycles, stable_digest(built.outputs())
 

@@ -6,7 +6,9 @@ import pytest
 
 from repro.core import tiny_design, usps_design
 from repro.core.zoo import alexnet_design
+from repro.errors import ConfigurationError
 from repro.faults import pilot_design
+from repro.report import SCHEMA_VERSION
 from repro.profiling import (
     chrome_trace,
     chrome_trace_json,
@@ -70,7 +72,7 @@ class TestMeasuredII:
 class TestReportSurface:
     def test_envelope(self, tiny_profile):
         d = json.loads(tiny_profile.to_json())
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == SCHEMA_VERSION
         assert d["kind"] == "profile"
         assert d["design"] == "tiny"
         assert d["scheduler"] == "event"
@@ -95,26 +97,25 @@ class TestReportSurface:
             )
         assert report.scheduler == "event"
         assert report.to_dict()["scheduler"] == "event"
-        assert "scheduler        : event" in report.format_text()
+        assert "scheduler : event" in report.format_text()
         compiled = profile_design(
             tiny_design(), images=2, seed=0, scheduler="compiled"
         )
         assert compiled.scheduler == "compiled"
 
-    def test_pilot_downscale_flag(self):
-        # Automatic: an unblocked design above the weight limit is
-        # profiled as its pilot and the report says so.
-        report = profile_design(
-            alexnet_design(), images=1, seed=0, scheduler="compiled"
-        )
-        assert report.pilot
-        assert report.design_name == "alexnet"
-        assert report.simulated_design.startswith("alexnet-pilot")
-        # Explicit: a downscale asked for by name is just the design.
+    def test_unblocked_full_size_is_refused(self):
+        # An unblocked design above the weight limit is refused, not
+        # swapped; the error names both ways to ask for a simulable one.
+        with pytest.raises(
+            ConfigurationError, match=r"pilot_design\(design\).*with_blocking"
+        ):
+            profile_design(
+                alexnet_design(), images=1, seed=0, scheduler="compiled"
+            )
+        # A downscale asked for by name is just the design.
         pilot = pilot_design(tiny_design())
         report = profile_design(pilot, images=1, seed=0)
-        assert not report.pilot
-        assert report.design_name == report.simulated_design == pilot.name
+        assert report.design_name == pilot.name
 
 
 class TestChromeTrace:

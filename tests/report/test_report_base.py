@@ -42,7 +42,6 @@ class TestMigratedReports:
         d = json.loads(res.to_json())
         assert d["schema_version"] == SCHEMA_VERSION
         assert d["kind"] == "simulation"
-        assert d["finished"] is True
         assert d["actor_stats"] and d["scheduler_stats"]
 
     def test_analysis_report(self):

