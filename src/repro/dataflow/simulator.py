@@ -30,29 +30,27 @@ it to completion, or raises on a deadlock or at ``max_cycles``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional, Sequence
 
 from repro.dataflow.actor import Actor
 from repro.dataflow.channel import Channel
 from repro.dataflow.scheduler import EventEngine, LockstepEngine
-from repro.errors import CompilationError, ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.report.base import Report
 
 
 def _compiled_engine(sim):
-    """Factory for the ``"compiled"`` engine with event-engine fallback.
+    """Factory for the ``"compiled"`` engine.
 
     Imported lazily: :mod:`repro.compiled` depends on the builder and
     analyzer stacks, which in turn import this module. Armed faults are
     rejected outright (faults perturb interpreted execution, which a
     compiled run never performs); every other reason the graph cannot be
-    lowered surfaces as :class:`~repro.errors.CompilationError` and
-    degrades to the interpreted event engine with a
-    :class:`~repro.compiled.CompiledFallbackWarning`.
+    lowered is the engine constructor's
+    :class:`~repro.errors.CompilationError`, raised to the caller.
     """
-    from repro.compiled import CompiledEngine, CompiledFallbackWarning
+    from repro.compiled import CompiledEngine
 
     if sim.faults is not None:
         raise ConfigurationError(
@@ -60,15 +58,7 @@ def _compiled_engine(sim):
             "the compiled engine executes fused kernels and cannot apply "
             "fault plans"
         )
-    try:
-        return CompiledEngine(sim)
-    except CompilationError as exc:
-        warnings.warn(
-            f"scheduler='compiled' falling back to the event engine: {exc}",
-            CompiledFallbackWarning,
-            stacklevel=3,
-        )
-        return EventEngine(sim)
+    return CompiledEngine(sim)
 
 
 #: Engine name -> engine factory (see :mod:`repro.dataflow.scheduler` for
@@ -138,9 +128,9 @@ class Simulator:
         well-formed graphs.
         ``"compiled"`` lowers verified design graphs to fused vectorized
         kernels (see :mod:`repro.compiled`) — bit-identical outputs and
-        fires, modeled timing — and falls back to ``"event"`` with a
-        :class:`~repro.compiled.CompiledFallbackWarning` when the graph
-        cannot be lowered.
+        fires, modeled timing — or raises
+        :class:`~repro.errors.CompilationError` when the graph cannot be
+        lowered; the interpreted run is a new build asked for ``"event"``.
     design:
         The :class:`~repro.core.network_design.NetworkDesign` this graph
         was elaborated from, when built via :mod:`repro.core.builder`;

@@ -79,11 +79,11 @@ class CompilationError(ReproError):
     """A graph cannot be lowered to the compiled steady-state engine.
 
     Raised by :mod:`repro.compiled` when the strict-only gate fails (no
-    design attached, static verification errors, a tracer attached) or
-    when the lowering meets an actor type / stream-rate pattern it cannot
-    express as a fused kernel. The simulator catches it and falls back to
-    the interpreted event engine with a
-    :class:`repro.compiled.CompiledFallbackWarning`.
+    design attached, static verification errors, a tracer attached, a
+    leading pool), when the lowering meets an actor type or stream rate
+    it cannot express as a fused kernel, or when the host cannot build or
+    load the cores' C object. It reaches the caller of
+    ``scheduler="compiled"`` unchanged: nothing is run in its place.
     """
 
 

@@ -129,14 +129,20 @@ def pilot_design(design: NetworkDesign) -> NetworkDesign:
     )
 
 
-def simulable_design(design: NetworkDesign) -> NetworkDesign:
-    """``design`` itself, if a harness may cycle-simulate it.
+def simulable_design(design: NetworkDesign, scheduler: str) -> NetworkDesign:
+    """``design`` itself, if a harness may simulate it on ``scheduler``.
 
-    An unblocked design above :data:`PILOT_WEIGHT_LIMIT` would take hours
-    of interpreted simulation and raises :class:`ConfigurationError`;
-    block convolution makes a design simulable at full size.
+    On an interpreted engine an unblocked design above
+    :data:`PILOT_WEIGHT_LIMIT` would take hours of simulation and raises
+    :class:`ConfigurationError`; block convolution makes a design
+    simulable at full size. A ``"compiled"`` run spends no such time and
+    is never refused here.
     """
-    if design.weight_count() > PILOT_WEIGHT_LIMIT and not design_is_blocked(design):
+    if (
+        scheduler != "compiled"
+        and design.weight_count() > PILOT_WEIGHT_LIMIT
+        and not design_is_blocked(design)
+    ):
         raise ConfigurationError(
             f"{design.name!r} has {design.weight_count():,} weights and no "
             f"blocked conv layer, too large to cycle-simulate; pass "
@@ -156,8 +162,8 @@ class RunOutcome:
     cycles: int
     finished: bool
     digest: Optional[str]
-    #: The engine that ran (``"event"`` after a compiled fallback); the
-    #: requested one when the run deadlocked before reporting.
+    #: The engine that ran: the one asked for (a compiled run that the
+    #: engine refuses raises :class:`~repro.errors.CompilationError`).
     scheduler: str
     #: The built network that ran (graph, sink, per-channel counters).
     built: BuiltNetwork = field(repr=False)
@@ -251,7 +257,6 @@ def run_built(
             stall_limit=stall_limit, scheduler=scheduler, faults=armed,
         )
         cycles = result.cycles
-        scheduler = str(result.scheduler_stats["scheduler"])
     except DeadlockError as err:
         # Kept for its report, not for where it was raised: the traceback
         # runs through this very frame, whose `deadlock` would close a
@@ -413,7 +418,7 @@ def faultsim(
     execution). ``_clean_cache`` lets the campaign runner share clean
     runs across scenarios.
     """
-    simulable_design(design)
+    simulable_design(design, "event")
     # Shrink targets only exist in the literal SST chains.
     memory_system = "literal" if scenario.has_kind("shrink") else "behavioral"
     run = partial(

@@ -109,8 +109,8 @@ def profile_design(
     Weights and inputs are derived from ``seed`` alone
     (:func:`~repro.core.builder.seeded_batch`, the fault harness's batch,
     so profile and faultsim runs are comparable). The design is simulated
-    as given; one too large to simulate is refused
-    (:func:`~repro.faults.simulable_design`).
+    as given; one too large to simulate on an interpreted ``scheduler``
+    is refused (:func:`~repro.faults.simulable_design`).
     ``sample_every`` attaches the high-resolution
     :class:`~repro.dataflow.trace.Tracer` backend (disables the event
     engine's bulk cycle-skipping; counters are unaffected).
@@ -123,7 +123,7 @@ def profile_design(
     identity is untouched — cutting the pipeline never changes
     productive fire counts.
     """
-    simulable_design(design)
+    simulable_design(design, scheduler)
     built = build_network(
         design,
         random_weights(design, seed=seed),

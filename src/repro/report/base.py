@@ -4,7 +4,7 @@ Every report the toolchain can emit — simulation results, static-analysis
 diagnostics, fault-campaign summaries, profiles — derives from
 :class:`Report` and serialises through the same envelope::
 
-    {"schema_version": 2, "kind": "<report kind>", ...payload...}
+    {"schema_version": 3, "kind": "<report kind>", ...payload...}
 
 The payload is merged at the top level (not nested under a key) so that
 pre-envelope consumers indexing ``d["ok"]`` / ``d["design"]`` keep
@@ -14,7 +14,9 @@ Version 2 removed keys that only a stopped or substituted run could set:
 ``finished`` from ``simulation`` and ``profile`` reports, and
 ``simulated_design`` / ``pilot`` from ``profile``, ``shrink``,
 ``faultsim`` and ``fault-campaign`` reports (a run is always the whole
-run of the design it names).
+run of the design it names). Version 3 removed ``fell_back`` from each
+engine run of ``shard`` reports (an engine that runs is the one asked
+for; a compiled run that cannot be lowered raises instead).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Mapping
 from typing import Any, ClassVar, Dict, Iterator
 
 #: Bump when any report's JSON shape changes incompatibly.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class Report:

@@ -3,8 +3,9 @@
 The object is built by ``cc`` on first use, for this host's instruction
 set only, cached under a name that hashes the source, the flags and the
 object's own bytes, and loaded once per process. A host that cannot
-build it runs the compiled engine's designs on the event engine, with
-the same digests.
+build it refuses the compiled engine's designs with a
+:class:`CompilationError` that names the compiler; the event engine
+still runs them.
 """
 
 import ctypes
@@ -14,14 +15,13 @@ import re
 import subprocess
 import sys
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.compiled import CompiledFallbackWarning, native
+from repro.compiled import native
 from repro.compiled.kernels import k_conv, k_fc, k_pool, k_window
 from repro.config import DTYPE
 from repro.core import (
@@ -81,17 +81,18 @@ def test_no_compiler_falls_back_to_event(monkeypatch, tmp_path, design_fn):
     weights = random_weights(design, 3)
     batch = seeded_batch(design, 3, 2)
     want = build_network(design, weights, batch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", CompiledFallbackWarning)
-        want.run(scheduler="compiled")
+    want.run(scheduler="compiled")
     monkeypatch.setattr(native, "_loaded", None)
     monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
     monkeypatch.setattr(native, "_find_compiler", lambda: None)
-    built = build_network(design, weights, batch)
-    with pytest.warns(CompiledFallbackWarning, match="no C compiler: 'cc'"):
-        got = built.run(scheduler="compiled")
-    assert got.scheduler_stats["scheduler"] == "event"
-    assert stable_digest(built.outputs()) == stable_digest(want.outputs())
+    refused = build_network(design, weights, batch)
+    with pytest.raises(CompilationError, match="no C compiler: 'cc'"):
+        refused.run(scheduler="compiled")
+    assert refused.result is None
+    # The interpreted run needs no compiler and gives the same digest.
+    event = build_network(design, weights, batch)
+    event.run(scheduler="event")
+    assert stable_digest(event.outputs()) == stable_digest(want.outputs())
     # The refusal is remembered, and every kernel refuses the same way.
     actor, views, beats = make_case(1, 1, 3, 32, None)
     with pytest.raises(CompilationError, match="no C compiler"):

@@ -72,9 +72,7 @@ def test_the_factory_imports_only_the_engine():
     ]
     (imp,) = [n for n in ast.walk(factory) if isinstance(n, ast.ImportFrom)]
     assert imp.module == "repro.compiled"
-    assert {a.name for a in imp.names} == {
-        "CompiledEngine", "CompiledFallbackWarning"
-    }
+    assert {a.name for a in imp.names} == {"CompiledEngine"}
 
 
 def test_the_loader_imports_its_tools_lazily():

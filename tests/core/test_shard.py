@@ -98,7 +98,6 @@ class TestZooPlacements:
         for run in report.runs:
             for e in run.engines:
                 assert e.digest_match
-                assert not e.fell_back
                 assert e.core_ii_rel_err == 0.0
                 assert e.interval_error_pct == 0.0
                 if e.engine == "compiled":

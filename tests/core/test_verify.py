@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.compiled import CompiledFallbackWarning
 from repro.core import (
     cifar10_design,
     random_weights,
@@ -13,6 +12,7 @@ from repro.core import (
     extract_weights,
     verify_layerwise,
 )
+from repro.core.builder import BuiltNetwork
 from repro.errors import ConfigurationError
 
 
@@ -34,15 +34,27 @@ class TestVerifyLayerwise:
         assert report.passed
 
     @pytest.mark.parametrize("design_fn", [tiny_design, usps_design, cifar10_design])
-    def test_default_is_compiled_and_matches_event(self, design_fn, rng, recwarn):
-        """The default run compiles (no fallback) and its per-layer errors
-        are the event engine's, bit for bit."""
+    def test_default_is_compiled_and_matches_event(
+        self, design_fn, rng, monkeypatch
+    ):
+        """The default run compiles and its per-layer errors are the event
+        engine's, bit for bit."""
         design = design_fn()
         weights = random_weights(design, seed=2)
         batch = rng.uniform(0, 1, (2,) + design.input_shape).astype(np.float32)
+        ran = []
+        run = BuiltNetwork.run
+
+        def recorded(built, *args, **kwargs):
+            result = run(built, *args, **kwargs)
+            ran.append(result.scheduler_stats["scheduler"])
+            return result
+
+        monkeypatch.setattr(BuiltNetwork, "run", recorded)
         default = verify_layerwise(design, weights, batch)
-        assert not [w for w in recwarn if w.category is CompiledFallbackWarning]
         event = verify_layerwise(design, weights, batch, scheduler="event")
+        n = len(design.placements)
+        assert ran == ["compiled"] * n + ["event"] * n
         assert default.passed and event.passed
         assert ([c.max_abs_error for c in default.checks]
                 == [c.max_abs_error for c in event.checks])

@@ -9,7 +9,14 @@ they go through it. These tests hold them to that.
 import pytest
 
 from repro.analysis.depths import infer_depth_plan, validate_plan
-from repro.core import random_weights, tiny_design, usps_design
+from repro.core import (
+    ConvLayerSpec,
+    FCLayerSpec,
+    NetworkDesign,
+    random_weights,
+    tiny_design,
+    usps_design,
+)
 from repro.core.block_transform import design_is_blocked
 from repro.core.builder import build_network, seeded_batch
 from repro.core.shard import run_shard
@@ -73,9 +80,26 @@ class TestSimulableDesign:
             with pytest.raises(
                 ConfigurationError, match=r"pilot_design\(design\).*with_blocking"
             ):
-                simulable_design(design)
+                simulable_design(design, "event")
         else:
-            assert simulable_design(design) is design
+            assert simulable_design(design, "event") is design
+
+    def test_compiled_runs_are_not_refused(self):
+        # 2,160,640 weights, no conv to block: too big for an interpreted
+        # run, a fraction of a second for a compiled one.
+        design = NetworkDesign("wide-fc", (1, 32, 32), [
+            ConvLayerSpec(name="conv1", in_fm=1, out_fm=4, kh=3),
+            FCLayerSpec(name="fc1", in_fm=3600, out_fm=600),
+        ])
+        assert design.weight_count() == 2_160_640 > PILOT_WEIGHT_LIMIT
+        assert not design_is_blocked(design)
+        assert simulable_design(design, "compiled") is design
+        report = profile_design(design, images=1, scheduler="compiled")
+        assert report.scheduler == "compiled"
+        with pytest.raises(
+            ConfigurationError, match=r"pilot_design\(design\).*with_blocking"
+        ):
+            profile_design(design, images=1, scheduler="event")
 
     def test_faultsim_refuses_the_huge_design(self):
         with pytest.raises(ConfigurationError, match="too large"):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import tiny_design, usps_design
 from repro.core.zoo import alexnet_design
-from repro.errors import ConfigurationError
+from repro.errors import CompilationError, ConfigurationError
 from repro.faults import pilot_design
 from repro.report import SCHEMA_VERSION
 from repro.profiling import (
@@ -86,31 +86,29 @@ class TestReportSurface:
         assert tiny_profile.summary() in text
 
     def test_report_names_the_engine_that_ran(self):
-        # A tracer cannot observe a compiled run, so the simulator falls
-        # back to the event engine; the report must say "event".
-        from repro.compiled import CompiledFallbackWarning
-
-        with pytest.warns(CompiledFallbackWarning):
-            report = profile_design(
+        # A tracer cannot observe a compiled run, so a traced compiled
+        # profile is refused rather than run on another engine.
+        with pytest.raises(CompilationError, match="a tracer is attached"):
+            profile_design(
                 tiny_design(), images=2, seed=0, scheduler="compiled",
                 sample_every=4,
             )
-        assert report.scheduler == "event"
-        assert report.to_dict()["scheduler"] == "event"
-        assert "scheduler : event" in report.format_text()
         compiled = profile_design(
             tiny_design(), images=2, seed=0, scheduler="compiled"
         )
         assert compiled.scheduler == "compiled"
+        assert compiled.to_dict()["scheduler"] == "compiled"
+        assert "scheduler : compiled" in compiled.format_text()
 
     def test_unblocked_full_size_is_refused(self):
-        # An unblocked design above the weight limit is refused, not
-        # swapped; the error names both ways to ask for a simulable one.
+        # An unblocked design above the weight limit is refused on an
+        # interpreted engine, not swapped; the error names both ways to
+        # ask for a simulable one.
         with pytest.raises(
             ConfigurationError, match=r"pilot_design\(design\).*with_blocking"
         ):
             profile_design(
-                alexnet_design(), images=1, seed=0, scheduler="compiled"
+                alexnet_design(), images=1, seed=0, scheduler="event"
             )
         # A downscale asked for by name is just the design.
         pilot = pilot_design(tiny_design())

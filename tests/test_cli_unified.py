@@ -163,6 +163,15 @@ class TestCompiledScheduler:
         assert "compiled" in out
         assert "bottleneck" in out
 
+    def test_profile_compiled_with_tracer_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "profile", "--design", "tiny", "--scheduler", "compiled",
+            "--sample-every", "4",
+        )
+        assert code == 1
+        assert "error: a tracer is attached" in err
+        assert out == ""
+
     def test_flow_compiled_scheduler(self, capsys):
         code, out, _ = run_cli(
             capsys, "flow", "--design", "tiny", "--epochs", "1",
