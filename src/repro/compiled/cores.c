@@ -15,9 +15,12 @@
  * and only these pair sums go to memory; the leaves after the last pair
  * are the aligned subtrees of their count's bits, added in registers right
  * to left, and their sum stays in registers as the last node of every
- * level above, while the pair sums before it pair up in place. Up to MAPS
- * output maps run side by side, so each window vector is loaded once per
- * block of maps; every map's own association is unchanged. A tile's sums,
+ * level above, while the pair sums before it pair up in place. MAPS output
+ * maps run side by side, so each window vector is loaded once per block of
+ * maps; every map's own association is unchanged. Every block is MAPS
+ * wide: a layer's last block ends at its last map and recomputes, without
+ * keeping, the maps the block before it ran, and a layer of fewer than MAPS
+ * maps runs a copy of its weights padded with its last map. A tile's sums,
  * one vector per map, are transposed in registers, 16 maps at a time, into
  * one vector per output row, and each row gets its maps as vector stores.
  * The image walk claims the lines of a tile's rows AHEAD tiles before it
@@ -70,20 +73,21 @@ INLINE vf splat(const float *s)
 #define T4(j) (T2(j) + T2((j) + 2))
 #define T8(j) (T4(j) + T4((j) + 4))
 
-/* The unpadded trees of nb interleaved trees over n nodes in memory, tree
- * b's node i at node[i * nb + b], and a last node t[b] after them, level
- * by level: the nodes pair up in place, and t[b] is added to the node
- * before it where a level is even, or carried where it is odd ("+ 0.0",
- * unless a node below these levels was carried). Their sums end in t. */
-INLINE void spine(vf *t, vf *node, int64_t n, int carried, const int nb)
+/* The unpadded trees of `trees` interleaved trees (a block's MAPS maps, or
+ * fc_chains' one lane tree) over n nodes in memory, tree b's node i at
+ * node[i * trees + b], and a last node t[b] after them, level by level:
+ * the nodes pair up in place, and t[b] is added to the node before it
+ * where a level is even, or carried where it is odd ("+ 0.0", unless a
+ * node below these levels was carried). Their sums end in t. */
+INLINE void spine(vf *t, vf *node, int64_t n, int carried, const int trees)
 {
     for (; n; n >>= 1) {
         for (int64_t i = 0; i < n >> 1; i++)
-            for (int b = 0; b < nb; b++)
-                node[i * nb + b] =
-                    node[2 * i * nb + b] + node[(2 * i + 1) * nb + b];
-        for (int b = 0; b < nb; b++)
-            t[b] = n & 1 ? node[(n - 1) * nb + b] + t[b]
+            for (int b = 0; b < trees; b++)
+                node[i * trees + b] =
+                    node[2 * i * trees + b] + node[(2 * i + 1) * trees + b];
+        for (int b = 0; b < trees; b++)
+            t[b] = n & 1 ? node[(n - 1) * trees + b] + t[b]
                          : carried ? t[b] : t[b] + 0.0f;
         carried |= !(n & 1);
     }
@@ -115,15 +119,15 @@ INLINE int64_t tree_nodes(int64_t K)
         vf v[n];                                                             \
         for (int i = 0; i < (n); i++)                                        \
             v[i] = vec(base, off, k0 + j + i);                               \
-        for (int b = 0; b < nb; b++) {                                       \
+        for (int b = 0; b < MAPS; b++) {                                     \
             const float *wb = w + b * GK + j;                                \
             t[b] = T##n(0) + t[b];                                           \
         }                                                                    \
     }
 
-/* acc[b] + tree_reduce(w_b * x) over the K leaves of one group for the nb
- * maps whose weights are w_b = w + b * GK, leaf k's vector the tile's
- * vector k0 + k; `node` holds tree_nodes(K) * nb vectors.
+/* acc[b] + tree_reduce(w_b * x) over the K leaves of one group for the
+ * MAPS maps whose weights are w_b = w + b * GK, leaf k's vector the tile's
+ * vector k0 + k; `node` holds tree_nodes(K) * MAPS vectors.
  *
  * Each aligned pair of whole blocks of 8 leaves is one level-4 node of the
  * padded tree, summed in registers, and only these sums are stored. The
@@ -138,16 +142,25 @@ INLINE int64_t tree_nodes(int64_t K)
 INLINE void group_trees(vf *restrict acc, vf *restrict node,
                         const char *restrict base, const int64_t *restrict off,
                         int64_t k0, const float *restrict w, int64_t K,
-                        int64_t GK, const int nb)
+                        int64_t GK)
 {
     int64_t n = 0, k = 0;
     for (; k + 16 <= K; k += 16, n++) {
-        vf v[16];
-        for (int j = 0; j < 16; j++)
+        /* T8(0) + T8(8), one block of 8 at a time: 8 window vectors, the
+         * first block's sums and the caller's MAPS sums fit in registers
+         * together; 16 window vectors at once spill. */
+        vf v[8], h[MAPS];
+        for (int j = 0; j < 8; j++)
             v[j] = vec(base, off, k0 + k + j);
-        for (int b = 0; b < nb; b++) {
+        for (int b = 0; b < MAPS; b++) {
             const float *wb = w + b * GK + k;
-            node[n * nb + b] = T8(0) + T8(8);
+            h[b] = T8(0);
+        }
+        for (int j = 0; j < 8; j++)
+            v[j] = vec(base, off, k0 + k + 8 + j);
+        for (int b = 0; b < MAPS; b++) {
+            const float *wb = w + b * GK + k + 8;
+            node[n * MAPS + b] = h[b] + T8(0);
         }
     }
     int64_t R = K - k;
@@ -155,7 +168,7 @@ INLINE void group_trees(vf *restrict acc, vf *restrict node,
     vf t[MAPS];
     if (R) {
         const float pad = carried ? 0.0f : -0.0f;
-        for (int b = 0; b < nb; b++)
+        for (int b = 0; b < MAPS; b++)
             t[b] = splat(&pad);
         SUBTREE(1);
         SUBTREE(2);
@@ -163,33 +176,37 @@ INLINE void group_trees(vf *restrict acc, vf *restrict node,
         SUBTREE(8);
     } else {
         n--;
-        for (int b = 0; b < nb; b++)
-            t[b] = node[n * nb + b];
+        for (int b = 0; b < MAPS; b++)
+            t[b] = node[n * MAPS + b];
     }
-    spine(t, node, n, carried, nb);
-    for (int b = 0; b < nb; b++)
+    spine(t, node, n, carried, MAPS);
+    for (int b = 0; b < MAPS; b++)
         acc[b] += t[b];
 }
 
-/* Groups [0, gn) of the nb maps whose sums are acc[0..nb): group g's
+/* Groups [0, gn) of the MAPS maps whose sums are acc[0..MAPS): group g's
  * leaves are the tile's vectors k0 + g * K + k, its weight rows at
- * w + g * K, one every GK floats. */
+ * w + g * K, one every GK floats. The first `skip` maps keep their sums:
+ * the block before this one ran them over these groups already. */
 INLINE void map_block(vf *acc, vf *node, const char *base, const int64_t *off,
                       int64_t k0, const float *w, int64_t gn, int64_t GK,
-                      int64_t K, const int nb)
+                      int64_t K, int64_t skip)
 {
     vf a[MAPS];
-    for (int b = 0; b < nb; b++)
+    for (int b = 0; b < MAPS; b++)
         a[b] = acc[b];
     for (int64_t g = 0; g < gn; g++)
-        group_trees(a, node, base, off, k0 + g * K, w + g * K, K, GK, nb);
-    for (int b = 0; b < nb; b++)
-        acc[b] = a[b];
+        group_trees(a, node, base, off, k0 + g * K, w + g * K, K, GK);
+    /* One test per map, not a loop from skip: the sums stay in registers. */
+    for (int b = 0; b < MAPS; b++)
+        if (b >= skip)
+            acc[b] = a[b];
 }
 
 /* acc[o] = bias[o] + the group chain of map o's trees over one tile, whose
- * window vector (g, k) is at base + off[g * K + k] (see vec). Both walks
- * run this one body. */
+ * window vector (g, k) is at base + off[g * K + k] (see vec), for no maps
+ * or at least MAPS (conv_tree pads a layer of fewer). Both walks run this
+ * one body. */
 INLINE void tile(vf *acc, vf *node, const char *base, const int64_t *off,
                  const float *w, const float *bias, int64_t G, int64_t K,
                  int64_t O)
@@ -201,15 +218,12 @@ INLINE void tile(vf *acc, vf *node, const char *base, const int64_t *off,
         acc[o] = splat(bias + o);
     for (int64_t g0 = 0; g0 < G; g0 += chunk) {
         int64_t gn = G - g0 < chunk ? G - g0 : chunk;
+        /* A last block of fewer than MAPS maps moves back to end at map
+         * O, over maps the block before it ran, whose sums it leaves. */
         for (int64_t o = 0; o < O; o += MAPS) {
-            const float *wg = w + (o * G + g0) * K;
-#define MAP_BLOCK(nb) \
-    case nb: map_block(acc + o, node, base, off, g0 * K, wg, gn, G * K, K, \
-                       nb); break
-            switch (O - o < MAPS ? O - o : MAPS) {
-            MAP_BLOCK(1); MAP_BLOCK(2); MAP_BLOCK(3);
-            MAP_BLOCK(4); MAP_BLOCK(5); MAP_BLOCK(6);
-            }
+            int64_t b0 = O - o < MAPS ? O - MAPS : o;
+            map_block(acc + b0, node, base, off, g0 * K,
+                      w + (b0 * G + g0) * K, gn, G * K, K, o - b0);
         }
     }
 }
@@ -405,19 +419,29 @@ INLINE void own_rows(const float *out, int64_t O, int64_t first,
     }
 }
 
+/* Maps conv_tree runs for O output maps: a layer of fewer than MAPS runs
+ * one whole block. */
+static int64_t maps_run(int64_t O)
+{
+    return O && O < MAPS ? MAPS : O;
+}
+
 /* Floats of scratch conv_tree needs for the same geometry: the image
  * walk's copy of one block of LANES images or the coordinate walk's
  * gathered windows, whichever is larger (one walk follows the other); the
- * tree nodes of one block of maps; the sums; the image walk's G * K window
- * offsets (int64); and LANES floats to align them. */
+ * tree nodes of one block of maps; the sums of maps_run(O) maps; the image
+ * walk's G * K window offsets (int64); for fewer than MAPS maps, the
+ * weights and biases of MAPS maps; and LANES floats to align them. */
 int64_t conv_scratch(const int64_t *strides, int64_t n_ports, int64_t images,
                      int64_t rows, int64_t cols, int64_t G, int64_t kh,
                      int64_t kw, int64_t O)
 {
     int64_t K = n_ports * kh * kw,
             F = image_floats(strides, n_ports, images, rows, cols, G, kh, kw);
-    return ((F > G * K ? F : G * K) + tree_nodes(K) * MAPS + O + 1) * LANES +
-           2 * G * K;
+    int64_t vectors = (F > G * K ? F : G * K) + tree_nodes(K) * MAPS +
+                      maps_run(O) + 1;
+    return vectors * LANES + 2 * G * K +
+           (maps_run(O) > O ? MAPS * (G * K + 1) : 0);
 }
 
 /* out[lane, o] for every lane (images x rows x cols, row-major) and
@@ -444,7 +468,19 @@ void conv_tree(const float *const *ports, const int64_t *strides,
             walked = F ? images / LANES * C : 0;
     vf *x = (vf *)(((uintptr_t)scratch + sizeof(vf) - 1) & -sizeof(vf));
     vf *node = x + (F > G * K ? F : G * K), *acc = node + tree_nodes(K) * MAPS;
-    int64_t *off = (int64_t *)(acc + O);
+    int64_t *off = (int64_t *)(acc + maps_run(O));
+    /* Fewer than MAPS maps run a copy of the weights and biases, its maps
+     * past the last a copy of the last; their sums are never stored. */
+    if (maps_run(O) > O) {
+        float *wp = (float *)(off + G * K), *bp = wp + MAPS * G * K;
+        for (int64_t o = 0; o < MAPS; o++) {
+            int64_t from = o < O ? o : O - 1;
+            memcpy(wp + o * G * K, w + from * G * K, G * K * sizeof(float));
+            bp[o] = bias[from];
+        }
+        w = wp;
+        bias = bp;
+    }
     /* The image walk's offsets: port p's copy starts after the extents of
      * the ports before it. */
     for (int64_t p = 0, at = 0; walked && p < n_ports; p++) {
@@ -473,7 +509,7 @@ void conv_tree(const float *const *ports, const int64_t *strides,
             tile(acc, node,
                  (const char *)x +
                      LANES * (c / cols * strides[1] + c % cols * strides[2]),
-                 off, w, bias, G, K, O);
+                 off, w, bias, G, K, maps_run(O));
             first = i0 * C + c;
             step = C;
             n = LANES;
@@ -485,7 +521,8 @@ void conv_tree(const float *const *ports, const int64_t *strides,
             first = i * LANES;
             gather(x, ports, strides, n_ports, first, lanes, rows, cols, G,
                    kh, kw);
-            tile(acc, node, (const char *)x, NULL, w, bias, G, K, O);
+            tile(acc, node, (const char *)x, NULL, w, bias, G, K,
+                 maps_run(O));
             step = 1;
             n = lanes - first < LANES ? lanes - first : LANES;
             end = lanes * O;

@@ -17,8 +17,9 @@ and the conv kernel against the per-coordinate formulation of
 walks, special values, every tree width from 1 to 136
 (``TestEveryTreeWidth``) and the largest zoo shapes — every case fed both
 the ``k_window`` views and the gathered ``(n, kh, kw)`` beat stacks of
-the same pixels. ``TestOverRead`` runs both walks' reads up to a guard
-page, ``TestOverWrite`` their transposed stores, and
+the same pixels. ``TestOverRead`` runs both walks' reads of the pixels,
+the weight and the bias up to a guard page, ``TestOverWrite`` their
+transposed stores, and
 ``TestOutputAllocation`` checks that ``k_conv`` and ``k_fc`` apply the
 activation in place.
 """
@@ -390,6 +391,17 @@ class TestConvKernelMapBlocks:
         )
         assert_both_forms_bit_equal(actor, views, beats)
 
+    @pytest.mark.parametrize("out_fm", OUT_FMS)
+    def test_every_remainder_across_two_group_chunks(self, out_fm):
+        # K = 9, 30 groups: chunks of 28 groups and 2, every block of maps
+        # through the first chunk before the second, so a last block that
+        # ends at the last map runs over maps the block before it already
+        # summed in each chunk.
+        actor, views, beats = make_case(
+            1, 1, 3, 40, "tanh", seed=out_fm, groups=30, out_fm=out_fm
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
     @pytest.mark.parametrize(
         "in_ports,k", [(1, 1), (8, 1), (1, 3)], ids=["K1", "K8", "K9"]
     )
@@ -641,6 +653,15 @@ class TestConvImageWalk:
         )
         assert_both_forms_bit_equal(actor, views, beats)
 
+    @pytest.mark.parametrize("out_fm", OUT_FMS)
+    def test_every_remainder_across_two_group_chunks(self, out_fm):
+        # TestConvKernelMapBlocks' two chunks of groups over 32 images.
+        actor, views, beats = make_case(
+            1, 1, 3, 32 * 6, "tanh", seed=out_fm, images=32, groups=30,
+            out_fm=out_fm,
+        )
+        assert_both_forms_bit_equal(actor, views, beats)
+
     @pytest.mark.parametrize("out_fm", [1, 12, 16, 36])
     @pytest.mark.parametrize("images", [16, 33])
     def test_every_tile_at_the_images_last_coordinate(self, images, out_fm):
@@ -744,6 +765,28 @@ def run_up_to_a_guard_page(images):
     assert_both_forms_bit_equal(actor, views, beats)
 
 
+def run_weights_up_to_a_guard_page(n_lanes, images):
+    """Both forms of a case for every count in :data:`OUT_FMS` whose
+    weight and bias each end on a guard page: no map block reads a map
+    past the layer's last (this runs in a child process: an over-read
+    kills it)."""
+    for out_fm in OUT_FMS:
+        actor, views, beats = make_case(
+            2, 1, 3, n_lanes, "tanh", seed=out_fm, images=images,
+            out_fm=out_fm,
+        )
+        weight = before_guard_page(actor.weight.reshape(-1))
+        bias = before_guard_page(actor.bias)
+        actor = ConvCoreActor(
+            "core", weight.reshape(actor.weight.shape), bias, 2, 1,
+            n_coords=actor.n_coords, images=images, activation="tanh",
+        )
+        assert np.shares_memory(actor.weight, weight)
+        assert np.shares_memory(actor.bias, bias)
+        assert_both_forms_bit_equal(actor, views, beats)
+    print("read", flush=True)
+
+
 def in_child(code):
     return subprocess.run(
         [sys.executable, "-c", code],
@@ -760,7 +803,10 @@ class TestOverRead:
     """The last image's windows end on the last pixel, so the image walk's
     copy (16 images) and the coordinate walk's gather (3, and the 17th
     image of 17) each read up to the end of a pixel stream placed right
-    before a page that faults on any access."""
+    before a page that faults on any access. The weight and the bias end
+    on such a page too, for every map count: a last block of maps ends at
+    the layer's last map, and a layer of fewer than a block reads only
+    its own maps."""
 
     def test_the_guard_page_faults(self):
         # The placement is exact: the last float reads, one more faults.
@@ -785,6 +831,18 @@ class TestOverRead:
             f"run_up_to_a_guard_page({images})\n"
         )
         assert proc.returncode == 0, proc.stderr
+
+    # The map-block remainder cases of both walks: 40 lanes of 2 images
+    # (coordinate walk), 32 images of 6 coordinates (image walk).
+    @pytest.mark.parametrize("n_lanes,images", [(40, 2), (32 * 6, 32)])
+    def test_kernel_reads_weights_up_to_the_page(self, n_lanes, images):
+        proc = in_child(
+            "from tests.compiled.test_kernels_conv import "
+            "run_weights_up_to_a_guard_page\n"
+            f"run_weights_up_to_a_guard_page({n_lanes}, {images})\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "read\n"
 
 
 def store_up_to_a_guard_page(images):
