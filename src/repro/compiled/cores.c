@@ -426,6 +426,14 @@ static int64_t maps_run(int64_t O)
     return O && O < MAPS ? MAPS : O;
 }
 
+/* LANES, the image walk's block of images: k_conv splits a call's images
+ * among threads only at whole blocks (native.split_images), so every
+ * thread's call walks its images as the whole call would. */
+int64_t lanes(void)
+{
+    return LANES;
+}
+
 /* Floats of scratch conv_tree needs for the same geometry: the image
  * walk's copy of one block of LANES images or the coordinate walk's
  * gathered windows, whichever is larger (one walk follows the other); the

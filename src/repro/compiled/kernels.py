@@ -68,6 +68,21 @@ kept by reproducing the per-beat association order exactly:
   place, to the output their C pass filled (``actor._act(out, out=out)``),
   so a call allocates one output-sized array.
 
+Only ``k_conv`` uses both CPUs of a two-CPU host. A call of two or more
+whole blocks of 16 images is cut at whole blocks, one part per CPU of the
+process's affinity set (the images past the last whole block go to the
+last part), and each part runs ``conv_tree`` on its images with its own
+scratch, then the activation on its own rows of the output, on a worker
+thread pinned to its CPU (:func:`repro.compiled.native.split_images`;
+unpinned, the second thread was woken on the busy CPU and ran after the
+first). Each image's trees, group chains and walk do not depend on the
+other images, so no bit moves. Every other call, TC2's 12-image serve
+batches and every call of fewer than 32 images included, runs as one
+part on the caller's thread. ``k_pool`` and ``k_fc`` stay on the
+caller's thread: their calls take a few handoffs' worth of time, and the
+pool would read conv output that the other CPU wrote. A forked child
+starts its own workers.
+
 Kernels validate stream lengths against the extracted schedule as they
 go; a mismatch is a :class:`~repro.errors.CompilationError` (the graph
 was not in steady state after all).
@@ -282,22 +297,31 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     # The actor's own C-ordered float32 weight, read in place as
     # (OUT_FM, G, K), K = P*kh*kw the tree width.
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
-    bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
     strides = np.array([p.strides for p in ports], dtype=np.int64)
-    # The geometry conv_tree walks; cores.c alone decides how, and sizes
-    # the scratch for it.
-    geometry = (
-        strides.ctypes.data, actor.in_ports, *ports[0].shape[:3], groups,
-        actor.kh, actor.kw, actor.out_fm,
-    )
-    scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
+    images, rows, cols = ports[0].shape[:3]
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
-    cores.conv_tree(
-        bases.ctypes.data, *geometry, actor.weight.ctypes.data,
-        bias.ctypes.data, out.ctypes.data, scratch.ctypes.data,
-    )
-    # In place: the op holds one output-sized array, not two.
-    actor._act(out, out=out)
+
+    def run(i0, i1):
+        # Images [i0, i1): their windows, their own scratch and their own
+        # rows of out. The geometry conv_tree walks; cores.c alone decides
+        # how, and sizes the scratch for it.
+        bases = np.array(
+            [p.ctypes.data + i0 * p.strides[0] for p in ports], dtype=np.uintp
+        )
+        geometry = (
+            strides.ctypes.data, actor.in_ports, i1 - i0, rows, cols, groups,
+            actor.kh, actor.kw, actor.out_fm,
+        )
+        scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
+        part = out[i0 * rows * cols : i1 * rows * cols]
+        cores.conv_tree(
+            bases.ctypes.data, *geometry, actor.weight.ctypes.data,
+            bias.ctypes.data, part.ctypes.data, scratch.ctypes.data,
+        )
+        # In place: the op holds one output-sized array, not two.
+        actor._act(part, out=part)
+
+    native.split_images(run, images)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
     return {

@@ -18,6 +18,12 @@ written under a temporary name and renamed into place, so concurrent
 builders never expose a partial file. It is loaded with :mod:`ctypes`,
 whose calls release the GIL.
 
+:func:`split_images` runs a ``k_conv`` call's images on every CPU of the
+process's affinity set, cut at whole blocks of 16 images, so each image
+takes the walk it takes in one call and no bit moves; its docstring says
+which calls split, why its worker threads are pinned, and what a forked
+child (serve's replicas) does with them.
+
 Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
 :class:`~repro.errors.CompilationError`; the compiled engine raises it
@@ -70,7 +76,7 @@ def cores():
     (``conv_tree``'s geometry arguments: strides, ports, images, rows,
     cols, G, kh, kw, O), ``.fc_scratch(images, acc_lanes)`` and
     ``.pool_scratch`` (``max_pool``'s: strides, images, rows, cols, G,
-    kh, kw).
+    kh, kw); ``.lanes()`` is the image walk's block of images.
 
     Builds (once per cache) and loads (once per process) on first use;
     a refusal is remembered and raised again as a fresh
@@ -89,6 +95,80 @@ def cores():
     if isinstance(_loaded, str):
         raise CompilationError(_loaded)
     return _loaded
+
+
+#: The split workers (:func:`split_images`): per CPU, an executor of one
+#: thread pinned to that CPU, made at the first split that uses it.
+_workers: dict = {}
+_workers_lock = threading.Lock()
+
+
+def _forget_workers() -> None:
+    """In a forked child: the parent's worker threads were not copied, and
+    an executor that still counts its thread as idle would queue work for
+    it forever, so the child makes its own workers on first use."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = {}, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _worker(cpu: int):
+    with _workers_lock:
+        pool = _workers.get(cpu)
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = _workers[cpu] = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=f"repro-cpu{cpu}",
+                initializer=os.sched_setaffinity, initargs=(0, {cpu}),
+            )
+    return pool
+
+
+def split_images(call, images: int, cpus=None) -> None:
+    """Run ``call(i0, i1)`` over the images ``[0, images)`` on up to one
+    thread per CPU, and return when every part has run.
+
+    The range is cut at whole blocks of ``cores().lanes()`` images, the
+    conv pass's image block: one part per CPU of ``cpus`` (a list, which
+    may repeat a CPU; default: this process's affinity set), at most one
+    part per whole block, and the images past the last whole block in
+    the last part. So a call of fewer than two blocks, or with one CPU,
+    runs ``call(0, images)`` inline and starts no thread. Otherwise part
+    ``k`` runs on the worker thread of ``cpus[k]``, pinned to that CPU,
+    while the caller waits: unpinned, a 2-vCPU KVM guest's scheduler
+    woke a second thread on the CPU that was already busy, and the parts
+    ran one after the other. Only the workers are pinned, never the caller.
+    Every part runs to its end before an exception one of them raised
+    reaches the caller. Workers start at the first split, and a forked
+    child drops its parent's (:func:`_forget_workers`). ``k_conv`` is the
+    one caller; ``k_pool`` and ``k_fc`` stay serial, since their calls
+    take a few handoffs' worth of time.
+    """
+    if cpus is None:
+        cpus = (
+            sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else []
+        )
+    lanes = cores().lanes()
+    blocks = images // lanes
+    parts = min(len(cpus), blocks)
+    if parts < 2:
+        call(0, images)
+        return
+    from concurrent.futures import wait
+
+    cuts = [k * blocks // parts * lanes for k in range(parts)] + [images]
+    futures = [
+        _worker(cpu).submit(call, i0, i1)
+        for cpu, i0, i1 in zip(cpus, cuts, cuts[1:])
+    ]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _cache_dir() -> Path:
@@ -176,7 +256,7 @@ def _open(path: Path):
         lib = ctypes.CDLL(str(path))
         conv, fc, pool = lib.conv_tree, lib.fc_chains, lib.max_pool
         conv_scratch, fc_scratch = lib.conv_scratch, lib.fc_scratch
-        pool_scratch = lib.pool_scratch
+        pool_scratch, lanes = lib.pool_scratch, lib.lanes
     except (OSError, AttributeError) as exc:
         raise CompilationError(f"cannot load {path.name}: {exc}") from None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
@@ -188,8 +268,9 @@ def _open(path: Path):
     conv_scratch.argtypes = [ptr] + [i64] * 8
     fc_scratch.argtypes = [i64] * 2
     pool_scratch.argtypes = [ptr] + [i64] * 6
+    lanes.restype, lanes.argtypes = i64, []
     return SimpleNamespace(
         conv_tree=conv, fc_chains=fc, max_pool=pool,
         conv_scratch=conv_scratch, fc_scratch=fc_scratch,
-        pool_scratch=pool_scratch,
+        pool_scratch=pool_scratch, lanes=lanes,
     )

@@ -300,9 +300,10 @@ def test_every_export_declares_its_c_prototype():
     and its default ``restype`` is ``int``. Every function ``cores()``
     exposes declares the argument and result types of its prototype in
     ``cores.c`` (a pointer is ``c_void_p``, an ``int64_t`` ``c_int64``),
-    and every function ``cores.c`` exports is exposed."""
+    and every function ``cores.c`` exports is exposed (a ``(void)``
+    prototype takes no argument)."""
     prototypes = {
-        name: (result, params.split(","))
+        name: (result, [] if params == "void" else params.split(","))
         for result, name, params in re.findall(
             r"^(void|int64_t) (\w+)\(([^)]*)\)", native.SOURCE.read_text(), re.M
         )

@@ -4,7 +4,9 @@ Their arithmetic lives in ``repro.core``, ``repro.dataflow``, ``repro.sst``
 and ``repro.hls`` and must never reach ``repro.compiled`` (its C conv
 kernel included): the three-way digests compare two implementations, not
 one twice. The one sanctioned edge is the engine factory that builds a
-``CompiledEngine`` when ``scheduler="compiled"`` is asked for.
+``CompiledEngine`` when ``scheduler="compiled"`` is asked for. Nor do
+the interpreted engines share the compiled engine's worker threads: they
+run on their caller's thread alone.
 """
 
 import ast
@@ -98,3 +100,28 @@ def test_importing_the_cli_loads_no_compiled_module():
         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_the_interpreted_engines_start_no_thread():
+    # A fresh process runs TC2 at batch 64, where a compiled op's conv
+    # passes split over the CPUs, on both interpreted engines: they call
+    # no kernel, so they load no compiled module and start no thread.
+    code = (
+        "import sys, threading\n"
+        "from repro.core import cifar10_design, random_weights\n"
+        "from repro.core.builder import build_network, seeded_batch\n"
+        "design = cifar10_design()\n"
+        "weights = random_weights(design, 1)\n"
+        "batch = seeded_batch(design, 1, 64)\n"
+        "before = threading.active_count()\n"
+        "for scheduler in ('event', 'lockstep'):\n"
+        "    build_network(design, weights, batch).run(scheduler=scheduler)\n"
+        "    print(scheduler, before, threading.active_count(),\n"
+        "          'repro.compiled.native' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=300,
+    ).stdout
+    assert out.split("\n")[:2] == ["event 1 1 False", "lockstep 1 1 False"]
