@@ -8,7 +8,7 @@ attribution, while running orders of magnitude faster. See DESIGN.md
 section 12.
 """
 
-from repro.compiled.engine import CompiledEngine
+from repro.compiled.engine import CompiledEngine, check_design
 from repro.compiled.plan_cache import (
     CompiledPlan,
     PlanCache,
@@ -23,6 +23,7 @@ __all__ = [
     "CompilationError",
     "CompiledPlan",
     "PlanCache",
+    "check_design",
     "clear_plan_cache",
     "design_digest",
     "plan_cache_stats",

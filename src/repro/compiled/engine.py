@@ -62,6 +62,37 @@ from repro.profiling.synthesis import (
 )
 
 
+def check_design(design) -> None:
+    """Raise the :class:`CompilationError` with which the engine refuses
+    ``design`` whatever the batch: a leading pool stage, a host that
+    cannot build or load the cores' C object (a design with a conv or FC
+    layer), or a design that fails static verification. The engine runs
+    it on every plan-cache miss; ``ReplicaFleet`` runs it when it is
+    made, so serve refuses such a design before it starts a replica.
+    """
+    first = design.placements[0].spec
+    if first.kind == "pool":
+        # Values would be right and the interval too, but a compiled
+        # run's cycles are core/perf_model.py's, and its fill recursion
+        # runs 16-31 % long on pool-first designs (1x8x8 -> pool 2x2/s2
+        # -> fc 16->4: first completion at 147, 127 on the event
+        # engine; DESIGN.md section 12 has the cause).
+        raise CompilationError(
+            f"design {design.name!r} starts with pool layer "
+            f"{first.name!r}; the compiled engine's fill-latency model "
+            f"is not exact for a leading pool stage"
+        )
+    if any(p.spec.kind in ("conv", "fc") for p in design.placements):
+        native.cores()
+    report = analyze_design(design)
+    if not report.ok:
+        raise CompilationError(
+            f"design {design.name!r} fails static verification "
+            f"(error rule(s) [{', '.join(report.error_rules())}]); "
+            f"only designs that pass `repro check` compile"
+        )
+
+
 class CompiledEngine:
     """Steady-state execution of one verified design graph.
 
@@ -108,21 +139,9 @@ class CompiledEngine:
 
         The solved plan is cached per (digest, stream geometry, graph
         structure) — see :mod:`repro.compiled.plan_cache`. A plan miss
-        runs the static verifier first; a design that fails it raises the
+        runs :func:`check_design` first; a design it refuses raises the
         same :class:`CompilationError` on every attempt.
         """
-        first = design.placements[0].spec
-        if first.kind == "pool":
-            # Values would be right and the interval too, but a compiled
-            # run's cycles are core/perf_model.py's, and its fill recursion
-            # runs 16-31 % long on pool-first designs (1x8x8 -> pool 2x2/s2
-            # -> fc 16->4: first completion at 147, 127 on the event
-            # engine; DESIGN.md section 12 has the cause).
-            raise CompilationError(
-                f"design {design.name!r} starts with pool layer "
-                f"{first.name!r}; the compiled engine's fill-latency model "
-                f"is not exact for a leading pool stage"
-            )
         if any(type(a) in (ConvCoreActor, FCCoreActor) for a in sim.actors):
             native.cores()  # built once per cache, loaded once per process
         overhead = max(
@@ -141,13 +160,7 @@ class CompiledEngine:
         )
         plan = GLOBAL_PLAN_CACHE.get_plan(key)
         if plan is None:
-            report = analyze_design(design)
-            if not report.ok:
-                raise CompilationError(
-                    f"design {design.name!r} fails static verification "
-                    f"(error rule(s) [{', '.join(report.error_rules())}]); "
-                    f"only designs that pass `repro check` compile"
-                )
+            check_design(design)
             schedule = extract_schedule(
                 sim.actors, sim.channels, design, multi_plan=multi_plan
             )
@@ -166,7 +179,7 @@ class CompiledEngine:
                 f"{sched.cycles} modeled cycles, exceeding "
                 f"max_cycles={max_cycles}"
             )
-        run_kernels(self._actors, self._in_ports, self._out_ports, sched.order)
+        run_kernels(self._actors, self._in_ports, self._out_ports, sched)
         # Modeled output timing: each image's last beat lands at its
         # perf-model completion cycle, earlier beats back-to-back.
         # interval >= per-image output beats, so images never overlap.

@@ -68,30 +68,32 @@ kept by reproducing the per-beat association order exactly:
   place, to the output their C pass filled (``actor._act(out, out=out)``),
   so a call allocates one output-sized array.
 
-Only ``k_conv`` uses both CPUs of a two-CPU host. A call of two or more
-whole blocks of 16 images is cut at whole blocks, one part per CPU of the
-process's affinity set (the images past the last whole block go to the
-last part), and each part runs ``conv_tree`` on its images with its own
-scratch, then the activation on its own rows of the output, on a worker
-thread pinned to its CPU (:func:`repro.compiled.native.split_images`;
-unpinned, the second thread was woken on the busy CPU and ran after the
-first). Each image's trees, group chains and walk do not depend on the
-other images, so no bit moves. Every other call, TC2's 12-image serve
-batches and every call of fewer than 32 images included, runs as one
-part on the caller's thread. ``k_pool`` and ``k_fc`` stay on the
-caller's thread: their calls take a few handoffs' worth of time, and the
-pool would read conv output that the other CPU wrote. A forked child
+A run uses every CPU of the process's affinity set, cut once
+(:func:`run_kernels`). The images are cut at whole blocks of 16, one
+part per CPU (the images past the last whole block go to the last
+part), and each part runs the whole kernel chain on its own images, on
+a worker thread pinned to its CPU
+(:func:`repro.compiled.native.split_images`; unpinned, the second thread
+was woken on the busy CPU and ran after the first). So every kernel
+reads what its own CPU wrote, and the run pays one handoff. Every
+kernel takes an optional :class:`Part`, the images it runs; without
+one it runs the whole batch, as every kernel of an uncut run does: a
+run of fewer than 32 images (TC2's 12-image serve batches, batch 1) or
+on one CPU runs as one part on the caller's thread. Each image's
+values do not depend on the other images, and every conv image takes
+the walk it takes in one whole call, so no bit moves. A forked child
 starts its own workers.
 
-Kernels validate stream lengths against the extracted schedule as they
-go; a mismatch is a :class:`~repro.errors.CompilationError` (the graph
-was not in steady state after all).
+Kernels validate stream lengths (a part's: its share of the run's)
+against the extracted schedule as they go; a mismatch is a
+:class:`~repro.errors.CompilationError` (the graph was not in steady
+state after all).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -109,6 +111,26 @@ from repro.sst.block import BlockMergeActor, BlockSplitActor
 from repro.sst.line_buffer import SlidingWindowActor
 
 Streams = Dict[str, np.ndarray]
+
+
+class Part(NamedTuple):
+    """Images ``[i0, i1)`` of a compiled run of ``images`` images: what
+    one CPU runs of the whole kernel chain (:func:`run_kernels`). A
+    kernel called without one runs the whole batch."""
+
+    i0: int
+    i1: int
+    images: int
+    #: The sinks' whole outputs, by sink name, shared by the run's parts:
+    #: each part's sink kernel writes its own rows.
+    received: Dict[str, np.ndarray]
+
+
+def _share(total: int, part: Optional[Part]) -> int:
+    """The part's share of ``total``, a count over the whole run (every
+    stream carries the same count per image; a blocked layer's tiles are
+    whole multiples of the images)."""
+    return total if part is None else total // part.images * (part.i1 - part.i0)
 
 
 def _expect(actor_name: str, what: str, got: int, want: int) -> None:
@@ -138,45 +160,65 @@ def _n_windows(arr: np.ndarray) -> int:
     return math.prod(arr.shape[:-2])
 
 
-def k_source(actor: ArraySource, ins: Streams) -> Streams:
+def k_source(actor: ArraySource, ins: Streams, part: Optional[Part] = None) -> Streams:
     # No kernel writes into its input streams, so the caller's array can
-    # be streamed as is instead of being rebuilt from the per-beat list.
+    # be streamed as is instead of being rebuilt from the per-beat list;
+    # a part streams its images' slice of it (the stream is image-major).
     arr = actor.array
-    return {actor.port: np.asarray(actor.values) if arr is None else arr}
+    arr = np.asarray(actor.values) if arr is None else arr
+    if part is not None:
+        per_image = len(arr) // part.images
+        arr = arr[part.i0 * per_image : part.i1 * per_image]
+    return {actor.port: arr}
 
 
-def k_sink(actor: ListSink, ins: Streams) -> Streams:
+def k_sink(actor: ListSink, ins: Streams, part: Optional[Part] = None) -> Streams:
     arr = _beats(ins[actor.port])
     if actor.count is not None:
-        _expect(actor.name, "sink input", len(arr), actor.count)
+        _expect(actor.name, "sink input", len(arr), _share(actor.count, part))
     # received becomes one float32 array, a row per beat (the interpreted
     # engines append the beats one by one). A copy: the stream itself is
     # freed once its reader has run, like every other stream.
-    actor.received = np.array(arr, dtype=DTYPE)
+    if part is None:
+        actor.received = np.array(arr, dtype=DTYPE)
+        return {}
+    # A part writes its rows of the run's one array, which the first part
+    # to get here makes; run_kernels hands it to the sink once every part
+    # has ended.
+    rows = len(arr) // (part.i1 - part.i0)
+    whole = part.received.setdefault(
+        actor.name, np.empty((rows * part.images,) + arr.shape[1:], DTYPE)
+    )
+    whole[part.i0 * rows : part.i1 * rows] = arr
     return {}
 
 
-def k_link(actor, ins: Streams) -> Streams:
+def k_link(actor, ins: Streams, part: Optional[Part] = None) -> Streams:
     # LinkTx/LinkRx move words unchanged; their bandwidth pacing lives
     # entirely in the schedule's timing frame.
     return {"out": ins["in"]}
 
 
-def _cyclic_sources(schedule: List[int], n: int) -> np.ndarray:
+def _cyclic_sources(
+    schedule: List[int], n: int, part: Optional[Part] = None
+) -> np.ndarray:
+    """The schedule's entry for each of ``n`` beats; a part's first beat
+    takes the entry of the beats before its first image."""
+    start = 0 if part is None else n // (part.i1 - part.i0) * part.i0
     sched = np.asarray(schedule, dtype=np.int64)
-    return sched[np.arange(n, dtype=np.int64) % len(sched)]
+    return sched[(np.arange(n, dtype=np.int64) + start) % len(sched)]
 
 
-def k_demux(actor: ScheduleDemux, ins: Streams) -> Streams:
+def k_demux(actor: ScheduleDemux, ins: Streams, part: Optional[Part] = None) -> Streams:
     arr = _beats(ins[actor.src])
-    dst = _cyclic_sources(actor.schedule, len(arr))
+    dst = _cyclic_sources(actor.schedule, len(arr), part)
     return {f"out{i}": arr[dst == i] for i in range(actor.n_outputs)}
 
 
-def k_interleave(actor: Interleaver, ins: Streams) -> Streams:
+def k_interleave(actor: Interleaver, ins: Streams, part: Optional[Part] = None) -> Streams:
     lanes = [_beats(ins[f"in{i}"]) for i in range(actor.n_inputs)]
     n = sum(len(l) for l in lanes)
-    src = _cyclic_sources(actor.schedule, n)
+    src = _cyclic_sources(actor.schedule, n, part)
     first = next((l for l in lanes if len(l)), None)
     if first is None:
         return {actor.dst: np.empty(0, dtype=DTYPE)}
@@ -191,14 +233,15 @@ def k_interleave(actor: Interleaver, ins: Streams) -> Streams:
 # -- memory structure ----------------------------------------------------
 
 
-def k_window(actor: SlidingWindowActor, ins: Streams) -> Streams:
+def k_window(actor: SlidingWindowActor, ins: Streams, part: Optional[Part] = None) -> Streams:
     spec = actor.spec
-    n_in = actor.images * actor.h * actor.w * actor.group
+    images = _share(actor.images, part)
+    n_in = images * actor.h * actor.w * actor.group
     arr = np.ascontiguousarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "pixel stream", len(arr), n_in)
     # The raster-ordered FM-minor stream *is* the (images, h, w, group)
     # pixel array; only padding copies it (once, not kh*kw times).
-    px = arr.reshape(actor.images, actor.h, actor.w, actor.group)
+    px = arr.reshape(images, actor.h, actor.w, actor.group)
     if spec.pad:
         px = np.pad(px, ((0, 0), (spec.pad,) * 2, (spec.pad,) * 2, (0, 0)))
     s = spec.stride
@@ -215,24 +258,25 @@ def k_window(actor: SlidingWindowActor, ins: Streams) -> Streams:
     # emission order: coordinate-major, FM-minor.
     si, sy, sx, sg = px.strides
     wins = np.ndarray(
-        (actor.images, out_h, out_w, actor.group, spec.kh, spec.kw), DTYPE,
+        (images, out_h, out_w, actor.group, spec.kh, spec.kw), DTYPE,
         px, 0, (si, sy * s, sx * s, sg, sy, sx),
     )
     wins.flags.writeable = False
     return {"out": wins}
 
 
-def k_block_split(actor: BlockSplitActor, ins: Streams) -> Streams:
+def k_block_split(actor: BlockSplitActor, ins: Streams, part: Optional[Part] = None) -> Streams:
     plan = actor.plan
     group = actor.group
+    images = _share(actor.images, part)
     arr = np.asarray(ins["in"], dtype=DTYPE)
     _expect(
         actor.name, "pixel stream", len(arr),
-        actor.images * actor.beats_in_per_image,
+        images * actor.beats_in_per_image,
     )
     # Raster-ordered FM-minor stream -> (images, group, h, w) planes.
     px = np.ascontiguousarray(
-        arr.reshape(actor.images, plan.h, plan.w, group).transpose(0, 3, 1, 2)
+        arr.reshape(images, plan.h, plan.w, group).transpose(0, 3, 1, 2)
     )
     # Pad enough to cover the layer padding plus the bottom/right overhang
     # extent of the uniform tile grid (zero-filled, like the actor).
@@ -255,19 +299,20 @@ def k_block_split(actor: BlockSplitActor, ins: Streams) -> Streams:
     return {"out": out}
 
 
-def k_block_merge(actor: BlockMergeActor, ins: Streams) -> Streams:
+def k_block_merge(actor: BlockMergeActor, ins: Streams, part: Optional[Part] = None) -> Streams:
     plan = actor.plan
     group = actor.group
+    images = _share(actor.images, part)
     arr = np.asarray(ins["in"], dtype=DTYPE)
     _expect(
         actor.name, "tile stream", len(arr),
-        actor.images * actor.beats_in_per_image,
+        images * actor.beats_in_per_image,
     )
-    tiles = arr.reshape(actor.images, plan.gh, plan.gw, plan.th, plan.tw, group)
+    tiles = arr.reshape(images, plan.gh, plan.gw, plan.th, plan.tw, group)
     # (images, gh, th, gw, tw, group) -> full uniform grid, crop overhang,
     # emit raster FM-minor.
     full = np.ascontiguousarray(tiles.transpose(0, 1, 3, 2, 4, 5)).reshape(
-        actor.images, plan.gh * plan.th, plan.gw * plan.tw, group
+        images, plan.gh * plan.th, plan.gw * plan.tw, group
     )
     return {"out": np.ascontiguousarray(full[:, : plan.oh, : plan.ow]).reshape(-1)}
 
@@ -275,8 +320,8 @@ def k_block_merge(actor: BlockMergeActor, ins: Streams) -> Streams:
 # -- computation cores ---------------------------------------------------
 
 
-def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
-    n_lanes = actor.images * actor.n_coords
+def k_conv(actor: ConvCoreActor, ins: Streams, part: Optional[Part] = None) -> Streams:
+    n_lanes = _share(actor.images, part) * actor.n_coords
     groups = actor.in_groups
     win_shape = (groups, actor.kh, actor.kw)
     ports = []
@@ -298,30 +343,21 @@ def k_conv(actor: ConvCoreActor, ins: Streams) -> Streams:
     # (OUT_FM, G, K), K = P*kh*kw the tree width.
     bias = np.ascontiguousarray(actor.bias, dtype=DTYPE)
     strides = np.array([p.strides for p in ports], dtype=np.int64)
-    images, rows, cols = ports[0].shape[:3]
+    bases = np.array([p.ctypes.data for p in ports], dtype=np.uintp)
+    # The geometry conv_tree walks; cores.c alone decides how, and sizes
+    # the scratch for it.
+    geometry = (
+        strides.ctypes.data, actor.in_ports, *ports[0].shape[:3], groups,
+        actor.kh, actor.kw, actor.out_fm,
+    )
+    scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
     out = np.empty((n_lanes, actor.out_fm), dtype=DTYPE)
-
-    def run(i0, i1):
-        # Images [i0, i1): their windows, their own scratch and their own
-        # rows of out. The geometry conv_tree walks; cores.c alone decides
-        # how, and sizes the scratch for it.
-        bases = np.array(
-            [p.ctypes.data + i0 * p.strides[0] for p in ports], dtype=np.uintp
-        )
-        geometry = (
-            strides.ctypes.data, actor.in_ports, i1 - i0, rows, cols, groups,
-            actor.kh, actor.kw, actor.out_fm,
-        )
-        scratch = np.empty(cores.conv_scratch(*geometry), DTYPE)
-        part = out[i0 * rows * cols : i1 * rows * cols]
-        cores.conv_tree(
-            bases.ctypes.data, *geometry, actor.weight.ctypes.data,
-            bias.ctypes.data, part.ctypes.data, scratch.ctypes.data,
-        )
-        # In place: the op holds one output-sized array, not two.
-        actor._act(part, out=part)
-
-    native.split_images(run, images)
+    cores.conv_tree(
+        bases.ctypes.data, *geometry, actor.weight.ctypes.data,
+        bias.ctypes.data, out.ctypes.data, scratch.ctypes.data,
+    )
+    # In place: the op holds one output-sized array, not two.
+    actor._act(out, out=out)
     if actor.out_ports == 1:
         return {"out0": out.reshape(-1)}
     return {
@@ -354,9 +390,11 @@ def _settle_zero_maxima(arr: np.ndarray, out: np.ndarray, redo: np.ndarray):
     out[redo] = np.ascontiguousarray(wins).max(axis=(1, 2))
 
 
-def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
+def k_pool(actor: PoolCoreActor, ins: Streams, part: Optional[Part] = None) -> Streams:
     arr = np.asarray(ins["in"], dtype=DTYPE)
-    _expect(actor.name, "window stream", _n_windows(arr), actor.count)
+    _expect(
+        actor.name, "window stream", _n_windows(arr), _share(actor.count, part)
+    )
     if actor.mode == "max":
         # One C pass reads the windows in place through their strides.
         # It walks (images, rows, cols, group, kh, kw) windows whose maps
@@ -399,8 +437,8 @@ def k_pool(actor: PoolCoreActor, ins: Streams) -> Streams:
     return {"out": out.reshape(-1)}
 
 
-def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
-    batch, in_fm, out_fm = actor.images, actor.in_fm, actor.out_fm
+def k_fc(actor: FCCoreActor, ins: Streams, part: Optional[Part] = None) -> Streams:
+    batch, in_fm, out_fm = _share(actor.images, part), actor.in_fm, actor.out_fm
     x = np.ascontiguousarray(ins["in"], dtype=DTYPE)
     _expect(actor.name, "in", len(x), batch * in_fm)
     cores = native.cores()
@@ -419,10 +457,11 @@ def k_fc(actor: FCCoreActor, ins: Streams) -> Streams:
     return {"out": out.reshape(-1)}
 
 
-def k_norm(actor: NormalizationActor, ins: Streams) -> Streams:
+def k_norm(actor: NormalizationActor, ins: Streams, part: Optional[Part] = None) -> Streams:
+    images = _share(actor.images, part)
     arr = np.asarray(ins["in"], dtype=DTYPE)
-    _expect(actor.name, "in", len(arr), actor.images * actor.n_classes)
-    logits = arr.reshape(actor.images, actor.n_classes)
+    _expect(actor.name, "in", len(arr), images * actor.n_classes)
+    logits = arr.reshape(images, actor.n_classes)
     # Same stable-softmax association order as the actor (per row).
     shifted = logits - np.max(logits, axis=1, keepdims=True)
     exps = np.exp(shifted).astype(DTYPE)
@@ -452,19 +491,30 @@ KERNELS: Dict[type, Callable] = {
 }
 
 
-def run_kernels(actors, in_ports_of, out_ports_of, order) -> None:
-    """Execute every actor's kernel in topological order.
+def run_kernels(actors, in_ports_of, out_ports_of, schedule) -> None:
+    """Execute every actor's kernel in ``schedule.order``, a topological
+    order, once per part of the run.
+
+    The run is cut once, by :func:`repro.compiled.native.split_images`:
+    at whole blocks of 16 images, one part per CPU of the affinity set,
+    and a run of fewer than 32 images, or on one CPU, is one part on the
+    caller's thread. Each part runs the whole chain on its own images
+    (its slice of the source, its own streams and scratch), so every
+    kernel reads what the same CPU wrote; each image's values do not
+    depend on the other images, so no bit moves. The one part of an
+    uncut run calls every kernel without a :class:`Part`, on the whole
+    batch.
 
     A stream lives until its reader has run: every channel has exactly one
     reader, so each input stream is popped as it is handed to its kernel
     and is freed when the kernel's outputs no longer refer to it (a window
     stream is a view of the pixel stream; see :func:`k_window`). Values
-    leave through the sink kernel, which sets ``ListSink.received`` to one
-    float32 array, a row per beat.
+    leave through the sink kernel: ``ListSink.received`` is one float32
+    array, a row per beat, set once every part has ended.
     """
     by_name = {a.name: a for a in actors}
-    streams: Streams = {}
-    for name in order:
+    steps = []
+    for name in schedule.order:
         actor = by_name[name]
         kernel = KERNELS.get(type(actor))
         if kernel is None:
@@ -472,14 +522,28 @@ def run_kernels(actors, in_ports_of, out_ports_of, order) -> None:
                 f"actor {name!r} of type {type(actor).__name__} has no "
                 f"compiled kernel"
             )
-        outs = kernel(
-            actor,
-            {port: streams.pop(cname) for port, cname in in_ports_of[name].items()},
-        )
-        for port, arr in outs.items():
-            cname = out_ports_of[name].get(port)
-            if cname is None:
-                raise CompilationError(
-                    f"{name!r}: kernel produced unbound port {port!r}"
-                )
-            streams[cname] = arr
+        steps.append((actor, kernel, in_ports_of[name], out_ports_of[name]))
+
+    def run(part: Optional[Part]) -> None:
+        streams: Streams = {}
+        for actor, kernel, ins_of, outs_of in steps:
+            ins = {port: streams.pop(cname) for port, cname in ins_of.items()}
+            outs = kernel(actor, ins) if part is None else kernel(actor, ins, part)
+            for port, arr in outs.items():
+                cname = outs_of.get(port)
+                if cname is None:
+                    raise CompilationError(
+                        f"{actor.name!r}: kernel produced unbound port {port!r}"
+                    )
+                streams[cname] = arr
+
+    images = schedule.images
+    received: Dict[str, np.ndarray] = {}
+    native.split_images(
+        lambda i0, i1: run(
+            None if i1 - i0 == images else Part(i0, i1, images, received)
+        ),
+        images,
+    )
+    for name, arr in received.items():
+        by_name[name].received = arr

@@ -18,11 +18,11 @@ written under a temporary name and renamed into place, so concurrent
 builders never expose a partial file. It is loaded with :mod:`ctypes`,
 whose calls release the GIL.
 
-:func:`split_images` runs a ``k_conv`` call's images on every CPU of the
-process's affinity set, cut at whole blocks of 16 images, so each image
-takes the walk it takes in one call and no bit moves; its docstring says
-which calls split, why its worker threads are pinned, and what a forked
-child (serve's replicas) does with them.
+:func:`split_images` runs a compiled run's images on every CPU of the
+process's affinity set, cut once at whole blocks of 16 images, so each
+image takes the conv walk it takes in one whole call and no bit moves;
+its docstring says which runs are cut, why its worker threads are
+pinned, and what a forked child (serve's replicas) does with them.
 
 Anything that stops the object from loading — no compiler, a failed
 build, an object that will not load — is a
@@ -97,16 +97,16 @@ def cores():
     return _loaded
 
 
-#: The split workers (:func:`split_images`): per CPU, an executor of one
-#: thread pinned to that CPU, made at the first split that uses it.
+#: The split workers (:func:`split_images`): per CPU, one daemon thread
+#: pinned to that CPU, made at the first split that uses it.
 _workers: dict = {}
 _workers_lock = threading.Lock()
 
 
 def _forget_workers() -> None:
     """In a forked child: the parent's worker threads were not copied, and
-    an executor that still counts its thread as idle would queue work for
-    it forever, so the child makes its own workers on first use."""
+    an inbox whose thread is gone would hold work forever, so the child
+    makes its own workers on first use."""
     global _workers, _workers_lock
     _workers, _workers_lock = {}, threading.Lock()
 
@@ -115,17 +115,50 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _worker(cpu: int):
-    with _workers_lock:
-        pool = _workers.get(cpu)
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+class _Worker:
+    """One daemon thread pinned to one CPU, fed through its inbox: each
+    job is ``(call, i0, i1, k, outbox)``, and the thread puts ``(k, the
+    exception call raised or None)`` in the job's outbox."""
 
-            pool = _workers[cpu] = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"repro-cpu{cpu}",
-                initializer=os.sched_setaffinity, initargs=(0, {cpu}),
-            )
-    return pool
+    def __init__(self, cpu: int):
+        import queue
+
+        self.inbox = queue.SimpleQueue()
+        self.thread = threading.Thread(
+            target=self._serve, name=f"repro-cpu{cpu}", daemon=True
+        )
+        self.thread.start()
+        # Pinned from here, so a CPU outside the affinity set raises to
+        # the caller before any job is queued.
+        try:
+            os.sched_setaffinity(self.thread.native_id, {cpu})
+        except OSError:
+            self.shutdown()
+            raise
+
+    def _serve(self) -> None:
+        for call, i0, i1, k, outbox in iter(self.inbox.get, None):
+            try:
+                call(i0, i1)
+            except BaseException as exc:
+                outbox.put((k, exc))
+            else:
+                outbox.put((k, None))
+            # Until the next job, the worker holds nothing of this run.
+            del call, outbox
+
+    def shutdown(self) -> None:
+        """End the thread once the jobs already in its inbox have run."""
+        self.inbox.put(None)
+        self.thread.join()
+
+
+def _worker(cpu: int) -> _Worker:
+    with _workers_lock:
+        worker = _workers.get(cpu)
+        if worker is None:
+            worker = _workers[cpu] = _Worker(cpu)
+    return worker
 
 
 def split_images(call, images: int, cpus=None) -> None:
@@ -136,17 +169,20 @@ def split_images(call, images: int, cpus=None) -> None:
     conv pass's image block: one part per CPU of ``cpus`` (a list, which
     may repeat a CPU; default: this process's affinity set), at most one
     part per whole block, and the images past the last whole block in
-    the last part. So a call of fewer than two blocks, or with one CPU,
+    the last part. So a run of fewer than two blocks, or with one CPU,
     runs ``call(0, images)`` inline and starts no thread. Otherwise part
     ``k`` runs on the worker thread of ``cpus[k]``, pinned to that CPU,
     while the caller waits: unpinned, a 2-vCPU KVM guest's scheduler
     woke a second thread on the CPU that was already busy, and the parts
-    ran one after the other. Only the workers are pinned, never the caller.
-    Every part runs to its end before an exception one of them raised
-    reaches the caller. Workers start at the first split, and a forked
-    child drops its parent's (:func:`_forget_workers`). ``k_conv`` is the
-    one caller; ``k_pool`` and ``k_fc`` stay serial, since their calls
-    take a few handoffs' worth of time.
+    ran one after the other. Only the workers are pinned, never the
+    caller. The handoff is a job in the worker's inbox and a reply in an
+    outbox of this call's own, so callers on several threads never take
+    each other's replies. Every part runs to its end before the first
+    part's exception (in part order) reaches the caller. Workers start
+    at the first split, and a forked child drops its parent's
+    (:func:`_forget_workers`). ``run_kernels`` is the one caller: it
+    cuts a compiled run once, and each part runs the whole kernel chain
+    on its own images.
     """
     if cpus is None:
         cpus = (
@@ -159,16 +195,16 @@ def split_images(call, images: int, cpus=None) -> None:
     if parts < 2:
         call(0, images)
         return
-    from concurrent.futures import wait
+    import queue
 
     cuts = [k * blocks // parts * lanes for k in range(parts)] + [images]
-    futures = [
-        _worker(cpu).submit(call, i0, i1)
-        for cpu, i0, i1 in zip(cpus, cuts, cuts[1:])
-    ]
-    wait(futures)
-    for future in futures:
-        future.result()
+    workers = [_worker(cpu) for cpu in cpus[:parts]]
+    outbox = queue.SimpleQueue()
+    for k, worker in enumerate(workers):
+        worker.inbox.put((call, cuts[k], cuts[k + 1], k, outbox))
+    for _, exc in sorted(outbox.get() for _ in workers):
+        if exc is not None:
+            raise exc
 
 
 def _cache_dir() -> Path:

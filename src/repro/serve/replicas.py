@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.compiled import check_design
 from repro.core.builder import build_network, random_weights
 from repro.core.network_design import NetworkDesign
 from repro.core.serialize import design_from_json, design_to_json
@@ -139,7 +140,10 @@ class ReplicaFleet:
     ``ProcessPoolExecutor`` (weights and compiled plan built once per
     process by the initializer); ``mode="inline"`` runs batches in the
     calling process, sharing one weights copy. Use as a context manager
-    or call :meth:`shutdown`.
+    or call :meth:`shutdown`. A design the compiled engine refuses
+    (:func:`~repro.compiled.check_design`) raises its
+    :class:`~repro.errors.CompilationError` here, before any process
+    starts: clean batches run compiled, so none of them could be served.
     """
 
     def __init__(
@@ -157,6 +161,7 @@ class ReplicaFleet:
             raise ConfigurationError(
                 f"unknown fleet mode {mode!r} (process|inline)"
             )
+        check_design(design)
         self.design = design
         self.n_replicas = n_replicas
         self.seed = seed

@@ -803,8 +803,8 @@ class TestOverRead:
     """The last image's windows end on the last pixel, so the image walk's
     copy (16 images) and the coordinate walk's gather (3, and the 17th
     image of 17) each read up to the end of a pixel stream placed right
-    before a page that faults on any access; in a call split over two
-    CPUs (33 and 48 images), the last part's do. The weight and the bias end
+    before a page that faults on any access, and so do the last blocks
+    of 33 and 48 images (the 33rd gathered). The weight and the bias end
     on such a page too, for every map count: a last block of maps ends at
     the layer's last map, and a layer of fewer than a block reads only
     its own maps."""
@@ -825,8 +825,8 @@ class TestOverRead:
         assert proc.stdout == "read\n"
         assert proc.returncode == -signal.SIGSEGV, proc.stderr
 
-    # 33 and 48 images split into parts of 16 and 17 / 32 images on two
-    # CPUs, so the last part, the uneven one, ends at the page.
+    # 33 and 48 images: two and three whole blocks end at the page, the
+    # first with one gathered image after them.
     @pytest.mark.parametrize("images", [3, 16, 17, 33, 48])
     def test_kernel_reads_up_to_the_page(self, images):
         proc = in_child(

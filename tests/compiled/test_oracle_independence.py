@@ -103,8 +103,8 @@ def test_importing_the_cli_loads_no_compiled_module():
 
 
 def test_the_interpreted_engines_start_no_thread():
-    # A fresh process runs TC2 at batch 64, where a compiled op's conv
-    # passes split over the CPUs, on both interpreted engines: they call
+    # A fresh process runs TC2 at batch 64, where a compiled op is cut
+    # over the CPUs, on both interpreted engines: they call
     # no kernel, so they load no compiled module and start no thread.
     code = (
         "import sys, threading\n"

@@ -8,12 +8,15 @@ once, so a run that finished or raised is over, and is freed by reference count,
 the moment its last owner lets go of it.
 """
 
+import functools
 import gc
+import os
 import types
 import weakref
 
 import pytest
 
+from repro.compiled import native
 from repro.core import cifar10_design, random_weights, tiny_design, usps_design
 from repro.core.builder import build_network, seeded_batch
 from repro.core.compute_core import ConvCoreActor
@@ -70,12 +73,12 @@ def a_core(graph):
     return next(a for a in graph.actors.values() if type(a) is ConvCoreActor)
 
 
-def finished_run(name, scheduler):
+def finished_run(name, scheduler, images=2):
     """Weakrefs into two finished runs, every strong reference dropped."""
-    built = build(name)
+    built = build(name, images)
     built.run(scheduler=scheduler)
-    assert built.outputs().shape[0] == 2
-    direct = build(name)
+    assert built.outputs().shape[0] == images
+    direct = build(name, images)
     sim = direct.graph.build_simulator(scheduler=scheduler)
     sim.run()
     return {
@@ -98,6 +101,21 @@ def test_finished_run_is_freed_without_the_collector(no_collector, name, schedul
     assert not alive, f"still alive with no owner: {alive}"
     left = cyclic_garbage()
     assert not left, f"left to the collector: {[type(o).__name__ for o in left]}"
+
+
+def test_a_cut_compiled_run_is_freed_without_the_collector(no_collector, monkeypatch):
+    # 32 images over two CPUs (one repeated on a one-CPU host): two parts
+    # on the pinned workers, which keep nothing of the run they ran.
+    cpus = (sorted(os.sched_getaffinity(0)) * 2)[:2]
+    monkeypatch.setattr(
+        native, "split_images", functools.partial(native.split_images, cpus=cpus)
+    )
+    finished_run("cifar10", "compiled", images=32)
+    gc.collect()
+    refs = finished_run("cifar10", "compiled", images=32)
+    alive = [what for what, ref in refs.items() if ref() is not None]
+    assert not alive, f"still alive with no owner: {alive}"
+    assert not cyclic_garbage()
 
 
 @pytest.mark.parametrize("scheduler", ["event", "lockstep"])

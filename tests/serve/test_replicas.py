@@ -7,12 +7,21 @@ sized small (usps / tiny designs) so the suite stays fast on one core.
 import numpy as np
 import pytest
 
-from repro.core import random_weights, tiny_design, usps_design
+from repro.cli import main
+from repro.core import (
+    FCLayerSpec,
+    NetworkDesign,
+    PoolLayerSpec,
+    random_weights,
+    tiny_design,
+    usps_design,
+)
 from repro.core.builder import build_network
+from repro.core.serialize import design_to_json
 from repro.dataflow.digest import stable_digest
-from repro.errors import ConfigurationError
+from repro.errors import CompilationError, ConfigurationError
 from repro.faults import load_scenario
-from repro.serve import ReplicaFleet, request_image, run_replica_batch
+from repro.serve import ReplicaFleet, replicas, request_image, run_replica_batch
 
 
 def reference_digest(design, seed, index):
@@ -117,3 +126,40 @@ class TestProcessFleet:
         # images, not warm()'s one) is a new stream geometry, so one more.
         assert all(w["plan_cache"]["misses"] == 1 for w in warm)
         assert res0["plan_cache"]["misses"] == 2
+
+
+def pool_first_design():
+    """``1x8x8 -> pool 2x2/s2 -> fc 16->4``: the compiled engine refuses a
+    leading pool whatever the batch."""
+    return NetworkDesign("pool-first", (1, 8, 8), [
+        PoolLayerSpec(name="pool1", in_fm=1, out_fm=1, kh=2, stride=2),
+        FCLayerSpec(name="fc1", in_fm=16, out_fm=4),
+    ])
+
+
+class TestRefusedDesign:
+    def test_the_fleet_refuses_before_starting_a_worker(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            replicas, "ProcessPoolExecutor",
+            lambda *args, **kwargs: started.append(args),
+        )
+        for mode in ("process", "inline"):
+            with pytest.raises(CompilationError, match="leading pool"):
+                ReplicaFleet(pool_first_design(), 1, mode=mode)
+        assert started == []
+
+    def test_loadtest_exits_1_with_no_request_sent(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        sent = []
+        monkeypatch.setattr(
+            ReplicaFleet, "submit", lambda self, *args: sent.append(args)
+        )
+        path = tmp_path / "pool-first.json"
+        path.write_text(design_to_json(pool_first_design()))
+        argv = ["loadtest", "--design", str(path), "--requests", "4",
+                "--replicas", "1"]
+        assert main(argv) == 1
+        assert "leading pool" in capsys.readouterr().err
+        assert sent == []
